@@ -23,7 +23,6 @@ from .fock import (
     OperatorMatrix,
     Statistics,
     build_annihilator,
-    vacuum_state,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,10 +103,6 @@ class KrausSet:
     k_max: int
     exact_bound: float
     completeness_defect: float
-
-    def exact_indices(self) -> np.ndarray:
-        space = self.operators[0].space
-        return np.flatnonzero(space.total_occupation <= self.exact_bound)
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -424,7 +419,3 @@ def enforce_superselection(rho: DensityOperator) -> DensityOperator:
     tot = rho.space.total_occupation
     mask = (tot[:, None] == tot[None, :]).astype(float)
     return DensityOperator(rho.space, rho.matrix * mask, tail_weight=rho.tail_weight)
-
-
-def distance_to_vacuum(rho: DensityOperator) -> float:
-    return trace_distance(rho, vacuum_state(rho.space))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    CERTIFICATE_TOL,
     DecayModel,
     KrausSet,
     _decay_amplitude,
@@ -111,7 +112,7 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     """
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
-    if model.certificate_defect > 1e-10:
+    if model.certificate_defect > CERTIFICATE_TOL:
         raise ValueError("commutation certificate failed; closed forms are not valid")
     d = _mode_amplitudes(model, t)
     if model.is_mixed:
@@ -136,7 +137,7 @@ def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> Operator
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (r, r):
         raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
-    if model.certificate_defect > 1e-10:
+    if model.certificate_defect > CERTIFICATE_TOL:
         raise ValueError("commutation certificate failed; closed forms are not valid")
     if model.is_mixed:
         V = model.mixing_unitary

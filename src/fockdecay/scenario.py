@@ -102,7 +102,14 @@ def _require(obj: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("CONFIG_FIELD_TYPE", f"expected a number, got {value!r}", "schema", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError("CONFIG_NUMBER_NONFINITE", f"expected a finite number, got {value!r}",
+                          "invariant", path)
+    return number
 
 
 def _as_int(value, path: str) -> int:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from conftest import random_density_matrix, random_hermitian
 
+import fockdecay.master as master
 from fockdecay import (
     FockSpace,
+    GeneratorAction,
     InvariantViolation,
     ModeSpec,
     MixingParams,
+    Statistics,
     build_decay_model,
     build_generator,
     build_kraus,
@@ -24,6 +27,22 @@ from fockdecay import (
 
 def single_model(cutoff=6, mass=0.0, width=1.0):
     return build_decay_model(FockSpace(ModeSpec(mass=mass, width=width, cutoff=cutoff)))
+
+
+def rk4_reference(gen, rho0, times, step):
+    """The k1..k4 matrix loop on the full product space, with no restriction."""
+    rho, done, out = np.array(rho0.matrix, dtype=complex), 0, []
+    for t in times:
+        n = int(round(t / step))
+        for _ in range(n - done):
+            k1 = gen(rho)
+            k2 = gen(rho + 0.5 * step * k1)
+            k3 = gen(rho + 0.5 * step * k2)
+            k4 = gen(rho + step * k3)
+            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        done = n
+        out.append(rho)
+    return out
 
 
 def test_generator_vacuum_is_stationary():
@@ -137,3 +156,51 @@ def test_rk4_matches_kraus_on_mixed_model(rng):
         ode = integrate(gen, rho, [t], 1e-3)[0]
         kraus = apply_channel(build_kraus(model, t), rho)
         assert trace_distance(ode, kraus) <= 1e-8
+
+
+def _mixed_dense_case(rng):
+    space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)])
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2),
+                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    rho0 = random_density_matrix(rng, space, max_total=3)
+    tot = space.total_occupation
+    rows, cols = np.nonzero(rho0.matrix)
+    assert set(tot[rows] - tot[cols]) == set(range(-3, 4))  # every Delta N block is occupied
+    return model, rho0
+
+
+def _boson_fermion_case(rng):
+    space = FockSpace([ModeSpec(mass=0.7, width=0.8, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=1.9, width=1.2)])
+    return build_decay_model(space), random_density_matrix(rng, space)
+
+
+def _oscillation_theta90_case(rng):
+    space = FockSpace([ModeSpec(width=0.5, cutoff=5), ModeSpec(mass=5.0, width=1.5, cutoff=5)])
+    mixing = MixingParams(theta=math.pi / 2, phi=2 * math.pi, psi=math.pi, chi=1.5 * math.pi)
+    model = build_mixed_model(space, mixing, masses=(0.0, 5.0), widths=(0.5, 1.5))
+    return model, number_state(space, (2, 1))
+
+
+@pytest.mark.parametrize("case", [_mixed_dense_case, _boson_fermion_case, _oscillation_theta90_case])
+@pytest.mark.parametrize("chunk_entries", [master.BASIS_CHUNK_ENTRIES, 250])
+def test_integrate_matches_full_space_loop(rng, monkeypatch, case, chunk_entries):
+    # 250 entries hold two or three basis matrices, so each block is built in several chunks
+    monkeypatch.setattr(master, "BASIS_CHUNK_ENTRIES", chunk_entries)
+    model, rho0 = case(rng)
+    gen = build_generator(model)
+    step = 0.05 / 75
+    times = [0.0, 0.05, 0.1, 0.3, 0.4]
+    got = integrate(gen, rho0, times, step)
+    for state, ref in zip(got, rk4_reference(gen, rho0, times, step)):
+        assert np.max(np.abs(state.matrix - ref)) <= 1e-12
+
+
+def test_integrate_refuses_generator_that_leaks_between_blocks():
+    model = single_model(cutoff=2)
+    gen = build_generator(model)
+    w = np.array(gen.w_matrix)
+    w[2, 1] = 0.1  # couples total occupation 1 to 2
+    leaky = GeneratorAction(model=model, w_matrix=w, jump_ops=gen.jump_ops)
+    with pytest.raises(InvariantViolation, match="Delta N"):
+        integrate(leaky, number_state(model.space, (1,)), [0.0, 0.5], 1e-3)

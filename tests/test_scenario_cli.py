@@ -290,6 +290,27 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert "CONFIG_ROUTE_UNKNOWN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("validate", {"modes": [dict(MINIMAL["modes"][0], width=math.nan)]}),
+        ("run", {"modes": [dict(MINIMAL["modes"][0], width=math.nan)]}),
+        ("validate", {"time_grid": dict(MINIMAL["time_grid"], stop=math.inf)}),
+        ("run", {"time_grid": dict(MINIMAL["time_grid"], stop=math.inf)}),
+        ("run", {"time_grid": dict(MINIMAL["time_grid"], stop=math.inf), "routes": ["ode"]}),
+        ("run", {"modes": [dict(MINIMAL["modes"][0], mass=10**400)]}),
+    ],
+)
+def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
+    # Python's json reads NaN and Infinity; they must end as a coded config error.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error [invariant]: CONFIG_NUMBER_NONFINITE")
+    assert "Traceback" not in err
+
+
 def test_cli_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.json"]) == 1
     assert "config error" in capsys.readouterr().err
