@@ -66,10 +66,6 @@ class DecayModel:
     certificate_defect: float = 0.0
 
     @property
-    def n_decay_modes(self) -> int:
-        return len(self.decay_ops)
-
-    @property
     def is_mixed(self) -> bool:
         return self.mixing_unitary is not None
 
@@ -92,9 +88,10 @@ class KrausSet:
     """Ordered Kraus family for a fixed evolution time.
 
     ``multi_indices[i]`` records how many quanta operator ``operators[i]``
-    removes from each decay mode.  ``completeness_defect`` is the spectral
-    norm of (sum_k E_k^dag E_k - 1) restricted to the exactly-represented
-    subspace (total occupation <= ``exact_bound``).
+    removes from each decay mode.  ``gram_sum`` is sum_k E_k^dag E_k on the
+    whole space; ``completeness_defect`` is the spectral norm of
+    (``gram_sum`` - 1) restricted to the exactly-represented subspace
+    (total occupation <= ``exact_bound``).
     """
 
     time: float
@@ -103,6 +100,7 @@ class KrausSet:
     k_max: int
     exact_bound: float
     completeness_defect: float
+    gram_sum: np.ndarray
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -194,11 +192,15 @@ def _assemble_model(
     ham = np.zeros((dim, dim), dtype=complex)
     kay = np.zeros((dim, dim), dtype=complex)
     lindblads = []
-    for c, m_j, g_j in zip(decay_ops, masses, widths):
-        cdag_c = c.entries.conj().T @ c.entries
-        ham += m_j * cdag_c
-        kay += -0.5 * g_j * cdag_c
-        lindblads.append(OperatorMatrix(space, math.sqrt(g_j) * c.entries))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for c, m_j, g_j in zip(decay_ops, masses, widths):
+            cdag_c = c.entries.conj().T @ c.entries
+            ham += m_j * cdag_c
+            kay += -0.5 * g_j * cdag_c
+            lindblads.append(OperatorMatrix(space, math.sqrt(g_j) * c.entries))
+    if not (np.isfinite(ham).all() and np.isfinite(kay).all()):
+        raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
+                                 "overflow at this cutoff")
     herm = float(np.max(np.abs(ham - ham.conj().T)))
     if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
         raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
@@ -242,9 +244,6 @@ def build_decay_model(
 
 def _propagator(model: DecayModel, t: float) -> np.ndarray:
     """exp(-i M t); elementwise on the diagonal when no mixing is present."""
-    dim = model.space.dimension
-    if t == 0.0:
-        return np.eye(dim, dtype=complex)
     if not model.is_mixed:
         occ = model.space.occupation_array
         phases = occ @ np.asarray(model.masses)
@@ -257,9 +256,16 @@ def _propagator(model: DecayModel, t: float) -> np.ndarray:
 def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
     """Kraus family at time t, one operator per loss pattern (k_1, ..., k_r).
 
-    Each operator is exp(-i M t) prod_j (sqrt(1 - exp(-Gamma_j t)) c_j)^{k_j}
-    / sqrt(k_j!), with k_j capped at the mode cutoff (1 for fermions) and
-    sum k_j <= k_max.  At t = 0 the family is the identity plus zeros.
+    Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
+    with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
+    fermions) and sum k_j <= k_max.  The family is built by recursion on
+    the pattern: E_0 = exp(-i M t), and for kappa != 0, with j the last mode
+    that loses a quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.
+    Appending c_j on the right keeps the ordered product c_1^{k_1} c_2^{k_2}
+    ... that the fermionic signs need.  The recursion reads each parent
+    before its children, so it relies on :func:`kraus_multi_indices`
+    grouping patterns by total.  A zero weight gives exact zeros, so at
+    t = 0 the family is the identity plus zeros.
     """
     t = float(t)
     if t < 0:
@@ -281,28 +287,20 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
 
     indices = kraus_multi_indices(model.space, k_max)
     weights = [_decay_weight(g, t) for g in model.widths]
-    prop = _propagator(model, t)
-    dim = model.space.dimension
-
-    operators = []
-    for kappa in indices:
-        coeff2 = 1.0
-        for k_j, w_j in zip(kappa, weights):
-            if k_j:
-                coeff2 *= w_j**k_j / math.factorial(k_j)
-        if coeff2 == 0.0 and sum(kappa):
-            operators.append(OperatorMatrix(model.space, np.zeros((dim, dim), dtype=complex)))
-            continue
-        mono = np.eye(dim, dtype=complex)
-        for k_j, c in zip(kappa, model.decay_ops):
-            for _ in range(k_j):
-                mono = mono @ c.entries
-        operators.append(OperatorMatrix(model.space, math.sqrt(coeff2) * (prop @ mono)))
+    family = {indices[0]: OperatorMatrix(model.space, _propagator(model, t))}
+    for kappa in indices[1:]:
+        j = max(i for i, k in enumerate(kappa) if k)
+        parent = family[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
+        family[kappa] = OperatorMatrix(
+            model.space,
+            math.sqrt(weights[j] / kappa[j]) * (parent.entries @ model.decay_ops[j].entries),
+        )
+    operators = tuple(family.values())
 
     exact_bound = min(float(k_max), model.exact_total_bound())
     ix = np.flatnonzero(model.space.total_occupation <= exact_bound)
     total = sum(E.entries.conj().T @ E.entries for E in operators)
-    block = (total - np.eye(dim))[np.ix_(ix, ix)]
+    block = (total - np.eye(model.space.dimension))[np.ix_(ix, ix)]
     defect = float(np.linalg.norm(block, 2)) if ix.size else 0.0
     if defect > COMPLETENESS_TOL:
         raise InvariantViolation(
@@ -311,11 +309,12 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
         )
     return KrausSet(
         time=t,
-        operators=tuple(operators),
+        operators=operators,
         multi_indices=indices,
         k_max=k_max,
         exact_bound=exact_bound,
         completeness_defect=defect,
+        gram_sum=total,
     )
 
 

@@ -58,8 +58,7 @@ def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) 
     # Weight the kept family is missing on the reporting subspace (the model's
     # full exact block, wider than the channel-side k_max coverage).
     ix = np.flatnonzero(model.space.total_occupation <= model.exact_total_bound())
-    total = sum(E.entries.conj().T @ E.entries for E in kraus.operators)
-    deficit = (np.eye(model.space.dimension) - total)[np.ix_(ix, ix)]
+    deficit = (np.eye(model.space.dimension) - kraus.gram_sum)[np.ix_(ix, ix)]
     tail = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if tail > TAIL_TOL:
         raise TailBoundError(

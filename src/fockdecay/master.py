@@ -13,6 +13,7 @@ polynomial of that matrix, formed once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +60,10 @@ def generator_apply(gen: GeneratorAction, rho_matrix: np.ndarray) -> np.ndarray:
 
 
 def _steps_for(t: float, step: float) -> int:
-    n = int(round(t / step))
+    ratio = t / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"time {t!r} over step {step!r} is not a finite step count")
+    n = int(round(ratio))
     if abs(n * step - t) > STEP_MATCH_TOL * max(1.0, abs(t)):
         raise ValueError(
             f"time {t!r} is not a multiple of step {step!r}; "

@@ -310,19 +310,17 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("CONFIG_OBSERVABLE_ROUTE",
                           "occupations need the kraus or ode route", "invariant", "$.observables")
 
-    if mixing is not None and initial.occupations is not None:
+    if mixing is not None:
+        if initial.occupations is not None:
+            supports = [("occupations", initial.occupations)]
+        else:
+            supports = [(f"components[{i}]", occ) for i, (_, occ) in enumerate(initial.components or ())]
         common = modes[0].cutoff
-        if sum(initial.occupations) > common:
-            raise ConfigError("CONFIG_SUPPORT_EXCEEDS_CUTOFF",
-                              f"total occupation {sum(initial.occupations)} exceeds the mixing-exact "
-                              f"bound {common}", "invariant", "$.initial_state.occupations")
-    if mixing is not None and initial.components is not None:
-        common = modes[0].cutoff
-        for i, (_, occ) in enumerate(initial.components):
+        for where, occ in supports:
             if sum(occ) > common:
                 raise ConfigError("CONFIG_SUPPORT_EXCEEDS_CUTOFF",
                                   f"total occupation {sum(occ)} exceeds the mixing-exact bound {common}",
-                                  "invariant", f"$.initial_state.components[{i}]")
+                                  "invariant", f"$.initial_state.{where}")
 
     ode_step = None
     if root.get("ode_step") is not None:
@@ -468,8 +466,11 @@ def run_scenario(
     t_scaled = times * gamma_bar if mixed else times
     phi = cfg.mixing[0].phi if mixed else 0.0
 
+    # Scalars in config order, then occupations once: the manifest's key order.
     scalar_obs = [o for o in cfg.observables if o != "occupations"]
-    want_occupations = "occupations" in cfg.observables
+    names = scalar_obs + (["occupations"] if "occupations" in cfg.observables else [])
+    columns = {name: [name] for name in scalar_obs}
+    columns["occupations"] = ["p_" + "_".join(str(n) for n in occ) for occ in space.occupations]
     obs_matrices = {}
     if scalar_obs:
         if space.n_modes == 2:
@@ -498,79 +499,53 @@ def run_scenario(
                 widths=(cfg.modes[0].width, cfg.modes[1].width),
             )
 
-        scalar_series: dict[tuple[str, str], np.ndarray] = {}
-        occ_series: dict[str, np.ndarray] = {}
+        # (route, observable) -> T x columns[observable]
+        series: dict[tuple[str, str], np.ndarray] = {}
         for route in routes:
-            if route in ("kraus", "ode"):
-                if route == "kraus":
-                    states = evolve_state(model, rho0, times)
-                else:
-                    step = cfg.ode_step if cfg.ode_step is not None else _grid_step(model, times)
-                    try:
-                        states = integrate(build_generator(model), rho0, times, step)
-                    except ValueError as exc:
-                        raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant",
-                                          "$.time_grid") from exc
-                for name in scalar_obs:
-                    scalar_series[(route, name)] = np.array(
-                        [expectation(s, obs_matrices[name]) for s in states]
-                    )
-                if want_occupations:
-                    occ_series[route] = np.array([s.diagonal() for s in states])
-            else:  # heisenberg: observable-side closed forms
+            if route == "heisenberg":  # observable-side closed forms
                 for name in scalar_obs:
                     evolved = [evolve_quadratic(model, omegas[name], float(t)) for t in times]
-                    scalar_series[(route, name)] = np.array(
-                        [expectation(rho0, om) for om in evolved]
-                    )
-                if want_occupations:
+                    series[(route, name)] = np.array([[expectation(rho0, om)] for om in evolved])
+                if "occupations" in names:
                     skipped.append(f"{route}:occupations=unsupported")
+                continue
+            if route == "kraus":
+                states = evolve_state(model, rho0, times)
+            else:
+                try:
+                    step = cfg.ode_step if cfg.ode_step is not None else _grid_step(model, times)
+                    states = integrate(build_generator(model), rho0, times, step)
+                except ValueError as exc:
+                    raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant",
+                                      "$.time_grid") from exc
+            for name in names:
+                series[(route, name)] = np.array([
+                    s.diagonal() if name == "occupations" else [expectation(s, obs_matrices[name])]
+                    for s in states
+                ])
 
-        for name in scalar_obs:
-            for route in routes:
-                if (route, name) not in scalar_series:
-                    continue
+        theta_key = f"theta={ti}" if mixed and len(sweep) > 1 else "theta=-"
+        for name in names:
+            have = [r for r in routes if (r, name) in series]
+            for route in have:
                 path = out / f"{cfg.name}{tag}__{route}__{name}.csv"
                 _write_csv(
                     path,
-                    ["t", name, "t_raw", "route"],
+                    ["t", *columns[name], "t_raw", "route"],
                     [
-                        (t_s, v, t_r, route)
-                        for t_s, v, t_r in zip(t_scaled, scalar_series[(route, name)], times)
+                        (t_s, *row, t_r, route)
+                        for t_s, row, t_r in zip(t_scaled, series[(route, name)], times)
                     ],
                 )
                 csv_paths.append(path)
-        if want_occupations:
-            labels = ["p_" + "_".join(str(n) for n in occ) for occ in space.occupations]
-            for route, table in occ_series.items():
-                path = out / f"{cfg.name}{tag}__{route}__occupations.csv"
-                rows = [
-                    (t_s, *row, t_r, route)
-                    for t_s, row, t_r in zip(t_scaled, table, times)
-                ]
-                _write_csv(path, ["t", *labels, "t_raw", "route"], rows)
-                csv_paths.append(path)
-
-        theta_key = f"theta={ti}" if mixed and len(sweep) > 1 else "theta=-"
-        for name in scalar_obs:
-            for i, ra in enumerate(routes):
-                for rb in routes[i + 1:]:
-                    if (ra, name) in scalar_series and (rb, name) in scalar_series:
-                        dev = float(np.max(np.abs(
-                            scalar_series[(ra, name)] - scalar_series[(rb, name)]
-                        )))
-                        max_dev = max(max_dev, dev)
-                        deviation_lines.append(
-                            f"cross_route_max_deviation[{name}][{ra}|{rb}][{theta_key}]={_fmt(dev)}"
-                        )
-        if want_occupations:
-            occ_routes = sorted(occ_series)
-            for i, ra in enumerate(occ_routes):
-                for rb in occ_routes[i + 1:]:
-                    dev = float(np.max(np.abs(occ_series[ra] - occ_series[rb])))
+            if name == "occupations":  # occupation keys name their routes in sorted order
+                have.sort()
+            for i, ra in enumerate(have):
+                for rb in have[i + 1:]:
+                    dev = float(np.max(np.abs(series[(ra, name)] - series[(rb, name)])))
                     max_dev = max(max_dev, dev)
                     deviation_lines.append(
-                        f"cross_route_max_deviation[occupations][{ra}|{rb}][{theta_key}]={_fmt(dev)}"
+                        f"cross_route_max_deviation[{name}][{ra}|{rb}][{theta_key}]={_fmt(dev)}"
                     )
 
     manifest_path = out / f"{cfg.name}__manifest.txt"
@@ -611,7 +586,10 @@ def _grid_step(model, times: np.ndarray) -> float:
     spacing = float(times[1] - times[0])
     if spacing <= 0:
         return base
-    return spacing / math.ceil(spacing / base)
+    ratio = spacing / base
+    if not math.isfinite(ratio):
+        raise ValueError(f"default step {base!r} is too small for grid spacing {spacing!r}")
+    return spacing / math.ceil(ratio)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_density_matrix
 
 from fockdecay import (
@@ -124,6 +125,51 @@ def test_completeness_on_grid():
         for t in np.linspace(0.0, 10.0 / gmin, 20):
             ks = build_kraus(model, float(t))
             assert ks.completeness_defect <= 1e-10
+
+
+def kraus_reference(model, t, multi_indices):
+    """Each operator rebuilt from the identity: U(t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!)."""
+    prop = scipy.linalg.expm(-1j * model.m_operator.entries * t)
+    weights = [-math.expm1(-g * t) for g in model.widths]
+    out = []
+    for kappa in multi_indices:
+        coeff2 = math.prod(w**k / math.factorial(k) for k, w in zip(kappa, weights))
+        mono = np.eye(model.space.dimension, dtype=complex)
+        for k_j, c in zip(kappa, model.decay_ops):
+            for _ in range(k_j):
+                mono = mono @ c.entries
+        out.append(math.sqrt(coeff2) * (prop @ mono))
+    return out
+
+
+def _reference_cases():
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)])
+    yield build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
+                            masses=(0.0, 3.0), widths=(0.5, 1.5)), 0.7
+    # the Jordan-Wigner signs depend on the order c_1^k1 c_2^k2 c_3^k3
+    yield build_decay_model(FockSpace([
+        ModeSpec(mass=0.3, width=0.8, cutoff=3),
+        ModeSpec(Statistics.FERMION, mass=1.0, width=1.2),
+        ModeSpec(Statistics.FERMION, mass=2.0, width=0.6),
+    ])), 0.9
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
+                          ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
+    yield build_mixed_model(fermions, MixingParams(theta=0.9, phi=0.2),
+                            masses=(0.0, 2.0), widths=(0.5, 1.5)), 1.1
+    # w_1 = 1e-200, so w_1**2 / 2 underflows in the reference; w_2 = 0
+    yield build_decay_model(FockSpace([ModeSpec(width=1.0, cutoff=3),
+                                       ModeSpec(mass=1.0, width=0.0, cutoff=2)])), 1e-200
+
+
+@pytest.mark.parametrize("model, t", list(_reference_cases()))
+def test_kraus_recursion_matches_monomial_reference(model, t):
+    ks = build_kraus(model, t)
+    assert ks.multi_indices == kraus_multi_indices(model.space, ks.k_max)
+    assert ks.k_max == sum(1 if m.is_fermion else m.cutoff for m in model.space.modes)
+    ref = kraus_reference(model, t, ks.multi_indices)
+    assert len(ref) == len(ks.operators)
+    for op, want in zip(ks.operators, ref):
+        assert np.max(np.abs(op.entries - want)) <= 1e-13
 
 
 def test_kraus_rejects_negative_time():

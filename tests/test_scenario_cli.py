@@ -213,6 +213,20 @@ def test_manifest_records_deviations(tmp_path):
     assert sum(1 for l in lines if l.startswith("timestamp=")) == 1
 
 
+def test_manifest_deviation_keys_follow_route_order(tmp_path):
+    # Scalar pairs follow the routes as given; occupation pairs follow sorted route names.
+    cfg = parse_config((CONFIGS / "oscillation_theta90.json").read_text())
+    result = run_scenario(cfg, out_dir=tmp_path, routes=("heisenberg", "ode", "kraus"))
+    keys = [l.rsplit("=", 1)[0]
+            for l in result.manifest_path.read_text().splitlines()
+            if l.startswith("cross_route_max_deviation[")]
+    assert keys == [
+        f"cross_route_max_deviation[{name}][{pair}][theta=-]"
+        for name in ("N", "S", "Qplus", "Qminus")
+        for pair in ("heisenberg|ode", "heisenberg|kraus", "ode|kraus")
+    ] + ["cross_route_max_deviation[occupations][kraus|ode][theta=-]"]
+
+
 def test_occupation_columns_sum_to_one(tmp_path):
     cfg = parse_config((CONFIGS / "single_mode_decay.json").read_text())
     run_scenario(cfg, out_dir=tmp_path, routes=("kraus",))
@@ -308,6 +322,32 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
     assert main([command, str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error [invariant]: CONFIG_NUMBER_NONFINITE")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, code, prefix",
+    [
+        # mass * n overflows the Hamiltonian to inf on every route
+        ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)]},
+         2, "runtime invariant breach: "),
+        ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)],
+          "routes": ["heisenberg"]},
+         2, "runtime invariant breach: "),
+        # the default step 1e-3 / width underflows, so spacing / step is inf
+        ({"modes": [dict(MINIMAL["modes"][0], mass=0.0, width=1e308, cutoff=1)], "routes": ["ode"]},
+         1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
+        ({"ode_step": 5e-324, "routes": ["ode"]},
+         1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # a numpy warning would precede the prefix on stderr
+def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code, prefix):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    assert main(["run", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
     assert "Traceback" not in err
 
 
