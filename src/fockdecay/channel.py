@@ -20,6 +20,7 @@ from .fock import (
     DensityOperator,
     FockSpace,
     InvariantViolation,
+    ModeSpec,
     OperatorMatrix,
     Statistics,
     build_annihilator,
@@ -70,17 +71,23 @@ class DecayModel:
         return self.mixing_unitary is not None
 
     def exact_total_bound(self) -> float:
-        """Largest total occupation whose dynamics the truncation captures exactly.
+        """Largest total occupation whose dynamics the truncation captures exactly."""
+        return exact_total_bound(self.space.modes, self.is_mixed)
 
-        Without mixing every retained tuple evolves exactly (decay only
-        lowers occupations).  Mixed decay operators shuffle quanta between
-        modes, so only total-occupation sectors not exceeding the common
-        bosonic cutoff are exact.
-        """
-        if not self.is_mixed:
-            return math.inf
-        bos = [m.cutoff for m in self.space.modes if not m.is_fermion]
-        return float(min(bos)) if bos else math.inf
+
+def exact_total_bound(modes: Sequence[ModeSpec], mixed: bool) -> float:
+    """Largest total occupation whose dynamics the truncation captures exactly.
+
+    Without mixing every retained tuple evolves exactly (decay only lowers
+    occupations).  Mixed decay operators shuffle quanta between modes, so
+    only total-occupation sectors not exceeding the common bosonic cutoff
+    are exact; a fermion can hold no more than one quantum, so fermionic
+    modes impose no bound.
+    """
+    if not mixed:
+        return math.inf
+    bos = [m.cutoff for m in modes if not m.is_fermion]
+    return float(min(bos)) if bos else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +125,10 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     x = 0.5 * gamma * t
     if x > LARGE_EXPONENT:
         return 0.0j
-    return complex(math.cos(-mass * t), math.sin(-mass * t)) * math.exp(-x)
+    phase = mass * t
+    if not math.isfinite(phase):
+        raise InvariantViolation(f"phase m t = {mass!r} * {t!r} is not finite")
+    return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
 def _mode_caps(space: FockSpace) -> tuple[int, ...]:
@@ -242,17 +252,6 @@ def build_decay_model(
     return _assemble_model(space, masses, widths, ops)
 
 
-def _propagator(model: DecayModel, t: float) -> np.ndarray:
-    """exp(-i M t); elementwise on the diagonal when no mixing is present."""
-    if not model.is_mixed:
-        occ = model.space.occupation_array
-        phases = occ @ np.asarray(model.masses)
-        rates = occ @ np.asarray(model.widths)
-        mods = np.where(0.5 * rates * t > LARGE_EXPONENT, 0.0, np.exp(-0.5 * rates * t))
-        return np.diag(np.exp(-1j * phases * t) * mods)
-    return scipy.linalg.expm(-1j * model.m_operator.entries * t)
-
-
 def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
     """Kraus family at time t, one operator per loss pattern (k_1, ..., k_r).
 
@@ -287,7 +286,11 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
 
     indices = kraus_multi_indices(model.space, k_max)
     weights = [_decay_weight(g, t) for g in model.widths]
-    family = {indices[0]: OperatorMatrix(model.space, _propagator(model, t))}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)  # diag(exp) when unmixed
+    if not np.isfinite(propagator).all():
+        raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
+    family = {indices[0]: OperatorMatrix(model.space, propagator)}
     for kappa in indices[1:]:
         j = max(i for i, k in enumerate(kappa) if k)
         parent = family[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]

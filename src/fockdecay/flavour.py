@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DecayModel, _assemble_model
-from .fock import FockSpace, OperatorMatrix, build_annihilator
+from .fock import FockSpace, OperatorMatrix, build_annihilator, quadratic_form
 
 UNITARITY_TOL = 1e-14
 
@@ -98,22 +98,33 @@ def build_mixed_model(
     )
 
 
-def build_flavour_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
-    """Total number N, flavour charge S, and the coherence pair Qplus/Qminus.
+def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:
+    """The scalar observables sum_{lm} omega[l, m] a_l^dag a_m, as their one-body omega.
 
-    The phase on the off-diagonal pair must match the phi used in the
-    mixing parameters for the closed-form identities to hold.
+    N for any number of modes; S, Qplus and Qminus for two.  The phase of the
+    coherence pair must match the mixing phi for the closed forms to hold.
     """
+    out = {"N": np.eye(n_modes, dtype=complex)}
+    if n_modes == 2:
+        out["S"] = np.diag([1.0, -1.0]).astype(complex)
+        cross = np.zeros((2, 2), dtype=complex)
+        cross[0, 1] = np.exp(1j * phi)
+        out["Qplus"] = cross + cross.conj().T
+        out["Qminus"] = 1j * (cross - cross.conj().T)
+    return out
+
+
+def build_quadratic_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
+    """Fock operators of every observable in :func:`quadratic_omegas`."""
+    a_ops = [build_annihilator(space, j).entries for j in range(1, space.n_modes + 1)]
+    return {
+        name: OperatorMatrix(space, quadratic_form(omega, a_ops))
+        for name, omega in quadratic_omegas(space.n_modes, phi).items()
+    }
+
+
+def build_flavour_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
+    """Total number N, flavour charge S, and the coherence pair Qplus/Qminus."""
     if space.n_modes != 2:
         raise ValueError(f"flavour observables need exactly 2 modes, space has {space.n_modes}")
-    a1 = build_annihilator(space, 1).entries
-    a2 = build_annihilator(space, 2).entries
-    n1 = a1.conj().T @ a1
-    n2 = a2.conj().T @ a2
-    cross = np.exp(1j * phi) * (a1.conj().T @ a2)
-    return {
-        "N": OperatorMatrix(space, n1 + n2),
-        "S": OperatorMatrix(space, n1 - n2),
-        "Qplus": OperatorMatrix(space, cross + cross.conj().T),
-        "Qminus": OperatorMatrix(space, 1j * (cross - cross.conj().T)),
-    }
+    return build_quadratic_observables(space, phi)

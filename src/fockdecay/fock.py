@@ -239,6 +239,14 @@ def build_total_number(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(space.total_occupation.astype(complex)))
 
 
+def quadratic_form(omega: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_{jk} omega[j, k] X_j^dag X_k over the matrices X_j in ``ops``; zero terms are skipped."""
+    out = np.zeros_like(ops[0], dtype=complex)
+    for j, k in zip(*np.nonzero(omega)):
+        out += omega[j, k] * (ops[j].conj().T @ ops[k])
+    return out
+
+
 def number_state(space: FockSpace, occupations) -> DensityOperator:
     """Pure basis-state projector |n1,...,nr><n1,...,nr|."""
     occ = tuple(int(n) for n in occupations)
@@ -278,11 +286,12 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> DensityOperat
         raise ValueError(f"mode {mode} is fermionic; coherent states need a bosonic mode")
     alpha = complex(alpha)
     cutoff = space.modes[j].cutoff
-    nbar = abs(alpha) ** 2
-    amps = np.array(
-        [math.exp(-0.5 * nbar) * alpha**k / math.sqrt(math.factorial(k)) for k in range(cutoff + 1)],
-        dtype=complex,
-    )
+    nbar = abs(alpha) * abs(alpha)  # inf, not OverflowError, for a huge alpha
+    # amp_k = amp_{k-1} alpha / sqrt(k) stays <= 1, so no power or factorial overflows
+    amps = np.empty(cutoff + 1, dtype=complex)
+    amps[0] = math.exp(-0.5 * nbar)
+    for k in range(1, cutoff + 1):
+        amps[k] = amps[k - 1] * alpha / math.sqrt(k)
     kept = float(np.sum(np.abs(amps) ** 2))
     tail = max(0.0, 1.0 - kept)
     if tail >= TAIL_TOL:
@@ -304,9 +313,11 @@ def poisson_mixture(space: FockSpace, mode: int, nbar: float) -> DensityOperator
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     cutoff = space.modes[j].cutoff
-    weights = np.array(
-        [math.exp(-nbar) * nbar**k / math.factorial(k) for k in range(cutoff + 1)]
-    )
+    # w_k = w_{k-1} nbar / k stays <= 1, so no power or factorial overflows
+    weights = np.empty(cutoff + 1)
+    weights[0] = math.exp(-nbar)
+    for k in range(1, cutoff + 1):
+        weights[k] = weights[k - 1] * nbar / k
     kept = float(weights.sum())
     tail = max(0.0, 1.0 - kept)
     if tail >= TAIL_TOL:

@@ -20,13 +20,13 @@ from .channel import (
     _decay_amplitude,
     _decay_weight,
     build_kraus,
-    expectation,
 )
+from .flavour import quadratic_omegas
 from .fock import (
     DensityOperator,
     InvariantViolation,
     OperatorMatrix,
-    build_annihilator,
+    quadratic_form,
 )
 
 TAIL_TOL = 1e-10
@@ -106,24 +106,31 @@ def _mode_amplitudes(model: DecayModel, t: float) -> np.ndarray:
 def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Adjoint-evolved (lowering, raising) pair for one flavour mode.
 
-    Each propagation mode contributes its decay amplitude; with mixing the
-    result is rotated back through the mixing matrix.
+    With a_m = sum_j V[j, m] c_j (V the identity without mixing), each
+    propagation mode contributes its decay amplitude d_j.
     """
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
     if model.certificate_defect > CERTIFICATE_TOL:
         raise ValueError("commutation certificate failed; closed forms are not valid")
     d = _mode_amplitudes(model, t)
-    if model.is_mixed:
-        V = model.mixing_unitary
-        coeff = V.T @ np.diag(d) @ V.conj()  # row m: Lambda_t a_m over flavour ops
-        lowering = np.zeros((model.space.dimension,) * 2, dtype=complex)
-        for l in range(model.space.n_modes):
-            lowering += coeff[mode - 1, l] * build_annihilator(model.space, l + 1).entries
-    else:
-        lowering = d[mode - 1] * build_annihilator(model.space, mode).entries
-    low = OperatorMatrix(model.space, lowering)
+    V = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
+    low = OperatorMatrix(model.space, sum(
+        V[j, mode - 1] * d[j] * c.entries for j, c in enumerate(model.decay_ops)))
     return low, low.dagger()
+
+
+def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarray:
+    """Shape and certificate checks, then omega rotated onto the c_j^dag c_k."""
+    r = model.space.n_modes
+    omega = np.asarray(omega, dtype=complex)
+    if omega.shape != (r, r):
+        raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
+    if model.certificate_defect > CERTIFICATE_TOL:
+        raise ValueError("commutation certificate failed; closed forms are not valid")
+    if model.is_mixed:
+        return model.mixing_unitary.conj() @ omega @ model.mixing_unitary.T
+    return omega
 
 
 def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> OperatorMatrix:
@@ -132,39 +139,44 @@ def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> Operator
     In the propagation basis each monomial c_j^dag c_k just picks up the
     factor conj(d_j) d_k, with d_j the mode decay amplitude.
     """
-    r = model.space.n_modes
-    omega = np.asarray(omega, dtype=complex)
-    if omega.shape != (r, r):
-        raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
-    if model.certificate_defect > CERTIFICATE_TOL:
-        raise ValueError("commutation certificate failed; closed forms are not valid")
-    if model.is_mixed:
-        V = model.mixing_unitary
-        coeffs = V.conj() @ omega @ V.T  # propagation-basis coefficients
-    else:
-        coeffs = omega
     d = _mode_amplitudes(model, t)
-    scaled = coeffs * np.outer(d.conj(), d)
-    out = np.zeros((model.space.dimension,) * 2, dtype=complex)
-    for j in range(r):
-        for k in range(r):
-            if scaled[j, k] == 0:
-                continue
-            cj = model.decay_ops[j].entries
-            ck = model.decay_ops[k].entries
-            out += scaled[j, k] * (cj.conj().T @ ck)
-    return OperatorMatrix(model.space, out)
+    scaled = _propagation_coefficients(model, omega) * np.outer(d.conj(), d)
+    return OperatorMatrix(model.space, quadratic_form(scaled, [c.entries for c in model.decay_ops]))
+
+
+def mean_quadratic_trajectory(model: DecayModel, rho0: DensityOperator, omega: np.ndarray,
+                              times) -> np.ndarray:
+    """tr(rho0 evolve_quadratic(model, omega, t)) for every t, without building an operator.
+
+    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k), computed once:
+    <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
+    """
+    coeffs = _propagation_coefficients(model, omega)
+    omega = np.asarray(omega, dtype=complex)
+    herm = float(np.max(np.abs(omega - omega.conj().T)))
+    if herm > 1e-12 * max(1.0, float(np.max(np.abs(omega)))):
+        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    if rho0.space != model.space:
+        raise ValueError("state and model live on different spaces")
+    ops = [c.entries for c in model.decay_ops]
+    terms = coeffs * np.array([[np.vdot(cj, ck @ rho0.matrix) for ck in ops] for cj in ops])
+    amps = np.array([_mode_amplitudes(model, float(t)) for t in times]).reshape(-1, len(ops))
+    values = np.einsum("jk,tj,tk->t", terms, amps.conj(), amps)
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):
+        raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
+    return values.real
 
 
 def evolve_number(model: DecayModel, t: float) -> OperatorMatrix:
     """Adjoint-evolved total number observable (closed form)."""
-    return evolve_quadratic(model, np.eye(model.space.n_modes), t)
+    return evolve_quadratic(model, quadratic_omegas(model.space.n_modes)["N"], t)
 
 
 def evolve_strangeness(model: DecayModel, t: float) -> OperatorMatrix:
     """Adjoint-evolved two-flavour charge n_1 - n_2 (closed form)."""
     _require_two_boson_flavours(model)
-    return evolve_quadratic(model, np.diag([1.0, -1.0]), t)
+    return evolve_quadratic(model, quadratic_omegas(2)["S"], t)
 
 
 def evolve_projector(model: DecayModel, t: float, occupations) -> OperatorMatrix:
@@ -204,14 +216,10 @@ def _require_two_boson_flavours(model: DecayModel):
 
 def mean_number_trajectory(model: DecayModel, rho0: DensityOperator, times) -> np.ndarray:
     """<N(t)> over the grid, computed on the observable side."""
-    return np.array(
-        [expectation(rho0, evolve_number(model, float(t))) for t in times]
-    )
+    return mean_quadratic_trajectory(model, rho0, quadratic_omegas(model.space.n_modes)["N"], times)
 
 
 def mean_strangeness_trajectory(model: DecayModel, rho0: DensityOperator, times) -> np.ndarray:
     """<S(t)> over the grid for a two-flavour bosonic model."""
     _require_two_boson_flavours(model)
-    return np.array(
-        [expectation(rho0, evolve_strangeness(model, float(t))) for t in times]
-    )
+    return mean_quadratic_trajectory(model, rho0, quadratic_omegas(2)["S"], times)

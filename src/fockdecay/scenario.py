@@ -18,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .channel import build_decay_model, evolve_state, expectation
-from .flavour import MixingParams, build_flavour_observables, build_mixed_model
+from .channel import build_decay_model, evolve_state, exact_total_bound, expectation
+from .flavour import MixingParams, build_mixed_model, build_quadratic_observables, quadratic_omegas
+from .flavour import build_flavour_observables  # noqa: F401 -- only for the benchmark's tracer
 from .fock import (
     DensityOperator,
     FockSpace,
@@ -30,7 +31,8 @@ from .fock import (
     number_state,
     poisson_mixture,
 )
-from .heisenberg import evolve_quadratic
+from .heisenberg import evolve_quadratic  # noqa: F401 -- only for the benchmark's tracer
+from .heisenberg import mean_quadratic_trajectory
 from .master import build_generator, default_step, integrate
 
 ROUTES = ("kraus", "ode", "heisenberg")
@@ -134,6 +136,22 @@ def _as_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError("CONFIG_FIELD_TYPE", f"expected an array, got {value!r}", "schema", path)
     return value
+
+
+def _parse_names(raw: list, allowed: tuple[str, ...], noun: str, path: str) -> tuple[str, ...]:
+    """A non-empty list of distinct names from ``allowed``: the routes or the observables."""
+    key = noun.upper()
+    if not raw:
+        raise ConfigError(f"CONFIG_{key}S_EMPTY", f"at least one {noun} is required", "invariant", path)
+    names = tuple(_as_str(v, f"{path}[{i}]") for i, v in enumerate(raw))
+    for i, name in enumerate(names):
+        if name not in allowed:
+            raise ConfigError(f"CONFIG_{key}_UNKNOWN", f"unknown {noun} {name!r}", "invariant",
+                              f"{path}[{i}]")
+        if name in names[:i]:
+            raise ConfigError(f"CONFIG_{key}_REPEATED", f"{noun} {name!r} is listed twice",
+                              "invariant", f"{path}[{i}]")
+    return names
 
 
 def _parse_mode(entry, path: str) -> ModeSpec:
@@ -285,23 +303,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
                           "invariant", "$.time_grid")
     grid = TimeGrid(start=start, stop=stop, count=count)
 
-    routes_raw = _as_list(_require(root, "routes", "$"), "$.routes")
-    if not routes_raw:
-        raise ConfigError("CONFIG_ROUTES_EMPTY", "at least one route is required", "invariant", "$.routes")
-    routes = tuple(_as_str(r, f"$.routes[{i}]") for i, r in enumerate(routes_raw))
-    for i, r in enumerate(routes):
-        if r not in ROUTES:
-            raise ConfigError("CONFIG_ROUTE_UNKNOWN", f"unknown route {r!r}", "invariant", f"$.routes[{i}]")
-
-    obs_raw = _as_list(_require(root, "observables", "$"), "$.observables")
-    if not obs_raw:
-        raise ConfigError("CONFIG_OBSERVABLES_EMPTY", "at least one observable is required",
-                          "invariant", "$.observables")
-    observables = tuple(_as_str(o, f"$.observables[{i}]") for i, o in enumerate(obs_raw))
+    routes = _parse_names(_as_list(_require(root, "routes", "$"), "$.routes"), ROUTES, "route",
+                          "$.routes")
+    observables = _parse_names(_as_list(_require(root, "observables", "$"), "$.observables"),
+                               OBSERVABLES, "observable", "$.observables")
     for i, o in enumerate(observables):
-        if o not in OBSERVABLES:
-            raise ConfigError("CONFIG_OBSERVABLE_UNKNOWN", f"unknown observable {o!r}",
-                              "invariant", f"$.observables[{i}]")
         if o in ("S", "Qplus", "Qminus") and len(modes) != 2:
             raise ConfigError("CONFIG_OBSERVABLE_MODES",
                               f"observable {o} needs exactly 2 modes, got {len(modes)}",
@@ -310,17 +316,16 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("CONFIG_OBSERVABLE_ROUTE",
                           "occupations need the kraus or ode route", "invariant", "$.observables")
 
-    if mixing is not None:
-        if initial.occupations is not None:
-            supports = [("occupations", initial.occupations)]
-        else:
-            supports = [(f"components[{i}]", occ) for i, (_, occ) in enumerate(initial.components or ())]
-        common = modes[0].cutoff
-        for where, occ in supports:
-            if sum(occ) > common:
-                raise ConfigError("CONFIG_SUPPORT_EXCEEDS_CUTOFF",
-                                  f"total occupation {sum(occ)} exceeds the mixing-exact bound {common}",
-                                  "invariant", f"$.initial_state.{where}")
+    bound = exact_total_bound(modes, mixing is not None)
+    if initial.occupations is not None:
+        supports = [("occupations", initial.occupations)]
+    else:
+        supports = [(f"components[{i}]", occ) for i, (_, occ) in enumerate(initial.components or ())]
+    for where, occ in supports:
+        if sum(occ) > bound:
+            raise ConfigError("CONFIG_SUPPORT_EXCEEDS_CUTOFF",
+                              f"total occupation {sum(occ)} exceeds the mixing-exact bound {bound:g}",
+                              "invariant", f"$.initial_state.{where}")
 
     ode_step = None
     if root.get("ode_step") is not None:
@@ -330,6 +335,10 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
                               "invariant", "$.ode_step")
 
     name = _as_str(root.get("name", default_name), "$.name")
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError("CONFIG_NAME_INVALID",
+                          f"name {name!r} must be a plain file-name part (no path separator)",
+                          "invariant", "$.name")
     output_path = _as_str(_require(root, "output_path", "$"), "$.output_path")
     return ScenarioConfig(
         name=name,
@@ -424,18 +433,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _quadratic_omegas(cfg: ScenarioConfig, phi: float) -> dict[str, np.ndarray]:
-    r = len(cfg.modes)
-    out = {"N": np.eye(r, dtype=complex)}
-    if r == 2:
-        out["S"] = np.diag([1.0, -1.0]).astype(complex)
-        cross = np.zeros((2, 2), dtype=complex)
-        cross[0, 1] = np.exp(1j * phi)
-        out["Qplus"] = cross + cross.conj().T
-        out["Qminus"] = 1j * (cross - cross.conj().T)
-    return out
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: str | Path | None = None,
@@ -447,13 +444,7 @@ def run_scenario(
     ``seed`` is accepted for interface stability; all shipped routes are
     deterministic and ignore it.
     """
-    if routes is not None:
-        routes = tuple(routes)
-        for r in routes:
-            if r not in ROUTES:
-                raise ConfigError("CONFIG_ROUTE_UNKNOWN", f"unknown route {r!r}", "invariant", "--routes")
-    else:
-        routes = cfg.routes
+    routes = cfg.routes if routes is None else _parse_names(list(routes), ROUTES, "route", "--routes")
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,16 +462,8 @@ def run_scenario(
     names = scalar_obs + (["occupations"] if "occupations" in cfg.observables else [])
     columns = {name: [name] for name in scalar_obs}
     columns["occupations"] = ["p_" + "_".join(str(n) for n in occ) for occ in space.occupations]
-    obs_matrices = {}
-    if scalar_obs:
-        if space.n_modes == 2:
-            flav = build_flavour_observables(space, phi)
-            obs_matrices = {k: flav[k] for k in scalar_obs}
-        else:
-            from .fock import build_total_number
-
-            obs_matrices = {"N": build_total_number(space)}
-    omegas = _quadratic_omegas(cfg, phi)
+    omegas = quadratic_omegas(space.n_modes, phi)
+    obs_matrices = build_quadratic_observables(space, phi)
 
     sweep: list[MixingParams | None] = list(cfg.mixing) if mixed else [None]
     csv_paths: list[Path] = []
@@ -504,8 +487,8 @@ def run_scenario(
         for route in routes:
             if route == "heisenberg":  # observable-side closed forms
                 for name in scalar_obs:
-                    evolved = [evolve_quadratic(model, omegas[name], float(t)) for t in times]
-                    series[(route, name)] = np.array([[expectation(rho0, om)] for om in evolved])
+                    series[(route, name)] = mean_quadratic_trajectory(
+                        model, rho0, omegas[name], times)[:, None]
                 if "occupations" in names:
                     skipped.append(f"{route}:occupations=unsupported")
                 continue
@@ -587,8 +570,8 @@ def _grid_step(model, times: np.ndarray) -> float:
     if spacing <= 0:
         return base
     ratio = spacing / base
-    if not math.isfinite(ratio):
-        raise ValueError(f"default step {base!r} is too small for grid spacing {spacing!r}")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"default step {base!r} does not fit grid spacing {spacing!r}")
     return spacing / math.ceil(ratio)
 
 

@@ -228,6 +228,17 @@ def test_poisson_mixture_nbar_zero_and_errors():
         poisson_mixture(space, 1, -0.5)
 
 
+def test_states_beyond_the_float_factorial_range():
+    # 171! overflows a float, and |alpha|^2 or nbar**k can overflow too.
+    small, large = FockSpace(boson(30)), FockSpace(boson(200))
+    for build, arg in ((coherent_state, 1.0), (poisson_mixture, 1.0)):
+        head = np.diag(build(large, 1, arg).matrix)[:31]
+        assert np.max(np.abs(head - np.diag(build(small, 1, arg).matrix))) <= 1e-15
+    for build, arg in ((coherent_state, 1e200), (poisson_mixture, 1e308)):
+        with pytest.raises(TruncationError):
+            build(small, 1, arg)
+
+
 def test_coherent_diagonal_matches_poisson_mixture():
     space = FockSpace(boson(12))
     coh = coherent_state(space, 1, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from conftest import random_density_matrix, random_hermitian
 
 from fockdecay import (
+    DensityOperator,
     FockSpace,
+    InvariantViolation,
     ModeSpec,
     MixingParams,
     OperatorMatrix,
+    Statistics,
     TailBoundError,
     apply_channel_matrix,
     build_annihilator,
@@ -25,10 +29,13 @@ from fockdecay import (
     evolve_projector,
     evolve_quadratic,
     evolve_strangeness,
+    expectation,
     mean_number_trajectory,
     mean_strangeness_trajectory,
     number_state,
 )
+from fockdecay.flavour import quadratic_omegas
+from fockdecay.heisenberg import mean_quadratic_trajectory
 
 
 def single_model(cutoff=6, mass=0.5, width=1.0):
@@ -319,3 +326,59 @@ def test_quadratic_evolver_handles_coherence_pair():
         closed = evolve_quadratic(model, omega, t).entries
         series = evolve_observable(hmap, obs[name]).entries
         assert np.max(np.abs((closed - series)[np.ix_(ix, ix)])) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# grid-wide closed form on the one-body correlations
+
+def _grid_cases():
+    fermion = ModeSpec(Statistics.FERMION, mass=2.0, width=0.8)
+    three = FockSpace([ModeSpec(mass=0.3, width=0.6, cutoff=3), fermion,
+                       ModeSpec(Statistics.FERMION, mass=3.5, width=1.2)])
+    pair = FockSpace([fermion, ModeSpec(Statistics.FERMION, mass=3.5, width=1.2)])
+    mix = MixingParams(theta=0.9, phi=0.7, psi=1.3, chi=0.4)
+    return [
+        ("mixed boson pair", mixed_model(theta=1.1, phi=0.7, psi=1.3, chi=0.4), 0.7),
+        ("boson and two fermions", build_decay_model(three), 0.0),
+        ("mixed fermion pair",
+         build_mixed_model(pair, mix, masses=(2.0, 3.5), widths=(0.8, 1.2)), mix.phi),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _grid_cases()])
+def test_grid_form_matches_operator_form(rng, case):
+    _, model, phi = _grid_cases()[case]
+    r = model.space.n_modes
+    rho0 = random_density_matrix(rng, model.space)
+    raw = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    omegas = dict(quadratic_omegas(r, phi), random=0.5 * (raw + raw.conj().T))
+    times = np.linspace(0.0, 3.0, 13)
+    for name, omega in omegas.items():
+        got = mean_quadratic_trajectory(model, rho0, omega, times)
+        want = [expectation(rho0, evolve_quadratic(model, omega, float(t))) for t in times]
+        assert got.shape == times.shape
+        assert np.max(np.abs(got - want)) <= 1e-13, name
+
+
+def test_grid_form_shares_the_operator_form_checks(rng):
+    model = mixed_model(theta=0.8)
+    rho0 = random_density_matrix(rng, model.space)
+    broken = dataclasses.replace(model, certificate_defect=1.0)
+    omega = quadratic_omegas(2)["N"]
+    with pytest.raises(ValueError) as want:
+        evolve_quadratic(broken, omega, 0.5)
+    with pytest.raises(ValueError) as got:
+        mean_quadratic_trajectory(broken, rho0, omega, [0.5])
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        mean_quadratic_trajectory(model, rho0, np.eye(3), [0.5])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        mean_quadratic_trajectory(model, rho0, np.array([[0.0, 1.0], [0.0, 0.0]]), [0.5])
+
+
+def test_grid_form_rejects_an_imaginary_expectation():
+    model = single_model(cutoff=2)
+    # not Hermitian, so <N> = rho[1, 1] + 2 rho[2, 2] is not real
+    state = DensityOperator(model.space, np.diag([0.0, 1.0 + 0.5j, 0.0]), validate=False)
+    with pytest.raises(InvariantViolation, match="imaginary residue"):
+        mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])

@@ -283,6 +283,33 @@ def test_fermion_pair_scenario(tmp_path):
         assert abs(float(row[1]) - want) <= 1e-12
 
 
+def test_mixed_fermion_pair_cli_run(tmp_path, capsys):
+    # Fermions hold one quantum each, so mixing sets no bound on the total occupation.
+    doc = make_config(
+        name="fermmix",
+        modes=[
+            {"statistics": "fermion", "mass": 0.0, "width": 1.0, "cutoff": 1},
+            {"statistics": "fermion", "mass": 2.0, "width": 1.5, "cutoff": 1},
+        ],
+        mixing={"theta": 0.9, "phi": 0.4},
+        initial_state={"type": "number", "occupations": [1, 1]},
+        time_grid={"start": 0.0, "stop": 2.0, "count": 21},
+        routes=["kraus", "ode", "heisenberg"],
+        observables=["N", "S"],
+        output_path=str(tmp_path),
+    )
+    cfg = tmp_path / "fermmix.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    for route in ("kraus", "ode", "heisenberg"):
+        _, rows = read_csv(tmp_path / f"fermmix__{route}__N.csv")
+        assert len(rows) == 21
+        for row in rows:
+            t = float(row[2])
+            assert abs(float(row[1]) - (math.exp(-1.0 * t) + math.exp(-1.5 * t))) <= 1e-12
+
+
 def test_route_override_unknown_rejected(tmp_path):
     cfg = parse_config(json.dumps(make_config(output_path=str(tmp_path))))
     with pytest.raises(ConfigError):
@@ -339,6 +366,14 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
         ({"ode_step": 5e-324, "routes": ["ode"]},
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
+        # m t overflows where nothing decays, and exp(-i M t) under mixing
+        ({"modes": [dict(MINIMAL["modes"][0], mass=2.0, width=0.0)],
+          "time_grid": dict(MINIMAL["time_grid"], stop=1e308, count=3), "routes": ["heisenberg"]},
+         2, "runtime invariant breach: "),
+        ({"modes": [dict(MINIMAL["modes"][0], cutoff=2), dict(MINIMAL["modes"][0], mass=1.0, cutoff=2)],
+          "mixing": {"theta": 0.5}, "initial_state": {"type": "number", "occupations": [1, 0]},
+          "time_grid": dict(MINIMAL["time_grid"], stop=1e300, count=3)},
+         2, "runtime invariant breach: "),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would precede the prefix on stderr
@@ -379,3 +414,53 @@ def test_cli_seed_does_not_change_outputs(tmp_path):
     csv_a = (out_a / "single_mode_decay__kraus__N.csv").read_bytes()
     csv_b = (out_b / "single_mode_decay__kraus__N.csv").read_bytes()
     assert csv_a == csv_b
+
+
+@pytest.mark.parametrize(
+    "overrides, extra, code",
+    [
+        ({"routes": ["kraus", "kraus"]}, [], "CONFIG_ROUTE_REPEATED at $.routes[1]"),
+        ({"observables": ["N", "N"]}, [], "CONFIG_OBSERVABLE_REPEATED at $.observables[1]"),
+        ({"routes": ["kraus", "ode"]}, ["--routes", "kraus,kraus"], "CONFIG_ROUTE_REPEATED at --routes[1]"),
+        ({}, ["--routes", ","], "CONFIG_ROUTES_EMPTY at --routes"),
+        ({}, ["--routes", "kraus,warp"], "CONFIG_ROUTE_UNKNOWN at --routes[1]"),
+    ],
+)
+def test_cli_rejects_bad_route_and_observable_lists(tmp_path, capsys, overrides, extra, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    assert main(["run", str(bad), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error [invariant]: {code}:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".", ".."])
+def test_cli_rejects_names_that_leave_the_out_dir(tmp_path, capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(name=name, output_path=str(tmp_path / "out"))))
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error [invariant]: CONFIG_NAME_INVALID at $.name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "commands, overrides, code",
+    [
+        (("validate", "run"), {"initial_state": {"type": "coherent", "mode": 1, "alpha": 1e200}},
+         "CONFIG_STATE_TAIL"),
+        (("validate", "run"), {"initial_state": {"type": "poisson", "mode": 1, "nbar": 1e308}},
+         "CONFIG_STATE_TAIL"),
+        # the default step 1e-3 / width overflows to inf
+        (("run",), {"modes": [dict(MINIMAL["modes"][0], width=1e-320)], "routes": ["ode"]},
+         "CONFIG_TIME_GRID_STEP"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_cli_state_and_step_overflow_are_config_errors(tmp_path, capsys, commands, overrides, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    for command in commands:
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error [invariant]: {code}")
