@@ -2,15 +2,18 @@
 
 Builds the completely positive trace-preserving map generated by a set of
 decaying modes, as an explicit family of Kraus operators indexed by how
-many quanta each decay mode loses.  Completeness and the commutation
-certificate that validates the construction are computed and enforced on
-the subspace where the truncated representation is exact.
+many quanta each decay mode loses.  The family lives on the basis states
+of total occupation <= k_max, a set every operator maps into itself.
+Completeness and the commutation certificate that validates the
+construction are computed and enforced on the subspace where the
+truncated representation is exact.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -92,22 +95,54 @@ def exact_total_bound(modes: Sequence[ModeSpec], mixed: bool) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered Kraus family for a fixed evolution time.
+    """Ordered Kraus family for a fixed evolution time, on one index block.
 
-    ``multi_indices[i]`` records how many quanta operator ``operators[i]``
-    removes from each decay mode.  ``gram_sum`` is sum_k E_k^dag E_k on the
-    whole space; ``completeness_defect`` is the spectral norm of
-    (``gram_sum`` - 1) restricted to the exactly-represented subspace
-    (total occupation <= ``exact_bound``).
+    ``block`` holds the basis indices of B = {total occupation <= ``k_max``}
+    (the whole space when built with ``whole_space``), ascending.  Every operator maps span(B) into itself, so the family is
+    stored as the restrictions E_i[B, B] = ``family[:, i, :]``, one
+    (r, K, r) array with r = |B|: ``family.reshape(r, K * r)`` is the row
+    [E_1 ... E_K], and ``family.reshape(r * K, r)`` stacks the rows of all
+    of them.  ``multi_indices[i]`` records how many quanta E_i removes from
+    each decay mode.  ``gram`` is sum_k E_k^dag E_k on B, and
+    ``completeness_defect`` the spectral norm of (``gram`` - 1) restricted to
+    the exactly-represented subspace (total occupation <= ``exact_bound``).
+    ``operators`` and ``gram_sum`` are the full-space forms, zero outside
+    B x B, built on first use.
     """
 
+    space: FockSpace
     time: float
-    operators: tuple[OperatorMatrix, ...]
+    block: np.ndarray
+    family: np.ndarray
     multi_indices: tuple[tuple[int, ...], ...]
     k_max: int
     exact_bound: float
     completeness_defect: float
-    gram_sum: np.ndarray
+    gram: np.ndarray
+
+    def restrict(self, matrix: np.ndarray) -> np.ndarray:
+        """matrix[B, B] of a full-space matrix."""
+        matrix = np.asarray(matrix, dtype=complex)
+        dim = self.space.dimension
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match dimension {dim}")
+        return matrix[np.ix_(self.block, self.block)]
+
+    def embed(self, sub: np.ndarray) -> np.ndarray:
+        """The full-space matrix equal to ``sub`` on B x B and zero elsewhere."""
+        dim = self.space.dimension
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.ix_(self.block, self.block)] = sub
+        return out
+
+    @cached_property
+    def operators(self) -> tuple[OperatorMatrix, ...]:
+        return tuple(OperatorMatrix(self.space, self.embed(self.family[:, i]))
+                     for i in range(self.family.shape[1]))
+
+    @cached_property
+    def gram_sum(self) -> np.ndarray:
+        return self.embed(self.gram)
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -155,11 +190,14 @@ def _certificate_defect(
     widths: Sequence[float],
     mixed: bool,
 ) -> float:
-    """Max deviation of [M, c_j] from -(m_j - i Gamma_j/2) c_j on safe columns.
+    """Max deviation of [M, c_j] from -(m_j - i Gamma_j/2) c_j on safe columns,
+    relative to max(1, max_j |m_j - i Gamma_j/2|).
 
-    For mixed bosonic models the top occupation level of each mode is a
-    known truncation artifact, so columns touching it are excluded; the
-    relation is exact on the rest.
+    The entries of M scale with the largest |m_j - i Gamma_j/2|, and so does
+    the rounding of the commutator, for every mode; the relative defect is
+    rounding-sized at any finite scale.  For mixed bosonic models the top
+    occupation level of each mode is a known truncation artifact, so columns
+    touching it are excluded; the relation is exact on the rest.
     """
     if mixed:
         cols = [
@@ -175,12 +213,14 @@ def _certificate_defect(
         cols = list(range(space.dimension))
     if not cols:
         return 0.0
+    mus = [m_j - 0.5j * g_j for m_j, g_j in zip(masses, widths)]
     worst = 0.0
-    for c, m_j, g_j in zip(decay_ops, masses, widths):
-        mu = m_j - 0.5j * g_j
-        defect = m_matrix @ c - c @ m_matrix + mu * c
-        worst = max(worst, float(np.max(np.abs(defect[:, cols]))))
-    return worst
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
+        for c, mu in zip(decay_ops, mus):
+            defect = m_matrix @ c - c @ m_matrix + mu * c
+            worst = max(worst, float(np.max(np.abs(defect[:, cols]))))
+    relative = worst / max(1.0, *(abs(mu) for mu in mus))
+    return relative if math.isfinite(relative) else math.inf
 
 
 def _assemble_model(
@@ -252,30 +292,40 @@ def build_decay_model(
     return _assemble_model(space, masses, widths, ops)
 
 
-def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
+def build_kraus(
+    model: DecayModel, t: float, k_max: int | None = None, *, whole_space: bool = False
+) -> KrausSet:
     """Kraus family at time t, one operator per loss pattern (k_1, ..., k_r).
 
     Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
     with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
-    fermions) and sum k_j <= k_max.  The family is built by recursion on
-    the pattern: E_0 = exp(-i M t), and for kappa != 0, with j the last mode
-    that loses a quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.
-    Appending c_j on the right keeps the ordered product c_1^{k_1} c_2^{k_2}
-    ... that the fermionic signs need.  The recursion reads each parent
-    before its children, so it relies on :func:`kraus_multi_indices`
-    grouping patterns by total.  A zero weight gives exact zeros, so at
-    t = 0 the family is the identity plus zeros.
+    fermions) and sum k_j <= k_max.  M conserves the total occupation and
+    each c_j lowers it by one, so every operator maps the block B of basis
+    states with total <= k_max into itself; the family is built on B alone.
+    That M and every c_j have exact zeros in their (outside B, B) entries
+    is checked first, with no tolerance.  The propagator is then
+    exp(-i M[B, B] t), and the family follows by recursion on the pattern:
+    E_0 = exp(-i M t), and for kappa != 0, with j the last mode that loses
+    a quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.  Appending c_j
+    on the right keeps the ordered product c_1^{k_1} c_2^{k_2} ... that the
+    fermionic signs need.  The recursion reads each parent before its
+    children, so it relies on :func:`kraus_multi_indices` grouping patterns
+    by total.  A zero weight gives exact zeros, so at t = 0 the family is
+    the identity plus zeros.  The default k_max covers every pattern, and B
+    is then the whole space.  ``whole_space`` keeps B the whole space for
+    any k_max: the adjoint map acts on observables with entries at every
+    total, not on a state that lives inside B.
     """
     t = float(t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if model.certificate_defect > CERTIFICATE_TOL:
         raise CertificateError(
-            f"commutation certificate defect {model.certificate_defect:.3e} exceeds "
-            f"{CERTIFICATE_TOL}; Kraus construction is not valid for this model"
+            f"commutation certificate defect {model.certificate_defect:.3e} (relative) "
+            f"exceeds {CERTIFICATE_TOL}; Kraus construction is not valid for this model"
         )
-    caps = _mode_caps(model.space)
-    full = sum(caps)
+    space = model.space
+    full = sum(_mode_caps(space))
     if k_max is None:
         k_max = full
     else:
@@ -284,49 +334,74 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
             raise ValueError(f"k_max must be >= 0, got {k_max}")
         k_max = min(k_max, full)
 
-    indices = kraus_multi_indices(model.space, k_max)
+    inside = space.total_occupation <= (full if whole_space else k_max)
+    block = np.flatnonzero(inside)
+    ops = {"M": model.m_operator, **{f"c_{j + 1}": c for j, c in enumerate(model.decay_ops)}}
+    for name, op in ops.items():
+        if np.any(op.entries[np.ix_(~inside, inside)]):
+            raise InvariantViolation(
+                f"{name} maps a state of total occupation <= {k_max} outside that block; "
+                "the Kraus family would not be closed on it"
+            )
+    on_block = np.ix_(block, block)
+
+    indices = kraus_multi_indices(space, k_max)
     weights = [_decay_weight(g, t) for g in model.widths]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)  # diag(exp) when unmixed
+        propagator = scipy.linalg.expm(-1j * model.m_operator.entries[on_block] * t)
     if not np.isfinite(propagator).all():
         raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
-    family = {indices[0]: OperatorMatrix(model.space, propagator)}
-    for kappa in indices[1:]:
-        j = max(i for i, k in enumerate(kappa) if k)
-        parent = family[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
-        family[kappa] = OperatorMatrix(
-            model.space,
-            math.sqrt(weights[j] / kappa[j]) * (parent.entries @ model.decay_ops[j].entries),
-        )
-    operators = tuple(family.values())
+    decay = [c.entries[on_block] for c in model.decay_ops]
+    r = block.size
+    family = np.empty((r, len(indices), r), dtype=complex)
+    family[:, 0] = propagator
+    position = {kappa: i for i, kappa in enumerate(indices)}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        for i, kappa in enumerate(indices[1:], start=1):
+            j = max(l for l, k in enumerate(kappa) if k)
+            parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
+            np.matmul(family[:, parent], decay[j], out=family[:, i])
+            family[:, i] *= math.sqrt(weights[j] / kappa[j])
+        rows = family.reshape(-1, r)
+        gram = rows.conj().T @ rows
+    if not np.isfinite(gram).all():
+        raise InvariantViolation(f"Kraus family is not finite at t = {t!r}")
 
     exact_bound = min(float(k_max), model.exact_total_bound())
-    ix = np.flatnonzero(model.space.total_occupation <= exact_bound)
-    total = sum(E.entries.conj().T @ E.entries for E in operators)
-    block = (total - np.eye(model.space.dimension))[np.ix_(ix, ix)]
-    defect = float(np.linalg.norm(block, 2)) if ix.size else 0.0
+    ix = np.flatnonzero(space.total_occupation[block] <= exact_bound)
+    deficit = (gram - np.eye(r))[np.ix_(ix, ix)]
+    defect = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if defect > COMPLETENESS_TOL:
         raise InvariantViolation(
             f"Kraus completeness defect {defect:.3e} on the exact subspace "
             f"(total occupation <= {exact_bound})"
         )
     return KrausSet(
+        space=space,
         time=t,
-        operators=operators,
+        block=block,
+        family=family,
         multi_indices=indices,
         k_max=k_max,
         exact_bound=exact_bound,
         completeness_defect=defect,
-        gram_sum=total,
+        gram=gram,
     )
 
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
-    """Linear action sum_k E_k X E_k^dag on a raw matrix."""
-    out = np.zeros_like(np.asarray(matrix, dtype=complex))
-    for E in kraus.operators:
-        out += E.entries @ matrix @ E.entries.conj().T
-    return out
+    """Linear action sum_k E_k X E_k^dag on a raw matrix.
+
+    Computed on X[B, B] as two GEMMs, [E_1 X ... E_K X] @ [E_1^dag; ...;
+    E_K^dag], and embedded with zeros outside B x B: the family vanishes on
+    every entry outside the block.
+    """
+    r = kraus.block.size
+    rows = kraus.family.reshape(-1, r)
+    images = (rows @ kraus.restrict(matrix)).reshape(r, -1)  # [E_1 X ... E_K X]
+    # Y @ Z^dag = conj(conj(Y) @ Z^T): no conjugated copy of the family
+    np.conjugate(images, out=images)
+    return kraus.embed(np.conjugate(images @ kraus.family.reshape(r, -1).T))
 
 
 def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
@@ -341,8 +416,13 @@ def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
 
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
-    """Evolve a state through the channel; trace is preserved to 1e-12."""
-    space = kraus.operators[0].space
+    """Evolve a state through the channel; trace is preserved to 1e-12.
+
+    The state's support must lie within the family's exact bound, up to
+    entries of magnitude <= SUPPORT_TOL; only rho[B, B] is evolved, and the
+    result is validated as a full-space density operator.
+    """
+    space = kraus.space
     if rho.space != space:
         raise ValueError("state and Kraus family live on different spaces")
     bound = support_total_bound(rho)
@@ -364,7 +444,12 @@ def evolve_state(
     times: Sequence[float],
     k_max: int | None = None,
 ) -> list[DensityOperator]:
-    """Channel evolution sampled on a time grid (one Kraus family per point)."""
+    """Channel evolution sampled on a time grid.
+
+    One Kraus family per point, built on the block of total occupation <=
+    k_max; k_max defaults to the support bound of rho0, so the block is the
+    smallest one that holds the state.
+    """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import (
     CERTIFICATE_TOL,
+    CertificateError,
     DecayModel,
     KrausSet,
     _decay_amplitude,
@@ -53,7 +54,7 @@ class HeisenbergMap:
 
 
 def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) -> HeisenbergMap:
-    kraus = build_kraus(model, t, k_max)
+    kraus = build_kraus(model, t, k_max, whole_space=True)
     k_series = max((sum(k) for k in kraus.multi_indices), default=0)
     # Weight the kept family is missing on the reporting subspace (the model's
     # full exact block, wider than the channel-side k_max coverage).
@@ -69,11 +70,18 @@ def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) 
 
 
 def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndarray:
-    """Raw linear action sum_k E_k^dag X E_k."""
-    out = np.zeros_like(np.asarray(matrix, dtype=complex))
-    for E in hmap.kraus.operators:
-        out += E.entries.conj().T @ matrix @ E.entries
-    return out
+    """Raw linear action sum_k E_k^dag X E_k.
+
+    Computed as two GEMMs on the family's block, which
+    :func:`build_heisenberg_map` makes the whole space.
+    """
+    kraus = hmap.kraus
+    r = kraus.block.size
+    images = (kraus.restrict(matrix) @ kraus.family.reshape(r, -1)).reshape(-1, r)  # [X E_1 ... X E_K]
+    # [E_1^dag ... E_K^dag] @ [X E_1; ...; X E_K] over the rows of the family,
+    # as conj(rows^T @ conj(images)): no conjugated copy of the family
+    np.conjugate(images, out=images)
+    return kraus.embed(np.conjugate(kraus.family.reshape(-1, r).T @ images))
 
 
 def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatrix:
@@ -112,7 +120,7 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
     if model.certificate_defect > CERTIFICATE_TOL:
-        raise ValueError("commutation certificate failed; closed forms are not valid")
+        raise CertificateError("commutation certificate failed; closed forms are not valid")
     d = _mode_amplitudes(model, t)
     V = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
     low = OperatorMatrix(model.space, sum(
@@ -127,7 +135,7 @@ def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarra
     if omega.shape != (r, r):
         raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
     if model.certificate_defect > CERTIFICATE_TOL:
-        raise ValueError("commutation certificate failed; closed forms are not valid")
+        raise CertificateError("commutation certificate failed; closed forms are not valid")
     if model.is_mixed:
         return model.mixing_unitary.conj() @ omega @ model.mixing_unitary.T
     return omega

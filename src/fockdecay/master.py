@@ -26,6 +26,10 @@ EIG_EXCURSION_FLOOR = -1e-8
 STEP_MATCH_TOL = 1e-9
 
 
+class StepError(ValueError):
+    """The RK4 step does not fit the requested times."""
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorAction:
     """Right-hand side of the evolution: rho -> W rho + rho W^dag + sum L rho L^dag,
@@ -62,10 +66,10 @@ def generator_apply(gen: GeneratorAction, rho_matrix: np.ndarray) -> np.ndarray:
 def _steps_for(t: float, step: float) -> int:
     ratio = t / step
     if not math.isfinite(ratio):
-        raise ValueError(f"time {t!r} over step {step!r} is not a finite step count")
+        raise StepError(f"time {t!r} over step {step!r} is not a finite step count")
     n = int(round(ratio))
     if abs(n * step - t) > STEP_MATCH_TOL * max(1.0, abs(t)):
-        raise ValueError(
+        raise StepError(
             f"time {t!r} is not a multiple of step {step!r}; "
             "interpolation is not supported"
         )
@@ -165,11 +169,12 @@ def integrate(
     and step are those of the k1..k4 loop and only the rounding differs.
     The trajectory is returned as-is: no renormalization and no positivity
     projection, so trace drift stays visible to the caller.  Negative
-    eigenvalue excursions beyond -1e-8 abort loudly.
+    eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
+    matrix or a sampled state that is not finite (an unstable step).
     """
     step = float(step)
     if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+        raise StepError(f"step must be > 0, got {step}")
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
@@ -192,11 +197,22 @@ def integrate(
     series = []
     for dn in np.unique(delta):
         r, c = rows[delta == dn], cols[delta == dn]
-        # no name holds the block's L, so it is freed before the powers are taken
-        p = _rk4_step_matrix(
-            step * _block_generator(sub, np.searchsorted(idx, r), np.searchsorted(idx, c))
-        )
-        series.append((r, c, _sample(p, rho0.matrix[r, c], targets)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+            # no name holds the block's L, so it is freed before the powers are taken
+            p = _rk4_step_matrix(
+                step * _block_generator(sub, np.searchsorted(idx, r), np.searchsorted(idx, c))
+            )
+            if not np.isfinite(p).all():
+                raise InvariantViolation(
+                    f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"
+                )
+            values = _sample(p, rho0.matrix[r, c], targets)
+        if not np.isfinite(values).all():
+            raise InvariantViolation(
+                f"RK4 state of the Delta N = {dn} block is not finite on the grid; "
+                f"step {step!r} is unstable for this generator"
+            )
+        series.append((r, c, values))
 
     dim = gen.model.space.dimension
     out: list[DensityOperator] = []

@@ -33,7 +33,7 @@ from .fock import (
 )
 from .heisenberg import evolve_quadratic  # noqa: F401 -- only for the benchmark's tracer
 from .heisenberg import mean_quadratic_trajectory
-from .master import build_generator, default_step, integrate
+from .master import StepError, build_generator, default_step, integrate
 
 ROUTES = ("kraus", "ode", "heisenberg")
 OBSERVABLES = ("N", "S", "Qplus", "Qminus", "occupations")
@@ -498,7 +498,7 @@ def run_scenario(
                 try:
                     step = cfg.ode_step if cfg.ode_step is not None else _grid_step(model, times)
                     states = integrate(build_generator(model), rho0, times, step)
-                except ValueError as exc:
+                except StepError as exc:
                     raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant",
                                       "$.time_grid") from exc
             for name in names:
@@ -571,7 +571,7 @@ def _grid_step(model, times: np.ndarray) -> float:
         return base
     ratio = spacing / base
     if not 0 < ratio < math.inf:
-        raise ValueError(f"default step {base!r} does not fit grid spacing {spacing!r}")
+        raise StepError(f"default step {base!r} does not fit grid spacing {spacing!r}")
     return spacing / math.ceil(ratio)
 
 

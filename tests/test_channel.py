@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,16 @@ import scipy.linalg
 from conftest import random_density_matrix
 
 from fockdecay import (
+    CertificateError,
     FockSpace,
+    InvariantViolation,
     ModeSpec,
+    OperatorMatrix,
     Statistics,
     SupportError,
     apply_channel,
     apply_channel_matrix,
+    build_annihilator,
     build_decay_model,
     build_kraus,
     build_total_number,
@@ -29,6 +34,7 @@ from fockdecay import (
     DensityOperator,
     MixingParams,
 )
+from fockdecay.channel import SUPPORT_TOL, _assemble_model, support_total_bound
 
 LN2 = math.log(2.0)
 
@@ -64,6 +70,26 @@ def test_model_operator_relations():
     kay = sum(-0.5 * L.entries.conj().T @ L.entries for L in model.lindblads)
     assert np.max(np.abs(model.m_operator.entries - (ham + 1j * kay))) <= 1e-12
     assert model.certificate_defect <= 1e-12
+
+
+def test_certificate_is_relative_to_the_largest_complex_mass():
+    # rounding in [M, c_j] grows with the mass scale; the relative defect does not
+    space = FockSpace([ModeSpec(cutoff=4), ModeSpec(cutoff=4)])
+    params = MixingParams(theta=0.7, phi=0.3)
+    for masses in ((1e6, 1e6 + 5.0), (1e200, 5.0)):
+        model = build_mixed_model(space, params, masses=masses, widths=(0.5, 1.5))
+        assert model.certificate_defect <= 1e-12
+
+
+def test_certificate_catches_a_wrong_relation_at_large_scale():
+    # c_1 = a_1 + 1e-3 a_2 is not an annihilator of its own mode, so [M, c_1] != -mu_1 c_1
+    space = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=3)])
+    a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
+    ops = [OperatorMatrix(space, a1 + 1e-3 * a2), OperatorMatrix(space, a2)]
+    model = _assemble_model(space, (1e6, 2e6), (0.5, 1.5), ops)
+    assert model.certificate_defect > 1e-5
+    with pytest.raises(CertificateError):
+        build_kraus(model, 0.5)
 
 
 def test_multi_index_enumeration_order():
@@ -170,6 +196,67 @@ def test_kraus_recursion_matches_monomial_reference(model, t):
     assert len(ref) == len(ks.operators)
     for op, want in zip(ks.operators, ref):
         assert np.max(np.abs(op.entries - want)) <= 1e-13
+
+
+def _block_cases():
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)])
+    model = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
+                              masses=(0.0, 3.0), widths=(0.5, 1.5))
+    rho = random_density_matrix(np.random.default_rng(7), bosons, max_total=2)
+    yield pytest.param(model, rho, id="mixed-bosons")
+    # the Jordan-Wigner signs depend on the order c_1^k1 c_2^k2 c_3^k3
+    space = FockSpace([ModeSpec(mass=0.3, width=0.8, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=1.0, width=1.2),
+                       ModeSpec(Statistics.FERMION, mass=2.0, width=0.6)])
+    rho = random_density_matrix(np.random.default_rng(8), space, max_total=2)
+    yield pytest.param(build_decay_model(space), rho, id="boson-two-fermions")
+    single = single_mode_space(cutoff=20, mass=0.7)
+    yield pytest.param(build_decay_model(single), coherent_state(single, 1, 0.5), id="coherent-tail")
+    space = FockSpace([ModeSpec(mass=0.5, width=0.6, cutoff=3), ModeSpec(mass=1.5, width=0.4, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=2.5, width=0.7),
+                       ModeSpec(Statistics.FERMION, mass=3.5, width=1.0)])
+    mat = np.zeros((space.dimension,) * 2, dtype=complex)
+    for w, occ in ((0.625, (2, 1, 1, 0)), (0.375, (1, 2, 0, 1))):
+        mat[space.index_of(occ), space.index_of(occ)] = w
+    yield pytest.param(build_decay_model(space), DensityOperator(space, mat), id="mixture")
+
+
+@pytest.mark.parametrize("model, rho", list(_block_cases()))
+def test_block_family_matches_the_full_space_reference(model, rho):
+    k_max = support_total_bound(rho)
+    outside = model.space.total_occupation > k_max
+    assert outside.any()  # the block is a proper subset of the space
+    full = kraus_multi_indices(model.space, sum(1 if m.is_fermion else m.cutoff
+                                                for m in model.space.modes))
+    for t, got in zip((0.0, 0.3, 1.1), evolve_state(model, rho, (0.0, 0.3, 1.1))):
+        want = sum(E @ rho.matrix @ E.conj().T for E in kraus_reference(model, t, full))
+        assert np.max(np.abs(got.matrix - want)) <= 1e-13
+    ks = build_kraus(model, 0.3, k_max)
+    assert ks.family.shape == (ks.block.size, len(ks.multi_indices), ks.block.size)
+    for op in ks.operators:
+        assert not op.entries[outside].any() and not op.entries[:, outside].any()
+
+
+def test_coherent_tail_lies_outside_the_block():
+    space = single_mode_space(cutoff=20)
+    rho = coherent_state(space, 1, 0.5)
+    outside = space.total_occupation > support_total_bound(rho)
+    assert 0 < np.max(np.abs(rho.matrix[outside])) <= SUPPORT_TOL
+
+
+def test_block_leak_raises():
+    space = FockSpace([ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.0, cutoff=2)])
+    model = build_decay_model(space)
+    one, two = space.index_of((1, 0)), space.index_of((1, 1))
+    coupling = np.zeros((space.dimension,) * 2, dtype=complex)
+    coupling[one, two] = coupling[two, one] = 0.1  # couples total 1 to total 2
+    leaky_m = dataclasses.replace(
+        model, m_operator=OperatorMatrix(space, model.m_operator.entries + coupling))
+    raising = OperatorMatrix(space, model.decay_ops[1].entries.conj().T)
+    leaky_c = dataclasses.replace(model, decay_ops=(model.decay_ops[0], raising))
+    for leaky in (leaky_m, leaky_c):
+        with pytest.raises(InvariantViolation, match="outside that block"):
+            build_kraus(leaky, 0.5, k_max=1)
 
 
 def test_kraus_rejects_negative_time():

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_density_matrix, random_hermitian
 
 from fockdecay import (
+    CertificateError,
     DensityOperator,
     FockSpace,
     InvariantViolation,
@@ -35,7 +36,7 @@ from fockdecay import (
     number_state,
 )
 from fockdecay.flavour import quadratic_omegas
-from fockdecay.heisenberg import mean_quadratic_trajectory
+from fockdecay.heisenberg import TAIL_TOL, mean_quadratic_trajectory
 
 
 def single_model(cutoff=6, mass=0.5, width=1.0):
@@ -219,6 +220,21 @@ def test_tail_bound_violation_raises():
         build_heisenberg_map(model, 1.0, k_max=2)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-4])
+def test_truncated_series_acts_on_the_whole_space(t):
+    # k_max only truncates the loss series: the observable keeps its entries
+    # at totals above k_max, and the dropped tail (~20 w^3) is below TAIL_TOL
+    model = single_model(cutoff=6)
+    hmap = build_heisenberg_map(model, t, k_max=2)
+    assert hmap.k_series == 2
+    assert hmap.tail_error <= TAIL_TOL
+    number = build_total_number(model.space).entries
+    got = evolve_observable_matrix(hmap, number)
+    want = evolve_observable_matrix(build_heisenberg_map(model, t), number)
+    assert abs(got[6, 6]) > 5.9
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # mixed-model operator identities
 
@@ -374,6 +390,19 @@ def test_grid_form_shares_the_operator_form_checks(rng):
         mean_quadratic_trajectory(model, rho0, np.eye(3), [0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
         mean_quadratic_trajectory(model, rho0, np.array([[0.0, 1.0], [0.0, 0.0]]), [0.5])
+
+
+def test_closed_forms_raise_certificate_error(rng):
+    model = mixed_model(theta=0.8)
+    broken = dataclasses.replace(model, certificate_defect=1.0)
+    rho0 = random_density_matrix(rng, model.space)
+    omega = quadratic_omegas(2)["N"]
+    with pytest.raises(CertificateError):
+        evolve_ladder(broken, 0.5, 1)
+    with pytest.raises(CertificateError):
+        evolve_quadratic(broken, omega, 0.5)
+    with pytest.raises(CertificateError):
+        mean_quadratic_trajectory(broken, rho0, omega, [0.0, 0.5])
 
 
 def test_grid_form_rejects_an_imaginary_expectation():

@@ -204,3 +204,13 @@ def test_integrate_refuses_generator_that_leaks_between_blocks():
     leaky = GeneratorAction(model=model, w_matrix=w, jump_ops=gen.jump_ops)
     with pytest.raises(InvariantViolation, match="Delta N"):
         integrate(leaky, number_state(model.space, (1,)), [0.0, 0.5], 1e-3)
+
+
+@pytest.mark.parametrize("mass, match", [(1e200, "step matrix"), (1e20, "not finite on the grid")])
+@pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+def test_integrate_refuses_an_unstable_step(mass, match):
+    # h M ~ 1e197 overflows the step matrix itself; h M ~ 1e17 overflows only its powers
+    space = FockSpace([ModeSpec(mass=mass, width=0.5, cutoff=3), ModeSpec(mass=5.0, width=1.5, cutoff=3)])
+    model = build_mixed_model(space, MixingParams(theta=0.7), masses=(mass, 5.0), widths=(0.5, 1.5))
+    with pytest.raises(InvariantViolation, match=match):
+        integrate(build_generator(model), number_state(space, (2, 1)), [0.0, 0.5], 1e-3)

@@ -374,6 +374,19 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
           "mixing": {"theta": 0.5}, "initial_state": {"type": "number", "occupations": [1, 0]},
           "time_grid": dict(MINIMAL["time_grid"], stop=1e300, count=3)},
          2, "runtime invariant breach: "),
+        # a huge but finite mass in the shape of fig1_number: the certificate is
+        # relative, so the closed forms run; exp(-i M t) and the RK4 step do not
+        *[
+            ({"modes": [dict(MINIMAL["modes"][0], mass=mass, width=0.5, cutoff=3),
+                        dict(MINIMAL["modes"][0], mass=5.0, width=1.5, cutoff=3)],
+              "mixing": {"theta": 0.7}, "initial_state": {"type": "number", "occupations": [2, 1]},
+              "time_grid": dict(MINIMAL["time_grid"], stop=1.0, count=3), "routes": [route]},
+             code, prefix)
+            for mass in (1e20, 1e200)
+            for route, code, prefix in (("kraus", 2, "runtime invariant breach: "),
+                                        ("ode", 2, "runtime invariant breach: "),
+                                        ("heisenberg", 0, ""))
+        ],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would precede the prefix on stderr
@@ -384,6 +397,8 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
 
 
 def test_cli_missing_file(capsys):
