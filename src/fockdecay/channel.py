@@ -2,22 +2,19 @@
 
 Builds the completely positive trace-preserving map generated by a set of
 decaying modes, as an explicit family of Kraus operators indexed by how
-many quanta each decay mode loses.  The family lives on the basis states
-of total occupation <= k_max, a set every operator maps into itself.
+many quanta each decay mode loses, built on the space the model is given.
 Completeness and the commutation certificate that validates the
 construction are computed and enforced on the subspace where the
 truncated representation is exact.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .fock import (
     DensityOperator,
@@ -25,8 +22,8 @@ from .fock import (
     InvariantViolation,
     ModeSpec,
     OperatorMatrix,
-    Statistics,
     build_annihilator,
+    sector_occupations,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,24 +92,21 @@ def exact_total_bound(modes: Sequence[ModeSpec], mixed: bool) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered Kraus family for a fixed evolution time, on one index block.
+    """Ordered Kraus family for a fixed evolution time, on the model's space.
 
-    ``block`` holds the basis indices of B = {total occupation <= ``k_max``}
-    (the whole space when built with ``whole_space``), ascending.  Every operator maps span(B) into itself, so the family is
-    stored as the restrictions E_i[B, B] = ``family[:, i, :]``, one
-    (r, K, r) array with r = |B|: ``family.reshape(r, K * r)`` is the row
-    [E_1 ... E_K], and ``family.reshape(r * K, r)`` stacks the rows of all
-    of them.  ``multi_indices[i]`` records how many quanta E_i removes from
-    each decay mode.  ``gram`` is sum_k E_k^dag E_k on B, and
+    The family is stored as one (d, K, d) array with d the dimension of
+    ``space``: E_i = ``family[:, i, :]``, ``family.reshape(d, K * d)`` is the
+    row [E_1 ... E_K], and ``family.reshape(d * K, d)`` stacks the rows of
+    all of them.  ``multi_indices[i]`` records how many quanta E_i removes
+    from each decay mode.  ``gram`` is sum_k E_k^dag E_k, and
     ``completeness_defect`` the spectral norm of (``gram`` - 1) restricted to
     the exactly-represented subspace (total occupation <= ``exact_bound``).
-    ``operators`` and ``gram_sum`` are the full-space forms, zero outside
-    B x B, built on first use.
+    ``operators`` holds the E_i as :class:`OperatorMatrix`, built on first
+    use.
     """
 
     space: FockSpace
     time: float
-    block: np.ndarray
     family: np.ndarray
     multi_indices: tuple[tuple[int, ...], ...]
     k_max: int
@@ -120,29 +114,10 @@ class KrausSet:
     completeness_defect: float
     gram: np.ndarray
 
-    def restrict(self, matrix: np.ndarray) -> np.ndarray:
-        """matrix[B, B] of a full-space matrix."""
-        matrix = np.asarray(matrix, dtype=complex)
-        dim = self.space.dimension
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dimension {dim}")
-        return matrix[np.ix_(self.block, self.block)]
-
-    def embed(self, sub: np.ndarray) -> np.ndarray:
-        """The full-space matrix equal to ``sub`` on B x B and zero elsewhere."""
-        dim = self.space.dimension
-        out = np.zeros((dim, dim), dtype=complex)
-        out[np.ix_(self.block, self.block)] = sub
-        return out
-
     @cached_property
     def operators(self) -> tuple[OperatorMatrix, ...]:
-        return tuple(OperatorMatrix(self.space, self.embed(self.family[:, i]))
+        return tuple(OperatorMatrix(self.space, self.family[:, i])
                      for i in range(self.family.shape[1]))
-
-    @cached_property
-    def gram_sum(self) -> np.ndarray:
-        return self.embed(self.gram)
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -166,20 +141,13 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
-def _mode_caps(space: FockSpace) -> tuple[int, ...]:
-    return tuple(1 if m.is_fermion else m.cutoff for m in space.modes)
-
-
 def kraus_multi_indices(space: FockSpace, k_max: int) -> tuple[tuple[int, ...], ...]:
-    """Deterministic enumeration of loss patterns: grouped by total, then lexicographic."""
-    caps = _mode_caps(space)
-    indices = [
-        t
-        for t in itertools.product(*(range(c + 1) for c in caps))
-        if sum(t) <= k_max
-    ]
-    indices.sort(key=lambda t: (sum(t), t))
-    return tuple(indices)
+    """Deterministic enumeration of loss patterns: grouped by total, then lexicographic.
+
+    The patterns are the tuples of the sector space of total <= k_max.
+    """
+    patterns = sector_occupations([m.cutoff for m in space.modes], k_max).tolist()
+    return tuple(sorted(map(tuple, patterns), key=sum))
 
 
 def _certificate_defect(
@@ -292,30 +260,24 @@ def build_decay_model(
     return _assemble_model(space, masses, widths, ops)
 
 
-def build_kraus(
-    model: DecayModel, t: float, k_max: int | None = None, *, whole_space: bool = False
-) -> KrausSet:
+def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
     """Kraus family at time t, one operator per loss pattern (k_1, ..., k_r).
 
     Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
     with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
-    fermions) and sum k_j <= k_max.  M conserves the total occupation and
-    each c_j lowers it by one, so every operator maps the block B of basis
-    states with total <= k_max into itself; the family is built on B alone.
-    That M and every c_j have exact zeros in their (outside B, B) entries
-    is checked first, with no tolerance.  The propagator is then
-    exp(-i M[B, B] t), and the family follows by recursion on the pattern:
+    fermions) and sum k_j <= k_max, which defaults to the space's total
+    bound.  The family is built on the model's space, whatever it is (a run
+    uses the sector space of its initial state), by recursion on the pattern:
     E_0 = exp(-i M t), and for kappa != 0, with j the last mode that loses
     a quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.  Appending c_j
     on the right keeps the ordered product c_1^{k_1} c_2^{k_2} ... that the
     fermionic signs need.  The recursion reads each parent before its
     children, so it relies on :func:`kraus_multi_indices` grouping patterns
     by total.  A zero weight gives exact zeros, so at t = 0 the family is
-    the identity plus zeros.  The default k_max covers every pattern, and B
-    is then the whole space.  ``whole_space`` keeps B the whole space for
-    any k_max: the adjoint map acts on observables with entries at every
-    total, not on a state that lives inside B.
+    the identity plus zeros.
     """
+    import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
+
     t = float(t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -325,35 +287,20 @@ def build_kraus(
             f"exceeds {CERTIFICATE_TOL}; Kraus construction is not valid for this model"
         )
     space = model.space
-    full = sum(_mode_caps(space))
-    if k_max is None:
-        k_max = full
-    else:
-        k_max = int(k_max)
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
-        k_max = min(k_max, full)
-
-    inside = space.total_occupation <= (full if whole_space else k_max)
-    block = np.flatnonzero(inside)
-    ops = {"M": model.m_operator, **{f"c_{j + 1}": c for j, c in enumerate(model.decay_ops)}}
-    for name, op in ops.items():
-        if np.any(op.entries[np.ix_(~inside, inside)]):
-            raise InvariantViolation(
-                f"{name} maps a state of total occupation <= {k_max} outside that block; "
-                "the Kraus family would not be closed on it"
-            )
-    on_block = np.ix_(block, block)
+    k_max = space.total if k_max is None else int(k_max)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = min(k_max, space.total)
 
     indices = kraus_multi_indices(space, k_max)
     weights = [_decay_weight(g, t) for g in model.widths]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        propagator = scipy.linalg.expm(-1j * model.m_operator.entries[on_block] * t)
+        propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)
     if not np.isfinite(propagator).all():
         raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
-    decay = [c.entries[on_block] for c in model.decay_ops]
-    r = block.size
-    family = np.empty((r, len(indices), r), dtype=complex)
+    decay = [c.entries for c in model.decay_ops]
+    d = space.dimension
+    family = np.empty((d, len(indices), d), dtype=complex)
     family[:, 0] = propagator
     position = {kappa: i for i, kappa in enumerate(indices)}
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
@@ -362,14 +309,14 @@ def build_kraus(
             parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
             np.matmul(family[:, parent], decay[j], out=family[:, i])
             family[:, i] *= math.sqrt(weights[j] / kappa[j])
-        rows = family.reshape(-1, r)
+        rows = family.reshape(-1, d)
         gram = rows.conj().T @ rows
     if not np.isfinite(gram).all():
         raise InvariantViolation(f"Kraus family is not finite at t = {t!r}")
 
     exact_bound = min(float(k_max), model.exact_total_bound())
-    ix = np.flatnonzero(space.total_occupation[block] <= exact_bound)
-    deficit = (gram - np.eye(r))[np.ix_(ix, ix)]
+    ix = np.flatnonzero(space.total_occupation <= exact_bound)
+    deficit = (gram - np.eye(d))[np.ix_(ix, ix)]
     defect = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if defect > COMPLETENESS_TOL:
         raise InvariantViolation(
@@ -379,7 +326,6 @@ def build_kraus(
     return KrausSet(
         space=space,
         time=t,
-        block=block,
         family=family,
         multi_indices=indices,
         k_max=k_max,
@@ -390,18 +336,16 @@ def build_kraus(
 
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
-    """Linear action sum_k E_k X E_k^dag on a raw matrix.
+    """Linear action sum_k E_k X E_k^dag on a raw d x d matrix.
 
-    Computed on X[B, B] as two GEMMs, [E_1 X ... E_K X] @ [E_1^dag; ...;
-    E_K^dag], and embedded with zeros outside B x B: the family vanishes on
-    every entry outside the block.
+    Computed as two GEMMs, [E_1 X ... E_K X] @ [E_1^dag; ...; E_K^dag].
     """
-    r = kraus.block.size
-    rows = kraus.family.reshape(-1, r)
-    images = (rows @ kraus.restrict(matrix)).reshape(r, -1)  # [E_1 X ... E_K X]
+    d = kraus.space.dimension
+    matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
+    images = (kraus.family.reshape(-1, d) @ matrix).reshape(d, -1)  # [E_1 X ... E_K X]
     # Y @ Z^dag = conj(conj(Y) @ Z^T): no conjugated copy of the family
     np.conjugate(images, out=images)
-    return kraus.embed(np.conjugate(images @ kraus.family.reshape(r, -1).T))
+    return np.conjugate(images @ kraus.family.reshape(d, -1).T)
 
 
 def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
@@ -419,8 +363,8 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """Evolve a state through the channel; trace is preserved to 1e-12.
 
     The state's support must lie within the family's exact bound, up to
-    entries of magnitude <= SUPPORT_TOL; only rho[B, B] is evolved, and the
-    result is validated as a full-space density operator.
+    entries of magnitude <= SUPPORT_TOL; the result is validated as a
+    density operator.
     """
     space = kraus.space
     if rho.space != space:
@@ -446,9 +390,9 @@ def evolve_state(
 ) -> list[DensityOperator]:
     """Channel evolution sampled on a time grid.
 
-    One Kraus family per point, built on the block of total occupation <=
-    k_max; k_max defaults to the support bound of rho0, so the block is the
-    smallest one that holds the state.
+    One Kraus family per point, on the model's space, with loss patterns
+    of total <= k_max; k_max defaults to the support bound of rho0, since a
+    pattern that removes more quanta than the state holds maps it to zero.
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):

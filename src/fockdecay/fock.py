@@ -6,7 +6,6 @@ initial states (number states, coherent states, Poisson mixtures).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -61,28 +60,49 @@ class ModeSpec:
         return self.statistics is Statistics.FERMION
 
 
+def sector_occupations(cutoffs: Sequence[int], total: int) -> np.ndarray:
+    """Every tuple n with 0 <= n_j <= cutoffs[j] and sum_j n_j <= total, one per row,
+    in lexicographic order: each partial tuple is followed by its next entries
+    0..min(cutoff, quanta left), so no tuple outside the set is ever formed.
+    """
+    occ = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for cutoff in cutoffs:
+        counts = np.minimum(cutoff, left) + 1
+        parent = np.repeat(np.arange(left.size), counts)
+        n = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.column_stack([occ[parent], n])
+        left = left[parent] - n
+    return occ
+
+
 class FockSpace:
     """Lexicographic occupation-number basis over an ordered list of modes.
 
-    The first mode varies slowest, so the vacuum tuple ``(0, ..., 0)``
-    always sits at flat index 0 and ``dimension == prod(cutoff_j + 1)``.
-    Instances are immutable after construction.
+    The basis is the sector space S = {n : n_j <= cutoff_j, sum_j n_j <=
+    ``total``}, ordered with the first mode varying slowest, so the vacuum
+    tuple ``(0, ..., 0)`` always sits at flat index 0.  ``total`` defaults
+    to (and is capped at) the sum of the cutoffs, where S is the product
+    space.  Instances are immutable after construction.
     """
 
-    def __init__(self, modes: Sequence[ModeSpec] | ModeSpec):
+    def __init__(self, modes: Sequence[ModeSpec] | ModeSpec, total: int | None = None):
         if isinstance(modes, ModeSpec):
             modes = (modes,)
         self.modes: tuple[ModeSpec, ...] = tuple(modes)
         if not self.modes:
             raise ValueError("a FockSpace needs at least one mode")
-        radices = tuple(m.cutoff + 1 for m in self.modes)
-        self.dimension = int(np.prod(radices))
-        occupations = tuple(itertools.product(*(range(r) for r in radices)))
-        self._occupations = occupations
-        self._flat_index = {occ: i for i, occ in enumerate(occupations)}
-        arr = np.array(occupations, dtype=np.int64).reshape(self.dimension, self.n_modes)
+        full = sum(m.cutoff for m in self.modes)
+        total = full if total is None else int(total)
+        if total < 0:
+            raise ValueError(f"total must be >= 0, got {total}")
+        self.total = min(total, full)
+        arr = sector_occupations([m.cutoff for m in self.modes], self.total)
         arr.setflags(write=False)
         self.occupation_array = arr
+        self.dimension = arr.shape[0]
+        self._occupations = tuple(map(tuple, arr.tolist()))
+        self._flat_index = {occ: i for i, occ in enumerate(self._occupations)}
         tot = arr.sum(axis=1)
         tot.setflags(write=False)
         self.total_occupation = tot
@@ -102,23 +122,24 @@ class FockSpace:
         except KeyError:
             raise TruncationError(
                 f"occupation {key} is outside the truncated basis "
-                f"(cutoffs {tuple(m.cutoff for m in self.modes)})"
+                f"(cutoffs {tuple(m.cutoff for m in self.modes)}, total <= {self.total})"
             ) from None
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
         return self._occupations[index]
 
     def __eq__(self, other):
-        return isinstance(other, FockSpace) and self.modes == other.modes
+        return (isinstance(other, FockSpace) and self.modes == other.modes
+                and self.total == other.total)
 
     def __hash__(self):
-        return hash(self.modes)
+        return hash((self.modes, self.total))
 
     def __repr__(self):
         tags = ",".join(
             f"{'f' if m.is_fermion else 'b'}{m.cutoff}" for m in self.modes
         )
-        return f"FockSpace({tags}, dim={self.dimension})"
+        return f"FockSpace({tags}, total={self.total}, dim={self.dimension})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 Provides the general series sum_k E_k^dag Omega E_k plus closed forms for
 ladder operators, quadratic observables (number, flavour charges) and
 basis projectors.  On the truncated space the series with the full loss
-range equals the exact adjoint map compressed to the retained block, so
+range equals the exact adjoint map compressed to the retained space, so
 the reported tail error is just the completeness defect of the family.
 """
 from __future__ import annotations
@@ -54,12 +54,15 @@ class HeisenbergMap:
 
 
 def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) -> HeisenbergMap:
-    kraus = build_kraus(model, t, k_max, whole_space=True)
+    """Adjoint map at time t from the Kraus family on the model's space.
+
+    ``k_max`` only truncates the loss series; the weight it drops is checked
+    on the reporting subspace, every total the model represents exactly.
+    """
+    kraus = build_kraus(model, t, k_max)
     k_series = max((sum(k) for k in kraus.multi_indices), default=0)
-    # Weight the kept family is missing on the reporting subspace (the model's
-    # full exact block, wider than the channel-side k_max coverage).
     ix = np.flatnonzero(model.space.total_occupation <= model.exact_total_bound())
-    deficit = (np.eye(model.space.dimension) - kraus.gram_sum)[np.ix_(ix, ix)]
+    deficit = (np.eye(model.space.dimension) - kraus.gram)[np.ix_(ix, ix)]
     tail = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if tail > TAIL_TOL:
         raise TailBoundError(
@@ -70,18 +73,15 @@ def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) 
 
 
 def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndarray:
-    """Raw linear action sum_k E_k^dag X E_k.
-
-    Computed as two GEMMs on the family's block, which
-    :func:`build_heisenberg_map` makes the whole space.
-    """
+    """Raw linear action sum_k E_k^dag X E_k on a d x d matrix, as two GEMMs."""
     kraus = hmap.kraus
-    r = kraus.block.size
-    images = (kraus.restrict(matrix) @ kraus.family.reshape(r, -1)).reshape(-1, r)  # [X E_1 ... X E_K]
+    d = kraus.space.dimension
+    matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
+    images = (matrix @ kraus.family.reshape(d, -1)).reshape(-1, d)  # [X E_1 ... X E_K]
     # [E_1^dag ... E_K^dag] @ [X E_1; ...; X E_K] over the rows of the family,
     # as conj(rows^T @ conj(images)): no conjugated copy of the family
     np.conjugate(images, out=images)
-    return kraus.embed(np.conjugate(kraus.family.reshape(-1, r).T @ images))
+    return np.conjugate(kraus.family.reshape(-1, d).T @ images)
 
 
 def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatrix:

@@ -301,6 +301,10 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("CONFIG_TIME_GRID_INVALID",
                           f"need 0 <= start <= stop and count >= 1, got ({start}, {stop}, {count})",
                           "invariant", "$.time_grid")
+    if mixing is not None and not math.isfinite(_mean_width(modes) * stop):
+        raise ConfigError("CONFIG_TIME_GRID_INVALID",
+                          f"the scaled time mean_width * stop = {_mean_width(modes)!r} * {stop!r} "
+                          "is not finite", "invariant", "$.time_grid")
     grid = TimeGrid(start=start, stop=stop, count=count)
 
     routes = _parse_names(_as_list(_require(root, "routes", "$"), "$.routes"), ROUTES, "route",
@@ -404,7 +408,16 @@ def _state_to_json(state: InitialStateSpec) -> dict:
 # run machinery
 
 def build_space(cfg: ScenarioConfig) -> FockSpace:
-    return FockSpace(cfg.modes)
+    """The run's space: the sector space bounded by the largest total occupation
+    of the initial state.  Decay never raises the total, so every route is exact on it."""
+    state = cfg.initial_state
+    if state.kind == "number":
+        total = sum(state.occupations)
+    elif state.kind == "mixture":
+        total = max(sum(occ) for _, occ in state.components)
+    else:
+        total = cfg.modes[state.mode - 1].cutoff
+    return FockSpace(cfg.modes, total=total)
 
 
 def build_initial_state(cfg: ScenarioConfig, space: FockSpace) -> DensityOperator:
@@ -453,7 +466,7 @@ def run_scenario(
     rho0 = build_initial_state(cfg, space)
     times = cfg.time_grid.times()
     mixed = cfg.mixing is not None
-    gamma_bar = sum(m.width for m in cfg.modes) / len(cfg.modes) if mixed else None
+    gamma_bar = _mean_width(cfg.modes) if mixed else None
     t_scaled = times * gamma_bar if mixed else times
     phi = cfg.mixing[0].phi if mixed else 0.0
 
@@ -461,7 +474,12 @@ def run_scenario(
     scalar_obs = [o for o in cfg.observables if o != "occupations"]
     names = scalar_obs + (["occupations"] if "occupations" in cfg.observables else [])
     columns = {name: [name] for name in scalar_obs}
-    columns["occupations"] = ["p_" + "_".join(str(n) for n in occ) for occ in space.occupations]
+    # The occupations CSV keeps the product space's columns: column i reads
+    # entry from_s[i] of the diagonal with a 0 appended, the 0 for tuples outside S.
+    radices = tuple(m.cutoff + 1 for m in space.modes)
+    columns["occupations"] = ["p_" + "_".join(map(str, occ)) for occ in np.ndindex(*radices)]
+    from_s = np.full(len(columns["occupations"]), space.dimension)
+    from_s[np.ravel_multi_index(space.occupation_array.T, radices)] = np.arange(space.dimension)
     omegas = quadratic_omegas(space.n_modes, phi)
     obs_matrices = build_quadratic_observables(space, phi)
 
@@ -503,7 +521,8 @@ def run_scenario(
                                       "$.time_grid") from exc
             for name in names:
                 series[(route, name)] = np.array([
-                    s.diagonal() if name == "occupations" else [expectation(s, obs_matrices[name])]
+                    np.append(s.diagonal(), 0.0)[from_s] if name == "occupations"
+                    else [expectation(s, obs_matrices[name])]
                     for s in states
                 ])
 
@@ -559,6 +578,11 @@ def run_scenario(
         manifest_path=manifest_path,
         max_deviation=max_dev,
     )
+
+
+def _mean_width(modes: Sequence[ModeSpec]) -> float:
+    """Gamma-bar, the unit of the scaled time of a mixed run."""
+    return sum(m.width for m in modes) / len(modes)
 
 
 def _grid_step(model, times: np.ndarray) -> float:

@@ -56,9 +56,9 @@ def single_space(cutoff, mass=0.0, width=1.0):
 
 
 def mixed_two_flavour(theta, phi=0.0, psi=0.0, chi=0.0, cutoff=4,
-                      masses=MASSES, widths=WIDTHS):
+                      masses=MASSES, widths=WIDTHS, total=None):
     space = FockSpace([ModeSpec(mass=masses[0], width=widths[0], cutoff=cutoff),
-                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)])
+                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)], total=total)
     return build_mixed_model(space, MixingParams(theta=theta, phi=phi, psi=psi, chi=chi),
                              masses=masses, widths=widths)
 
@@ -280,7 +280,8 @@ def test_criterion_10_oscillation_reproduction():
     n1, n2 = 2, 1
     g1, g2 = WIDTHS
     gbar, dm = 0.5 * (g1 + g2), MASSES[1] - MASSES[0]
-    model = mixed_two_flavour(theta=math.pi / 2, cutoff=4)
+    # on the sector space of total <= n1 + n2, the space a run of this state uses
+    model = mixed_two_flavour(theta=math.pi / 2, cutoff=4, total=n1 + n2)
     rho = number_state(model.space, (n1, n2))
     obs = build_flavour_observables(model.space, 0.0)
 
@@ -303,7 +304,7 @@ def test_criterion_10_oscillation_reproduction():
 
     worst_n = 0.0
     for theta in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
-        sweep_model = mixed_two_flavour(theta=theta, cutoff=4)
+        sweep_model = mixed_two_flavour(theta=theta, cutoff=4, total=n1 + n2)
         rho_t = number_state(sweep_model.space, (n1, n2))
         for state, t in zip(evolve_state(sweep_model, rho_t, times), times):
             e1, e2 = math.exp(-g1 * t), math.exp(-g2 * t)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from conftest import random_density_matrix
 from fockdecay import (
     CertificateError,
     FockSpace,
-    InvariantViolation,
     ModeSpec,
     OperatorMatrix,
     Statistics,
@@ -231,10 +229,6 @@ def test_block_family_matches_the_full_space_reference(model, rho):
     for t, got in zip((0.0, 0.3, 1.1), evolve_state(model, rho, (0.0, 0.3, 1.1))):
         want = sum(E @ rho.matrix @ E.conj().T for E in kraus_reference(model, t, full))
         assert np.max(np.abs(got.matrix - want)) <= 1e-13
-    ks = build_kraus(model, 0.3, k_max)
-    assert ks.family.shape == (ks.block.size, len(ks.multi_indices), ks.block.size)
-    for op in ks.operators:
-        assert not op.entries[outside].any() and not op.entries[:, outside].any()
 
 
 def test_coherent_tail_lies_outside_the_block():
@@ -242,21 +236,6 @@ def test_coherent_tail_lies_outside_the_block():
     rho = coherent_state(space, 1, 0.5)
     outside = space.total_occupation > support_total_bound(rho)
     assert 0 < np.max(np.abs(rho.matrix[outside])) <= SUPPORT_TOL
-
-
-def test_block_leak_raises():
-    space = FockSpace([ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.0, cutoff=2)])
-    model = build_decay_model(space)
-    one, two = space.index_of((1, 0)), space.index_of((1, 1))
-    coupling = np.zeros((space.dimension,) * 2, dtype=complex)
-    coupling[one, two] = coupling[two, one] = 0.1  # couples total 1 to total 2
-    leaky_m = dataclasses.replace(
-        model, m_operator=OperatorMatrix(space, model.m_operator.entries + coupling))
-    raising = OperatorMatrix(space, model.decay_ops[1].entries.conj().T)
-    leaky_c = dataclasses.replace(model, decay_ops=(model.decay_ops[0], raising))
-    for leaky in (leaky_m, leaky_c):
-        with pytest.raises(InvariantViolation, match="outside that block"):
-            build_kraus(leaky, 0.5, k_max=1)
 
 
 def test_kraus_rejects_negative_time():

@@ -15,7 +15,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockdecay.cli import main
@@ -76,6 +76,15 @@ ROUTE_OVERRIDES = st.none() | st.sampled_from(
 )
 
 
+def _scaled_time_overflow(widths, stop):
+    """fig1_number with the given widths and grid stop; the scaled time Gamma-bar * t is not finite."""
+    doc = copy.deepcopy(next(d for d in BASES if d["name"] == "fig1_number"))
+    for mode, width in zip(doc["modes"], widths):
+        mode["width"] = width
+    doc["time_grid"]["stop"] = stop
+    return doc
+
+
 def _paths(node, prefix=()):
     yield prefix
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -126,6 +135,9 @@ def mutated_configs(draw):
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr ahead of the prefix
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_configs(), command=st.sampled_from(["validate", "run"]), routes=ROUTE_OVERRIDES)
+@example(doc=_scaled_time_overflow((0.5, 1e200), 1e200), command="run", routes="heisenberg")
+@example(doc=_scaled_time_overflow((0.5, 1e200), 1e200), command="run", routes="kraus")
+@example(doc=_scaled_time_overflow((1e308, 1e308), 5.0), command="run", routes="heisenberg")
 def test_mutated_configs_end_in_a_coded_exit(doc, command, routes):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "mutated.json"

@@ -26,6 +26,7 @@ from fockdecay import (
     number_state,
     trace_distance,
 )
+from fockdecay.flavour import build_quadratic_observables, quadratic_omegas
 
 MASSES = (0.0, 5.0)
 WIDTHS = (0.5, 1.5)
@@ -89,6 +90,28 @@ def test_mixed_operators_keep_ccr_on_safe_block():
             comm = cj.entries @ ck.entries.conj().T - ck.entries.conj().T @ cj.entries
             want = eye if j == k else np.zeros_like(eye)
             assert np.max(np.abs((comm - want)[np.ix_(safe, safe)])) <= 1e-12
+
+
+@pytest.mark.parametrize("total", range(6))
+def test_sector_space_compresses_the_mixed_model(total):
+    # S = {n_1 + n_2 <= total} is invariant, so every operator a run uses
+    # equals the product-space one restricted to S
+    params = MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3)
+    product = two_boson_space(cutoff=5)
+    sector = FockSpace(product.modes, total=total)
+    ix = [product.index_of(occ) for occ in sector.occupations]
+    on_s = np.ix_(ix, ix)
+    big = build_mixed_model(product, params, masses=MASSES, widths=WIDTHS)
+    small = build_mixed_model(sector, params, masses=MASSES, widths=WIDTHS)
+    for c_big, c_small in zip(big.decay_ops, small.decay_ops):
+        assert np.max(np.abs(c_big.entries[on_s] - c_small.entries)) <= 1e-14
+    assert np.max(np.abs(big.m_operator.entries[on_s] - small.m_operator.entries)) <= 1e-14
+    assert small.certificate_defect <= 1e-14
+    obs_big = build_quadratic_observables(product, params.phi)
+    obs_small = build_quadratic_observables(sector, params.phi)
+    assert obs_small.keys() == quadratic_omegas(2).keys()
+    for name, op in obs_small.items():
+        assert np.max(np.abs(obs_big[name].entries[on_s] - op.entries)) <= 1e-14
 
 
 def test_mixed_model_certificate_and_errors():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +71,45 @@ def test_index_of_rejects_out_of_range():
     space = FockSpace(boson(3))
     with pytest.raises(TruncationError):
         space.index_of((4,))
+
+
+SECTOR_MODES = [
+    [boson(3), fermion(), boson(0), boson(2)],
+    [fermion(), fermion()],
+    [boson(0)],
+    [boson(4), boson(4)],
+]
+
+
+@pytest.mark.parametrize("modes", SECTOR_MODES, ids=["mixed-statistics", "fermions", "cutoff0", "bosons"])
+def test_sector_space_is_the_product_filtered_by_total(modes):
+    full = sum(m.cutoff for m in modes)
+    product = list(itertools.product(*(range(m.cutoff + 1) for m in modes)))
+    for total in range(full + 3):
+        space = FockSpace(modes, total=total)
+        want = [occ for occ in product if sum(occ) <= total]
+        assert list(space.occupations) == want
+        assert space.dimension == len(want)
+        assert space.occupation_array.tolist() == [list(occ) for occ in want]
+        assert space.total_occupation.tolist() == [sum(occ) for occ in want]
+        assert [space.index_of(occ) for occ in want] == list(range(len(want)))
+        assert space.total == min(total, full)
+        for occ in product:
+            if sum(occ) > total:
+                with pytest.raises(TruncationError):
+                    space.index_of(occ)
+        same = FockSpace(modes, total=total)
+        assert space == same and hash(space) == hash(same)
+        if total >= full:
+            assert space == FockSpace(modes) and hash(space) == hash(FockSpace(modes))
+        else:
+            assert space != FockSpace(modes)
+    assert FockSpace(modes, total=0).occupations == ((0,) * len(modes),)
+
+
+def test_sector_space_rejects_negative_total():
+    with pytest.raises(ValueError, match="total"):
+        FockSpace([boson(2), boson(2)], total=-1)
 
 
 # ---------------------------------------------------------------------------

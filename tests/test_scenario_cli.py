@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,40 @@ def test_three_mode_mixed_statistics_scenario(tmp_path):
         assert abs(float(row[1]) - want) <= 1e-12
 
 
+@pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
+def test_six_bosons_run_on_the_sector_space(tmp_path, route):
+    # product space 3**6 = 729; the run works on the 28 states with total <= 2
+    widths = [0.4 + 0.2 * j for j in range(6)]
+    doc = make_config(
+        name="six",
+        modes=[{"statistics": "boson", "mass": 0.3 * j, "width": g, "cutoff": 2}
+               for j, g in enumerate(widths)],
+        initial_state={"type": "number", "occupations": [1, 1, 0, 0, 0, 0]},
+        time_grid={"start": 0.0, "stop": 2.0, "count": 11},
+        routes=[route],
+        observables=["N"] if route == "heisenberg" else ["N", "occupations"],
+        output_path=str(tmp_path),
+    )
+    cfg = tmp_path / "six.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 0
+    _, rows = read_csv(tmp_path / f"six__{route}__N.csv")
+    for row in rows:
+        t = float(row[0])
+        assert abs(float(row[1]) - math.exp(-widths[0] * t) - math.exp(-widths[1] * t)) <= 1e-9
+    if route == "heisenberg":
+        return
+    header, rows = read_csv(tmp_path / f"six__{route}__occupations.csv")
+    labels = header[1:-2]
+    assert len(labels) == 729
+    off_s = [i for i, label in enumerate(labels) if sum(map(int, label[2:].split("_"))) > 2]
+    assert len(off_s) == 729 - 28
+    for row in rows:
+        values = [float(v) for v in row[1:-2]]
+        assert all(values[i] == 0.0 for i in off_s)
+        assert sum(values) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fermion_pair_scenario(tmp_path):
     doc = make_config(
         name="ferm",
@@ -356,10 +393,11 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
     "overrides, code, prefix",
     [
         # mass * n overflows the Hamiltonian to inf on every route
-        ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)]},
+        ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)],
+          "initial_state": {"type": "number", "occupations": [2]}},
          2, "runtime invariant breach: "),
         ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)],
-          "routes": ["heisenberg"]},
+          "initial_state": {"type": "number", "occupations": [2]}, "routes": ["heisenberg"]},
          2, "runtime invariant breach: "),
         # the default step 1e-3 / width underflows, so spacing / step is inf
         ({"modes": [dict(MINIMAL["modes"][0], mass=0.0, width=1e308, cutoff=1)], "routes": ["ode"]},
@@ -387,6 +425,17 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
                                         ("ode", 2, "runtime invariant breach: "),
                                         ("heisenberg", 0, ""))
         ],
+        # the run's space stops at n = 1, where H = m n is finite: the closed
+        # forms run, the default step 1e-3 / width underflows, and the
+        # propagator exp(-i M t) of the kraus route is not finite
+        *[
+            ({"modes": [dict(MINIMAL["modes"][0], mass=1e308, width=1e308, cutoff=2)],
+              "routes": [route]}, code, prefix)
+            for route, code, prefix in (
+                ("heisenberg", 0, ""),
+                ("ode", 1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
+                ("kraus", 2, "runtime invariant breach: "))
+        ],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would precede the prefix on stderr
@@ -399,6 +448,26 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
+
+
+@pytest.mark.parametrize(
+    "args, loads_scipy",
+    [(["validate"], False), (["run", "--routes", "heisenberg"], False), (["run", "--routes", "kraus"], True)],
+)
+def test_scipy_is_imported_only_by_the_kraus_route(tmp_path, args, loads_scipy):
+    # a fresh interpreter, so that no other test has imported scipy yet
+    script = ("import sys\n"
+              "from fockdecay.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    argv = [args[0], str(CONFIGS / "single_mode_decay.json"), *args[1:]]
+    if args[0] == "run":
+        argv += ["--out-dir", str(tmp_path)]
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
 
 def test_cli_missing_file(capsys):
