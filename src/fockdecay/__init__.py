@@ -36,6 +36,7 @@ from .channel import (
     enforce_superselection,
     evolve_state,
     expectation,
+    expectations,
     kraus_multi_indices,
     occupation_distribution,
     support_total_bound,
@@ -79,7 +80,7 @@ __all__ = [
     "DecayModel", "KrausSet", "CertificateError", "SupportError",
     "build_decay_model", "build_kraus", "kraus_multi_indices",
     "apply_channel", "apply_channel_matrix", "evolve_state",
-    "expectation", "occupation_distribution", "trace_distance",
+    "expectation", "expectations", "occupation_distribution", "trace_distance",
     "support_total_bound", "enforce_superselection",
     # master
     "GeneratorAction", "build_generator", "generator_apply", "integrate", "default_step",

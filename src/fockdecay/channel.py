@@ -1,8 +1,10 @@
-"""Decay channels: Kraus families, their application, and certificates.
+"""Decay channels: Kraus channels, their application, and certificates.
 
 Builds the completely positive trace-preserving map generated by a set of
-decaying modes, as an explicit family of Kraus operators indexed by how
-many quanta each decay mode loses, built on the space the model is given.
+decaying modes on the space the model is given.  Its Kraus operators are
+indexed by how many quanta each decay mode loses; the sum over them
+factorises by mode, so the channel is applied as the propagator around
+one loss map per mode, and the family itself is built only on request.
 Completeness and the commutation certificate that validates the
 construction are computed and enforced on the subspace where the
 truncated representation is exact.
@@ -92,32 +94,115 @@ def exact_total_bound(modes: Sequence[ModeSpec], mixed: bool) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered Kraus family for a fixed evolution time, on the model's space.
+    """Kraus channel for a fixed evolution time, on the model's space, as nested loss maps.
 
-    The family is stored as one (d, K, d) array with d the dimension of
-    ``space``: E_i = ``family[:, i, :]``, ``family.reshape(d, K * d)`` is the
-    row [E_1 ... E_K], and ``family.reshape(d * K, d)`` stacks the rows of
-    all of them.  ``multi_indices[i]`` records how many quanta E_i removes
-    from each decay mode.  ``gram`` is sum_k E_k^dag E_k, and
-    ``completeness_defect`` the spectral norm of (``gram`` - 1) restricted to
-    the exactly-represented subspace (total occupation <= ``exact_bound``).
-    ``operators`` holds the E_i as :class:`OperatorMatrix`, built on first
-    use.
+    The family E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!), one
+    operator per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
+    mode's cutoff (1 for a fermion) and sum k_j <= ``k_max``, sums to
+    sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
+    Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
+    damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
+    So a time point carries only U = ``propagator`` = exp(-i M t), the
+    weights w_j = ``weights[j]`` and the decay matrices c_j = ``decay[j]``;
+    :meth:`loss_maps` applies the Phi_j or their adjoints.
+    ``gram`` is sum_kappa E_kappa^dag E_kappa, and ``completeness_defect``
+    the spectral norm of (``gram`` - 1) restricted to the exactly-represented
+    subspace (total occupation <= ``exact_bound``).
+
+    ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
+    ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
+    built by loss-pattern recursion on first use; no channel application
+    reads them.
     """
 
     space: FockSpace
     time: float
-    family: np.ndarray
-    multi_indices: tuple[tuple[int, ...], ...]
+    propagator: np.ndarray
+    decay: tuple[np.ndarray, ...]
+    weights: tuple[float, ...]
     k_max: int
     exact_bound: float
     completeness_defect: float
     gram: np.ndarray
 
+    def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
+        return _nested_loss_maps(matrix, self.space, self.decay, self.weights, self.k_max, adjoint)
+
+    @cached_property
+    def multi_indices(self) -> tuple[tuple[int, ...], ...]:
+        return kraus_multi_indices(self.space, self.k_max)
+
+    @cached_property
+    def family(self) -> np.ndarray:
+        """The (d, K, d) family, by recursion on the pattern.
+
+        E_0 = U, and for kappa != 0, with j the last mode that loses a
+        quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.  Appending
+        c_j on the right keeps the ordered product c_1^{k_1} c_2^{k_2} ...
+        that the fermionic signs need.  The recursion reads each parent
+        before its children, so it relies on :func:`kraus_multi_indices`
+        grouping patterns by total.
+        """
+        indices = self.multi_indices
+        d = self.space.dimension
+        family = np.empty((d, len(indices), d), dtype=complex)
+        family[:, 0] = self.propagator
+        position = {kappa: i for i, kappa in enumerate(indices)}
+        for i, kappa in enumerate(indices[1:], start=1):
+            j = max(l for l, k in enumerate(kappa) if k)
+            parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
+            np.matmul(family[:, parent], self.decay[j], out=family[:, i])
+            family[:, i] *= math.sqrt(self.weights[j] / kappa[j])
+        return family
+
     @cached_property
     def operators(self) -> tuple[OperatorMatrix, ...]:
         return tuple(OperatorMatrix(self.space, self.family[:, i])
                      for i in range(self.family.shape[1]))
+
+
+def _nested_loss_maps(
+    x: np.ndarray,
+    space: FockSpace,
+    decay: Sequence[np.ndarray],
+    weights: Sequence[float],
+    k_max: int,
+    adjoint: bool,
+) -> np.ndarray:
+    """Phi_1 o ... o Phi_r on x (Phi_r first), or the adjoint maps (Phi_1^dag first).
+
+    Each Phi_j is summed in Horner form Y <- X + (w/k) c Y c^dag for
+    k = cap_j ... 1, with cap_j = min(cutoff_j, k_max).  Only the patterns
+    with sum k_j <= k_max are kept.  Every c_j lowers the total occupation
+    by one, so a pattern takes rows of total n to rows of total n - sum k_j,
+    and the constraint is one on rows: the input rows of level
+    r = max(n, k_max) may only reach output rows of total >= r - k_max (in
+    the adjoint, input and output rows swap roles).  Each level gets one
+    pass; with k_max at the space's total there is one level and every row
+    is kept.
+    """
+    # (lower, upper, w, cap): Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
+    modes = [(c.conj().T, c, w, cap) if adjoint else (c, c.conj().T, w, cap)
+             for c, w, cap in zip(decay, weights, (min(m.cutoff, k_max) for m in space.modes))
+             if w and cap]
+    if not adjoint:
+        modes.reverse()
+    total = space.total_occupation
+    level = np.maximum(total, k_max)
+    out = np.zeros_like(x)
+    for r in np.unique(level):
+        band, reach = level == r, total >= r - k_max
+        rows_in, rows_out = (reach, band) if adjoint else (band, reach)
+        y = z = x * rows_in[:, None]
+        for lower, upper, w, cap in modes:
+            for k in range(cap, 0, -1):
+                y = lower @ y @ upper
+                y *= w / k
+                y += z
+            z = y
+        out[rows_out] += y[rows_out]
+    return out
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -261,20 +346,17 @@ def build_decay_model(
 
 
 def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
-    """Kraus family at time t, one operator per loss pattern (k_1, ..., k_r).
+    """Kraus channel at time t, one operator per loss pattern (k_1, ..., k_r).
 
     Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
     with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
     fermions) and sum k_j <= k_max, which defaults to the space's total
-    bound.  The family is built on the model's space, whatever it is (a run
-    uses the sector space of its initial state), by recursion on the pattern:
-    E_0 = exp(-i M t), and for kappa != 0, with j the last mode that loses
-    a quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.  Appending c_j
-    on the right keeps the ordered product c_1^{k_1} c_2^{k_2} ... that the
-    fermionic signs need.  The recursion reads each parent before its
-    children, so it relies on :func:`kraus_multi_indices` grouping patterns
-    by total.  A zero weight gives exact zeros, so at t = 0 the family is
-    the identity plus zeros.
+    bound.  The channel lives on the model's space, whatever it is (a run
+    uses the sector space of its initial state), and is kept as the
+    propagator, the weights and the decay matrices (see :class:`KrausSet`);
+    completeness is checked on the Gram, the adjoint loss maps applied to
+    U^dag U.  A zero weight drops its mode, so at t = 0 the channel is the
+    identity.
     """
     import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
 
@@ -292,31 +374,21 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k_max = min(k_max, space.total)
 
-    indices = kraus_multi_indices(space, k_max)
-    weights = [_decay_weight(g, t) for g in model.widths]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)
     if not np.isfinite(propagator).all():
         raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
-    decay = [c.entries for c in model.decay_ops]
-    d = space.dimension
-    family = np.empty((d, len(indices), d), dtype=complex)
-    family[:, 0] = propagator
-    position = {kappa: i for i, kappa in enumerate(indices)}
+    decay = tuple(c.entries for c in model.decay_ops)
+    weights = tuple(_decay_weight(g, t) for g in model.widths)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        for i, kappa in enumerate(indices[1:], start=1):
-            j = max(l for l, k in enumerate(kappa) if k)
-            parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
-            np.matmul(family[:, parent], decay[j], out=family[:, i])
-            family[:, i] *= math.sqrt(weights[j] / kappa[j])
-        rows = family.reshape(-1, d)
-        gram = rows.conj().T @ rows
+        gram = _nested_loss_maps(propagator.conj().T @ propagator, space, decay, weights, k_max,
+                                 adjoint=True)
     if not np.isfinite(gram).all():
-        raise InvariantViolation(f"Kraus family is not finite at t = {t!r}")
+        raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
 
     exact_bound = min(float(k_max), model.exact_total_bound())
     ix = np.flatnonzero(space.total_occupation <= exact_bound)
-    deficit = (gram - np.eye(d))[np.ix_(ix, ix)]
+    deficit = (gram - np.eye(space.dimension))[np.ix_(ix, ix)]
     defect = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if defect > COMPLETENESS_TOL:
         raise InvariantViolation(
@@ -326,8 +398,9 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
     return KrausSet(
         space=space,
         time=t,
-        family=family,
-        multi_indices=indices,
+        propagator=propagator,
+        decay=decay,
+        weights=weights,
         k_max=k_max,
         exact_bound=exact_bound,
         completeness_defect=defect,
@@ -338,14 +411,12 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     """Linear action sum_k E_k X E_k^dag on a raw d x d matrix.
 
-    Computed as two GEMMs, [E_1 X ... E_K X] @ [E_1^dag; ...; E_K^dag].
+    Computed as U [Phi_1 o ... o Phi_r](X) U^dag: the loss maps of the
+    modes, last mode first, then the propagator.
     """
-    d = kraus.space.dimension
     matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
-    images = (kraus.family.reshape(-1, d) @ matrix).reshape(d, -1)  # [E_1 X ... E_K X]
-    # Y @ Z^dag = conj(conj(Y) @ Z^T): no conjugated copy of the family
-    np.conjugate(images, out=images)
-    return np.conjugate(images @ kraus.family.reshape(d, -1).T)
+    u = kraus.propagator
+    return u @ kraus.loss_maps(matrix) @ u.conj().T
 
 
 def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
@@ -362,13 +433,13 @@ def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """Evolve a state through the channel; trace is preserved to 1e-12.
 
-    The state's support must lie within the family's exact bound, up to
+    The state's support must lie within the channel's exact bound, up to
     entries of magnitude <= SUPPORT_TOL; the result is validated as a
     density operator.
     """
     space = kraus.space
     if rho.space != space:
-        raise ValueError("state and Kraus family live on different spaces")
+        raise ValueError("state and Kraus channel live on different spaces")
     bound = support_total_bound(rho)
     if bound > kraus.exact_bound:
         raise SupportError(
@@ -390,7 +461,7 @@ def evolve_state(
 ) -> list[DensityOperator]:
     """Channel evolution sampled on a time grid.
 
-    One Kraus family per point, on the model's space, with loss patterns
+    One Kraus channel per point, on the model's space, with loss patterns
     of total <= k_max; k_max defaults to the support bound of rho0, since a
     pattern that removes more quanta than the state holds maps it to zero.
     """
@@ -409,19 +480,29 @@ def evolve_state(
     return out
 
 
-def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:
-    """tr(rho * obs) for a Hermitian observable; the tiny imaginary residue
-    left by floating point is checked and discarded."""
-    if rho.space != obs.space:
+def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:
+    """tr(rho * obs) for each state, for a Hermitian observable.
+
+    The observable is checked once; the tiny imaginary residue left by
+    floating point is checked per state and discarded.
+    """
+    if any(rho.space != obs.space for rho in states):
         raise ValueError("state and observable live on different spaces")
-    herm = obs.hermiticity_defect()
-    if herm > 1e-12 * max(1.0, float(np.max(np.abs(obs.entries)))):
-        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
-    value = complex(np.einsum("ij,ji->", rho.matrix, obs.entries))
     scale = max(1.0, float(np.max(np.abs(obs.entries))))
-    if abs(value.imag) > 1e-12 * scale:
-        raise InvariantViolation(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    herm = obs.hermiticity_defect()
+    if herm > 1e-12 * scale:
+        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    values = np.array([np.einsum("ij,ji->", rho.matrix, obs.entries) for rho in states],
+                      dtype=complex)
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > 1e-12 * scale:
+        raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
+    return values.real
+
+
+def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:
+    """tr(rho * obs) for a Hermitian observable: :func:`expectations` of one state."""
+    return float(expectations([rho], obs)[0])
 
 
 def occupation_distribution(rho: DensityOperator) -> dict[tuple[int, ...], float]:

@@ -1,10 +1,11 @@
 """Observable-side (adjoint) evolution, dual to the state channel.
 
-Provides the general series sum_k E_k^dag Omega E_k plus closed forms for
+Provides the general series sum_k E_k^dag Omega E_k, applied as the
+adjoint per-mode loss maps of the Kraus channel, plus closed forms for
 ladder operators, quadratic observables (number, flavour charges) and
 basis projectors.  On the truncated space the series with the full loss
 range equals the exact adjoint map compressed to the retained space, so
-the reported tail error is just the completeness defect of the family.
+the reported tail error is just the completeness defect of the channel.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ class TailBoundError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergMap:
-    """Adjoint map at a fixed time, backed by a Kraus family.
+    """Adjoint map at a fixed time, backed by a Kraus channel's loss maps.
 
     ``k_series`` is the largest total loss index kept; ``tail_error``
-    bounds the weight the kept family is missing on the reporting
+    bounds the weight the kept series is missing on the reporting
     (exactly represented) subspace.
     """
 
@@ -54,40 +55,40 @@ class HeisenbergMap:
 
 
 def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) -> HeisenbergMap:
-    """Adjoint map at time t from the Kraus family on the model's space.
+    """Adjoint map at time t from the Kraus channel on the model's space.
 
     ``k_max`` only truncates the loss series; the weight it drops is checked
     on the reporting subspace, every total the model represents exactly.
     """
     kraus = build_kraus(model, t, k_max)
-    k_series = max((sum(k) for k in kraus.multi_indices), default=0)
     ix = np.flatnonzero(model.space.total_occupation <= model.exact_total_bound())
     deficit = (np.eye(model.space.dimension) - kraus.gram)[np.ix_(ix, ix)]
     tail = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
     if tail > TAIL_TOL:
         raise TailBoundError(
-            f"series truncated at k={k_series} drops weight {tail:.3e} on the "
+            f"series truncated at k={kraus.k_max} drops weight {tail:.3e} on the "
             f"reporting subspace (tolerance {TAIL_TOL})"
         )
-    return HeisenbergMap(model=model, time=float(t), kraus=kraus, k_series=k_series, tail_error=tail)
+    return HeisenbergMap(model=model, time=float(t), kraus=kraus, k_series=kraus.k_max,
+                         tail_error=tail)
 
 
 def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndarray:
-    """Raw linear action sum_k E_k^dag X E_k on a d x d matrix, as two GEMMs."""
+    """Raw linear action sum_k E_k^dag X E_k on a d x d matrix.
+
+    Computed as [Phi_r^dag o ... o Phi_1^dag](U^dag X U): the propagator,
+    then the adjoint loss maps of the modes, first mode first.
+    """
     kraus = hmap.kraus
-    d = kraus.space.dimension
     matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
-    images = (matrix @ kraus.family.reshape(d, -1)).reshape(-1, d)  # [X E_1 ... X E_K]
-    # [E_1^dag ... E_K^dag] @ [X E_1; ...; X E_K] over the rows of the family,
-    # as conj(rows^T @ conj(images)): no conjugated copy of the family
-    np.conjugate(images, out=images)
-    return np.conjugate(kraus.family.reshape(-1, d).T @ images)
+    u = kraus.propagator
+    return kraus.loss_maps(u.conj().T @ matrix @ u, adjoint=True)
 
 
 def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatrix:
     """Adjoint-evolved Hermitian observable.
 
-    Matrix elements between states of total occupation <= the family's
+    Matrix elements between states of total occupation <= the channel's
     exact bound are exact; entries touching the cutoff boundary carry the
     usual truncation artifact.
     """

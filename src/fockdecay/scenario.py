@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .channel import build_decay_model, evolve_state, exact_total_bound, expectation
+from .channel import build_decay_model, evolve_state, exact_total_bound, expectations
+from .channel import expectation  # noqa: F401 -- only for the benchmark's tracer
 from .flavour import MixingParams, build_mixed_model, build_quadratic_observables, quadratic_omegas
 from .flavour import build_flavour_observables  # noqa: F401 -- only for the benchmark's tracer
 from .fock import (
@@ -519,12 +520,11 @@ def run_scenario(
                 except StepError as exc:
                     raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant",
                                       "$.time_grid") from exc
-            for name in names:
-                series[(route, name)] = np.array([
-                    np.append(s.diagonal(), 0.0)[from_s] if name == "occupations"
-                    else [expectation(s, obs_matrices[name])]
-                    for s in states
-                ])
+            for name in scalar_obs:
+                series[(route, name)] = expectations(states, obs_matrices[name])[:, None]
+            if "occupations" in names:
+                series[(route, "occupations")] = np.array(
+                    [np.append(s.diagonal(), 0.0)[from_s] for s in states])
 
         theta_key = f"theta={ti}" if mixed and len(sweep) > 1 else "theta=-"
         for name in names:

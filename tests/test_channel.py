@@ -21,8 +21,11 @@ from fockdecay import (
     build_flavour_observables,
     build_mixed_model,
     enforce_superselection,
+    build_heisenberg_map,
+    evolve_observable_matrix,
     evolve_state,
     expectation,
+    expectations,
     kraus_multi_indices,
     number_state,
     coherent_state,
@@ -30,9 +33,12 @@ from fockdecay import (
     trace_distance,
     vacuum_state,
     DensityOperator,
+    InvariantViolation,
     MixingParams,
 )
-from fockdecay.channel import SUPPORT_TOL, _assemble_model, support_total_bound
+import fockdecay.channel as channel
+from fockdecay.channel import LARGE_EXPONENT, SUPPORT_TOL, _assemble_model, support_total_bound
+from fockdecay.heisenberg import TailBoundError
 
 LN2 = math.log(2.0)
 
@@ -231,6 +237,101 @@ def test_block_family_matches_the_full_space_reference(model, rho):
         assert np.max(np.abs(got.matrix - want)) <= 1e-13
 
 
+def _random_matrix(rng, space):
+    d = space.dimension
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _edge_cases():
+    # w_1 = 1 exactly (Gamma_1 t beyond LARGE_EXPONENT) next to a mode still decaying
+    space = FockSpace([ModeSpec(mass=0.4, width=1.0, cutoff=3), ModeSpec(mass=1.3, width=1e-3, cutoff=2)])
+    yield pytest.param(build_decay_model(space), 1.5 * LARGE_EXPONENT, id="w-one")
+    # w_2 = 0: a stable mode contributes no loss map
+    space = FockSpace([ModeSpec(mass=0.4, width=1.0, cutoff=3), ModeSpec(mass=1.3, width=0.0, cutoff=2)])
+    yield pytest.param(build_decay_model(space), 0.8, id="w-zero")
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)])
+    mixed = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
+                              masses=(0.0, 3.0), widths=(0.5, 1.5))
+    yield pytest.param(mixed, 0.0, id="t-zero")
+    yield pytest.param(mixed, 0.7, id="mixed")
+    # the Jordan-Wigner signs of c_1^k1 c_2^k2 c_3^k3 act on coherences
+    space = FockSpace([ModeSpec(mass=0.3, width=0.8, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=1.0, width=1.2),
+                       ModeSpec(Statistics.FERMION, mass=2.0, width=0.6)])
+    yield pytest.param(build_decay_model(space), 0.9, id="boson-two-fermions")
+
+
+@pytest.mark.parametrize("model, t", list(_edge_cases()))
+def test_nested_maps_match_the_family_reference(model, t, rng):
+    ks = build_kraus(model, t)
+    ref = kraus_reference(model, t, ks.multi_indices)
+    x = _random_matrix(rng, model.space)
+    forward = sum(E @ x @ E.conj().T for E in ref)
+    adjoint = sum(E.conj().T @ x @ E for E in ref)
+    gram = sum(E.conj().T @ E for E in ref)
+    assert np.max(np.abs(apply_channel_matrix(ks, x) - forward)) <= 1e-13
+    assert np.max(np.abs(evolve_observable_matrix(build_heisenberg_map(model, t), x) - adjoint)) <= 1e-13
+    assert np.max(np.abs(ks.gram - gram)) <= 1e-13
+    # a state with coherences between every pair of totals it covers exactly
+    rho = random_density_matrix(rng, model.space, max_total=ks.exact_bound)
+    want = sum(E @ rho.matrix @ E.conj().T for E in ref)
+    assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
+
+
+def _two_mode_truncations():
+    space = FockSpace([ModeSpec(mass=0.4, width=0.7, cutoff=3), ModeSpec(mass=1.3, width=1.1, cutoff=3)])
+    yield pytest.param(build_decay_model(space), id="unmixed")
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)])
+    yield pytest.param(build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
+                                         masses=(0.0, 3.0), widths=(0.5, 1.5)), id="mixed")
+
+
+@pytest.mark.parametrize("model", list(_two_mode_truncations()))
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+def test_two_mode_truncation_keeps_only_patterns_of_total_at_most_k_max(model, k_max, rng):
+    # per-mode caps min(cutoff_j, k_max) would also keep patterns such as (k_max, 1)
+    kept = kraus_multi_indices(model.space, k_max)
+    assert max(map(sum, kept)) == k_max and (k_max, 1) not in kept
+    for t in (0.7, 1e-4):
+        ks = build_kraus(model, t, k_max)
+        assert ks.multi_indices == kept
+        ref = kraus_reference(model, t, kept)
+        x = _random_matrix(rng, model.space)
+        want = sum(E @ x @ E.conj().T for E in ref)
+        assert np.max(np.abs(apply_channel_matrix(ks, x) - want)) <= 1e-13
+        rho = random_density_matrix(rng, model.space, max_total=k_max)
+        want = sum(E @ rho.matrix @ E.conj().T for E in ref)
+        assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
+        gram = sum(E.conj().T @ E for E in ref)
+        assert np.max(np.abs(ks.gram - gram)) <= 1e-13
+        # at t = 1e-4 the dropped tail, ~w^(k_max + 1), passes the bound for k_max >= 2
+        if t < 1e-3 and k_max >= 2:
+            hmap = build_heisenberg_map(model, t, k_max)
+            assert hmap.k_series == k_max
+            want = sum(E.conj().T @ x @ E for E in ref)
+            assert np.max(np.abs(evolve_observable_matrix(hmap, x) - want)) <= 1e-13
+    if k_max < model.exact_total_bound():  # the series drops weight on the reporting subspace
+        with pytest.raises(TailBoundError):
+            build_heisenberg_map(model, 1.0, k_max)
+    else:
+        assert build_heisenberg_map(model, 1.0, k_max).tail_error <= 1e-13
+
+
+def test_evolve_state_never_builds_the_family(monkeypatch):
+    space = FockSpace([ModeSpec(mass=0.3, width=0.8, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=1.0, width=1.2)])
+    model = build_decay_model(space)
+    seen = []
+    apply = channel.apply_channel
+    monkeypatch.setattr(channel, "apply_channel", lambda ks, rho: seen.append(ks) or apply(ks, rho))
+    evolve_state(model, number_state(space, (2, 1)), (0.0, 0.5, 1.0))
+    assert len(seen) == 3
+    for ks in seen:
+        assert not {"family", "operators", "multi_indices"} & set(vars(ks))
+    assert seen[-1].family.shape == (space.dimension, len(seen[-1].multi_indices), space.dimension)
+    assert "family" in vars(seen[-1])
+
+
 def test_coherent_tail_lies_outside_the_block():
     space = single_mode_space(cutoff=20)
     rho = coherent_state(space, 1, 0.5)
@@ -371,6 +472,30 @@ def test_expectation_rejects_bad_inputs():
     other = single_mode_space(cutoff=3)
     with pytest.raises(ValueError):
         expectation(rho, build_total_number(other))
+
+
+def test_expectations_match_one_state_at_a_time(rng):
+    space = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=3)])
+    s_op = build_flavour_observables(space)["S"]
+    states = [random_density_matrix(rng, space) for _ in range(4)]
+    got = expectations(states, s_op)
+    assert got.shape == (4,)
+    assert np.array_equal(got, [expectation(rho, s_op) for rho in states])
+    assert expectations([], s_op).shape == (0,)
+
+
+def test_expectations_check_every_state():
+    space = single_mode_space(cutoff=2)
+    n_op = build_total_number(space)
+    with pytest.raises(ValueError):
+        expectations([vacuum_state(space), vacuum_state(single_mode_space(cutoff=3))], n_op)
+    # an unvalidated non-Hermitian matrix leaves an imaginary residue on one sample only
+    skew = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    skew[1, 2] = 1j
+    bad = DensityOperator(space, skew, validate=False)
+    hop = OperatorMatrix(space, np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
+    with pytest.raises(InvariantViolation):
+        expectations([vacuum_state(space), bad], hop)
 
 
 def test_binomial_occupation_distribution():
