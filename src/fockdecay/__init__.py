@@ -1,8 +1,9 @@
 """Truncated Fock-space simulation of decaying particles.
 
-State-side channel evolution through explicit Kraus families, the dual
-observable-side evolution, an independent RK4 master-equation oracle, and
-two-flavour mixing with oscillating charges.
+State-side channel evolution through Kraus channels applied as nested
+per-mode loss maps, the dual observable-side evolution, an independent
+RK4 master-equation oracle, and two-flavour mixing with oscillating
+charges.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +46,6 @@ from .channel import (
 from .master import GeneratorAction, build_generator, default_step, generator_apply, integrate
 from .heisenberg import (
     HeisenbergMap,
-    TailBoundError,
     build_heisenberg_map,
     evolve_ladder,
     evolve_number,
@@ -85,7 +85,7 @@ __all__ = [
     # master
     "GeneratorAction", "build_generator", "generator_apply", "integrate", "default_step",
     # heisenberg
-    "HeisenbergMap", "TailBoundError", "build_heisenberg_map",
+    "HeisenbergMap", "build_heisenberg_map",
     "evolve_observable", "evolve_observable_matrix", "evolve_ladder",
     "evolve_quadratic", "evolve_number", "evolve_strangeness", "evolve_projector",
     "mean_number_trajectory", "mean_strangeness_trajectory",

@@ -2,12 +2,12 @@
 
 Builds the completely positive trace-preserving map generated by a set of
 decaying modes on the space the model is given.  Its Kraus operators are
-indexed by how many quanta each decay mode loses; the sum over them
-factorises by mode, so the channel is applied as the propagator around
-one loss map per mode, and the family itself is built only on request.
-Completeness and the commutation certificate that validates the
-construction are computed and enforced on the subspace where the
-truncated representation is exact.
+indexed by how many quanta each decay mode loses, over every loss pattern
+the space allows; the sum over them factorises by mode, so the channel is
+applied as the propagator around one loss map per mode, and the family
+itself is built only on request.  Completeness and the commutation
+certificate that validates the construction are computed and enforced on
+the subspace where the truncated representation is exact.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .fock import (
     ModeSpec,
     OperatorMatrix,
     build_annihilator,
-    sector_occupations,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,7 +97,9 @@ class KrausSet:
 
     The family E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!), one
     operator per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
-    mode's cutoff (1 for a fermion) and sum k_j <= ``k_max``, sums to
+    mode's cutoff (1 for a fermion) and sum k_j at most the space's total,
+    is the complete series on the exactly represented subspace: no other
+    pattern acts there.  It sums to
     sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
     Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
     damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
@@ -107,7 +108,9 @@ class KrausSet:
     :meth:`loss_maps` applies the Phi_j or their adjoints.
     ``gram`` is sum_kappa E_kappa^dag E_kappa, and ``completeness_defect``
     the spectral norm of (``gram`` - 1) restricted to the exactly-represented
-    subspace (total occupation <= ``exact_bound``).
+    subspace (total occupation <= ``exact_bound``, the model's
+    :meth:`DecayModel.exact_total_bound`: every total without mixing, totals
+    up to the common bosonic cutoff under mixing).
 
     ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
     ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
@@ -120,18 +123,17 @@ class KrausSet:
     propagator: np.ndarray
     decay: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
-    k_max: int
     exact_bound: float
     completeness_defect: float
     gram: np.ndarray
 
     def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
-        return _nested_loss_maps(matrix, self.space, self.decay, self.weights, self.k_max, adjoint)
+        return _nested_loss_maps(matrix, self.space, self.decay, self.weights, adjoint)
 
     @cached_property
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        return kraus_multi_indices(self.space, self.k_max)
+        return kraus_multi_indices(self.space)
 
     @cached_property
     def family(self) -> np.ndarray:
@@ -167,42 +169,29 @@ def _nested_loss_maps(
     space: FockSpace,
     decay: Sequence[np.ndarray],
     weights: Sequence[float],
-    k_max: int,
     adjoint: bool,
 ) -> np.ndarray:
     """Phi_1 o ... o Phi_r on x (Phi_r first), or the adjoint maps (Phi_1^dag first).
 
     Each Phi_j is summed in Horner form Y <- X + (w/k) c Y c^dag for
-    k = cap_j ... 1, with cap_j = min(cutoff_j, k_max).  Only the patterns
-    with sum k_j <= k_max are kept.  Every c_j lowers the total occupation
-    by one, so a pattern takes rows of total n to rows of total n - sum k_j,
-    and the constraint is one on rows: the input rows of level
-    r = max(n, k_max) may only reach output rows of total >= r - k_max (in
-    the adjoint, input and output rows swap roles).  Each level gets one
-    pass; with k_max at the space's total there is one level and every row
-    is kept.
+    k = cap_j ... 1, with cap_j = min(cutoff_j, the space's total): no higher
+    power of c_j acts on the exactly represented subspace.  The result is a
+    new array, also when no mode decays.
     """
     # (lower, upper, w, cap): Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
     modes = [(c.conj().T, c, w, cap) if adjoint else (c, c.conj().T, w, cap)
-             for c, w, cap in zip(decay, weights, (min(m.cutoff, k_max) for m in space.modes))
+             for c, w, cap in zip(decay, weights, (min(m.cutoff, space.total) for m in space.modes))
              if w and cap]
     if not adjoint:
         modes.reverse()
-    total = space.total_occupation
-    level = np.maximum(total, k_max)
-    out = np.zeros_like(x)
-    for r in np.unique(level):
-        band, reach = level == r, total >= r - k_max
-        rows_in, rows_out = (reach, band) if adjoint else (band, reach)
-        y = z = x * rows_in[:, None]
-        for lower, upper, w, cap in modes:
-            for k in range(cap, 0, -1):
-                y = lower @ y @ upper
-                y *= w / k
-                y += z
-            z = y
-        out[rows_out] += y[rows_out]
-    return out
+    y = x.copy()
+    for lower, upper, w, cap in modes:
+        z = y
+        for k in range(cap, 0, -1):
+            y = lower @ y @ upper
+            y *= w / k
+            y += z
+    return y
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -226,13 +215,12 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
-def kraus_multi_indices(space: FockSpace, k_max: int) -> tuple[tuple[int, ...], ...]:
+def kraus_multi_indices(space: FockSpace) -> tuple[tuple[int, ...], ...]:
     """Deterministic enumeration of loss patterns: grouped by total, then lexicographic.
 
-    The patterns are the tuples of the sector space of total <= k_max.
+    The patterns are the occupation tuples of the space itself.
     """
-    patterns = sector_occupations([m.cutoff for m in space.modes], k_max).tolist()
-    return tuple(sorted(map(tuple, patterns), key=sum))
+    return tuple(sorted(space.occupations, key=sum))
 
 
 def _certificate_defect(
@@ -345,18 +333,18 @@ def build_decay_model(
     return _assemble_model(space, masses, widths, ops)
 
 
-def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausSet:
+def build_kraus(model: DecayModel, t: float) -> KrausSet:
     """Kraus channel at time t, one operator per loss pattern (k_1, ..., k_r).
 
     Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
     with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
-    fermions) and sum k_j <= k_max, which defaults to the space's total
-    bound.  The channel lives on the model's space, whatever it is (a run
-    uses the sector space of its initial state), and is kept as the
-    propagator, the weights and the decay matrices (see :class:`KrausSet`);
-    completeness is checked on the Gram, the adjoint loss maps applied to
-    U^dag U.  A zero weight drops its mode, so at t = 0 the channel is the
-    identity.
+    fermions) and sum k_j at most the space's total: the complete series.
+    The channel lives on the model's space, whatever it is (a run uses the
+    sector space of its initial state), and is kept as the propagator, the
+    weights and the decay matrices (see :class:`KrausSet`); completeness is
+    checked on the Gram, the adjoint loss maps applied to U^dag U, over the
+    model's exact subspace.  A zero weight drops its mode, so at t = 0 the
+    channel is the identity.
     """
     import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
 
@@ -369,10 +357,6 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
             f"exceeds {CERTIFICATE_TOL}; Kraus construction is not valid for this model"
         )
     space = model.space
-    k_max = space.total if k_max is None else int(k_max)
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    k_max = min(k_max, space.total)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)
@@ -381,12 +365,12 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
     decay = tuple(c.entries for c in model.decay_ops)
     weights = tuple(_decay_weight(g, t) for g in model.widths)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        gram = _nested_loss_maps(propagator.conj().T @ propagator, space, decay, weights, k_max,
+        gram = _nested_loss_maps(propagator.conj().T @ propagator, space, decay, weights,
                                  adjoint=True)
     if not np.isfinite(gram).all():
         raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
 
-    exact_bound = min(float(k_max), model.exact_total_bound())
+    exact_bound = model.exact_total_bound()
     ix = np.flatnonzero(space.total_occupation <= exact_bound)
     deficit = (gram - np.eye(space.dimension))[np.ix_(ix, ix)]
     defect = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
@@ -401,7 +385,6 @@ def build_kraus(model: DecayModel, t: float, k_max: int | None = None) -> KrausS
         propagator=propagator,
         decay=decay,
         weights=weights,
-        k_max=k_max,
         exact_bound=exact_bound,
         completeness_defect=defect,
         gram=gram,
@@ -444,7 +427,7 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     if bound > kraus.exact_bound:
         raise SupportError(
             f"state support reaches total occupation {bound}, beyond the "
-            f"exactly covered bound {kraus.exact_bound} (k_max={kraus.k_max})"
+            f"exactly covered bound {kraus.exact_bound} of the model's space"
         )
     out = apply_channel_matrix(kraus, rho.matrix)
     drift = abs(complex(np.trace(out)) - complex(np.trace(rho.matrix)))
@@ -457,14 +440,9 @@ def evolve_state(
     model: DecayModel,
     rho0: DensityOperator,
     times: Sequence[float],
-    k_max: int | None = None,
 ) -> list[DensityOperator]:
-    """Channel evolution sampled on a time grid.
-
-    One Kraus channel per point, on the model's space, with loss patterns
-    of total <= k_max; k_max defaults to the support bound of rho0, since a
-    pattern that removes more quanta than the state holds maps it to zero.
-    """
+    """Channel evolution sampled on a time grid: one complete Kraus channel
+    per point, on the model's space, applied to rho0."""
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
@@ -472,12 +450,7 @@ def evolve_state(
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    if k_max is None:
-        k_max = support_total_bound(rho0)
-    out = []
-    for t in times:
-        out.append(apply_channel(build_kraus(model, t, k_max), rho0))
-    return out
+    return [apply_channel(build_kraus(model, t), rho0) for t in times]
 
 
 def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:
@@ -488,10 +461,7 @@ def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.n
     """
     if any(rho.space != obs.space for rho in states):
         raise ValueError("state and observable live on different spaces")
-    scale = max(1.0, float(np.max(np.abs(obs.entries))))
-    herm = obs.hermiticity_defect()
-    if herm > 1e-12 * scale:
-        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    scale = obs.check_hermitian()
     values = np.array([np.einsum("ij,ji->", rho.matrix, obs.entries) for rho in states],
                       dtype=complex)
     residue = float(np.max(np.abs(values.imag), initial=0.0))

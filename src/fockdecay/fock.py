@@ -165,6 +165,15 @@ class OperatorMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
+    def check_hermitian(self) -> float:
+        """The scale max(1, max |entries|), once the Hermiticity defect is within
+        1e-12 of it; a ValueError otherwise."""
+        scale = max(1.0, float(np.max(np.abs(self.entries))))
+        herm = self.hermiticity_defect()
+        if herm > 1e-12 * scale:
+            raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+        return scale
+
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:

@@ -5,7 +5,8 @@ adjoint per-mode loss maps of the Kraus channel, plus closed forms for
 ladder operators, quadratic observables (number, flavour charges) and
 basis projectors.  On the truncated space the series with the full loss
 range equals the exact adjoint map compressed to the retained space, so
-the reported tail error is just the completeness defect of the channel.
+the weight it misses is the channel's completeness defect, which
+:func:`build_kraus` already bounds.
 """
 from __future__ import annotations
 
@@ -31,46 +32,23 @@ from .fock import (
     quadratic_form,
 )
 
-TAIL_TOL = 1e-10
-
-
-class TailBoundError(ValueError):
-    """The truncated series drops weight inside the reporting subspace."""
-
-
 @dataclass(frozen=True, eq=False)
 class HeisenbergMap:
-    """Adjoint map at a fixed time, backed by a Kraus channel's loss maps.
+    """Adjoint map at a fixed time, backed by a complete Kraus channel's loss maps.
 
-    ``k_series`` is the largest total loss index kept; ``tail_error``
-    bounds the weight the kept series is missing on the reporting
-    (exactly represented) subspace.
+    The weight the series misses on the exactly represented subspace is
+    ``kraus.completeness_defect``.
     """
 
     model: DecayModel
     time: float
     kraus: KrausSet
-    k_series: int
-    tail_error: float
 
 
-def build_heisenberg_map(model: DecayModel, t: float, k_max: int | None = None) -> HeisenbergMap:
-    """Adjoint map at time t from the Kraus channel on the model's space.
-
-    ``k_max`` only truncates the loss series; the weight it drops is checked
-    on the reporting subspace, every total the model represents exactly.
-    """
-    kraus = build_kraus(model, t, k_max)
-    ix = np.flatnonzero(model.space.total_occupation <= model.exact_total_bound())
-    deficit = (np.eye(model.space.dimension) - kraus.gram)[np.ix_(ix, ix)]
-    tail = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
-    if tail > TAIL_TOL:
-        raise TailBoundError(
-            f"series truncated at k={kraus.k_max} drops weight {tail:.3e} on the "
-            f"reporting subspace (tolerance {TAIL_TOL})"
-        )
-    return HeisenbergMap(model=model, time=float(t), kraus=kraus, k_series=kraus.k_max,
-                         tail_error=tail)
+def build_heisenberg_map(model: DecayModel, t: float) -> HeisenbergMap:
+    """Adjoint map at time t from the complete Kraus channel on the model's space;
+    :func:`build_kraus` enforces its completeness on the exact subspace."""
+    return HeisenbergMap(model=model, time=float(t), kraus=build_kraus(model, t))
 
 
 def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndarray:
@@ -94,9 +72,7 @@ def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatri
     """
     if obs.space != hmap.model.space:
         raise ValueError("observable and map live on different spaces")
-    herm = obs.hermiticity_defect()
-    if herm > 1e-12 * max(1.0, float(np.max(np.abs(obs.entries)))):
-        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    obs.check_hermitian()
     out = evolve_observable_matrix(hmap, obs.entries)
     defect = float(np.max(np.abs(out - out.conj().T)))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(out)))):

@@ -103,7 +103,7 @@ def test_criterion_03_poisson_law():
     coh = coherent_state(space, 1, alpha)
     ok_tail = coh.tail_weight < 1e-10
     t = 1.0
-    ks = build_kraus(model, t, k_max=16)
+    ks = build_kraus(model, t)
     dist_coh = occupation_distribution(apply_channel(ks, coh))
     lam = nbar * math.exp(-t)
     worst_poisson = max(

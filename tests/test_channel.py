@@ -38,7 +38,6 @@ from fockdecay import (
 )
 import fockdecay.channel as channel
 from fockdecay.channel import LARGE_EXPONENT, SUPPORT_TOL, _assemble_model, support_total_bound
-from fockdecay.heisenberg import TailBoundError
 
 LN2 = math.log(2.0)
 
@@ -98,8 +97,9 @@ def test_certificate_catches_a_wrong_relation_at_large_scale():
 
 def test_multi_index_enumeration_order():
     space = FockSpace([ModeSpec(cutoff=2), ModeSpec(Statistics.FERMION)])
-    idx = kraus_multi_indices(space, 3)
+    idx = kraus_multi_indices(space)
     assert idx == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+    assert kraus_multi_indices(FockSpace(space.modes, total=2)) == idx[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def _reference_cases():
 @pytest.mark.parametrize("model, t", list(_reference_cases()))
 def test_kraus_recursion_matches_monomial_reference(model, t):
     ks = build_kraus(model, t)
-    assert ks.multi_indices == kraus_multi_indices(model.space, ks.k_max)
-    assert ks.k_max == sum(1 if m.is_fermion else m.cutoff for m in model.space.modes)
+    assert ks.multi_indices == kraus_multi_indices(model.space)
+    assert max(map(sum, ks.multi_indices)) == sum(m.cutoff for m in model.space.modes)
     ref = kraus_reference(model, t, ks.multi_indices)
     assert len(ref) == len(ks.operators)
     for op, want in zip(ks.operators, ref):
@@ -227,11 +227,9 @@ def _block_cases():
 
 @pytest.mark.parametrize("model, rho", list(_block_cases()))
 def test_block_family_matches_the_full_space_reference(model, rho):
-    k_max = support_total_bound(rho)
-    outside = model.space.total_occupation > k_max
-    assert outside.any()  # the block is a proper subset of the space
-    full = kraus_multi_indices(model.space, sum(1 if m.is_fermion else m.cutoff
-                                                for m in model.space.modes))
+    outside = model.space.total_occupation > support_total_bound(rho)
+    assert outside.any()  # the state's support is a proper subset of the space
+    full = kraus_multi_indices(model.space)
     for t, got in zip((0.0, 0.3, 1.1), evolve_state(model, rho, (0.0, 0.3, 1.1))):
         want = sum(E @ rho.matrix @ E.conj().T for E in kraus_reference(model, t, full))
         assert np.max(np.abs(got.matrix - want)) <= 1e-13
@@ -273,48 +271,25 @@ def test_nested_maps_match_the_family_reference(model, t, rng):
     assert np.max(np.abs(evolve_observable_matrix(build_heisenberg_map(model, t), x) - adjoint)) <= 1e-13
     assert np.max(np.abs(ks.gram - gram)) <= 1e-13
     # a state with coherences between every pair of totals it covers exactly
-    rho = random_density_matrix(rng, model.space, max_total=ks.exact_bound)
+    rho = random_density_matrix(rng, model.space, max_total=model.exact_total_bound())
     want = sum(E @ rho.matrix @ E.conj().T for E in ref)
     assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
 
 
-def _two_mode_truncations():
-    space = FockSpace([ModeSpec(mass=0.4, width=0.7, cutoff=3), ModeSpec(mass=1.3, width=1.1, cutoff=3)])
-    yield pytest.param(build_decay_model(space), id="unmixed")
-    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)])
-    yield pytest.param(build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
-                                         masses=(0.0, 3.0), widths=(0.5, 1.5)), id="mixed")
-
-
-@pytest.mark.parametrize("model", list(_two_mode_truncations()))
-@pytest.mark.parametrize("k_max", [1, 2, 3])
-def test_two_mode_truncation_keeps_only_patterns_of_total_at_most_k_max(model, k_max, rng):
-    # per-mode caps min(cutoff_j, k_max) would also keep patterns such as (k_max, 1)
-    kept = kraus_multi_indices(model.space, k_max)
-    assert max(map(sum, kept)) == k_max and (k_max, 1) not in kept
-    for t in (0.7, 1e-4):
-        ks = build_kraus(model, t, k_max)
-        assert ks.multi_indices == kept
-        ref = kraus_reference(model, t, kept)
-        x = _random_matrix(rng, model.space)
-        want = sum(E @ x @ E.conj().T for E in ref)
-        assert np.max(np.abs(apply_channel_matrix(ks, x) - want)) <= 1e-13
-        rho = random_density_matrix(rng, model.space, max_total=k_max)
-        want = sum(E @ rho.matrix @ E.conj().T for E in ref)
-        assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
-        gram = sum(E.conj().T @ E for E in ref)
-        assert np.max(np.abs(ks.gram - gram)) <= 1e-13
-        # at t = 1e-4 the dropped tail, ~w^(k_max + 1), passes the bound for k_max >= 2
-        if t < 1e-3 and k_max >= 2:
-            hmap = build_heisenberg_map(model, t, k_max)
-            assert hmap.k_series == k_max
-            want = sum(E.conj().T @ x @ E for E in ref)
-            assert np.max(np.abs(evolve_observable_matrix(hmap, x) - want)) <= 1e-13
-    if k_max < model.exact_total_bound():  # the series drops weight on the reporting subspace
-        with pytest.raises(TailBoundError):
-            build_heisenberg_map(model, 1.0, k_max)
-    else:
-        assert build_heisenberg_map(model, 1.0, k_max).tail_error <= 1e-13
+@pytest.mark.parametrize("model, t", [
+    pytest.param(build_decay_model(FockSpace([ModeSpec(width=0.5, cutoff=3),
+                                              ModeSpec(mass=1.0, width=1.5, cutoff=2)])), 0.0,
+                 id="t-zero"),
+    pytest.param(build_decay_model(FockSpace([ModeSpec(width=0.0, cutoff=3),
+                                              ModeSpec(mass=1.0, width=0.0, cutoff=2)])), 0.8,
+                 id="widths-zero"),
+])
+def test_loss_maps_return_a_new_array_when_no_mode_decays(model, t, rng):
+    ks = build_kraus(model, t)
+    x = _random_matrix(rng, model.space)
+    for adjoint in (False, True):
+        y = ks.loss_maps(x, adjoint=adjoint)
+        assert np.array_equal(y, x) and not np.shares_memory(y, x)
 
 
 def test_evolve_state_never_builds_the_family(monkeypatch):
@@ -353,7 +328,7 @@ def test_vacuum_is_stationary():
     model = build_decay_model(space)
     rho = vacuum_state(space)
     for t in (0.3, 2.0, 50.0):
-        out = apply_channel(build_kraus(model, t, k_max=4), rho)
+        out = apply_channel(build_kraus(model, t), rho)
         assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-15
 
 
@@ -391,12 +366,14 @@ def test_cptp_on_random_states(rng):
         assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
 
 
-def test_support_error_when_kmax_too_small():
-    space = single_mode_space(cutoff=4)
-    model = build_decay_model(space)
-    ks = build_kraus(model, 0.5, k_max=1)
+def test_support_error_beyond_the_exact_bound():
+    # under mixing only totals up to the common cutoff evolve exactly
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.5, cutoff=2)])
+    model = build_mixed_model(bosons, MixingParams(theta=0.7), masses=(0.0, 1.0), widths=(0.5, 1.5))
+    ks = build_kraus(model, 0.5)
+    assert ks.exact_bound == 2
     with pytest.raises(SupportError):
-        apply_channel(ks, number_state(space, (2,)))
+        apply_channel(ks, number_state(bosons, (2, 1)))
 
 
 def test_evolve_state_grid_basics():
@@ -523,7 +500,7 @@ def test_poisson_evolution_matches_coherent():
     from fockdecay import poisson_mixture
 
     for t in (0.2, 1.0, 2.5):
-        ks = build_kraus(model, t, k_max=12)
+        ks = build_kraus(model, t)
         mean_coh = expectation(apply_channel(ks, coherent_state(space, 1, 1.0)), n_op)
         mean_poi = expectation(apply_channel(ks, poisson_mixture(space, 1, 1.0)), n_op)
         assert mean_coh == pytest.approx(mean_poi, abs=1e-12)

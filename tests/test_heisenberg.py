@@ -14,7 +14,6 @@ from fockdecay import (
     MixingParams,
     OperatorMatrix,
     Statistics,
-    TailBoundError,
     apply_channel_matrix,
     build_annihilator,
     build_decay_model,
@@ -36,7 +35,7 @@ from fockdecay import (
     number_state,
 )
 from fockdecay.flavour import quadratic_omegas
-from fockdecay.heisenberg import TAIL_TOL, mean_quadratic_trajectory
+from fockdecay.heisenberg import mean_quadratic_trajectory
 
 
 def single_model(cutoff=6, mass=0.5, width=1.0):
@@ -212,27 +211,6 @@ def test_dual_semigroup(rng):
     composed = evolve_observable_matrix(build_heisenberg_map(model, t1), inner)
     direct = evolve_observable_matrix(build_heisenberg_map(model, t1 + t2), omega)
     assert np.max(np.abs((composed - direct)[np.ix_(ix, ix)])) <= 1e-9
-
-
-def test_tail_bound_violation_raises():
-    model = single_model(cutoff=6)
-    with pytest.raises(TailBoundError):
-        build_heisenberg_map(model, 1.0, k_max=2)
-
-
-@pytest.mark.parametrize("t", [0.0, 1e-4])
-def test_truncated_series_acts_on_the_whole_space(t):
-    # k_max only truncates the loss series: the observable keeps its entries
-    # at totals above k_max, and the dropped tail (~20 w^3) is below TAIL_TOL
-    model = single_model(cutoff=6)
-    hmap = build_heisenberg_map(model, t, k_max=2)
-    assert hmap.k_series == 2
-    assert hmap.tail_error <= TAIL_TOL
-    number = build_total_number(model.space).entries
-    got = evolve_observable_matrix(hmap, number)
-    want = evolve_observable_matrix(build_heisenberg_map(model, t), number)
-    assert abs(got[6, 6]) > 5.9
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockdecay import ConfigError, config_to_json, parse_config, run_scenario
+from fockdecay import ConfigError, config_to_json, parse_config, run_scenario, support_total_bound
 from fockdecay.cli import main
+from fockdecay.scenario import build_initial_state, build_space
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -345,6 +346,40 @@ def test_mixed_fermion_pair_cli_run(tmp_path, capsys):
         for row in rows:
             t = float(row[2])
             assert abs(float(row[1]) - (math.exp(-1.0 * t) + math.exp(-1.5 * t))) <= 1e-12
+
+
+@pytest.mark.parametrize("state, mixing", [
+    pytest.param({"type": "coherent", "mode": 1, "alpha": 0.01}, None, id="coherent-unmixed"),
+    pytest.param({"type": "poisson", "mode": 2, "nbar": 0.05}, {"theta": 0.7}, id="poisson-mixed"),
+])
+def test_cli_run_with_support_below_the_space_total(tmp_path, capsys, state, mixing):
+    # the space's total K is the cutoff, but rho0 carries no entry above 1e-14 beyond a lower total
+    doc = make_config(
+        name="tail",
+        modes=[{"statistics": "boson", "mass": 0.0, "width": 0.5, "cutoff": 8},
+               {"statistics": "boson", "mass": 1.0, "width": 1.5, "cutoff": 8}],
+        mixing=mixing,
+        initial_state=state,
+        time_grid={"start": 0.0, "stop": 2.0, "count": 21},
+        routes=["kraus", "ode", "heisenberg"],
+        observables=["N", "S"],
+        output_path=str(tmp_path),
+    )
+    cfg = parse_config(json.dumps(doc))
+    space = build_space(cfg)
+    assert support_total_bound(build_initial_state(cfg, space)) < space.total == 8
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    devs = {}
+    for line in (tmp_path / "tail__manifest.txt").read_text().splitlines():
+        if line.startswith("cross_route_max_deviation["):
+            key, value = line.rsplit("=", 1)
+            pair = key.split("][")[1]
+            devs[pair] = max(devs.get(pair, 0.0), float(value))
+    assert devs["kraus|heisenberg"] <= 1e-12
+    assert devs["kraus|ode"] <= 1e-9
 
 
 def test_route_override_unknown_rejected(tmp_path):

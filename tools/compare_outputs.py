@@ -3,12 +3,16 @@
     python3 tools/compare_outputs.py run OUT [--seed N] [--root CHECKOUT]
     python3 tools/compare_outputs.py diff A B
 
-``run`` runs the shipped ``configs/*.json`` and the three benchmark workloads
-of ``perfbench/workloads.py`` at one seed (default 1), each into its own
-subdirectory of OUT.  ``--root`` selects the source checkout whose ``src/``,
-``configs/`` and ``perfbench/`` are used (default: the checkout holding this
-script), so the outputs of an older commit come from a plain ``git archive``
-or ``git clone`` of it.  A run that raises leaves ``error.txt`` in its
+``run`` runs the shipped ``configs/*.json``, the three benchmark workloads
+of ``perfbench/workloads.py`` at one seed (default 1) and the small inline
+``SCENARIOS`` below, each into its own subdirectory of OUT.  The inline
+scenarios start from coherent or Poisson states whose support (entries above
+1e-14) ends below the total occupation K of the run's space, a case no
+shipped config or workload reaches; they are defined here, so that
+``--root`` runs them on every version.  ``--root`` selects the source
+checkout whose ``src/``, ``configs/`` and ``perfbench/`` are used (default:
+the checkout holding this script), so the outputs of an older commit come
+from a plain ``git archive`` or ``git clone`` of it.  A run that raises leaves ``error.txt`` in its
 subdirectory instead of outputs.  BLAS is pinned to one thread, as in the
 benchmark.
 
@@ -37,6 +41,28 @@ import numpy as np  # noqa: E402 -- after the thread pinning
 WORKLOADS = ("oracle", "sweep", "multimode")
 
 
+def _scenario(name, modes, initial_state, observables, mixing=None):
+    return {"schema_version": 1, "name": name,
+            "modes": [{"statistics": "boson", "mass": m, "width": g, "cutoff": c}
+                      for m, g, c in modes],
+            "mixing": mixing, "initial_state": initial_state,
+            "time_grid": {"start": 0.0, "stop": 2.0, "count": 21},
+            "routes": ["kraus", "ode", "heisenberg"], "observables": observables,
+            "output_path": f"out/{name}"}
+
+
+# support bound below K: 6 of 8, 4 of 5 and 7 of 9
+SCENARIOS = (
+    _scenario("tail_coherent_pair", [(0.0, 0.5, 8), (0.5, 1.0, 8)],
+              {"type": "coherent", "mode": 1, "alpha": 0.01}, ["N", "S", "occupations"]),
+    _scenario("tail_poisson_three", [(0.0, 0.5, 5), (0.5, 1.0, 5), (1.0, 1.5, 5)],
+              {"type": "poisson", "mode": 1, "nbar": 0.001}, ["N", "occupations"]),
+    _scenario("tail_coherent_mixed", [(0.0, 0.5, 9), (5.0, 1.5, 9)],
+              {"type": "coherent", "mode": 1, "alpha": 0.03}, ["N", "S", "occupations"],
+              mixing={"theta": 0.7}),
+)
+
+
 def _run(out: Path, seed: int, root: Path) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import fockdecay.scenario as scenario
@@ -47,6 +73,8 @@ def _run(out: Path, seed: int, root: Path) -> int:
             for p in sorted((root / "configs").glob("*.json"))]
     jobs += [(w, lambda w=w: scenario.parse_config(json.dumps(make_config(w, seed, ""))))
              for w in WORKLOADS]
+    jobs += [(doc["name"], lambda doc=doc: scenario.parse_config(json.dumps(doc)))
+             for doc in SCENARIOS]
     for name, load in jobs:
         target = out / name
         target.mkdir(parents=True, exist_ok=True)
