@@ -29,7 +29,6 @@ from .channel import (
     CertificateError,
     DecayModel,
     KrausSet,
-    SupportError,
     apply_channel,
     apply_channel_matrix,
     build_decay_model,
@@ -40,7 +39,6 @@ from .channel import (
     expectations,
     kraus_multi_indices,
     occupation_distribution,
-    support_total_bound,
     trace_distance,
 )
 from .master import GeneratorAction, build_generator, default_step, generator_apply, integrate
@@ -77,11 +75,10 @@ __all__ = [
     "build_annihilator", "build_creation", "build_number", "build_total_number",
     "number_state", "vacuum_state", "coherent_state", "poisson_mixture",
     # channel
-    "DecayModel", "KrausSet", "CertificateError", "SupportError",
+    "DecayModel", "KrausSet", "CertificateError",
     "build_decay_model", "build_kraus", "kraus_multi_indices",
-    "apply_channel", "apply_channel_matrix", "evolve_state",
+    "apply_channel", "apply_channel_matrix", "evolve_state", "enforce_superselection",
     "expectation", "expectations", "occupation_distribution", "trace_distance",
-    "support_total_bound", "enforce_superselection",
     # master
     "GeneratorAction", "build_generator", "generator_apply", "integrate", "default_step",
     # heisenberg

@@ -5,9 +5,9 @@ decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses, over every loss pattern
 the space allows; the sum over them factorises by mode, so the channel is
 applied as the propagator around one loss map per mode, and the family
-itself is built only on request.  Completeness and the commutation
-certificate that validates the construction are computed and enforced on
-the subspace where the truncated representation is exact.
+itself is built only on request.  Every model is exact on its whole space,
+so completeness and the commutation certificate that validates the
+construction are computed and enforced over the whole space.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .fock import (
     DensityOperator,
     FockSpace,
     InvariantViolation,
-    ModeSpec,
     OperatorMatrix,
     build_annihilator,
 )
@@ -32,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 CERTIFICATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
-SUPPORT_TOL = 1e-14
 
 # exp(-x) underflows well before this; treat the decayed weight as exact
 LARGE_EXPONENT = 700.0
@@ -42,13 +40,10 @@ class CertificateError(ValueError):
     """The decay operators do not shift the non-Hermitian generator as required."""
 
 
-class SupportError(ValueError):
-    """State support exceeds the occupation range covered by the channel."""
-
-
 @dataclass(frozen=True, eq=False)
 class DecayModel:
-    """Hamiltonian + decay operators defining one dissipative evolution.
+    """Hamiltonian + decay operators defining one dissipative evolution,
+    exact on its whole space.
 
     ``decay_ops[j]`` is the operator c_j annihilated with rate ``widths[j]``;
     the Lindblad operators are ``sqrt(widths[j]) * decay_ops[j]``.  For
@@ -71,25 +66,6 @@ class DecayModel:
     def is_mixed(self) -> bool:
         return self.mixing_unitary is not None
 
-    def exact_total_bound(self) -> float:
-        """Largest total occupation whose dynamics the truncation captures exactly."""
-        return exact_total_bound(self.space.modes, self.is_mixed)
-
-
-def exact_total_bound(modes: Sequence[ModeSpec], mixed: bool) -> float:
-    """Largest total occupation whose dynamics the truncation captures exactly.
-
-    Without mixing every retained tuple evolves exactly (decay only lowers
-    occupations).  Mixed decay operators shuffle quanta between modes, so
-    only total-occupation sectors not exceeding the common bosonic cutoff
-    are exact; a fermion can hold no more than one quantum, so fermionic
-    modes impose no bound.
-    """
-    if not mixed:
-        return math.inf
-    bos = [m.cutoff for m in modes if not m.is_fermion]
-    return float(min(bos)) if bos else math.inf
-
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
@@ -98,8 +74,8 @@ class KrausSet:
     The family E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!), one
     operator per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
     mode's cutoff (1 for a fermion) and sum k_j at most the space's total,
-    is the complete series on the exactly represented subspace: no other
-    pattern acts there.  It sums to
+    is the complete series on the space: no other pattern acts there.  It
+    sums to
     sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
     Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
     damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
@@ -107,10 +83,7 @@ class KrausSet:
     weights w_j = ``weights[j]`` and the decay matrices c_j = ``decay[j]``;
     :meth:`loss_maps` applies the Phi_j or their adjoints.
     ``gram`` is sum_kappa E_kappa^dag E_kappa, and ``completeness_defect``
-    the spectral norm of (``gram`` - 1) restricted to the exactly-represented
-    subspace (total occupation <= ``exact_bound``, the model's
-    :meth:`DecayModel.exact_total_bound`: every total without mixing, totals
-    up to the common bosonic cutoff under mixing).
+    the spectral norm of (``gram`` - 1) over the whole space.
 
     ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
     ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
@@ -123,7 +96,6 @@ class KrausSet:
     propagator: np.ndarray
     decay: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
-    exact_bound: float
     completeness_defect: float
     gram: np.ndarray
 
@@ -175,7 +147,7 @@ def _nested_loss_maps(
 
     Each Phi_j is summed in Horner form Y <- X + (w/k) c Y c^dag for
     k = cap_j ... 1, with cap_j = min(cutoff_j, the space's total): no higher
-    power of c_j acts on the exactly represented subspace.  The result is a
+    power of c_j acts on the space.  The result is a
     new array, also when no mode decays.
     """
     # (lower, upper, w, cap): Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
@@ -224,42 +196,24 @@ def kraus_multi_indices(space: FockSpace) -> tuple[tuple[int, ...], ...]:
 
 
 def _certificate_defect(
-    space: FockSpace,
     m_matrix: np.ndarray,
     decay_ops: Sequence[np.ndarray],
     masses: Sequence[float],
     widths: Sequence[float],
-    mixed: bool,
 ) -> float:
-    """Max deviation of [M, c_j] from -(m_j - i Gamma_j/2) c_j on safe columns,
-    relative to max(1, max_j |m_j - i Gamma_j/2|).
+    """Max deviation of [M, c_j] from -(m_j - i Gamma_j/2) c_j over the whole
+    space, relative to max(1, max_j |m_j - i Gamma_j/2|).
 
     The entries of M scale with the largest |m_j - i Gamma_j/2|, and so does
     the rounding of the commutator, for every mode; the relative defect is
-    rounding-sized at any finite scale.  For mixed bosonic models the top
-    occupation level of each mode is a known truncation artifact, so columns
-    touching it are excluded; the relation is exact on the rest.
+    rounding-sized at any finite scale.
     """
-    if mixed:
-        cols = [
-            i
-            for i, occ in enumerate(space.occupations)
-            if all(
-                occ[l] <= space.modes[l].cutoff - 1
-                for l in range(space.n_modes)
-                if not space.modes[l].is_fermion
-            )
-        ]
-    else:
-        cols = list(range(space.dimension))
-    if not cols:
-        return 0.0
     mus = [m_j - 0.5j * g_j for m_j, g_j in zip(masses, widths)]
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         for c, mu in zip(decay_ops, mus):
             defect = m_matrix @ c - c @ m_matrix + mu * c
-            worst = max(worst, float(np.max(np.abs(defect[:, cols]))))
+            worst = max(worst, float(np.max(np.abs(defect))))
     relative = worst / max(1.0, *(abs(mu) for mu in mus))
     return relative if math.isfinite(relative) else math.inf
 
@@ -296,10 +250,7 @@ def _assemble_model(
     if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
         raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
     m_matrix = ham + 1j * kay
-    defect = _certificate_defect(
-        space, m_matrix, [c.entries for c in decay_ops], masses, widths,
-        mixed=mixing_unitary is not None,
-    )
+    defect = _certificate_defect(m_matrix, [c.entries for c in decay_ops], masses, widths)
     return DecayModel(
         space=space,
         masses=masses,
@@ -343,8 +294,8 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
     sector space of its initial state), and is kept as the propagator, the
     weights and the decay matrices (see :class:`KrausSet`); completeness is
     checked on the Gram, the adjoint loss maps applied to U^dag U, over the
-    model's exact subspace.  A zero weight drops its mode, so at t = 0 the
-    channel is the identity.
+    whole space.  A zero weight drops its mode, so at t = 0 the channel is
+    the identity.
     """
     import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
 
@@ -370,22 +321,15 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
     if not np.isfinite(gram).all():
         raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
 
-    exact_bound = model.exact_total_bound()
-    ix = np.flatnonzero(space.total_occupation <= exact_bound)
-    deficit = (gram - np.eye(space.dimension))[np.ix_(ix, ix)]
-    defect = float(np.linalg.norm(deficit, 2)) if ix.size else 0.0
+    defect = float(np.linalg.norm(gram - np.eye(space.dimension), 2))
     if defect > COMPLETENESS_TOL:
-        raise InvariantViolation(
-            f"Kraus completeness defect {defect:.3e} on the exact subspace "
-            f"(total occupation <= {exact_bound})"
-        )
+        raise InvariantViolation(f"Kraus completeness defect {defect:.3e}")
     return KrausSet(
         space=space,
         time=t,
         propagator=propagator,
         decay=decay,
         weights=weights,
-        exact_bound=exact_bound,
         completeness_defect=defect,
         gram=gram,
     )
@@ -402,33 +346,14 @@ def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     return u @ kraus.loss_maps(matrix) @ u.conj().T
 
 
-def support_total_bound(rho: DensityOperator, tol: float = SUPPORT_TOL) -> int:
-    """Largest total occupation carrying any weight in the state."""
-    mag = np.maximum(
-        np.max(np.abs(rho.matrix), axis=0), np.max(np.abs(rho.matrix), axis=1)
-    )
-    live = np.flatnonzero(mag > tol)
-    if live.size == 0:
-        return 0
-    return int(rho.space.total_occupation[live].max())
-
-
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
-    """Evolve a state through the channel; trace is preserved to 1e-12.
+    """Evolve a state on the channel's space; trace is preserved to 1e-12.
 
-    The state's support must lie within the channel's exact bound, up to
-    entries of magnitude <= SUPPORT_TOL; the result is validated as a
-    density operator.
+    The result is validated as a density operator.
     """
     space = kraus.space
     if rho.space != space:
         raise ValueError("state and Kraus channel live on different spaces")
-    bound = support_total_bound(rho)
-    if bound > kraus.exact_bound:
-        raise SupportError(
-            f"state support reaches total occupation {bound}, beyond the "
-            f"exactly covered bound {kraus.exact_bound} of the model's space"
-        )
     out = apply_channel_matrix(kraus, rho.matrix)
     drift = abs(complex(np.trace(out)) - complex(np.trace(rho.matrix)))
     if drift > 1e-12:

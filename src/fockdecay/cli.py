@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channel import CertificateError, SupportError
+from .channel import CertificateError
 from .fock import InvariantViolation, TruncationError
 from .scenario import ConfigError, load_config, run_scenario, validate_config
 
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error [{exc.category}]: {exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, CertificateError, SupportError, TruncationError) as exc:
+    except (InvariantViolation, CertificateError, TruncationError) as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .channel import DecayModel, _assemble_model
-from .fock import FockSpace, OperatorMatrix, build_annihilator, quadratic_form
+from .fock import FockSpace, ModeSpec, OperatorMatrix, build_annihilator, quadratic_form
 
 UNITARITY_TOL = 1e-14
 
@@ -60,6 +61,16 @@ def mixing_matrix(params: MixingParams) -> np.ndarray:
     return V
 
 
+def mixing_total_bound(modes: Sequence[ModeSpec]) -> int | None:
+    """Largest total occupation on which a mixed pair of ``modes`` is exact.
+
+    The rotated c_j move quanta between the modes, so a boson pair with
+    common cutoff c is closed under them only on the sectors of total <= c;
+    a fermion pair is exact on its whole space, so it has no bound.
+    """
+    return None if modes[0].is_fermion else modes[0].cutoff
+
+
 def build_mixed_model(
     space: FockSpace,
     params: MixingParams,
@@ -68,10 +79,13 @@ def build_mixed_model(
 ) -> DecayModel:
     """Two-flavour model whose decay modes are the rotated operators c_1, c_2.
 
-    Both modes must share one statistics and one cutoff: the rotation moves
-    quanta between modes, so an asymmetric truncation would not be closed
-    under it.  Fermionic pairs are accepted (the loss patterns are then
-    restricted to {0, 1}) but the worked closed forms target bosons.
+    Both modes must share one statistics and one cutoff, and the space's
+    total must not exceed :func:`mixing_total_bound`: the rotation moves
+    quanta between modes, so only then is the space closed under it and
+    the model exact on all of it.  A boson pair with cutoff c is built on
+    ``FockSpace(modes, total=c)``.  Fermionic pairs are accepted on their
+    whole space (the loss patterns are then restricted to {0, 1}) but the
+    worked closed forms target bosons.
     """
     if space.n_modes != 2:
         raise ValueError(f"mixing needs exactly 2 modes, space has {space.n_modes}")
@@ -81,6 +95,12 @@ def build_mixed_model(
     if m1.cutoff != m2.cutoff:
         raise ValueError(
             f"mixing needs equal cutoffs, got {m1.cutoff} and {m2.cutoff}"
+        )
+    bound = mixing_total_bound(space.modes)
+    if bound is not None and space.total > bound:
+        raise ValueError(
+            f"a mixed boson pair is exact only on totals <= the common cutoff {bound}, "
+            f"but the space reaches total {space.total}; build it on FockSpace(modes, total={bound})"
         )
     V = mixing_matrix(params)
     a_ops = [build_annihilator(space, 1).entries, build_annihilator(space, 2).entries]

@@ -142,6 +142,17 @@ class FockSpace:
         return f"FockSpace({tags}, total={self.total}, dim={self.dimension})"
 
 
+def hermitian_scale(matrix: np.ndarray) -> float:
+    """The scale max(1, max |entries|) of an observable's square matrix, once its
+    Hermiticity defect is within 1e-12 of it; a ValueError otherwise."""
+    matrix = np.asarray(matrix, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    herm = float(np.max(np.abs(matrix - matrix.conj().T)))
+    if herm > 1e-12 * scale:
+        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    return scale
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense complex matrix acting on a :class:`FockSpace`."""
@@ -162,17 +173,9 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.entries.conj().T)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
     def check_hermitian(self) -> float:
-        """The scale max(1, max |entries|), once the Hermiticity defect is within
-        1e-12 of it; a ValueError otherwise."""
-        scale = max(1.0, float(np.max(np.abs(self.entries))))
-        herm = self.hermiticity_defect()
-        if herm > 1e-12 * scale:
-            raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
-        return scale
+        """:func:`hermitian_scale` of the entries."""
+        return hermitian_scale(self.entries)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Provides the general series sum_k E_k^dag Omega E_k, applied as the
 adjoint per-mode loss maps of the Kraus channel, plus closed forms for
 ladder operators, quadratic observables (number, flavour charges) and
-basis projectors.  On the truncated space the series with the full loss
-range equals the exact adjoint map compressed to the retained space, so
-the weight it misses is the channel's completeness defect, which
+basis projectors.  Every model is exact on its whole space, so the
+series with the full loss range is the exact adjoint map there, and the
+weight it misses is the channel's completeness defect, which
 :func:`build_kraus` already bounds.
 """
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .fock import (
     DensityOperator,
     InvariantViolation,
     OperatorMatrix,
+    hermitian_scale,
     quadratic_form,
 )
 
@@ -36,7 +37,7 @@ from .fock import (
 class HeisenbergMap:
     """Adjoint map at a fixed time, backed by a complete Kraus channel's loss maps.
 
-    The weight the series misses on the exactly represented subspace is
+    The weight the series misses, over the whole space, is
     ``kraus.completeness_defect``.
     """
 
@@ -47,7 +48,7 @@ class HeisenbergMap:
 
 def build_heisenberg_map(model: DecayModel, t: float) -> HeisenbergMap:
     """Adjoint map at time t from the complete Kraus channel on the model's space;
-    :func:`build_kraus` enforces its completeness on the exact subspace."""
+    :func:`build_kraus` enforces its completeness over that space."""
     return HeisenbergMap(model=model, time=float(t), kraus=build_kraus(model, t))
 
 
@@ -64,12 +65,8 @@ def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndar
 
 
 def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatrix:
-    """Adjoint-evolved Hermitian observable.
-
-    Matrix elements between states of total occupation <= the channel's
-    exact bound are exact; entries touching the cutoff boundary carry the
-    usual truncation artifact.
-    """
+    """Adjoint-evolved Hermitian observable: exact in every matrix element of
+    the model's space, on which the model is exact."""
     if obs.space != hmap.model.space:
         raise ValueError("observable and map live on different spaces")
     obs.check_hermitian()
@@ -137,10 +134,7 @@ def mean_quadratic_trajectory(model: DecayModel, rho0: DensityOperator, omega: n
     <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
     """
     coeffs = _propagation_coefficients(model, omega)
-    omega = np.asarray(omega, dtype=complex)
-    herm = float(np.max(np.abs(omega - omega.conj().T)))
-    if herm > 1e-12 * max(1.0, float(np.max(np.abs(omega)))):
-        raise ValueError(f"observable is not Hermitian (defect {herm:.3e})")
+    hermitian_scale(omega)
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
     ops = [c.entries for c in model.decay_ops]

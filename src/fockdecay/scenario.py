@@ -18,9 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .channel import build_decay_model, evolve_state, exact_total_bound, expectations
+from .channel import build_decay_model, evolve_state, expectations
 from .channel import expectation  # noqa: F401 -- only for the benchmark's tracer
-from .flavour import MixingParams, build_mixed_model, build_quadratic_observables, quadratic_omegas
+from .flavour import (
+    MixingParams,
+    build_mixed_model,
+    build_quadratic_observables,
+    mixing_total_bound,
+    quadratic_omegas,
+)
 from .flavour import build_flavour_observables  # noqa: F401 -- only for the benchmark's tracer
 from .fock import (
     DensityOperator,
@@ -271,6 +277,13 @@ def _parse_mixing(entry, modes, path: str) -> tuple[MixingParams, ...]:
     return tuple(MixingParams(theta=t, phi=phi, psi=psi, chi=chi) for t in thetas)
 
 
+def _check_observable_routes(observables: Sequence[str], routes: Sequence[str], path: str) -> None:
+    """The occupations observable needs a state-side route."""
+    if "occupations" in observables and not ({"kraus", "ode"} & set(routes)):
+        raise ConfigError("CONFIG_OBSERVABLE_ROUTE",
+                          "occupations need the kraus or ode route", "invariant", path)
+
+
 def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     """Parse and validate a JSON scenario document."""
     try:
@@ -317,17 +330,15 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
             raise ConfigError("CONFIG_OBSERVABLE_MODES",
                               f"observable {o} needs exactly 2 modes, got {len(modes)}",
                               "invariant", f"$.observables[{i}]")
-    if "occupations" in observables and not ({"kraus", "ode"} & set(routes)):
-        raise ConfigError("CONFIG_OBSERVABLE_ROUTE",
-                          "occupations need the kraus or ode route", "invariant", "$.observables")
+    _check_observable_routes(observables, routes, "$.observables")
 
-    bound = exact_total_bound(modes, mixing is not None)
+    bound = mixing_total_bound(modes) if mixing is not None else None
     if initial.occupations is not None:
         supports = [("occupations", initial.occupations)]
     else:
         supports = [(f"components[{i}]", occ) for i, (_, occ) in enumerate(initial.components or ())]
     for where, occ in supports:
-        if sum(occ) > bound:
+        if bound is not None and sum(occ) > bound:
             raise ConfigError("CONFIG_SUPPORT_EXCEEDS_CUTOFF",
                               f"total occupation {sum(occ)} exceeds the mixing-exact bound {bound:g}",
                               "invariant", f"$.initial_state.{where}")
@@ -458,7 +469,11 @@ def run_scenario(
     ``seed`` is accepted for interface stability; all shipped routes are
     deterministic and ignore it.
     """
-    routes = cfg.routes if routes is None else _parse_names(list(routes), ROUTES, "route", "--routes")
+    if routes is None:
+        routes = cfg.routes
+    else:
+        routes = _parse_names(list(routes), ROUTES, "route", "--routes")
+        _check_observable_routes(cfg.observables, routes, "--routes")
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,13 @@ def random_density_matrix(rng, space: FockSpace, max_total=None, n_pure=4) -> De
     return DensityOperator(space, mat)
 
 
+def support_total_bound(rho: DensityOperator, tol=1e-14) -> int:
+    """Largest total occupation of a basis state whose row or column in rho has an entry above tol."""
+    mag = np.maximum(np.max(np.abs(rho.matrix), axis=0), np.max(np.abs(rho.matrix), axis=1))
+    live = np.flatnonzero(mag > tol)
+    return int(rho.space.total_occupation[live].max()) if live.size else 0
+
+
 def random_hermitian(rng, space: FockSpace, scale=1.0) -> OperatorMatrix:
     raw = rng.standard_normal((space.dimension,) * 2) + 1j * rng.standard_normal((space.dimension,) * 2)
     return OperatorMatrix(space, scale * 0.5 * (raw + raw.conj().T))

@@ -58,7 +58,8 @@ def single_space(cutoff, mass=0.0, width=1.0):
 def mixed_two_flavour(theta, phi=0.0, psi=0.0, chi=0.0, cutoff=4,
                       masses=MASSES, widths=WIDTHS, total=None):
     space = FockSpace([ModeSpec(mass=masses[0], width=widths[0], cutoff=cutoff),
-                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)], total=total)
+                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)],
+                      total=cutoff if total is None else total)
     return build_mixed_model(space, MixingParams(theta=theta, phi=phi, psi=psi, chi=chi),
                              masses=masses, widths=widths)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_density_matrix
+from conftest import random_density_matrix, support_total_bound
 
 from fockdecay import (
     CertificateError,
@@ -11,7 +11,6 @@ from fockdecay import (
     ModeSpec,
     OperatorMatrix,
     Statistics,
-    SupportError,
     apply_channel,
     apply_channel_matrix,
     build_annihilator,
@@ -37,7 +36,7 @@ from fockdecay import (
     MixingParams,
 )
 import fockdecay.channel as channel
-from fockdecay.channel import LARGE_EXPONENT, SUPPORT_TOL, _assemble_model, support_total_bound
+from fockdecay.channel import LARGE_EXPONENT, _assemble_model
 
 LN2 = math.log(2.0)
 
@@ -77,7 +76,7 @@ def test_model_operator_relations():
 
 def test_certificate_is_relative_to_the_largest_complex_mass():
     # rounding in [M, c_j] grows with the mass scale; the relative defect does not
-    space = FockSpace([ModeSpec(cutoff=4), ModeSpec(cutoff=4)])
+    space = FockSpace([ModeSpec(cutoff=4), ModeSpec(cutoff=4)], total=4)
     params = MixingParams(theta=0.7, phi=0.3)
     for masses in ((1e6, 1e6 + 5.0), (1e200, 5.0)):
         model = build_mixed_model(space, params, masses=masses, widths=(0.5, 1.5))
@@ -147,7 +146,7 @@ def test_completeness_on_grid():
     single = build_decay_model(single_mode_space(cutoff=8))
     two = build_decay_model(FockSpace([ModeSpec(width=0.5, cutoff=3),
                                        ModeSpec(width=1.5, cutoff=2)]))
-    sp_mix = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)])
+    sp_mix = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
     mixed = build_mixed_model(sp_mix, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
                               masses=(0.0, 3.0), widths=(0.5, 1.5))
     for model in (single, two, mixed):
@@ -173,7 +172,7 @@ def kraus_reference(model, t, multi_indices):
 
 
 def _reference_cases():
-    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)])
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
     yield build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
                             masses=(0.0, 3.0), widths=(0.5, 1.5)), 0.7
     # the Jordan-Wigner signs depend on the order c_1^k1 c_2^k2 c_3^k3
@@ -195,7 +194,7 @@ def _reference_cases():
 def test_kraus_recursion_matches_monomial_reference(model, t):
     ks = build_kraus(model, t)
     assert ks.multi_indices == kraus_multi_indices(model.space)
-    assert max(map(sum, ks.multi_indices)) == sum(m.cutoff for m in model.space.modes)
+    assert max(map(sum, ks.multi_indices)) == model.space.total
     ref = kraus_reference(model, t, ks.multi_indices)
     assert len(ref) == len(ks.operators)
     for op, want in zip(ks.operators, ref):
@@ -203,7 +202,7 @@ def test_kraus_recursion_matches_monomial_reference(model, t):
 
 
 def _block_cases():
-    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)])
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
     model = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
                               masses=(0.0, 3.0), widths=(0.5, 1.5))
     rho = random_density_matrix(np.random.default_rng(7), bosons, max_total=2)
@@ -247,7 +246,7 @@ def _edge_cases():
     # w_2 = 0: a stable mode contributes no loss map
     space = FockSpace([ModeSpec(mass=0.4, width=1.0, cutoff=3), ModeSpec(mass=1.3, width=0.0, cutoff=2)])
     yield pytest.param(build_decay_model(space), 0.8, id="w-zero")
-    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)])
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
     mixed = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
                               masses=(0.0, 3.0), widths=(0.5, 1.5))
     yield pytest.param(mixed, 0.0, id="t-zero")
@@ -270,8 +269,8 @@ def test_nested_maps_match_the_family_reference(model, t, rng):
     assert np.max(np.abs(apply_channel_matrix(ks, x) - forward)) <= 1e-13
     assert np.max(np.abs(evolve_observable_matrix(build_heisenberg_map(model, t), x) - adjoint)) <= 1e-13
     assert np.max(np.abs(ks.gram - gram)) <= 1e-13
-    # a state with coherences between every pair of totals it covers exactly
-    rho = random_density_matrix(rng, model.space, max_total=model.exact_total_bound())
+    # a state with coherences between every pair of totals
+    rho = random_density_matrix(rng, model.space)
     want = sum(E @ rho.matrix @ E.conj().T for E in ref)
     assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
 
@@ -305,13 +304,6 @@ def test_evolve_state_never_builds_the_family(monkeypatch):
         assert not {"family", "operators", "multi_indices"} & set(vars(ks))
     assert seen[-1].family.shape == (space.dimension, len(seen[-1].multi_indices), space.dimension)
     assert "family" in vars(seen[-1])
-
-
-def test_coherent_tail_lies_outside_the_block():
-    space = single_mode_space(cutoff=20)
-    rho = coherent_state(space, 1, 0.5)
-    outside = space.total_occupation > support_total_bound(rho)
-    assert 0 < np.max(np.abs(rho.matrix[outside])) <= SUPPORT_TOL
 
 
 def test_kraus_rejects_negative_time():
@@ -366,14 +358,20 @@ def test_cptp_on_random_states(rng):
         assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
 
 
-def test_support_error_beyond_the_exact_bound():
-    # under mixing only totals up to the common cutoff evolve exactly
-    bosons = FockSpace([ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.5, cutoff=2)])
-    model = build_mixed_model(bosons, MixingParams(theta=0.7), masses=(0.0, 1.0), widths=(0.5, 1.5))
-    ks = build_kraus(model, 0.5)
-    assert ks.exact_bound == 2
-    with pytest.raises(SupportError):
-        apply_channel(ks, number_state(bosons, (2, 1)))
+def test_mixed_model_needs_a_space_where_it_is_exact():
+    # the rotated c_j close only on totals up to a boson pair's common cutoff
+    modes = [ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.5, cutoff=2)]
+    for total in (3, 4):
+        with pytest.raises(ValueError, match=r"FockSpace\(modes, total=2\)"):
+            build_mixed_model(FockSpace(modes, total=total), MixingParams(theta=0.7),
+                              masses=(0.0, 1.0), widths=(0.5, 1.5))
+    build_mixed_model(FockSpace(modes, total=2), MixingParams(theta=0.7),
+                      masses=(0.0, 1.0), widths=(0.5, 1.5))
+    # a fermion pair is exact on its whole four-state space
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, width=0.5),
+                          ModeSpec(Statistics.FERMION, mass=1.0, width=1.5)])
+    model = build_mixed_model(fermions, MixingParams(theta=0.7), masses=(0.0, 1.0), widths=(0.5, 1.5))
+    assert model.space.dimension == 4
 
 
 def test_evolve_state_grid_basics():

@@ -11,6 +11,7 @@ from fockdecay import (
     MixingParams,
     Statistics,
     apply_channel,
+    build_annihilator,
     build_creation,
     build_decay_model,
     build_flavour_observables,
@@ -33,10 +34,11 @@ WIDTHS = (0.5, 1.5)
 
 
 def two_boson_space(cutoff=4, masses=MASSES, widths=WIDTHS):
+    """The mixed pair's space: totals up to the common cutoff, where mixing is exact."""
     return FockSpace([
         ModeSpec(mass=masses[0], width=widths[0], cutoff=cutoff),
         ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff),
-    ])
+    ], total=cutoff)
 
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -83,7 +85,8 @@ def test_mixed_operators_keep_ccr_on_safe_block():
     space = two_boson_space(cutoff=4)
     model = build_mixed_model(space, MixingParams(theta=0.8, phi=0.3, psi=1.2, chi=0.5),
                               masses=MASSES, widths=WIDTHS)
-    safe = [i for i, occ in enumerate(space.occupations) if all(n <= 3 for n in occ)]
+    # c_k^dag leaves the space from its top total, so the CCR hold on totals <= c - 1
+    safe = np.flatnonzero(space.total_occupation <= 3)
     eye = np.eye(space.dimension)
     for j, cj in enumerate(model.decay_ops):
         for k, ck in enumerate(model.decay_ops):
@@ -95,17 +98,21 @@ def test_mixed_operators_keep_ccr_on_safe_block():
 @pytest.mark.parametrize("total", range(6))
 def test_sector_space_compresses_the_mixed_model(total):
     # S = {n_1 + n_2 <= total} is invariant, so every operator a run uses
-    # equals the product-space one restricted to S
+    # equals the product-space one, built from the V-rotated annihilators,
+    # restricted to S
     params = MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3)
-    product = two_boson_space(cutoff=5)
+    product = FockSpace(two_boson_space(cutoff=5).modes)
     sector = FockSpace(product.modes, total=total)
     ix = [product.index_of(occ) for occ in sector.occupations]
     on_s = np.ix_(ix, ix)
-    big = build_mixed_model(product, params, masses=MASSES, widths=WIDTHS)
+    V = mixing_matrix(params)
+    a_ops = [build_annihilator(product, j).entries for j in (1, 2)]
+    c_big = [V[j, 0].conj() * a_ops[0] + V[j, 1].conj() * a_ops[1] for j in (0, 1)]
+    m_big = sum((m - 0.5j * g) * c.conj().T @ c for c, m, g in zip(c_big, MASSES, WIDTHS))
     small = build_mixed_model(sector, params, masses=MASSES, widths=WIDTHS)
-    for c_big, c_small in zip(big.decay_ops, small.decay_ops):
-        assert np.max(np.abs(c_big.entries[on_s] - c_small.entries)) <= 1e-14
-    assert np.max(np.abs(big.m_operator.entries[on_s] - small.m_operator.entries)) <= 1e-14
+    for c, c_small in zip(c_big, small.decay_ops):
+        assert np.max(np.abs(c[on_s] - c_small.entries)) <= 1e-14
+    assert np.max(np.abs(m_big[on_s] - small.m_operator.entries)) <= 1e-14
     assert small.certificate_defect <= 1e-14
     obs_big = build_quadratic_observables(product, params.phi)
     obs_small = build_quadratic_observables(sector, params.phi)
@@ -158,7 +165,9 @@ def test_theta_zero_factorizes_into_single_modes():
         sp = FockSpace(ModeSpec(mass=mass, width=width, cutoff=cutoff))
         m = build_decay_model(sp)
         singles.append(evolve_state(m, number_state(sp, (n,)), [t])[0].matrix)
-    product = np.kron(singles[0], singles[1])
+    # the product-space reference restricted to S's indices
+    ix = [n1 * (cutoff + 1) + n2 for n1, n2 in space.occupations]
+    product = np.kron(singles[0], singles[1])[np.ix_(ix, ix)]
     assert trace_distance(evolved.matrix, product) <= 1e-10
 
 
@@ -197,6 +206,29 @@ def test_oscillation_frequency_lands_on_fft_bin():
     peak = int(np.argmax(spectrum[1:])) + 1
     peak_freq = 2 * math.pi * peak / period
     assert abs(peak_freq - dm) <= 2 * math.pi / period
+
+
+@pytest.mark.parametrize("space", [
+    *(two_boson_space(cutoff=c) for c in (1, 2, 4, 7)),
+    FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
+               ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)]),
+], ids=["bosons-c1", "bosons-c2", "bosons-c4", "bosons-c7", "fermions"])
+def test_mixed_model_is_exact_on_its_whole_space(space):
+    # every column of the certificate and every entry of the Gram count
+    model = build_mixed_model(space, MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3),
+                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    m_mat = model.m_operator.entries
+    mus = [m - 0.5j * g for m, g in zip(model.masses, model.widths)]
+    defect = max(float(np.max(np.abs(m_mat @ c.entries - c.entries @ m_mat + mu * c.entries)))
+                 for c, mu in zip(model.decay_ops, mus))
+    assert defect / max(1.0, *map(abs, mus)) <= 1e-12
+    assert model.certificate_defect <= 1e-12
+    eye = np.eye(space.dimension)
+    for t in (0.3, 1.7):
+        ks = build_kraus(model, t)
+        gram = np.einsum("aib,aic->bc", ks.family.conj(), ks.family)
+        assert np.linalg.norm(gram - eye, 2) <= 1e-12
+        assert ks.completeness_defect <= 1e-12
 
 
 def test_fermionic_mixing_is_supported():

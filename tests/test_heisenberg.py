@@ -30,11 +30,13 @@ from fockdecay import (
     evolve_quadratic,
     evolve_strangeness,
     expectation,
+    expectations,
     mean_number_trajectory,
     mean_strangeness_trajectory,
     number_state,
 )
 from fockdecay.flavour import quadratic_omegas
+from fockdecay.fock import quadratic_form
 from fockdecay.heisenberg import mean_quadratic_trajectory
 
 
@@ -44,14 +46,9 @@ def single_model(cutoff=6, mass=0.5, width=1.0):
 
 def mixed_model(theta, phi=0.4, psi=1.1, chi=0.2, masses=(0.0, 5.0), widths=(0.5, 1.5), cutoff=4):
     space = FockSpace([ModeSpec(mass=masses[0], width=widths[0], cutoff=cutoff),
-                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)])
+                       ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)], total=cutoff)
     return build_mixed_model(space, MixingParams(theta=theta, phi=phi, psi=psi, chi=chi),
                              masses=masses, widths=widths)
-
-
-def exact_block(model):
-    bound = model.exact_total_bound()
-    return np.flatnonzero(model.space.total_occupation <= bound)
 
 
 def eq42_eq47_matrices(space, theta, phi, masses, widths, t):
@@ -171,12 +168,11 @@ def test_ladder_mixed_matches_series(rng):
     model = mixed_model(theta=1.0)
     t = 0.6
     hmap = build_heisenberg_map(model, t)
-    ix = exact_block(model)
     for mode in (1, 2):
         a = build_annihilator(model.space, mode).entries
         closed = evolve_ladder(model, t, mode)[0].entries
         series = evolve_observable_matrix(hmap, a)
-        assert np.max(np.abs((closed - series)[np.ix_(ix, ix)])) <= 1e-12
+        assert np.max(np.abs((closed - series))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +180,11 @@ def test_ladder_mixed_matches_series(rng):
 
 def test_unitality_on_exact_block():
     for model in (single_model(), mixed_model(theta=1.2)):
-        ix = exact_block(model)
         eye = np.eye(model.space.dimension, dtype=complex)
         for t in (0.3, 2.0, 5.0):
             hmap = build_heisenberg_map(model, t)
             got = evolve_observable_matrix(hmap, eye)
-            assert np.max(np.abs((got - eye)[np.ix_(ix, ix)])) <= 1e-10
+            assert np.max(np.abs((got - eye))) <= 1e-10
 
 
 def test_dual_map_preserves_positivity(rng):
@@ -205,12 +200,11 @@ def test_dual_map_preserves_positivity(rng):
 def test_dual_semigroup(rng):
     model = single_model(cutoff=5, mass=0.4)
     t1, t2 = 0.5, 0.9
-    ix = exact_block(model)
     omega = random_hermitian(rng, model.space).entries
     inner = evolve_observable_matrix(build_heisenberg_map(model, t2), omega)
     composed = evolve_observable_matrix(build_heisenberg_map(model, t1), inner)
     direct = evolve_observable_matrix(build_heisenberg_map(model, t1 + t2), omega)
-    assert np.max(np.abs((composed - direct)[np.ix_(ix, ix)])) <= 1e-9
+    assert np.max(np.abs((composed - direct))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +214,16 @@ def test_number_and_strangeness_identities_generic_angle():
     theta, phi = 1.0, 0.7
     masses, widths = (0.0, 5.0), (0.5, 1.5)
     model = mixed_model(theta=theta, phi=phi, psi=0.3, chi=0.2, masses=masses, widths=widths)
-    ix = exact_block(model)
     obs = build_flavour_observables(model.space, phi)
     for t in (0.0, 0.4, 1.7):
         want_n, want_s = eq42_eq47_matrices(model.space, theta, phi, masses, widths, t)
         hmap = build_heisenberg_map(model, t)
         for got in (evolve_number(model, t).entries,
                     evolve_observable(hmap, obs["N"]).entries):
-            assert np.max(np.abs((got - want_n)[np.ix_(ix, ix)])) <= 1e-10
+            assert np.max(np.abs((got - want_n))) <= 1e-10
         for got in (evolve_strangeness(model, t).entries,
                     evolve_observable(hmap, obs["S"]).entries):
-            assert np.max(np.abs((got - want_s)[np.ix_(ix, ix)])) <= 1e-10
+            assert np.max(np.abs((got - want_s))) <= 1e-10
 
 
 def test_extreme_angle_forms():
@@ -243,13 +236,12 @@ def test_extreme_angle_forms():
     plain = mixed_model(theta=0.0, phi=0.0, psi=0.0, chi=0.0, masses=masses, widths=widths)
     obs = build_flavour_observables(plain.space, 0.0)
     n_mat, s_mat = obs["N"].entries, obs["S"].entries
-    ix = exact_block(plain)
     got_n = evolve_number(plain, t).entries
     got_s = evolve_strangeness(plain, t).entries
     want_n = 0.5 * e1 * (n_mat + s_mat) + 0.5 * e2 * (n_mat - s_mat)
     want_s = 0.5 * e1 * (s_mat + n_mat) + 0.5 * e2 * (s_mat - n_mat)
-    assert np.max(np.abs((got_n - want_n)[np.ix_(ix, ix)])) <= 1e-10
-    assert np.max(np.abs((got_s - want_s)[np.ix_(ix, ix)])) <= 1e-10
+    assert np.max(np.abs((got_n - want_n))) <= 1e-10
+    assert np.max(np.abs((got_s - want_s))) <= 1e-10
 
     phi = 2 * math.pi
     maximal = mixed_model(theta=math.pi / 2, phi=phi, psi=math.pi, chi=3 * math.pi / 2,
@@ -261,8 +253,8 @@ def test_extreme_angle_forms():
     got_s = evolve_strangeness(maximal, t).entries
     want_n = 0.5 * (e1 + e2) * n_mat + 0.5 * (e1 - e2) * qp
     want_s = math.exp(-gbar * t) * (math.cos(dm * t) * s_mat + math.sin(dm * t) * qm)
-    assert np.max(np.abs((got_n - want_n)[np.ix_(ix, ix)])) <= 1e-10
-    assert np.max(np.abs((got_s - want_s)[np.ix_(ix, ix)])) <= 1e-10
+    assert np.max(np.abs((got_n - want_n))) <= 1e-10
+    assert np.max(np.abs((got_s - want_s))) <= 1e-10
 
 
 def test_global_phase_does_not_move_observables():
@@ -312,14 +304,13 @@ def test_quadratic_evolver_handles_coherence_pair():
     phi = 0.4
     model = mixed_model(theta=math.pi / 2, phi=phi, psi=0.0, chi=0.0)
     obs = build_flavour_observables(model.space, phi)
-    ix = exact_block(model)
     t = 0.8
     hmap = build_heisenberg_map(model, t)
     for name, omega in (("Qplus", np.array([[0, np.exp(1j * phi)], [np.exp(-1j * phi), 0]])),
                         ("Qminus", np.array([[0, 1j * np.exp(1j * phi)], [-1j * np.exp(-1j * phi), 0]]))):
         closed = evolve_quadratic(model, omega, t).entries
         series = evolve_observable(hmap, obs[name]).entries
-        assert np.max(np.abs((closed - series)[np.ix_(ix, ix)])) <= 1e-11
+        assert np.max(np.abs((closed - series))) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +359,13 @@ def test_grid_form_shares_the_operator_form_checks(rng):
         mean_quadratic_trajectory(model, rho0, np.eye(3), [0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
         mean_quadratic_trajectory(model, rho0, np.array([[0.0, 1.0], [0.0, 0.0]]), [0.5])
+    # the tolerance is relative to the observable's scale on both paths
+    large = 1e6 * np.array([[1.0, 0.3], [0.3, -2.0]], dtype=complex)
+    large[0, 1] += 1e-7
+    a_ops = [build_annihilator(model.space, j).entries for j in (1, 2)]
+    operator = OperatorMatrix(model.space, quadratic_form(large, a_ops))
+    assert np.isfinite(mean_quadratic_trajectory(model, rho0, large, [0.5])).all()
+    assert np.isfinite(expectations([rho0], operator)).all()
 
 
 def test_closed_forms_raise_certificate_error(rng):

@@ -146,7 +146,7 @@ def test_trace_drift_budget():
 
 
 def test_rk4_matches_kraus_on_mixed_model(rng):
-    space = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=2.0, width=1.5, cutoff=4)])
+    space = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=2.0, width=1.5, cutoff=4)], total=4)
     model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2),
                               masses=(0.0, 2.0), widths=(0.5, 1.5))
     gen = build_generator(model)
@@ -159,7 +159,7 @@ def test_rk4_matches_kraus_on_mixed_model(rng):
 
 
 def _mixed_dense_case(rng):
-    space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)])
+    space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)], total=3)
     model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2),
                               masses=(0.0, 2.0), widths=(0.5, 1.5))
     rho0 = random_density_matrix(rng, space, max_total=3)
@@ -176,7 +176,7 @@ def _boson_fermion_case(rng):
 
 
 def _oscillation_theta90_case(rng):
-    space = FockSpace([ModeSpec(width=0.5, cutoff=5), ModeSpec(mass=5.0, width=1.5, cutoff=5)])
+    space = FockSpace([ModeSpec(width=0.5, cutoff=5), ModeSpec(mass=5.0, width=1.5, cutoff=5)], total=5)
     mixing = MixingParams(theta=math.pi / 2, phi=2 * math.pi, psi=math.pi, chi=1.5 * math.pi)
     model = build_mixed_model(space, mixing, masses=(0.0, 5.0), widths=(0.5, 1.5))
     return model, number_state(space, (2, 1))
@@ -210,7 +210,8 @@ def test_integrate_refuses_generator_that_leaks_between_blocks():
 @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
 def test_integrate_refuses_an_unstable_step(mass, match):
     # h M ~ 1e197 overflows the step matrix itself; h M ~ 1e17 overflows only its powers
-    space = FockSpace([ModeSpec(mass=mass, width=0.5, cutoff=3), ModeSpec(mass=5.0, width=1.5, cutoff=3)])
+    space = FockSpace([ModeSpec(mass=mass, width=0.5, cutoff=3), ModeSpec(mass=5.0, width=1.5, cutoff=3)],
+                      total=3)
     model = build_mixed_model(space, MixingParams(theta=0.7), masses=(mass, 5.0), widths=(0.5, 1.5))
     with pytest.raises(InvariantViolation, match=match):
         integrate(build_generator(model), number_state(space, (2, 1)), [0.0, 0.5], 1e-3)

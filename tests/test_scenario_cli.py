@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import support_total_bound
 
-from fockdecay import ConfigError, config_to_json, parse_config, run_scenario, support_total_bound
+from fockdecay import ConfigError, config_to_json, parse_config, run_scenario
 from fockdecay.cli import main
 from fockdecay.scenario import build_initial_state, build_space
 
@@ -495,7 +496,11 @@ def test_scipy_is_imported_only_by_the_kraus_route(tmp_path, args, loads_scipy):
               "from fockdecay.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, 'scipy' in sys.modules)\n")
-    argv = [args[0], str(CONFIGS / "single_mode_decay.json"), *args[1:]]
+    doc = json.loads((CONFIGS / "single_mode_decay.json").read_text())
+    doc["observables"] = ["N"]  # occupations would need a state-side route
+    config = tmp_path / "single_mode_decay.json"
+    config.write_text(json.dumps(doc))
+    argv = [args[0], str(config), *args[1:]]
     if args[0] == "run":
         argv += ["--out-dir", str(tmp_path)]
     src = str(REPO / "src")
@@ -543,6 +548,9 @@ def test_cli_seed_does_not_change_outputs(tmp_path):
         ({"routes": ["kraus", "ode"]}, ["--routes", "kraus,kraus"], "CONFIG_ROUTE_REPEATED at --routes[1]"),
         ({}, ["--routes", ","], "CONFIG_ROUTES_EMPTY at --routes"),
         ({}, ["--routes", "kraus,warp"], "CONFIG_ROUTE_UNKNOWN at --routes[1]"),
+        # the override meets the same route/observable check as the config's own routes
+        ({"observables": ["N", "occupations"]}, ["--routes", "heisenberg"],
+         "CONFIG_OBSERVABLE_ROUTE at --routes"),
     ],
 )
 def test_cli_rejects_bad_route_and_observable_lists(tmp_path, capsys, overrides, extra, code):

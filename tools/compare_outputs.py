@@ -19,7 +19,8 @@ benchmark.
 ``diff`` prints, for every CSV, its route and the max abs diff of its numeric
 columns between A and B, the max per route, and for every manifest whether
 its key list (every line's text before ``=``, without ``timestamp=``) is the
-same in both.  It exits 1 when a file is missing on one side, or a header,
+same in both, and whether its lines other than ``timestamp=`` are identical,
+naming the key of the first line that is not.  It exits 1 when a file is missing on one side, or a header,
 row count, key list or error differs; otherwise 0.  How large a CSV
 difference is acceptable is left to the reader of the report.
 """
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import traceback
+from itertools import zip_longest
 from pathlib import Path
 
 # OpenBLAS, OpenMP and MKL read these when numpy loads.
@@ -98,9 +100,20 @@ def _read_csv(path: Path):
     return header, route, values
 
 
-def _manifest_keys(path: Path) -> list[str]:
-    return [line.split("=", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()
+def _manifest_lines(path: Path) -> list[str]:
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
             if not line.startswith("timestamp=")]
+
+
+def _manifest_report(pa: Path, pb: Path) -> tuple[bool, str]:
+    """Whether the key lists agree, and a report on the keys and on the lines."""
+    la, lb = _manifest_lines(pa), _manifest_lines(pb)
+    same_keys = [x.split("=", 1)[0] for x in la] == [y.split("=", 1)[0] for y in lb]
+    report = f"manifest keys {'identical' if same_keys else 'differ'}"
+    for x, y in zip_longest(la, lb, fillvalue=""):
+        if x != y:
+            return same_keys, f"{report}, lines differ first at key {(x or y).split('=', 1)[0]}"
+    return same_keys, f"{report}, lines identical"
 
 
 def _diff(a: Path, b: Path) -> int:
@@ -130,8 +143,8 @@ def _diff(a: Path, b: Path) -> int:
             per_route[route] = max(per_route.get(route, 0.0), dev)
             print(f"{rel}: route={route} max_abs_diff={dev:.3e}{' (bytes equal)' if same else ''}")
         elif rel.name.endswith("__manifest.txt"):
-            same = _manifest_keys(pa) == _manifest_keys(pb)
-            print(f"{rel}: manifest keys {'identical' if same else 'differ'}")
+            same, report = _manifest_report(pa, pb)
+            print(f"{rel}: {report}")
             bad |= not same
     for route, dev in sorted(per_route.items()):
         print(f"route {route}: max_abs_diff={dev:.3e}")
