@@ -41,7 +41,7 @@ from .channel import (
     occupation_distribution,
     trace_distance,
 )
-from .master import GeneratorAction, build_generator, default_step, generator_apply, integrate
+from .master import GeneratorAction, build_generator, default_step, integrate
 from .heisenberg import (
     HeisenbergMap,
     build_heisenberg_map,
@@ -80,7 +80,7 @@ __all__ = [
     "apply_channel", "apply_channel_matrix", "evolve_state", "enforce_superselection",
     "expectation", "expectations", "occupation_distribution", "trace_distance",
     # master
-    "GeneratorAction", "build_generator", "generator_apply", "integrate", "default_step",
+    "GeneratorAction", "build_generator", "integrate", "default_step",
     # heisenberg
     "HeisenbergMap", "build_heisenberg_map",
     "evolve_observable", "evolve_observable_matrix", "evolve_ladder",

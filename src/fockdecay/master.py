@@ -7,9 +7,10 @@ the numerics: it evolves only the entries of rho that the generator's own
 sparsity pattern reaches from the initial state, every other entry being
 exactly zero for all time.  Those entries split into blocks of equal
 Delta N = N_row - N_col (the decay conserves M and lowers row and column
-occupations together).  Each block's generator matrix is read off
-:class:`GeneratorAction` itself, and the block advances by the RK4 step
-polynomial of that matrix, formed once.
+occupations together; a structural check on W and the L_j enforces it).
+Each block's generator matrix is gathered from W and the L_j at the
+block's own indices by the Liouville form of the generator, and the block
+advances by the RK4 step polynomial of that matrix, formed once.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ class GeneratorAction:
     jump_ops: tuple[np.ndarray, ...]
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
+        if rho.shape != self.w_matrix.shape:
+            raise ValueError(f"matrix shape {rho.shape} does not match {self.w_matrix.shape}")
         out = self.w_matrix @ rho + rho @ self.w_matrix.conj().T
         for L in self.jump_ops:
             out += L @ rho @ L.conj().T
@@ -54,16 +57,8 @@ def build_generator(model: DecayModel) -> GeneratorAction:
     return GeneratorAction(model=model, w_matrix=w, jump_ops=jumps)
 
 
-def generator_apply(gen: GeneratorAction, rho_matrix: np.ndarray) -> np.ndarray:
-    """One application of the generator to a raw density matrix."""
-    rho = np.asarray(rho_matrix, dtype=complex)
-    dim = gen.model.space.dimension
-    if rho.shape != (dim, dim):
-        raise ValueError(f"matrix shape {rho.shape} does not match dimension {dim}")
-    return gen(rho)
-
-
-def _steps_for(t: float, step: float) -> int:
+def steps_for(t: float, step: float) -> int:
+    """The number of RK4 steps to time ``t``, which must be a multiple of ``step``."""
     ratio = t / step
     if not math.isfinite(ratio):
         raise StepError(f"time {t!r} over step {step!r} is not a finite step count")
@@ -74,11 +69,6 @@ def _steps_for(t: float, step: float) -> int:
             "interpolation is not supported"
         )
     return n
-
-
-# Basis matrices applied to the generator at once: bounds the stacked
-# array to 2**15 complex entries (512 kB), whatever the block size.
-BASIS_CHUNK_ENTRIES = 2**15
 
 
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> np.ndarray:
@@ -100,28 +90,24 @@ def _reachable(gen: GeneratorAction, rho: np.ndarray) -> np.ndarray:
         live = grown
 
 
-def _block_generator(sub: GeneratorAction, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Matrix of ``sub`` on the block of entries (rs[i], cs[i]) of its space.
+def _block_generator(gen: GeneratorAction, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Matrix of ``gen`` on the block of entries (r[i], c[i]) of rho.
 
-    Column i is the image of the i-th basis matrix, read at the block's
-    entries.  ``sub`` acts on the reachable indices, so every image lies in
-    the reachable set; a nonzero image entry outside the block means the
-    generator does not conserve Delta N, and the dynamics would be lost.
+    Gathered at the block's indices from the Liouville form
+    L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc),
+    in place: at most three block-sized arrays are alive at once.
     """
-    k, n = rs.size, sub.w_matrix.shape[0]
-    out = np.empty((k, k), dtype=complex)
-    chunk = max(1, BASIS_CHUNK_ENTRIES // n**2)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        basis = np.zeros((hi - lo, n, n), dtype=complex)
-        basis[np.arange(hi - lo), rs[lo:hi], cs[lo:hi]] = 1.0
-        images = sub(basis)
-        out[:, lo:hi] = images[:, rs, cs].T
-        if np.count_nonzero(images) != np.count_nonzero(out[:, lo:hi]):
-            raise InvariantViolation(
-                "generator maps a Delta N block of rho outside itself; "
-                "it does not conserve the total occupation"
-            )
+    rr, cc = np.ix_(r, r), np.ix_(c, c)
+    out = gen.w_matrix[rr]
+    out *= c[:, None] == c
+    tmp = gen.w_matrix[cc]
+    np.conj(tmp, out=tmp)
+    tmp *= r[:, None] == r
+    out += tmp
+    for L in gen.jump_ops:
+        np.conj(L[cc], out=tmp)
+        tmp *= L[rr]
+        out += tmp
     return out
 
 
@@ -163,10 +149,11 @@ def integrate(
 
     Every requested time must be an integer multiple of ``step``.  Only the
     entries reachable from ``rho0`` are evolved, the others being exactly
-    zero for all time.  They are split into blocks of equal Delta N, and
-    each block's generator is read off ``gen`` itself; an interval of m
-    steps applies the m-th power of the block's RK4 step matrix, so scheme
-    and step are those of the k1..k4 loop and only the rounding differs.
+    zero for all time.  They are split into blocks of equal Delta N, which
+    W and the L_j are first checked to conserve, and each block's generator
+    is gathered from W and the L_j at the block's own indices; an interval
+    of m steps applies the m-th power of the block's RK4 step matrix, so
+    scheme and step are those of the k1..k4 loop and only the rounding differs.
     The trajectory is returned as-is: no renormalization and no positivity
     projection, so trace drift stays visible to the caller.  Negative
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
@@ -183,25 +170,26 @@ def integrate(
     if rho0.space != gen.model.space:
         raise ValueError("state and generator live on different spaces")
 
-    targets = [_steps_for(t, step) for t in times]
-    live = _reachable(gen, rho0.matrix)
-    idx = np.flatnonzero(live.any(axis=0) | live.any(axis=1))
-    sub = GeneratorAction(
-        model=gen.model,
-        w_matrix=gen.w_matrix[np.ix_(idx, idx)],
-        jump_ops=tuple(L[np.ix_(idx, idx)] for L in gen.jump_ops),
-    )
+    targets = [steps_for(t, step) for t in times]
     tot = gen.model.space.total_occupation
+    for op in (gen.w_matrix, *gen.jump_ops):
+        rows, cols = np.nonzero(op)
+        shifts = np.unique(tot[rows] - tot[cols])
+        if shifts.size > 1 or (op is gen.w_matrix and shifts.any()):
+            raise InvariantViolation(
+                f"W or an L_j shifts the total occupation by {shifts.tolist()}: "
+                "the generator does not conserve Delta N"
+            )
+    live = _reachable(gen, rho0.matrix)
     rows, cols = np.nonzero(live)
     delta = tot[rows] - tot[cols]
     series = []
-    for dn in np.unique(delta):
+    dns, sizes = np.unique(delta, return_counts=True)
+    for dn in dns[np.argsort(-sizes, kind="stable")]:  # largest first: later blocks reuse its memory
         r, c = rows[delta == dn], cols[delta == dn]
         with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
             # no name holds the block's L, so it is freed before the powers are taken
-            p = _rk4_step_matrix(
-                step * _block_generator(sub, np.searchsorted(idx, r), np.searchsorted(idx, c))
-            )
+            p = _rk4_step_matrix(step * _block_generator(gen, r, c))
             if not np.isfinite(p).all():
                 raise InvariantViolation(
                     f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"
@@ -237,7 +225,7 @@ def integrate(
     return out
 
 
-def default_step(model: DecayModel) -> float:
+def default_step(widths: Sequence[float]) -> float:
     """1e-3 in units of the fastest width (1e-3 raw when nothing decays)."""
-    gmax = max(model.widths) if model.widths else 0.0
+    gmax = max(widths, default=0.0)
     return 1e-3 / gmax if gmax > 0 else 1e-3

@@ -40,7 +40,7 @@ from .fock import (
 )
 from .heisenberg import evolve_quadratic  # noqa: F401 -- only for the benchmark's tracer
 from .heisenberg import mean_quadratic_trajectory
-from .master import StepError, build_generator, default_step, integrate
+from .master import StepError, build_generator, default_step, integrate, steps_for
 
 ROUTES = ("kraus", "ode", "heisenberg")
 OBSERVABLES = ("N", "S", "Qplus", "Qminus", "occupations")
@@ -450,8 +450,11 @@ def build_initial_state(cfg: ScenarioConfig, space: FockSpace) -> DensityOperato
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Beyond parsing: actually construct the space and the initial state."""
+    """Beyond parsing: actually construct the space and the initial state, and
+    check the ode step against the grid when the routes include ode."""
     build_initial_state(cfg, build_space(cfg))
+    if "ode" in cfg.routes:
+        _ode_step(cfg, cfg.time_grid.times())
 
 
 def _fmt(x: float) -> str:
@@ -476,11 +479,10 @@ def run_scenario(
         _check_observable_routes(cfg.observables, routes, "--routes")
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
-
     space = build_space(cfg)
     rho0 = build_initial_state(cfg, space)
     times = cfg.time_grid.times()
+    step = _ode_step(cfg, times) if "ode" in routes else None
     mixed = cfg.mixing is not None
     gamma_bar = _mean_width(cfg.modes) if mixed else None
     t_scaled = times * gamma_bar if mixed else times
@@ -529,12 +531,7 @@ def run_scenario(
             if route == "kraus":
                 states = evolve_state(model, rho0, times)
             else:
-                try:
-                    step = cfg.ode_step if cfg.ode_step is not None else _grid_step(model, times)
-                    states = integrate(build_generator(model), rho0, times, step)
-                except StepError as exc:
-                    raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant",
-                                      "$.time_grid") from exc
+                states = integrate(build_generator(model), rho0, times, step)
             for name in scalar_obs:
                 series[(route, name)] = expectations(states, obs_matrices[name])[:, None]
             if "occupations" in names:
@@ -542,6 +539,7 @@ def run_scenario(
                     [np.append(s.diagonal(), 0.0)[from_s] for s in states])
 
         theta_key = f"theta={ti}" if mixed and len(sweep) > 1 else "theta=-"
+        out.mkdir(parents=True, exist_ok=True)  # made only once there is output to write
         for name in names:
             have = [r for r in routes if (r, name) in series]
             for route in have:
@@ -600,18 +598,29 @@ def _mean_width(modes: Sequence[ModeSpec]) -> float:
     return sum(m.width for m in modes) / len(modes)
 
 
-def _grid_step(model, times: np.ndarray) -> float:
-    """Largest step <= the default that divides the grid spacing evenly."""
-    base = default_step(model)
-    if len(times) < 2:
-        return base
-    spacing = float(times[1] - times[0])
-    if spacing <= 0:
-        return base
-    ratio = spacing / base
-    if not 0 < ratio < math.inf:
-        raise StepError(f"default step {base!r} does not fit grid spacing {spacing!r}")
-    return spacing / math.ceil(ratio)
+def _ode_step(cfg: ScenarioConfig, times: np.ndarray) -> float:
+    """The ode route's RK4 step, checked against every grid time.
+
+    By default the largest step <= ``default_step`` that divides the grid
+    spacing evenly.  The mode widths are every model's widths, so one step
+    serves the whole sweep.
+    """
+    try:
+        step = cfg.ode_step
+        if step is None:
+            step = default_step([m.width for m in cfg.modes])
+            spacing = float(times[1] - times[0]) if len(times) > 1 else 0.0
+            if spacing > 0:
+                ratio = spacing / step
+                if not 0 < ratio < math.inf:
+                    raise StepError(f"default step {step!r} does not fit grid spacing {spacing!r}")
+                step = spacing / math.ceil(ratio)
+        for t in times:
+            steps_for(float(t), step)
+    except StepError as exc:
+        path = "$.ode_step" if cfg.ode_step is not None else "$.time_grid"
+        raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant", path) from exc
+    return step
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

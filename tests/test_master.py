@@ -17,7 +17,6 @@ from fockdecay import (
     build_kraus,
     apply_channel,
     build_mixed_model,
-    generator_apply,
     integrate,
     number_state,
     trace_distance,
@@ -49,14 +48,14 @@ def test_generator_vacuum_is_stationary():
     model = single_model(cutoff=3)
     gen = build_generator(model)
     rho = vacuum_state(model.space).matrix
-    assert np.max(np.abs(generator_apply(gen, rho))) == 0.0
+    assert np.max(np.abs(gen(rho))) == 0.0
 
 
 def test_generator_one_particle_rates():
     model = single_model(cutoff=3, mass=1.7)
     gen = build_generator(model)
     rho = number_state(model.space, (1,)).matrix
-    dot = generator_apply(gen, rho)
+    dot = gen(rho)
     assert dot[1, 1] == pytest.approx(-1.0, abs=1e-14)
     assert dot[0, 0] == pytest.approx(1.0, abs=1e-14)
     off = dot - np.diag(np.diag(dot))
@@ -70,7 +69,7 @@ def test_generator_coherence_coefficient():
     gen = build_generator(model)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 0] = 1.0
-    dot = generator_apply(gen, rho)
+    dot = gen(rho)
     assert dot[1, 0] == pytest.approx(-(1j * m + gamma / 2), abs=1e-14)
 
 
@@ -83,7 +82,7 @@ def test_generator_matrix_element_system():
         for l in range(6):
             unit = np.zeros((cutoff + 1,) * 2, dtype=complex)
             unit[k, l] = 1.0
-            dot = generator_apply(gen, unit)
+            dot = gen(unit)
             expected = np.zeros_like(unit)
             expected[k, l] = -1j * (k - l) * m - 0.5 * (k + l) * gamma
             if k >= 1 and l >= 1:
@@ -96,7 +95,7 @@ def test_generator_traceless_and_hermiticity_preserving(rng):
     gen = build_generator(model)
     for _ in range(5):
         omega = random_hermitian(rng, model.space).entries
-        dot = generator_apply(gen, omega)
+        dot = gen(omega)
         assert abs(np.trace(dot)) <= 1e-12 * max(1.0, float(np.max(np.abs(omega))))
         assert np.max(np.abs(dot - dot.conj().T)) <= 1e-12
 
@@ -104,7 +103,7 @@ def test_generator_traceless_and_hermiticity_preserving(rng):
 def test_generator_dimension_mismatch():
     gen = build_generator(single_model(cutoff=2))
     with pytest.raises(ValueError):
-        generator_apply(gen, np.eye(5, dtype=complex))
+        gen(np.eye(5, dtype=complex))
 
 
 def test_integrate_zero_steps_returns_input():
@@ -183,10 +182,7 @@ def _oscillation_theta90_case(rng):
 
 
 @pytest.mark.parametrize("case", [_mixed_dense_case, _boson_fermion_case, _oscillation_theta90_case])
-@pytest.mark.parametrize("chunk_entries", [master.BASIS_CHUNK_ENTRIES, 250])
-def test_integrate_matches_full_space_loop(rng, monkeypatch, case, chunk_entries):
-    # 250 entries hold two or three basis matrices, so each block is built in several chunks
-    monkeypatch.setattr(master, "BASIS_CHUNK_ENTRIES", chunk_entries)
+def test_integrate_matches_full_space_loop(rng, case):
     model, rho0 = case(rng)
     gen = build_generator(model)
     step = 0.05 / 75
@@ -195,15 +191,33 @@ def test_integrate_matches_full_space_loop(rng, monkeypatch, case, chunk_entries
     for state, ref in zip(got, rk4_reference(gen, rho0, times, step)):
         assert np.max(np.abs(state.matrix - ref)) <= 1e-12
 
+    # each gathered block matrix is the generator's image of the basis matrices E_rc
+    tot = model.space.total_occupation
+    rows, cols = np.nonzero(master._reachable(gen, rho0.matrix))
+    delta = tot[rows] - tot[cols]
+    for dn in np.unique(delta):
+        r, c = rows[delta == dn], cols[delta == dn]
+        block = master._block_generator(gen, r, c)
+        for i in range(r.size):
+            unit = np.zeros_like(rho0.matrix)
+            unit[r[i], c[i]] = 1.0
+            assert np.max(np.abs(block[:, i] - gen(unit)[r, c])) <= 1e-15
+
 
 def test_integrate_refuses_generator_that_leaks_between_blocks():
     model = single_model(cutoff=2)
     gen = build_generator(model)
-    w = np.array(gen.w_matrix)
-    w[2, 1] = 0.1  # couples total occupation 1 to 2
-    leaky = GeneratorAction(model=model, w_matrix=w, jump_ops=gen.jump_ops)
-    with pytest.raises(InvariantViolation, match="Delta N"):
-        integrate(leaky, number_state(model.space, (1,)), [0.0, 0.5], 1e-3)
+    for entry, occupation in [
+        ((None, 2, 1), 1),  # W couples total occupation 1 to 2
+        ((0, 0, 2), 2),  # L lowers the total by 2 where it lowers it by 1 elsewhere
+        ((None, 2, 1), 0),  # the vacuum never reaches the leaking entry: refused all the same
+    ]:
+        w, jumps = np.array(gen.w_matrix), [np.array(L) for L in gen.jump_ops]
+        j, a, b = entry
+        (w if j is None else jumps[j])[a, b] = 0.1
+        leaky = GeneratorAction(model=model, w_matrix=w, jump_ops=tuple(jumps))
+        with pytest.raises(InvariantViolation, match="Delta N"):
+            integrate(leaky, number_state(model.space, (occupation,)), [0.0, 0.5], 1e-3)
 
 
 @pytest.mark.parametrize("mass, match", [(1e200, "step matrix"), (1e20, "not finite on the grid")])

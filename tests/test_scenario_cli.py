@@ -484,6 +484,7 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
+    assert (tmp_path / "out").exists() == (code == 0)  # a failed run leaves no output directory
 
 
 @pytest.mark.parametrize(
@@ -580,8 +581,14 @@ def test_cli_rejects_names_that_leave_the_out_dir(tmp_path, capsys, name):
         (("validate", "run"), {"initial_state": {"type": "poisson", "mode": 1, "nbar": 1e308}},
          "CONFIG_STATE_TAIL"),
         # the default step 1e-3 / width overflows to inf
-        (("run",), {"modes": [dict(MINIMAL["modes"][0], width=1e-320)], "routes": ["ode"]},
+        (("validate", "run"), {"modes": [dict(MINIMAL["modes"][0], width=1e-320)], "routes": ["ode"]},
          "CONFIG_TIME_GRID_STEP"),
+        # the default step divides the spacing but not the first time
+        pytest.param(("validate", "run"), {"time_grid": dict(MINIMAL["time_grid"], start=1e-4),
+                                           "routes": ["kraus", "ode"]},
+                     "CONFIG_TIME_GRID_STEP at $.time_grid", id="default-step-misses-start"),
+        pytest.param(("validate", "run"), {"ode_step": 0.3, "routes": ["kraus", "ode"]},
+                     "CONFIG_TIME_GRID_STEP at $.ode_step", id="ode-step-misses-grid"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -591,3 +598,4 @@ def test_cli_state_and_step_overflow_are_config_errors(tmp_path, capsys, command
     for command in commands:
         assert main([command, str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"config error [invariant]: {code}")
+    assert not (tmp_path / "out").exists()
