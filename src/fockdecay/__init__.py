@@ -43,8 +43,6 @@ from .channel import (
 )
 from .master import GeneratorAction, build_generator, default_step, integrate
 from .heisenberg import (
-    HeisenbergMap,
-    build_heisenberg_map,
     evolve_ladder,
     evolve_number,
     evolve_observable,
@@ -82,7 +80,6 @@ __all__ = [
     # master
     "GeneratorAction", "build_generator", "integrate", "default_step",
     # heisenberg
-    "HeisenbergMap", "build_heisenberg_map",
     "evolve_observable", "evolve_observable_matrix", "evolve_ladder",
     "evolve_quadratic", "evolve_number", "evolve_strangeness", "evolve_projector",
     "mean_number_trajectory", "mean_strangeness_trajectory",

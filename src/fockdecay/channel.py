@@ -42,25 +42,32 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DecayModel:
-    """Hamiltonian + decay operators defining one dissipative evolution,
-    exact on its whole space.
+    """Decay operators and the non-Hermitian generator M of one dissipative
+    evolution, exact on its whole space and certified when built.
 
-    ``decay_ops[j]`` is the operator c_j annihilated with rate ``widths[j]``;
-    the Lindblad operators are ``sqrt(widths[j]) * decay_ops[j]``.  For
-    flavour-mixed models ``mixing_unitary`` holds the 2x2 matrix V with
+    Mode j of the space is the decay mode c_j = ``decay_ops[j]``: its
+    ``ModeSpec`` carries the mass m_j and width Gamma_j, read back as
+    ``masses`` and ``widths``.  The Lindblad operators are
+    ``sqrt(Gamma_j) * decay_ops[j]``.  For flavour-mixed models
+    ``mixing_unitary`` holds the 2x2 matrix V with
     c_j^dag = sum_l V[j, l] a_l^dag, and ``mixing`` the originating angles.
     """
 
     space: FockSpace
-    masses: tuple[float, ...]
-    widths: tuple[float, ...]
-    hamiltonian: OperatorMatrix
     lindblads: tuple[OperatorMatrix, ...]
     decay_ops: tuple[OperatorMatrix, ...]
     m_operator: OperatorMatrix
     mixing: "MixingParams | None" = None
     mixing_unitary: np.ndarray | None = None
     certificate_defect: float = 0.0
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(m.mass for m in self.space.modes)
+
+    @property
+    def widths(self) -> tuple[float, ...]:
+        return tuple(m.width for m in self.space.modes)
 
     @property
     def is_mixed(self) -> bool:
@@ -220,19 +227,14 @@ def _certificate_defect(
 
 def _assemble_model(
     space: FockSpace,
-    masses: Sequence[float],
-    widths: Sequence[float],
     decay_ops: Sequence[OperatorMatrix],
     mixing=None,
     mixing_unitary: np.ndarray | None = None,
 ) -> DecayModel:
-    masses = tuple(float(x) for x in masses)
-    widths = tuple(float(x) for x in widths)
-    if any(g < 0 for g in widths):
-        raise ValueError(f"widths must be >= 0, got {widths}")
-    if not (len(masses) == len(widths) == len(decay_ops)):
-        raise ValueError("masses, widths and decay operators must align")
-
+    """M = sum_j (m_j - i Gamma_j / 2) c_j^dag c_j from the masses and widths
+    of the space's modes, refused unless it passes the commutation certificate."""
+    masses = [m.mass for m in space.modes]
+    widths = [m.width for m in space.modes]
     dim = space.dimension
     ham = np.zeros((dim, dim), dtype=complex)
     kay = np.zeros((dim, dim), dtype=complex)
@@ -251,11 +253,13 @@ def _assemble_model(
         raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
     m_matrix = ham + 1j * kay
     defect = _certificate_defect(m_matrix, [c.entries for c in decay_ops], masses, widths)
+    if defect > CERTIFICATE_TOL:
+        raise CertificateError(
+            f"commutation certificate defect {defect:.3e} (relative) exceeds "
+            f"{CERTIFICATE_TOL}; the decay operators are not valid for this model"
+        )
     return DecayModel(
         space=space,
-        masses=masses,
-        widths=widths,
-        hamiltonian=OperatorMatrix(space, ham),
         lindblads=tuple(lindblads),
         decay_ops=tuple(decay_ops),
         m_operator=OperatorMatrix(space, m_matrix),
@@ -265,23 +269,10 @@ def _assemble_model(
     )
 
 
-def build_decay_model(
-    space: FockSpace,
-    masses: Sequence[float] | None = None,
-    widths: Sequence[float] | None = None,
-) -> DecayModel:
-    """Unmixed model: every mode decays independently at its own width.
-
-    Masses and widths default to the values carried by the space's modes.
-    """
-    if masses is None:
-        masses = [m.mass for m in space.modes]
-    if widths is None:
-        widths = [m.width for m in space.modes]
-    if len(tuple(masses)) != space.n_modes or len(tuple(widths)) != space.n_modes:
-        raise ValueError("need one mass and one width per mode")
+def build_decay_model(space: FockSpace) -> DecayModel:
+    """Unmixed model: every mode decays independently at its own width."""
     ops = [build_annihilator(space, j) for j in range(1, space.n_modes + 1)]
-    return _assemble_model(space, masses, widths, ops)
+    return _assemble_model(space, ops)
 
 
 def build_kraus(model: DecayModel, t: float) -> KrausSet:
@@ -302,11 +293,6 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
     t = float(t)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if model.certificate_defect > CERTIFICATE_TOL:
-        raise CertificateError(
-            f"commutation certificate defect {model.certificate_defect:.3e} (relative) "
-            f"exceeds {CERTIFICATE_TOL}; Kraus construction is not valid for this model"
-        )
     space = model.space
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below

@@ -71,18 +71,15 @@ def mixing_total_bound(modes: Sequence[ModeSpec]) -> int | None:
     return None if modes[0].is_fermion else modes[0].cutoff
 
 
-def build_mixed_model(
-    space: FockSpace,
-    params: MixingParams,
-    masses: tuple[float, float],
-    widths: tuple[float, float],
-) -> DecayModel:
+def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:
     """Two-flavour model whose decay modes are the rotated operators c_1, c_2.
 
-    Both modes must share one statistics and one cutoff, and the space's
-    total must not exceed :func:`mixing_total_bound`: the rotation moves
-    quanta between modes, so only then is the space closed under it and
-    the model exact on all of it.  A boson pair with cutoff c is built on
+    Mode j of the space is the flavour a_j of the occupations and the
+    observables, while its ``ModeSpec`` carries the mass and width of the
+    propagation mode c_j.  Both modes must share one statistics and one
+    cutoff, and the space's total must not exceed :func:`mixing_total_bound`:
+    the rotation moves quanta between modes, so only then is the space
+    closed under it and the model exact on all of it.  A boson pair with cutoff c is built on
     ``FockSpace(modes, total=c)``.  Fermionic pairs are accepted on their
     whole space (the loss patterns are then restricted to {0, 1}) but the
     worked closed forms target bosons.
@@ -108,14 +105,7 @@ def build_mixed_model(
     for j in range(2):
         cj = V[j, 0].conjugate() * a_ops[0] + V[j, 1].conjugate() * a_ops[1]
         decay_ops.append(OperatorMatrix(space, cj))
-    return _assemble_model(
-        space,
-        masses=tuple(float(x) for x in masses),
-        widths=tuple(float(x) for x in widths),
-        decay_ops=decay_ops,
-        mixing=params,
-        mixing_unitary=V,
-    )
+    return _assemble_model(space, decay_ops, mixing=params, mixing_unitary=V)
 
 
 def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:

@@ -11,19 +11,10 @@ weight it misses is the channel's completeness defect, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    CERTIFICATE_TOL,
-    CertificateError,
-    DecayModel,
-    KrausSet,
-    _decay_amplitude,
-    _decay_weight,
-    build_kraus,
-)
+from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight
 from .flavour import quadratic_omegas
 from .fock import (
     DensityOperator,
@@ -33,48 +24,29 @@ from .fock import (
     quadratic_form,
 )
 
-@dataclass(frozen=True, eq=False)
-class HeisenbergMap:
-    """Adjoint map at a fixed time, backed by a complete Kraus channel's loss maps.
 
-    The weight the series misses, over the whole space, is
-    ``kraus.completeness_defect``.
-    """
-
-    model: DecayModel
-    time: float
-    kraus: KrausSet
-
-
-def build_heisenberg_map(model: DecayModel, t: float) -> HeisenbergMap:
-    """Adjoint map at time t from the complete Kraus channel on the model's space;
-    :func:`build_kraus` enforces its completeness over that space."""
-    return HeisenbergMap(model=model, time=float(t), kraus=build_kraus(model, t))
-
-
-def evolve_observable_matrix(hmap: HeisenbergMap, matrix: np.ndarray) -> np.ndarray:
-    """Raw linear action sum_k E_k^dag X E_k on a d x d matrix.
+def evolve_observable_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
+    """Raw linear action sum_k E_k^dag X E_k of a Kraus channel on a d x d matrix.
 
     Computed as [Phi_r^dag o ... o Phi_1^dag](U^dag X U): the propagator,
     then the adjoint loss maps of the modes, first mode first.
     """
-    kraus = hmap.kraus
     matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
     u = kraus.propagator
     return kraus.loss_maps(u.conj().T @ matrix @ u, adjoint=True)
 
 
-def evolve_observable(hmap: HeisenbergMap, obs: OperatorMatrix) -> OperatorMatrix:
+def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:
     """Adjoint-evolved Hermitian observable: exact in every matrix element of
-    the model's space, on which the model is exact."""
-    if obs.space != hmap.model.space:
-        raise ValueError("observable and map live on different spaces")
+    the channel's space, on which its model is exact."""
+    if obs.space != kraus.space:
+        raise ValueError("observable and channel live on different spaces")
     obs.check_hermitian()
-    out = evolve_observable_matrix(hmap, obs.entries)
+    out = evolve_observable_matrix(kraus, obs.entries)
     defect = float(np.max(np.abs(out - out.conj().T)))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(out)))):
         raise InvariantViolation(f"adjoint map broke Hermiticity: defect {defect:.3e}")
-    return OperatorMatrix(hmap.model.space, out)
+    return OperatorMatrix(kraus.space, out)
 
 
 def _mode_amplitudes(model: DecayModel, t: float) -> np.ndarray:
@@ -93,8 +65,6 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     """
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
-    if model.certificate_defect > CERTIFICATE_TOL:
-        raise CertificateError("commutation certificate failed; closed forms are not valid")
     d = _mode_amplitudes(model, t)
     V = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
     low = OperatorMatrix(model.space, sum(
@@ -103,13 +73,11 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
 
 
 def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarray:
-    """Shape and certificate checks, then omega rotated onto the c_j^dag c_k."""
+    """Shape check, then omega rotated onto the c_j^dag c_k."""
     r = model.space.n_modes
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (r, r):
         raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
-    if model.certificate_defect > CERTIFICATE_TOL:
-        raise CertificateError("commutation certificate failed; closed forms are not valid")
     if model.is_mixed:
         return model.mixing_unitary.conj() @ omega @ model.mixing_unitary.T
     return omega

@@ -76,15 +76,20 @@ def _reachable(gen: GeneratorAction, rho: np.ndarray) -> np.ndarray:
 
     The exact-nonzero pattern of ``rho`` closed under the pattern of the
     generator, (W!=0) X + X (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T, until it
-    stops growing.  No tolerance: only exact zeros are dropped.
+    stops growing.  No tolerance: only exact zeros are dropped.  The patterns
+    are multiplied as 0/1 floats, so the products run in BLAS; their entries
+    are sums of nonnegative integers, nonzero exactly where the boolean
+    product is true.
     """
-    w = gen.w_matrix != 0
-    jumps = [L != 0 for L in gen.jump_ops]
+    w = (gen.w_matrix != 0).astype(float)
+    jumps = [(L != 0).astype(float) for L in gen.jump_ops]
     live = rho != 0
     while True:
-        grown = live | (w @ live) | (live @ w.T)
+        x = live.astype(float)
+        grown = w @ x + x @ w.T
         for L in jumps:
-            grown |= L @ live @ L.T
+            grown += L @ x @ L.T
+        grown = live | (grown != 0)
         if np.array_equal(grown, live):
             return live
         live = grown

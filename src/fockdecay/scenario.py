@@ -492,14 +492,11 @@ def run_scenario(
     scalar_obs = [o for o in cfg.observables if o != "occupations"]
     names = scalar_obs + (["occupations"] if "occupations" in cfg.observables else [])
     columns = {name: [name] for name in scalar_obs}
-    # The occupations CSV keeps the product space's columns: column i reads
-    # entry from_s[i] of the diagonal with a 0 appended, the 0 for tuples outside S.
-    radices = tuple(m.cutoff + 1 for m in space.modes)
-    columns["occupations"] = ["p_" + "_".join(map(str, occ)) for occ in np.ndindex(*radices)]
-    from_s = np.full(len(columns["occupations"]), space.dimension)
-    from_s[np.ravel_multi_index(space.occupation_array.T, radices)] = np.arange(space.dimension)
+    if "occupations" in names:  # parsing ensures a state-side route reads them
+        columns["occupations"], from_s = _occupation_columns(space)
     omegas = quadratic_omegas(space.n_modes, phi)
-    obs_matrices = build_quadratic_observables(space, phi)
+    if scalar_obs and {"kraus", "ode"} & set(routes):
+        obs_matrices = build_quadratic_observables(space, phi)
 
     sweep: list[MixingParams | None] = list(cfg.mixing) if mixed else [None]
     csv_paths: list[Path] = []
@@ -512,11 +509,7 @@ def run_scenario(
         if mix is None:
             model = build_decay_model(space)
         else:
-            model = build_mixed_model(
-                space, mix,
-                masses=(cfg.modes[0].mass, cfg.modes[1].mass),
-                widths=(cfg.modes[0].width, cfg.modes[1].width),
-            )
+            model = build_mixed_model(space, mix)
 
         # (route, observable) -> T x columns[observable]
         series: dict[tuple[str, str], np.ndarray] = {}
@@ -593,6 +586,17 @@ def run_scenario(
     )
 
 
+def _occupation_columns(space: FockSpace) -> tuple[list[str], np.ndarray]:
+    """The occupations CSV's columns, one per tuple of the product space, and
+    ``from_s``: column i reads entry ``from_s[i]`` of the diagonal with a 0
+    appended, the 0 for tuples outside the run's space."""
+    radices = tuple(m.cutoff + 1 for m in space.modes)
+    labels = ["p_" + "_".join(map(str, occ)) for occ in np.ndindex(*radices)]
+    from_s = np.full(len(labels), space.dimension)
+    from_s[np.ravel_multi_index(space.occupation_array.T, radices)] = np.arange(space.dimension)
+    return labels, from_s
+
+
 def _mean_width(modes: Sequence[ModeSpec]) -> float:
     """Gamma-bar, the unit of the scaled time of a mixed run."""
     return sum(m.width for m in modes) / len(modes)
@@ -602,8 +606,8 @@ def _ode_step(cfg: ScenarioConfig, times: np.ndarray) -> float:
     """The ode route's RK4 step, checked against every grid time.
 
     By default the largest step <= ``default_step`` that divides the grid
-    spacing evenly.  The mode widths are every model's widths, so one step
-    serves the whole sweep.
+    spacing evenly.  Every model of the sweep takes its widths from the
+    config's modes, so one step serves them all.
     """
     try:
         step = cfg.ode_step

@@ -20,7 +20,6 @@ from fockdecay import (
     build_flavour_observables,
     build_mixed_model,
     enforce_superselection,
-    build_heisenberg_map,
     evolve_observable_matrix,
     evolve_state,
     expectation,
@@ -67,8 +66,8 @@ def test_model_operator_relations():
     space = FockSpace([ModeSpec(mass=0.4, width=0.8, cutoff=3),
                        ModeSpec(mass=1.1, width=1.6, cutoff=2)])
     model = build_decay_model(space)
-    ham = model.hamiltonian.entries
-    assert np.max(np.abs(ham - ham.conj().T)) <= 1e-12
+    assert model.masses == (0.4, 1.1) and model.widths == (0.8, 1.6)
+    ham = sum(m * c.entries.conj().T @ c.entries for m, c in zip(model.masses, model.decay_ops))
     kay = sum(-0.5 * L.entries.conj().T @ L.entries for L in model.lindblads)
     assert np.max(np.abs(model.m_operator.entries - (ham + 1j * kay))) <= 1e-12
     assert model.certificate_defect <= 1e-12
@@ -76,22 +75,22 @@ def test_model_operator_relations():
 
 def test_certificate_is_relative_to_the_largest_complex_mass():
     # rounding in [M, c_j] grows with the mass scale; the relative defect does not
-    space = FockSpace([ModeSpec(cutoff=4), ModeSpec(cutoff=4)], total=4)
     params = MixingParams(theta=0.7, phi=0.3)
     for masses in ((1e6, 1e6 + 5.0), (1e200, 5.0)):
-        model = build_mixed_model(space, params, masses=masses, widths=(0.5, 1.5))
+        space = FockSpace([ModeSpec(mass=m, width=g, cutoff=4)
+                           for m, g in zip(masses, (0.5, 1.5))], total=4)
+        model = build_mixed_model(space, params)
         assert model.certificate_defect <= 1e-12
 
 
 def test_certificate_catches_a_wrong_relation_at_large_scale():
     # c_1 = a_1 + 1e-3 a_2 is not an annihilator of its own mode, so [M, c_1] != -mu_1 c_1
-    space = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=3)])
+    space = FockSpace([ModeSpec(mass=1e6, width=0.5, cutoff=3),
+                       ModeSpec(mass=2e6, width=1.5, cutoff=3)])
     a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
     ops = [OperatorMatrix(space, a1 + 1e-3 * a2), OperatorMatrix(space, a2)]
-    model = _assemble_model(space, (1e6, 2e6), (0.5, 1.5), ops)
-    assert model.certificate_defect > 1e-5
-    with pytest.raises(CertificateError):
-        build_kraus(model, 0.5)
+    with pytest.raises(CertificateError, match="certificate defect"):
+        _assemble_model(space, ops)
 
 
 def test_multi_index_enumeration_order():
@@ -147,8 +146,7 @@ def test_completeness_on_grid():
     two = build_decay_model(FockSpace([ModeSpec(width=0.5, cutoff=3),
                                        ModeSpec(width=1.5, cutoff=2)]))
     sp_mix = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
-    mixed = build_mixed_model(sp_mix, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
-                              masses=(0.0, 3.0), widths=(0.5, 1.5))
+    mixed = build_mixed_model(sp_mix, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1))
     for model in (single, two, mixed):
         gmin = min(g for g in model.widths if g > 0)
         for t in np.linspace(0.0, 10.0 / gmin, 20):
@@ -173,8 +171,7 @@ def kraus_reference(model, t, multi_indices):
 
 def _reference_cases():
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
-    yield build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
-                            masses=(0.0, 3.0), widths=(0.5, 1.5)), 0.7
+    yield build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1)), 0.7
     # the Jordan-Wigner signs depend on the order c_1^k1 c_2^k2 c_3^k3
     yield build_decay_model(FockSpace([
         ModeSpec(mass=0.3, width=0.8, cutoff=3),
@@ -183,8 +180,7 @@ def _reference_cases():
     ])), 0.9
     fermions = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
                           ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
-    yield build_mixed_model(fermions, MixingParams(theta=0.9, phi=0.2),
-                            masses=(0.0, 2.0), widths=(0.5, 1.5)), 1.1
+    yield build_mixed_model(fermions, MixingParams(theta=0.9, phi=0.2)), 1.1
     # w_1 = 1e-200, so w_1**2 / 2 underflows in the reference; w_2 = 0
     yield build_decay_model(FockSpace([ModeSpec(width=1.0, cutoff=3),
                                        ModeSpec(mass=1.0, width=0.0, cutoff=2)])), 1e-200
@@ -203,8 +199,7 @@ def test_kraus_recursion_matches_monomial_reference(model, t):
 
 def _block_cases():
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
-    model = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
-                              masses=(0.0, 3.0), widths=(0.5, 1.5))
+    model = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1))
     rho = random_density_matrix(np.random.default_rng(7), bosons, max_total=2)
     yield pytest.param(model, rho, id="mixed-bosons")
     # the Jordan-Wigner signs depend on the order c_1^k1 c_2^k2 c_3^k3
@@ -247,8 +242,7 @@ def _edge_cases():
     space = FockSpace([ModeSpec(mass=0.4, width=1.0, cutoff=3), ModeSpec(mass=1.3, width=0.0, cutoff=2)])
     yield pytest.param(build_decay_model(space), 0.8, id="w-zero")
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
-    mixed = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1),
-                              masses=(0.0, 3.0), widths=(0.5, 1.5))
+    mixed = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1))
     yield pytest.param(mixed, 0.0, id="t-zero")
     yield pytest.param(mixed, 0.7, id="mixed")
     # the Jordan-Wigner signs of c_1^k1 c_2^k2 c_3^k3 act on coherences
@@ -267,7 +261,7 @@ def test_nested_maps_match_the_family_reference(model, t, rng):
     adjoint = sum(E.conj().T @ x @ E for E in ref)
     gram = sum(E.conj().T @ E for E in ref)
     assert np.max(np.abs(apply_channel_matrix(ks, x) - forward)) <= 1e-13
-    assert np.max(np.abs(evolve_observable_matrix(build_heisenberg_map(model, t), x) - adjoint)) <= 1e-13
+    assert np.max(np.abs(evolve_observable_matrix(build_kraus(model, t), x) - adjoint)) <= 1e-13
     assert np.max(np.abs(ks.gram - gram)) <= 1e-13
     # a state with coherences between every pair of totals
     rho = random_density_matrix(rng, model.space)
@@ -363,14 +357,12 @@ def test_mixed_model_needs_a_space_where_it_is_exact():
     modes = [ModeSpec(width=0.5, cutoff=2), ModeSpec(mass=1.0, width=1.5, cutoff=2)]
     for total in (3, 4):
         with pytest.raises(ValueError, match=r"FockSpace\(modes, total=2\)"):
-            build_mixed_model(FockSpace(modes, total=total), MixingParams(theta=0.7),
-                              masses=(0.0, 1.0), widths=(0.5, 1.5))
-    build_mixed_model(FockSpace(modes, total=2), MixingParams(theta=0.7),
-                      masses=(0.0, 1.0), widths=(0.5, 1.5))
+            build_mixed_model(FockSpace(modes, total=total), MixingParams(theta=0.7))
+    build_mixed_model(FockSpace(modes, total=2), MixingParams(theta=0.7))
     # a fermion pair is exact on its whole four-state space
     fermions = FockSpace([ModeSpec(Statistics.FERMION, width=0.5),
                           ModeSpec(Statistics.FERMION, mass=1.0, width=1.5)])
-    model = build_mixed_model(fermions, MixingParams(theta=0.7), masses=(0.0, 1.0), widths=(0.5, 1.5))
+    model = build_mixed_model(fermions, MixingParams(theta=0.7))
     assert model.space.dimension == 4
 
 

@@ -73,7 +73,6 @@ def test_maximal_mixing_angle_tuple():
     stated = build_mixed_model(
         space,
         MixingParams(theta=math.pi / 2, phi=2 * math.pi, psi=math.pi, chi=3 * math.pi / 2),
-        masses=MASSES, widths=WIDTHS,
     )
     c1d = stated.decay_ops[0].entries.conj().T
     c2d = stated.decay_ops[1].entries.conj().T
@@ -83,8 +82,7 @@ def test_maximal_mixing_angle_tuple():
 
 def test_mixed_operators_keep_ccr_on_safe_block():
     space = two_boson_space(cutoff=4)
-    model = build_mixed_model(space, MixingParams(theta=0.8, phi=0.3, psi=1.2, chi=0.5),
-                              masses=MASSES, widths=WIDTHS)
+    model = build_mixed_model(space, MixingParams(theta=0.8, phi=0.3, psi=1.2, chi=0.5))
     # c_k^dag leaves the space from its top total, so the CCR hold on totals <= c - 1
     safe = np.flatnonzero(space.total_occupation <= 3)
     eye = np.eye(space.dimension)
@@ -109,7 +107,7 @@ def test_sector_space_compresses_the_mixed_model(total):
     a_ops = [build_annihilator(product, j).entries for j in (1, 2)]
     c_big = [V[j, 0].conj() * a_ops[0] + V[j, 1].conj() * a_ops[1] for j in (0, 1)]
     m_big = sum((m - 0.5j * g) * c.conj().T @ c for c, m, g in zip(c_big, MASSES, WIDTHS))
-    small = build_mixed_model(sector, params, masses=MASSES, widths=WIDTHS)
+    small = build_mixed_model(sector, params)
     for c, c_small in zip(c_big, small.decay_ops):
         assert np.max(np.abs(c[on_s] - c_small.entries)) <= 1e-14
     assert np.max(np.abs(m_big[on_s] - small.m_operator.entries)) <= 1e-14
@@ -123,18 +121,18 @@ def test_sector_space_compresses_the_mixed_model(total):
 
 def test_mixed_model_certificate_and_errors():
     space = two_boson_space()
-    model = build_mixed_model(space, MixingParams(theta=1.0), masses=MASSES, widths=WIDTHS)
+    model = build_mixed_model(space, MixingParams(theta=1.0))
     assert model.certificate_defect <= 1e-12
 
     unequal = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=4)])
     with pytest.raises(ValueError):
-        build_mixed_model(unequal, MixingParams(theta=1.0), masses=MASSES, widths=WIDTHS)
+        build_mixed_model(unequal, MixingParams(theta=1.0))
     three = FockSpace([ModeSpec(cutoff=2)] * 3)
     with pytest.raises(ValueError):
-        build_mixed_model(three, MixingParams(theta=1.0), masses=MASSES, widths=WIDTHS)
+        build_mixed_model(three, MixingParams(theta=1.0))
     hybrid = FockSpace([ModeSpec(cutoff=1), ModeSpec(Statistics.FERMION)])
     with pytest.raises(ValueError):
-        build_mixed_model(hybrid, MixingParams(theta=1.0), masses=MASSES, widths=WIDTHS)
+        build_mixed_model(hybrid, MixingParams(theta=1.0))
 
 
 def test_flavour_observables_structure():
@@ -155,7 +153,7 @@ def test_flavour_observables_structure():
 def test_theta_zero_factorizes_into_single_modes():
     cutoff = 4
     space = two_boson_space(cutoff=cutoff)
-    model = build_mixed_model(space, MixingParams(theta=0.0), masses=MASSES, widths=WIDTHS)
+    model = build_mixed_model(space, MixingParams(theta=0.0))
     rho0 = number_state(space, (2, 1))
     t = 0.8
     evolved = evolve_state(model, rho0, [t])[0]
@@ -174,7 +172,7 @@ def test_theta_zero_factorizes_into_single_modes():
 def test_three_routes_agree_on_mean_values():
     space = two_boson_space()
     theta = 2.0
-    model = build_mixed_model(space, MixingParams(theta=theta), masses=MASSES, widths=WIDTHS)
+    model = build_mixed_model(space, MixingParams(theta=theta))
     rho0 = number_state(space, (2, 1))
     times = [0.5, 1.5]
     obs = build_flavour_observables(space, phi=0.0)
@@ -196,7 +194,7 @@ def test_oscillation_frequency_lands_on_fft_bin():
     space = two_boson_space()
     dm = MASSES[1] - MASSES[0]
     gbar = 0.5 * (WIDTHS[0] + WIDTHS[1])
-    model = build_mixed_model(space, MixingParams(theta=math.pi / 2), masses=MASSES, widths=WIDTHS)
+    model = build_mixed_model(space, MixingParams(theta=math.pi / 2))
     rho0 = number_state(space, (2, 1))
     cycles, n_samples = 8, 256
     period = 2 * math.pi * cycles / dm
@@ -209,14 +207,13 @@ def test_oscillation_frequency_lands_on_fft_bin():
 
 
 @pytest.mark.parametrize("space", [
-    *(two_boson_space(cutoff=c) for c in (1, 2, 4, 7)),
+    *(two_boson_space(cutoff=c, masses=(0.0, 2.0)) for c in (1, 2, 4, 7)),
     FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
                ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)]),
 ], ids=["bosons-c1", "bosons-c2", "bosons-c4", "bosons-c7", "fermions"])
 def test_mixed_model_is_exact_on_its_whole_space(space):
     # every column of the certificate and every entry of the Gram count
-    model = build_mixed_model(space, MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3),
-                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3))
     m_mat = model.m_operator.entries
     mus = [m - 0.5j * g for m, g in zip(model.masses, model.widths)]
     defect = max(float(np.max(np.abs(m_mat @ c.entries - c.entries @ m_mat + mu * c.entries)))
@@ -234,8 +231,7 @@ def test_mixed_model_is_exact_on_its_whole_space(space):
 def test_fermionic_mixing_is_supported():
     space = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
                        ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
-    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.2),
-                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.2))
     assert model.certificate_defect <= 1e-12
     for t in (0.4, 1.1):
         ks = build_kraus(model, t)

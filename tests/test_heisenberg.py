@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from conftest import random_density_matrix, random_hermitian
 
 from fockdecay import (
-    CertificateError,
     DensityOperator,
     FockSpace,
     InvariantViolation,
@@ -18,7 +16,6 @@ from fockdecay import (
     build_annihilator,
     build_decay_model,
     build_flavour_observables,
-    build_heisenberg_map,
     build_kraus,
     build_mixed_model,
     build_total_number,
@@ -47,8 +44,7 @@ def single_model(cutoff=6, mass=0.5, width=1.0):
 def mixed_model(theta, phi=0.4, psi=1.1, chi=0.2, masses=(0.0, 5.0), widths=(0.5, 1.5), cutoff=4):
     space = FockSpace([ModeSpec(mass=masses[0], width=widths[0], cutoff=cutoff),
                        ModeSpec(mass=masses[1], width=widths[1], cutoff=cutoff)], total=cutoff)
-    return build_mixed_model(space, MixingParams(theta=theta, phi=phi, psi=psi, chi=chi),
-                             masses=masses, widths=widths)
+    return build_mixed_model(space, MixingParams(theta=theta, phi=phi, psi=psi, chi=chi))
 
 
 def eq42_eq47_matrices(space, theta, phi, masses, widths, t):
@@ -78,8 +74,8 @@ def test_number_decays_exponentially():
     model = single_model()
     n_op = build_total_number(model.space)
     for t in (0.0, math.log(2.0), 1.9):
-        hmap = build_heisenberg_map(model, t)
-        series = evolve_observable(hmap, n_op).entries
+        ks = build_kraus(model, t)
+        series = evolve_observable(ks, n_op).entries
         closed = evolve_number(model, t).entries
         want = math.exp(-t) * n_op.entries
         assert np.max(np.abs(series - want)) <= 1e-12
@@ -90,15 +86,15 @@ def test_vacuum_projector_spreads_upward():
     model = single_model(cutoff=7)
     proj0 = number_state(model.space, (0,)).matrix
     for t in (0.4, 2.0):
-        hmap = build_heisenberg_map(model, t)
-        got = evolve_observable_matrix(hmap, proj0)
+        ks = build_kraus(model, t)
+        got = evolve_observable_matrix(ks, proj0)
         w = -math.expm1(-t)
         want = np.diag([w**k for k in range(8)]).astype(complex)
         assert np.max(np.abs(got - want)) <= 1e-12
         closed = evolve_projector(model, t, (0,)).entries
         assert np.max(np.abs(closed - want)) <= 1e-12
     # long-time limit reaches the identity on the retained block
-    got = evolve_observable_matrix(build_heisenberg_map(model, 50.0), proj0)
+    got = evolve_observable_matrix(build_kraus(model, 50.0), proj0)
     assert np.max(np.abs(got - np.eye(8))) <= 1e-10
 
 
@@ -114,7 +110,7 @@ def test_projector_matches_series_on_grid():
         for t in (1e-12, 0.05, 1.3):
             closed = evolve_projector(model, t, (n,)).entries
             series = evolve_observable_matrix(
-                build_heisenberg_map(model, t), number_state(model.space, (n,)).matrix
+                build_kraus(model, t), number_state(model.space, (n,)).matrix
             )
             assert np.max(np.abs(closed - series)) <= 1e-12
 
@@ -124,12 +120,11 @@ def test_duality_random_pairs(rng):
     n_pairs = 20
     for t in (0.2, 1.0, 3.0):
         ks = build_kraus(model, t)
-        hmap = build_heisenberg_map(model, t)
         for _ in range(n_pairs):
             rho = random_density_matrix(rng, model.space)
             omega = random_hermitian(rng, model.space)
             lhs = np.trace(apply_channel_matrix(ks, rho.matrix) @ omega.entries)
-            rhs = np.trace(rho.matrix @ evolve_observable(hmap, omega).entries)
+            rhs = np.trace(rho.matrix @ evolve_observable(ks, omega).entries)
             assert abs(lhs - rhs) <= 1e-10
 
 
@@ -167,11 +162,11 @@ def test_ladder_theta_zero_reduces_to_single_type():
 def test_ladder_mixed_matches_series(rng):
     model = mixed_model(theta=1.0)
     t = 0.6
-    hmap = build_heisenberg_map(model, t)
+    ks = build_kraus(model, t)
     for mode in (1, 2):
         a = build_annihilator(model.space, mode).entries
         closed = evolve_ladder(model, t, mode)[0].entries
-        series = evolve_observable_matrix(hmap, a)
+        series = evolve_observable_matrix(ks, a)
         assert np.max(np.abs((closed - series))) <= 1e-12
 
 
@@ -182,18 +177,18 @@ def test_unitality_on_exact_block():
     for model in (single_model(), mixed_model(theta=1.2)):
         eye = np.eye(model.space.dimension, dtype=complex)
         for t in (0.3, 2.0, 5.0):
-            hmap = build_heisenberg_map(model, t)
-            got = evolve_observable_matrix(hmap, eye)
+            ks = build_kraus(model, t)
+            got = evolve_observable_matrix(ks, eye)
             assert np.max(np.abs((got - eye))) <= 1e-10
 
 
 def test_dual_map_preserves_positivity(rng):
     model = single_model(cutoff=5)
-    hmap = build_heisenberg_map(model, 0.8)
+    ks = build_kraus(model, 0.8)
     for _ in range(5):
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         omega = OperatorMatrix(model.space, b.conj().T @ b)
-        evolved = evolve_observable(hmap, omega).entries
+        evolved = evolve_observable(ks, omega).entries
         assert np.linalg.eigvalsh(evolved).min() >= -1e-10
 
 
@@ -201,9 +196,9 @@ def test_dual_semigroup(rng):
     model = single_model(cutoff=5, mass=0.4)
     t1, t2 = 0.5, 0.9
     omega = random_hermitian(rng, model.space).entries
-    inner = evolve_observable_matrix(build_heisenberg_map(model, t2), omega)
-    composed = evolve_observable_matrix(build_heisenberg_map(model, t1), inner)
-    direct = evolve_observable_matrix(build_heisenberg_map(model, t1 + t2), omega)
+    inner = evolve_observable_matrix(build_kraus(model, t2), omega)
+    composed = evolve_observable_matrix(build_kraus(model, t1), inner)
+    direct = evolve_observable_matrix(build_kraus(model, t1 + t2), omega)
     assert np.max(np.abs((composed - direct))) <= 1e-9
 
 
@@ -217,12 +212,12 @@ def test_number_and_strangeness_identities_generic_angle():
     obs = build_flavour_observables(model.space, phi)
     for t in (0.0, 0.4, 1.7):
         want_n, want_s = eq42_eq47_matrices(model.space, theta, phi, masses, widths, t)
-        hmap = build_heisenberg_map(model, t)
+        ks = build_kraus(model, t)
         for got in (evolve_number(model, t).entries,
-                    evolve_observable(hmap, obs["N"]).entries):
+                    evolve_observable(ks, obs["N"]).entries):
             assert np.max(np.abs((got - want_n))) <= 1e-10
         for got in (evolve_strangeness(model, t).entries,
-                    evolve_observable(hmap, obs["S"]).entries):
+                    evolve_observable(ks, obs["S"]).entries):
             assert np.max(np.abs((got - want_s))) <= 1e-10
 
 
@@ -305,11 +300,11 @@ def test_quadratic_evolver_handles_coherence_pair():
     model = mixed_model(theta=math.pi / 2, phi=phi, psi=0.0, chi=0.0)
     obs = build_flavour_observables(model.space, phi)
     t = 0.8
-    hmap = build_heisenberg_map(model, t)
+    ks = build_kraus(model, t)
     for name, omega in (("Qplus", np.array([[0, np.exp(1j * phi)], [np.exp(-1j * phi), 0]])),
                         ("Qminus", np.array([[0, 1j * np.exp(1j * phi)], [-1j * np.exp(-1j * phi), 0]]))):
         closed = evolve_quadratic(model, omega, t).entries
-        series = evolve_observable(hmap, obs[name]).entries
+        series = evolve_observable(ks, obs[name]).entries
         assert np.max(np.abs((closed - series))) <= 1e-11
 
 
@@ -326,7 +321,7 @@ def _grid_cases():
         ("mixed boson pair", mixed_model(theta=1.1, phi=0.7, psi=1.3, chi=0.4), 0.7),
         ("boson and two fermions", build_decay_model(three), 0.0),
         ("mixed fermion pair",
-         build_mixed_model(pair, mix, masses=(2.0, 3.5), widths=(0.8, 1.2)), mix.phi),
+         build_mixed_model(pair, mix), mix.phi),
     ]
 
 
@@ -348,13 +343,6 @@ def test_grid_form_matches_operator_form(rng, case):
 def test_grid_form_shares_the_operator_form_checks(rng):
     model = mixed_model(theta=0.8)
     rho0 = random_density_matrix(rng, model.space)
-    broken = dataclasses.replace(model, certificate_defect=1.0)
-    omega = quadratic_omegas(2)["N"]
-    with pytest.raises(ValueError) as want:
-        evolve_quadratic(broken, omega, 0.5)
-    with pytest.raises(ValueError) as got:
-        mean_quadratic_trajectory(broken, rho0, omega, [0.5])
-    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="must be 2x2"):
         mean_quadratic_trajectory(model, rho0, np.eye(3), [0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -366,19 +354,6 @@ def test_grid_form_shares_the_operator_form_checks(rng):
     operator = OperatorMatrix(model.space, quadratic_form(large, a_ops))
     assert np.isfinite(mean_quadratic_trajectory(model, rho0, large, [0.5])).all()
     assert np.isfinite(expectations([rho0], operator)).all()
-
-
-def test_closed_forms_raise_certificate_error(rng):
-    model = mixed_model(theta=0.8)
-    broken = dataclasses.replace(model, certificate_defect=1.0)
-    rho0 = random_density_matrix(rng, model.space)
-    omega = quadratic_omegas(2)["N"]
-    with pytest.raises(CertificateError):
-        evolve_ladder(broken, 0.5, 1)
-    with pytest.raises(CertificateError):
-        evolve_quadratic(broken, omega, 0.5)
-    with pytest.raises(CertificateError):
-        mean_quadratic_trajectory(broken, rho0, omega, [0.0, 0.5])
 
 
 def test_grid_form_rejects_an_imaginary_expectation():

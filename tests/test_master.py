@@ -44,6 +44,20 @@ def rk4_reference(gen, rho0, times, step):
     return out
 
 
+def reachable_reference(gen, rho):
+    """The pattern closure of ``master._reachable`` as numpy boolean products."""
+    w = gen.w_matrix != 0
+    jumps = [L != 0 for L in gen.jump_ops]
+    live = rho != 0
+    while True:
+        grown = live | (w @ live) | (live @ w.T)
+        for L in jumps:
+            grown |= L @ live @ L.T
+        if np.array_equal(grown, live):
+            return live
+        live = grown
+
+
 def test_generator_vacuum_is_stationary():
     model = single_model(cutoff=3)
     gen = build_generator(model)
@@ -146,8 +160,7 @@ def test_trace_drift_budget():
 
 def test_rk4_matches_kraus_on_mixed_model(rng):
     space = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=2.0, width=1.5, cutoff=4)], total=4)
-    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2),
-                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2))
     gen = build_generator(model)
     t = 0.5
     for _ in range(3):
@@ -159,8 +172,7 @@ def test_rk4_matches_kraus_on_mixed_model(rng):
 
 def _mixed_dense_case(rng):
     space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)], total=3)
-    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2),
-                              masses=(0.0, 2.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4, psi=1.1, chi=0.2))
     rho0 = random_density_matrix(rng, space, max_total=3)
     tot = space.total_occupation
     rows, cols = np.nonzero(rho0.matrix)
@@ -177,7 +189,7 @@ def _boson_fermion_case(rng):
 def _oscillation_theta90_case(rng):
     space = FockSpace([ModeSpec(width=0.5, cutoff=5), ModeSpec(mass=5.0, width=1.5, cutoff=5)], total=5)
     mixing = MixingParams(theta=math.pi / 2, phi=2 * math.pi, psi=math.pi, chi=1.5 * math.pi)
-    model = build_mixed_model(space, mixing, masses=(0.0, 5.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, mixing)
     return model, number_state(space, (2, 1))
 
 
@@ -193,7 +205,9 @@ def test_integrate_matches_full_space_loop(rng, case):
 
     # each gathered block matrix is the generator's image of the basis matrices E_rc
     tot = model.space.total_occupation
-    rows, cols = np.nonzero(master._reachable(gen, rho0.matrix))
+    live = master._reachable(gen, rho0.matrix)
+    assert np.array_equal(live, reachable_reference(gen, rho0.matrix))
+    rows, cols = np.nonzero(live)
     delta = tot[rows] - tot[cols]
     for dn in np.unique(delta):
         r, c = rows[delta == dn], cols[delta == dn]
@@ -226,6 +240,6 @@ def test_integrate_refuses_an_unstable_step(mass, match):
     # h M ~ 1e197 overflows the step matrix itself; h M ~ 1e17 overflows only its powers
     space = FockSpace([ModeSpec(mass=mass, width=0.5, cutoff=3), ModeSpec(mass=5.0, width=1.5, cutoff=3)],
                       total=3)
-    model = build_mixed_model(space, MixingParams(theta=0.7), masses=(mass, 5.0), widths=(0.5, 1.5))
+    model = build_mixed_model(space, MixingParams(theta=0.7))
     with pytest.raises(InvariantViolation, match=match):
         integrate(build_generator(model), number_state(space, (2, 1)), [0.0, 0.5], 1e-3)

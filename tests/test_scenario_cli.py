@@ -11,6 +11,7 @@ from conftest import support_total_bound
 
 from fockdecay import ConfigError, config_to_json, parse_config, run_scenario
 from fockdecay.cli import main
+import fockdecay.scenario as scenario
 from fockdecay.scenario import build_initial_state, build_space
 
 REPO = Path(__file__).resolve().parent.parent
@@ -241,6 +242,21 @@ def test_occupation_columns_sum_to_one(tmp_path):
     for row in rows:
         total = sum(float(row[i]) for i in p_cols)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("routes, observables, unread", [
+    (["heisenberg"], ["N"], ("build_quadratic_observables", "_occupation_columns")),
+    (["kraus", "heisenberg"], ["N"], ("_occupation_columns",)),
+    (["ode"], ["occupations"], ("build_quadratic_observables",)),
+])
+def test_run_builds_only_what_its_routes_read(tmp_path, monkeypatch, routes, observables, unread):
+    # the occupation columns span the product space: 2^22 of them for 22 fermions
+    def unread_builder(*args, **kwargs):
+        raise AssertionError("built for a run that does not read it")
+    for name in unread:
+        monkeypatch.setattr(scenario, name, unread_builder)
+    cfg = parse_config(json.dumps(make_config(routes=routes, observables=observables)))
+    assert run_scenario(cfg, out_dir=tmp_path).exit_code == 0
 
 
 def test_three_mode_mixed_statistics_scenario(tmp_path):
@@ -485,6 +501,21 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
     if code == 0:
         assert err == ""
     assert (tmp_path / "out").exists() == (code == 0)  # a failed run leaves no output directory
+
+
+@pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
+@pytest.mark.filterwarnings("error")
+def test_cli_refuses_a_model_that_fails_the_certificate_on_every_route(tmp_path, capsys, route):
+    # M = m N is finite at m = 8e307 and n <= 2, but [M, c] overflows: the relative
+    # defect is inf, so the model is refused when built, before any route runs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(
+        modes=[dict(MINIMAL["modes"][0], mass=8e307, width=0.5, cutoff=2)],
+        initial_state={"type": "number", "occupations": [2]}, routes=[route],
+        output_path=str(tmp_path / "out"))))
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("runtime invariant breach: commutation certificate")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,117 @@
+"""Time fockdecay's size ladder, one run per (row, routes), each in a fresh process.
+
+    python3 tools/ladder.py [--root CHECKOUT]
+
+Every row is a scenario with 21 grid points to t = 2 and the observable N,
+with masses 0, 0.5, 1 and widths 0.5, 1, 1.5 (a mixed pair takes the first
+and the last, theta = 0.7):
+
+- a mixed boson pair from a coherent state, alpha = 0.1 in mode 1, at
+  cutoff 12, 16 and 20 (|S| = 91, 153 and 231);
+- three bosons from |3,3,3> at cutoff 9 and from |4,4,4> at cutoff 12
+  (|S| = 220 and 455);
+- 22 fermions from one excitation (|S| = 23, product space 2^22).
+
+Each run calls ``run_scenario`` on the row's config with one set of routes,
+in a new interpreter that imports fockdecay from ``CHECKOUT/src`` (default:
+the checkout holding this script), with BLAS pinned to one thread and a
+wall-clock cap of ``CAP_SECONDS``.  It prints one JSON line per run: the row,
+the routes, ``status`` ("ok", "timeout" or "error"), the ``run_scenario``
+wall time in seconds and the child's peak RSS in MB (both null unless ok),
+and for an error its last line.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CAP_SECONDS = 150
+MASSES = (0.0, 0.5, 1.0)
+WIDTHS = (0.5, 1.0, 1.5)
+
+# argv: source checkout, config JSON, comma-separated routes
+CHILD = """
+import json, resource, sys, tempfile, time
+sys.path.insert(0, sys.argv[1] + "/src")
+from fockdecay.scenario import parse_config, run_scenario
+cfg = parse_config(sys.argv[2])
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    run_scenario(cfg, out_dir=out, routes=sys.argv[3].split(","))
+    seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": round(seconds, 3), "peak_rss_mb": round(peak, 1)}))
+"""
+
+
+def _config(name, modes, initial_state, mixing=None):
+    return {"schema_version": 1, "name": name,
+            "modes": [{"statistics": s, "mass": m, "width": g, "cutoff": c}
+                      for s, m, g, c in modes],
+            "mixing": mixing, "initial_state": initial_state,
+            "time_grid": {"start": 0.0, "stop": 2.0, "count": 21},
+            "routes": ["kraus", "ode", "heisenberg"], "observables": ["N"],
+            "output_path": f"out/{name}"}
+
+
+def _mixed_pair(cutoff):
+    modes = [("boson", MASSES[i], WIDTHS[i], cutoff) for i in (0, 2)]
+    return _config(f"mixed_pair_c{cutoff}", modes,
+                   {"type": "coherent", "mode": 1, "alpha": 0.1}, mixing={"theta": 0.7})
+
+
+def _three_bosons(cutoff, n):
+    modes = [("boson", m, g, cutoff) for m, g in zip(MASSES, WIDTHS)]
+    return _config(f"three_bosons_c{cutoff}", modes, {"type": "number", "occupations": [n] * 3})
+
+
+def _fermions(count):
+    modes = [("fermion", MASSES[j % 3], WIDTHS[j % 3], 1) for j in range(count)]
+    return _config(f"fermions_{count}", modes,
+                   {"type": "number", "occupations": [1] + [0] * (count - 1)})
+
+
+# (config, route sets): each route set is one run
+ROWS = (
+    *((_mixed_pair(c), ("heisenberg", "kraus", "ode")) for c in (12, 16, 20)),
+    *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4))),
+    (_fermions(22), ("heisenberg", "kraus,heisenberg")),
+)
+
+
+def _run(doc: dict, routes: str, root: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    record = {"row": doc["name"], "routes": routes, "status": "ok",
+              "seconds": None, "peak_rss_mb": None}
+    try:
+        child = subprocess.run([sys.executable, "-c", CHILD, str(root), json.dumps(doc), routes],
+                               capture_output=True, text=True, env=env, timeout=CAP_SECONDS)
+    except subprocess.TimeoutExpired:
+        record["status"] = "timeout"
+        return record
+    if child.returncode != 0:
+        record["status"] = "error"
+        record["error"] = (child.stderr.strip().splitlines() or ["(no output)"])[-1]
+        return record
+    record.update(json.loads(child.stdout.strip().splitlines()[-1]))
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/ladder.py", description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="source checkout to run (default: this script's)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    for doc, route_sets in ROWS:
+        for routes in route_sets:
+            print(json.dumps(_run(doc, routes, root)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
