@@ -6,15 +6,17 @@ indexed by how many quanta each decay mode loses, over every loss pattern
 the space allows; the sum over them factorises by mode, so the channel is
 applied as the propagator around one loss map per mode, and the family
 itself is built only on request.  Every model is exact on its whole space,
-so completeness and the commutation certificate that validates the
-construction are computed and enforced over the whole space.
+and a :class:`DecayModel` and a :class:`KrausSet` check themselves when
+constructed: the Delta N structure, the commutation certificate and the
+completeness of the channel are computed and enforced over the whole space,
+so no object that fails them can be represented.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +27,6 @@ from .fock import (
     OperatorMatrix,
     build_annihilator,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .flavour import MixingParams
 
 CERTIFICATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -43,23 +42,62 @@ class CertificateError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DecayModel:
     """Decay operators and the non-Hermitian generator M of one dissipative
-    evolution, exact on its whole space and certified when built.
+    evolution, exact on its whole space and certified when constructed.
 
     Mode j of the space is the decay mode c_j = ``decay_ops[j]``: its
     ``ModeSpec`` carries the mass m_j and width Gamma_j, read back as
-    ``masses`` and ``widths``.  The Lindblad operators are
-    ``sqrt(Gamma_j) * decay_ops[j]``.  For flavour-mixed models
-    ``mixing_unitary`` holds the 2x2 matrix V with
-    c_j^dag = sum_l V[j, l] a_l^dag, and ``mixing`` the originating angles.
+    ``masses`` and ``widths``.  For flavour-mixed models ``mixing_unitary``
+    holds the 2x2 matrix V with c_j^dag = sum_l V[j, l] a_l^dag.
+    Construction builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, with
+    mu_j = m_j - i Gamma_j / 2, and refuses the model unless each c_j lowers
+    the total occupation by exactly one (an exact check, so M conserves the
+    total), M is finite with a Hermitian mass part, and the relative defect
+    of [M, c_j] = -mu_j c_j, kept as ``certificate_defect``, is within
+    ``CERTIFICATE_TOL``.
     """
 
     space: FockSpace
-    lindblads: tuple[OperatorMatrix, ...]
     decay_ops: tuple[OperatorMatrix, ...]
-    m_operator: OperatorMatrix
-    mixing: "MixingParams | None" = None
     mixing_unitary: np.ndarray | None = None
-    certificate_defect: float = 0.0
+    m_operator: OperatorMatrix = field(init=False, repr=False)
+    certificate_defect: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        space, ops = self.space, tuple(self.decay_ops)
+        if len(ops) != space.n_modes or any(getattr(c, "space", None) != space for c in ops):
+            raise ValueError(f"a model needs one decay operator per mode of its space, "
+                             f"got {len(ops)}")
+        tot = space.total_occupation
+        for j, c in enumerate(ops, start=1):
+            rows, cols = np.nonzero(c.entries)
+            shifts = np.unique(tot[rows] - tot[cols])
+            if np.any(shifts != -1):
+                raise InvariantViolation(f"decay operator c_{j} shifts the total occupation by "
+                                         f"Delta N = {shifts.tolist()}, not by exactly -1")
+        dim = space.dimension
+        ham = np.zeros((dim, dim), dtype=complex)
+        kay = np.zeros((dim, dim), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            for c, m_j, g_j in zip(ops, self.masses, self.widths):
+                cdag_c = c.entries.conj().T @ c.entries
+                ham += m_j * cdag_c
+                kay += -0.5 * g_j * cdag_c
+        if not (np.isfinite(ham).all() and np.isfinite(kay).all()):
+            raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
+                                     "overflow at this cutoff")
+        herm = float(np.max(np.abs(ham - ham.conj().T)))
+        if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
+            raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
+        m_matrix = ham + 1j * kay
+        defect = _certificate_defect(m_matrix, [c.entries for c in ops], self.masses, self.widths)
+        if defect > CERTIFICATE_TOL:
+            raise CertificateError(
+                f"commutation certificate defect {defect:.3e} (relative) exceeds "
+                f"{CERTIFICATE_TOL}; the decay operators are not valid for this model"
+            )
+        object.__setattr__(self, "decay_ops", ops)
+        object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
+        object.__setattr__(self, "certificate_defect", defect)
 
     @property
     def masses(self) -> tuple[float, ...]:
@@ -76,21 +114,23 @@ class DecayModel:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus channel for a fixed evolution time, on the model's space, as nested loss maps.
+    """Kraus channel of ``model`` at evolution time ``time``, as nested loss maps.
 
     The family E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!), one
     operator per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
     mode's cutoff (1 for a fermion) and sum k_j at most the space's total,
-    is the complete series on the space: no other pattern acts there.  It
-    sums to
+    is the complete series on the model's space: no other pattern acts
+    there.  Here U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t).  It sums to
     sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
     Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
     damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
-    So a time point carries only U = ``propagator`` = exp(-i M t), the
-    weights w_j = ``weights[j]`` and the decay matrices c_j = ``decay[j]``;
-    :meth:`loss_maps` applies the Phi_j or their adjoints.
-    ``gram`` is sum_kappa E_kappa^dag E_kappa, and ``completeness_defect``
-    the spectral norm of (``gram`` - 1) over the whole space.
+    So a time point carries only ``propagator`` = U and ``weights`` = (w_j);
+    :meth:`loss_maps` applies the Phi_j or their adjoints with the model's
+    c_j, and a zero weight drops its mode (at t = 0 the channel is the
+    identity).  Construction refuses a negative or NaN time, and a channel
+    that is not finite or whose ``completeness_defect``, the spectral norm of
+    ``gram`` - 1 over the whole space, exceeds ``COMPLETENESS_TOL``; ``gram``
+    = sum_kappa E_kappa^dag E_kappa is the adjoint loss maps applied to U^dag U.
 
     ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
     ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
@@ -98,21 +138,46 @@ class KrausSet:
     reads them.
     """
 
-    space: FockSpace
+    model: DecayModel
     time: float
-    propagator: np.ndarray
-    decay: tuple[np.ndarray, ...]
-    weights: tuple[float, ...]
-    completeness_defect: float
-    gram: np.ndarray
+    propagator: np.ndarray = field(init=False, repr=False)
+    weights: tuple[float, ...] = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
+    completeness_defect: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
+
+        if not isinstance(self.model, DecayModel):
+            raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
+        t = float(self.time)
+        weights = tuple(_decay_weight(g, t) for g in self.model.widths)  # refuses t < 0 or NaN
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+            propagator = scipy.linalg.expm(-1j * self.model.m_operator.entries * t)
+        if not np.isfinite(propagator).all():
+            raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
+        propagator.setflags(write=False)
+        for name, value in (("time", t), ("propagator", propagator), ("weights", weights)):
+            object.__setattr__(self, name, value)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+            gram = self.loss_maps(propagator.conj().T @ propagator, adjoint=True)
+        if not np.isfinite(gram).all():
+            raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
+        defect = float(np.linalg.norm(gram - np.eye(self.model.space.dimension), 2))
+        if defect > COMPLETENESS_TOL:
+            raise InvariantViolation(f"Kraus completeness defect {defect:.3e}")
+        gram.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "completeness_defect", defect)
 
     def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
-        return _nested_loss_maps(matrix, self.space, self.decay, self.weights, adjoint)
+        return _nested_loss_maps(matrix, self.model.space,
+                                 [c.entries for c in self.model.decay_ops], self.weights, adjoint)
 
     @cached_property
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        return kraus_multi_indices(self.space)
+        return kraus_multi_indices(self.model.space)
 
     @cached_property
     def family(self) -> np.ndarray:
@@ -126,20 +191,20 @@ class KrausSet:
         grouping patterns by total.
         """
         indices = self.multi_indices
-        d = self.space.dimension
+        d = self.model.space.dimension
         family = np.empty((d, len(indices), d), dtype=complex)
         family[:, 0] = self.propagator
         position = {kappa: i for i, kappa in enumerate(indices)}
         for i, kappa in enumerate(indices[1:], start=1):
             j = max(l for l, k in enumerate(kappa) if k)
             parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
-            np.matmul(family[:, parent], self.decay[j], out=family[:, i])
+            np.matmul(family[:, parent], self.model.decay_ops[j].entries, out=family[:, i])
             family[:, i] *= math.sqrt(self.weights[j] / kappa[j])
         return family
 
     @cached_property
     def operators(self) -> tuple[OperatorMatrix, ...]:
-        return tuple(OperatorMatrix(self.space, self.family[:, i])
+        return tuple(OperatorMatrix(self.model.space, self.family[:, i])
                      for i in range(self.family.shape[1]))
 
 
@@ -174,7 +239,9 @@ def _nested_loss_maps(
 
 
 def _decay_weight(gamma: float, t: float) -> float:
-    """1 - exp(-gamma t), exact 1.0 once the exponent is numerically dead."""
+    """1 - exp(-gamma t) for t >= 0, exact 1.0 once the exponent is numerically dead."""
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
     x = gamma * t
     if x <= 0.0:
         return 0.0
@@ -184,7 +251,9 @@ def _decay_weight(gamma: float, t: float) -> float:
 
 
 def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
-    """exp(-(i m + gamma/2) t) with a clean underflow to exactly zero."""
+    """exp(-(i m + gamma/2) t) for t >= 0, with a clean underflow to exactly zero."""
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
     x = 0.5 * gamma * t
     if x > LARGE_EXPONENT:
         return 0.0j
@@ -208,117 +277,31 @@ def _certificate_defect(
     masses: Sequence[float],
     widths: Sequence[float],
 ) -> float:
-    """Max deviation of [M, c_j] from -(m_j - i Gamma_j/2) c_j over the whole
-    space, relative to max(1, max_j |m_j - i Gamma_j/2|).
+    """Max deviation of [M, c_j] from -mu_j c_j over the whole space, with
+    mu_j = m_j - i Gamma_j / 2, relative to s = max(1, max_j |mu_j|).
 
-    The entries of M scale with the largest |m_j - i Gamma_j/2|, and so does
-    the rounding of the commutator, for every mode; the relative defect is
-    rounding-sized at any finite scale.
+    The commutator is formed on M / s and mu_j / s, whose entries are of
+    order one, so a finite M never overflows it, and its rounding is
+    rounding-sized at any finite scale.  |mu_j| is taken as the larger of
+    |m_j| and Gamma_j / 2, which unlike the modulus cannot overflow.
     """
-    mus = [m_j - 0.5j * g_j for m_j, g_j in zip(masses, widths)]
+    scale = max(1.0, *(max(abs(m_j), 0.5 * g_j) for m_j, g_j in zip(masses, widths)))
+    m_scaled = m_matrix / scale
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
-        for c, mu in zip(decay_ops, mus):
-            defect = m_matrix @ c - c @ m_matrix + mu * c
-            worst = max(worst, float(np.max(np.abs(defect))))
-    relative = worst / max(1.0, *(abs(mu) for mu in mus))
-    return relative if math.isfinite(relative) else math.inf
-
-
-def _assemble_model(
-    space: FockSpace,
-    decay_ops: Sequence[OperatorMatrix],
-    mixing=None,
-    mixing_unitary: np.ndarray | None = None,
-) -> DecayModel:
-    """M = sum_j (m_j - i Gamma_j / 2) c_j^dag c_j from the masses and widths
-    of the space's modes, refused unless it passes the commutation certificate."""
-    masses = [m.mass for m in space.modes]
-    widths = [m.width for m in space.modes]
-    dim = space.dimension
-    ham = np.zeros((dim, dim), dtype=complex)
-    kay = np.zeros((dim, dim), dtype=complex)
-    lindblads = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        for c, m_j, g_j in zip(decay_ops, masses, widths):
-            cdag_c = c.entries.conj().T @ c.entries
-            ham += m_j * cdag_c
-            kay += -0.5 * g_j * cdag_c
-            lindblads.append(OperatorMatrix(space, math.sqrt(g_j) * c.entries))
-    if not (np.isfinite(ham).all() and np.isfinite(kay).all()):
-        raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
-                                 "overflow at this cutoff")
-    herm = float(np.max(np.abs(ham - ham.conj().T)))
-    if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
-        raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
-    m_matrix = ham + 1j * kay
-    defect = _certificate_defect(m_matrix, [c.entries for c in decay_ops], masses, widths)
-    if defect > CERTIFICATE_TOL:
-        raise CertificateError(
-            f"commutation certificate defect {defect:.3e} (relative) exceeds "
-            f"{CERTIFICATE_TOL}; the decay operators are not valid for this model"
-        )
-    return DecayModel(
-        space=space,
-        lindblads=tuple(lindblads),
-        decay_ops=tuple(decay_ops),
-        m_operator=OperatorMatrix(space, m_matrix),
-        mixing=mixing,
-        mixing_unitary=mixing_unitary,
-        certificate_defect=defect,
-    )
+    for c, m_j, g_j in zip(decay_ops, masses, widths):
+        defect = m_scaled @ c - c @ m_scaled + complex(m_j / scale, -0.5 * g_j / scale) * c
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
 
 
 def build_decay_model(space: FockSpace) -> DecayModel:
     """Unmixed model: every mode decays independently at its own width."""
-    ops = [build_annihilator(space, j) for j in range(1, space.n_modes + 1)]
-    return _assemble_model(space, ops)
+    return DecayModel(space, tuple(build_annihilator(space, j) for j in range(1, space.n_modes + 1)))
 
 
 def build_kraus(model: DecayModel, t: float) -> KrausSet:
-    """Kraus channel at time t, one operator per loss pattern (k_1, ..., k_r).
-
-    Each operator is exp(-i M t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
-    with w_j = 1 - exp(-Gamma_j t), k_j capped at the mode cutoff (1 for
-    fermions) and sum k_j at most the space's total: the complete series.
-    The channel lives on the model's space, whatever it is (a run uses the
-    sector space of its initial state), and is kept as the propagator, the
-    weights and the decay matrices (see :class:`KrausSet`); completeness is
-    checked on the Gram, the adjoint loss maps applied to U^dag U, over the
-    whole space.  A zero weight drops its mode, so at t = 0 the channel is
-    the identity.
-    """
-    import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
-
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    space = model.space
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        propagator = scipy.linalg.expm(-1j * model.m_operator.entries * t)
-    if not np.isfinite(propagator).all():
-        raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
-    decay = tuple(c.entries for c in model.decay_ops)
-    weights = tuple(_decay_weight(g, t) for g in model.widths)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        gram = _nested_loss_maps(propagator.conj().T @ propagator, space, decay, weights,
-                                 adjoint=True)
-    if not np.isfinite(gram).all():
-        raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
-
-    defect = float(np.linalg.norm(gram - np.eye(space.dimension), 2))
-    if defect > COMPLETENESS_TOL:
-        raise InvariantViolation(f"Kraus completeness defect {defect:.3e}")
-    return KrausSet(
-        space=space,
-        time=t,
-        propagator=propagator,
-        decay=decay,
-        weights=weights,
-        completeness_defect=defect,
-        gram=gram,
-    )
+    """The complete Kraus channel of ``model`` at time t (see :class:`KrausSet`)."""
+    return KrausSet(model, t)
 
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
@@ -327,7 +310,7 @@ def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     Computed as U [Phi_1 o ... o Phi_r](X) U^dag: the loss maps of the
     modes, last mode first, then the propagator.
     """
-    matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
+    matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
     u = kraus.propagator
     return u @ kraus.loss_maps(matrix) @ u.conj().T
 
@@ -337,7 +320,7 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
 
     The result is validated as a density operator.
     """
-    space = kraus.space
+    space = kraus.model.space
     if rho.space != space:
         raise ValueError("state and Kraus channel live on different spaces")
     out = apply_channel_matrix(kraus, rho.matrix)
@@ -355,13 +338,11 @@ def evolve_state(
     """Channel evolution sampled on a time grid: one complete Kraus channel
     per point, on the model's space, applied to rho0."""
     times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("times must be >= 0")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    return [apply_channel(build_kraus(model, t), rho0) for t in times]
+    return [apply_channel(build_kraus(model, t), rho0) for t in times]  # each refuses t < 0
 
 
 def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:

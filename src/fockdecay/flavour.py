@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DecayModel, _assemble_model
+from .channel import DecayModel
 from .fock import FockSpace, ModeSpec, OperatorMatrix, build_annihilator, quadratic_form
 
 UNITARITY_TOL = 1e-14
@@ -101,11 +101,11 @@ def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:
         )
     V = mixing_matrix(params)
     a_ops = [build_annihilator(space, 1).entries, build_annihilator(space, 2).entries]
-    decay_ops = []
-    for j in range(2):
-        cj = V[j, 0].conjugate() * a_ops[0] + V[j, 1].conjugate() * a_ops[1]
-        decay_ops.append(OperatorMatrix(space, cj))
-    return _assemble_model(space, decay_ops, mixing=params, mixing_unitary=V)
+    decay_ops = tuple(
+        OperatorMatrix(space, V[j, 0].conjugate() * a_ops[0] + V[j, 1].conjugate() * a_ops[1])
+        for j in range(2)
+    )
+    return DecayModel(space, decay_ops, mixing_unitary=V)
 
 
 def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:

@@ -5,8 +5,9 @@ adjoint per-mode loss maps of the Kraus channel, plus closed forms for
 ladder operators, quadratic observables (number, flavour charges) and
 basis projectors.  Every model is exact on its whole space, so the
 series with the full loss range is the exact adjoint map there, and the
-weight it misses is the channel's completeness defect, which
-:func:`build_kraus` already bounds.
+weight it misses is the channel's completeness defect, which a
+:class:`KrausSet` bounds when constructed.  Every decay factor of the closed
+forms refuses a negative or NaN time.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def evolve_observable_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     Computed as [Phi_r^dag o ... o Phi_1^dag](U^dag X U): the propagator,
     then the adjoint loss maps of the modes, first mode first.
     """
-    matrix = OperatorMatrix(kraus.space, matrix).entries  # checks the shape
+    matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
     u = kraus.propagator
     return kraus.loss_maps(u.conj().T @ matrix @ u, adjoint=True)
 
@@ -39,14 +40,14 @@ def evolve_observable_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
 def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:
     """Adjoint-evolved Hermitian observable: exact in every matrix element of
     the channel's space, on which its model is exact."""
-    if obs.space != kraus.space:
+    if obs.space != kraus.model.space:
         raise ValueError("observable and channel live on different spaces")
     obs.check_hermitian()
     out = evolve_observable_matrix(kraus, obs.entries)
     defect = float(np.max(np.abs(out - out.conj().T)))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(out)))):
         raise InvariantViolation(f"adjoint map broke Hermiticity: defect {defect:.3e}")
-    return OperatorMatrix(kraus.space, out)
+    return OperatorMatrix(kraus.model.space, out)
 
 
 def _mode_amplitudes(model: DecayModel, t: float) -> np.ndarray:

@@ -6,8 +6,8 @@ be compared against each other.  What it restricts is an index set, not
 the numerics: it evolves only the entries of rho that the generator's own
 sparsity pattern reaches from the initial state, every other entry being
 exactly zero for all time.  Those entries split into blocks of equal
-Delta N = N_row - N_col (the decay conserves M and lowers row and column
-occupations together; a structural check on W and the L_j enforces it).
+Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
+column occupations together, which a DecayModel checks when constructed).
 Each block's generator matrix is gathered from W and the L_j at the
 block's own indices by the Liouville form of the generator, and the block
 advances by the RK4 step polynomial of that matrix, formed once.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,12 +36,31 @@ class StepError(ValueError):
 class GeneratorAction:
     """Right-hand side of the evolution: rho -> W rho + rho W^dag + sum L rho L^dag,
 
-    where W = -i(H + iK) combines the commutator and anticommutator parts.
+    where W = -iM combines the commutator and anticommutator parts and
+    L_j = sqrt(Gamma_j) c_j.  Both are derived from ``model`` on first use,
+    as read-only arrays, so they inherit its guarantees: W conserves the
+    total occupation and each L_j lowers it by exactly one.
     """
 
     model: DecayModel
-    w_matrix: np.ndarray
-    jump_ops: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.model, DecayModel):
+            raise TypeError(f"a generator needs a DecayModel, got {type(self.model).__name__}")
+
+    @cached_property
+    def w_matrix(self) -> np.ndarray:
+        w = -1j * self.model.m_operator.entries
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def jump_ops(self) -> tuple[np.ndarray, ...]:
+        jumps = tuple(math.sqrt(g_j) * c.entries
+                      for g_j, c in zip(self.model.widths, self.model.decay_ops))
+        for L in jumps:
+            L.setflags(write=False)
+        return jumps
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         if rho.shape != self.w_matrix.shape:
@@ -52,9 +72,7 @@ class GeneratorAction:
 
 
 def build_generator(model: DecayModel) -> GeneratorAction:
-    w = -1j * model.m_operator.entries
-    jumps = tuple(L.entries for L in model.lindblads)
-    return GeneratorAction(model=model, w_matrix=w, jump_ops=jumps)
+    return GeneratorAction(model)
 
 
 def steps_for(t: float, step: float) -> int:
@@ -155,7 +173,7 @@ def integrate(
     Every requested time must be an integer multiple of ``step``.  Only the
     entries reachable from ``rho0`` are evolved, the others being exactly
     zero for all time.  They are split into blocks of equal Delta N, which
-    W and the L_j are first checked to conserve, and each block's generator
+    the generator conserves because its model does, and each block's generator
     is gathered from W and the L_j at the block's own indices; an interval
     of m steps applies the m-th power of the block's RK4 step matrix, so
     scheme and step are those of the k1..k4 loop and only the rounding differs.
@@ -177,14 +195,6 @@ def integrate(
 
     targets = [steps_for(t, step) for t in times]
     tot = gen.model.space.total_occupation
-    for op in (gen.w_matrix, *gen.jump_ops):
-        rows, cols = np.nonzero(op)
-        shifts = np.unique(tot[rows] - tot[cols])
-        if shifts.size > 1 or (op is gen.w_matrix and shifts.any()):
-            raise InvariantViolation(
-                f"W or an L_j shifts the total occupation by {shifts.tolist()}: "
-                "the generator does not conserve Delta N"
-            )
     live = _reachable(gen, rho0.matrix)
     rows, cols = np.nonzero(live)
     delta = tot[rows] - tot[cols]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from conftest import random_density_matrix, support_total_bound
 
 from fockdecay import (
     CertificateError,
+    DecayModel,
+    KrausSet,
     FockSpace,
     ModeSpec,
     OperatorMatrix,
@@ -35,7 +38,7 @@ from fockdecay import (
     MixingParams,
 )
 import fockdecay.channel as channel
-from fockdecay.channel import LARGE_EXPONENT, _assemble_model
+from fockdecay.channel import LARGE_EXPONENT
 
 LN2 = math.log(2.0)
 
@@ -68,7 +71,7 @@ def test_model_operator_relations():
     model = build_decay_model(space)
     assert model.masses == (0.4, 1.1) and model.widths == (0.8, 1.6)
     ham = sum(m * c.entries.conj().T @ c.entries for m, c in zip(model.masses, model.decay_ops))
-    kay = sum(-0.5 * L.entries.conj().T @ L.entries for L in model.lindblads)
+    kay = sum(-0.5 * g * c.entries.conj().T @ c.entries for g, c in zip(model.widths, model.decay_ops))
     assert np.max(np.abs(model.m_operator.entries - (ham + 1j * kay))) <= 1e-12
     assert model.certificate_defect <= 1e-12
 
@@ -90,7 +93,53 @@ def test_certificate_catches_a_wrong_relation_at_large_scale():
     a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
     ops = [OperatorMatrix(space, a1 + 1e-3 * a2), OperatorMatrix(space, a2)]
     with pytest.raises(CertificateError, match="certificate defect"):
-        _assemble_model(space, ops)
+        DecayModel(space, ops)
+
+
+def test_certificate_is_formed_on_the_scaled_generator():
+    # M = m N is finite at m = 8e307 and n <= 2 (5e307 and n <= 3), but m^2 is not:
+    # [M, c] is formed on M / s, so the huge mass passes the certificate
+    for mass, cutoff in ((8e307, 2), (5e307, 3), (8e307, 1)):
+        model = build_decay_model(FockSpace(ModeSpec(mass=mass, width=0.5, cutoff=cutoff)))
+        assert model.certificate_defect <= 1e-12
+
+
+def test_model_refuses_decay_operators_that_do_not_lower_the_total_by_one():
+    space = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)])
+    a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
+    drop_two = a1.copy()
+    drop_two[space.index_of((0, 0)), space.index_of((1, 1))] = 0.1  # lowers the total by 2
+    for bad in (drop_two, a1 + a1.conj().T):  # c + c^dag also raises it
+        with pytest.raises(InvariantViolation, match="Delta N"):
+            DecayModel(space, (OperatorMatrix(space, bad), OperatorMatrix(space, a2)))
+
+
+def test_model_refuses_operators_that_do_not_match_its_space():
+    space = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)])
+    a1 = build_annihilator(space, 1)
+    with pytest.raises(ValueError, match="one decay operator per mode"):
+        DecayModel(space, (a1,))
+    other = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)], total=3)
+    with pytest.raises(ValueError, match="one decay operator per mode"):
+        DecayModel(space, (a1, build_annihilator(other, 2)))
+
+
+def test_models_and_channels_are_constructed_only_from_what_they_check():
+    assert [f.name for f in fields(DecayModel) if f.init] == ["space", "decay_ops", "mixing_unitary"]
+    assert [f.name for f in fields(KrausSet) if f.init] == ["model", "time"]
+    model = build_decay_model(single_mode_space(cutoff=2))
+    ks = KrausSet(model, 0.5)
+    for obj, name in ((model, "m_operator"), (model, "decay_ops"), (ks, "propagator"),
+                      (ks, "gram")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
+    for array in (model.m_operator.entries, ks.propagator, ks.gram):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        KrausSet(model=model, time=0.5, propagator=ks.propagator)
+    with pytest.raises(TypeError, match="DecayModel"):
+        KrausSet(object(), 0.5)
 
 
 def test_multi_index_enumeration_order():

@@ -362,3 +362,31 @@ def test_grid_form_rejects_an_imaginary_expectation():
     state = DensityOperator(model.space, np.diag([0.0, 1.0 + 0.5j, 0.0]), validate=False)
     with pytest.raises(InvariantViolation, match="imaginary residue"):
         mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])
+
+
+def _closed_forms():
+    """Every public closed form at time t, on a width-1 boson pair."""
+    space = FockSpace([ModeSpec(width=1.0, cutoff=2), ModeSpec(mass=0.5, width=1.0, cutoff=2)])
+    model = build_decay_model(space)
+    rho0 = number_state(space, (1, 0))
+    omega = quadratic_omegas(2)["S"]
+    return {
+        "evolve_ladder": lambda t: evolve_ladder(model, t, 1),
+        "evolve_quadratic": lambda t: evolve_quadratic(model, omega, t),
+        "evolve_number": lambda t: evolve_number(model, t),
+        "evolve_strangeness": lambda t: evolve_strangeness(model, t),
+        "evolve_projector": lambda t: evolve_projector(model, t, (1, 0)),
+        "mean_quadratic_trajectory": lambda t: mean_quadratic_trajectory(model, rho0, omega, [t]),
+        "mean_number_trajectory": lambda t: mean_number_trajectory(model, rho0, [0.5, t]),
+        "mean_strangeness_trajectory": lambda t: mean_strangeness_trajectory(model, rho0, [t]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_closed_forms()))
+def test_closed_forms_refuse_a_negative_or_nan_time(name):
+    # exp(+Gamma t / 2) would grow: e ~ 2.718 at t = -1 for a width-1 boson
+    form = _closed_forms()[name]
+    form(0.0)
+    for t in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            form(t)

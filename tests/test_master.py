@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -218,20 +219,25 @@ def test_integrate_matches_full_space_loop(rng, case):
             assert np.max(np.abs(block[:, i] - gen(unit)[r, c])) <= 1e-15
 
 
-def test_integrate_refuses_generator_that_leaks_between_blocks():
-    model = single_model(cutoff=2)
+def test_generator_is_derived_from_its_model_alone():
+    # a generator that leaks between Delta N blocks can no longer be represented:
+    # W and the L_j come from a DecayModel, which checks the structure when built
+    model = single_model(cutoff=2, mass=0.7, width=1.3)
     gen = build_generator(model)
-    for entry, occupation in [
-        ((None, 2, 1), 1),  # W couples total occupation 1 to 2
-        ((0, 0, 2), 2),  # L lowers the total by 2 where it lowers it by 1 elsewhere
-        ((None, 2, 1), 0),  # the vacuum never reaches the leaking entry: refused all the same
-    ]:
-        w, jumps = np.array(gen.w_matrix), [np.array(L) for L in gen.jump_ops]
-        j, a, b = entry
-        (w if j is None else jumps[j])[a, b] = 0.1
-        leaky = GeneratorAction(model=model, w_matrix=w, jump_ops=tuple(jumps))
-        with pytest.raises(InvariantViolation, match="Delta N"):
-            integrate(leaky, number_state(model.space, (occupation,)), [0.0, 0.5], 1e-3)
+    assert [f.name for f in fields(GeneratorAction) if f.init] == ["model"]
+    assert np.array_equal(gen.w_matrix, -1j * model.m_operator.entries)
+    (jump,) = gen.jump_ops
+    assert np.array_equal(jump, math.sqrt(1.3) * model.decay_ops[0].entries)
+    with pytest.raises(TypeError):
+        GeneratorAction(model=model, w_matrix=gen.w_matrix)
+    with pytest.raises(TypeError, match="DecayModel"):
+        GeneratorAction(object())
+    for name in ("w_matrix", "jump_ops"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(gen, name, None)
+    for array in (gen.w_matrix, jump):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 1] = 0.1
 
 
 @pytest.mark.parametrize("mass, match", [(1e200, "step matrix"), (1e20, "not finite on the grid")])

@@ -505,17 +505,19 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
 
 @pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
 @pytest.mark.filterwarnings("error")
-def test_cli_refuses_a_model_that_fails_the_certificate_on_every_route(tmp_path, capsys, route):
-    # M = m N is finite at m = 8e307 and n <= 2, but [M, c] overflows: the relative
-    # defect is inf, so the model is refused when built, before any route runs
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(make_config(
-        modes=[dict(MINIMAL["modes"][0], mass=8e307, width=0.5, cutoff=2)],
-        initial_state={"type": "number", "occupations": [2]}, routes=[route],
-        output_path=str(tmp_path / "out"))))
-    assert main(["run", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("runtime invariant breach: commutation certificate")
-    assert not (tmp_path / "out").exists()
+def test_cli_runs_a_mass_near_the_float_limit_on_every_route(tmp_path, capsys, route):
+    # M = m N is finite at m = 8e307 and n <= 2 (5e307 and n <= 3), but m^2 is not: the
+    # certificate is formed on M / s, so the model is built, and with m t finite every route runs
+    for mass, n in ((8e307, 2), (5e307, 3), (8e307, 1)):
+        cfg = tmp_path / f"big_{n}.json"
+        out = tmp_path / f"out_{n}"
+        cfg.write_text(json.dumps(make_config(
+            modes=[dict(MINIMAL["modes"][0], mass=mass, width=0.5, cutoff=max(n, 2))],
+            initial_state={"type": "number", "occupations": [n]}, routes=[route],
+            time_grid=dict(MINIMAL["time_grid"], stop=1.0, count=11), output_path=str(out))))
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / f"minimal__{route}__N.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ benchmark.
 columns between A and B, the max per route, and for every manifest whether
 its key list (every line's text before ``=``, without ``timestamp=``) is the
 same in both, and whether its lines other than ``timestamp=`` are identical,
-naming the key of the first line that is not.  It exits 1 when a file is missing on one side, or a header,
+naming the key of the first line that is not.  Its last line counts the CSVs
+that are byte-equal and the manifests whose non-``timestamp=`` lines are
+identical, each out of all such files on either side.  It exits 1 when a file is missing on one side, or a header,
 row count, key list or error differs; otherwise 0.  How large a CSV
 difference is acceptable is left to the reader of the report.
 """
@@ -105,15 +107,15 @@ def _manifest_lines(path: Path) -> list[str]:
             if not line.startswith("timestamp=")]
 
 
-def _manifest_report(pa: Path, pb: Path) -> tuple[bool, str]:
-    """Whether the key lists agree, and a report on the keys and on the lines."""
+def _manifest_report(pa: Path, pb: Path) -> tuple[bool, bool, str]:
+    """Whether the key lists agree, whether the lines agree, and a report on both."""
     la, lb = _manifest_lines(pa), _manifest_lines(pb)
     same_keys = [x.split("=", 1)[0] for x in la] == [y.split("=", 1)[0] for y in lb]
     report = f"manifest keys {'identical' if same_keys else 'differ'}"
     for x, y in zip_longest(la, lb, fillvalue=""):
         if x != y:
-            return same_keys, f"{report}, lines differ first at key {(x or y).split('=', 1)[0]}"
-    return same_keys, f"{report}, lines identical"
+            return same_keys, False, f"{report}, lines differ first at key {(x or y).split('=', 1)[0]}"
+    return same_keys, True, f"{report}, lines identical"
 
 
 def _diff(a: Path, b: Path) -> int:
@@ -121,6 +123,9 @@ def _diff(a: Path, b: Path) -> int:
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
     bad = False
     per_route: dict[str, float] = {}
+    csvs = [rel for rel in files if rel.suffix == ".csv"]
+    manifests = [rel for rel in files if rel.name.endswith("__manifest.txt")]
+    equal_csvs = equal_manifests = 0
     for rel in files:
         pa, pb = a / rel, b / rel
         if not (pa.is_file() and pb.is_file()):
@@ -140,14 +145,18 @@ def _diff(a: Path, b: Path) -> int:
                 continue
             dev = float(np.max(np.abs(va - vb), initial=0.0))
             same = pa.read_bytes() == pb.read_bytes()
+            equal_csvs += same
             per_route[route] = max(per_route.get(route, 0.0), dev)
             print(f"{rel}: route={route} max_abs_diff={dev:.3e}{' (bytes equal)' if same else ''}")
         elif rel.name.endswith("__manifest.txt"):
-            same, report = _manifest_report(pa, pb)
+            same_keys, same_lines, report = _manifest_report(pa, pb)
+            equal_manifests += same_lines
             print(f"{rel}: {report}")
-            bad |= not same
+            bad |= not same_keys
     for route, dev in sorted(per_route.items()):
         print(f"route {route}: max_abs_diff={dev:.3e}")
+    print(f"summary: {equal_csvs} of {len(csvs)} CSVs byte-equal, {equal_manifests} of "
+          f"{len(manifests)} manifests with identical non-timestamp lines")
     return 1 if bad else 0
 
 

@@ -3,13 +3,16 @@
     python3 tools/ladder.py [--root CHECKOUT]
 
 Every row is a scenario with 21 grid points to t = 2 and the observable N,
-with masses 0, 0.5, 1 and widths 0.5, 1, 1.5 (a mixed pair takes the first
-and the last, theta = 0.7):
+with masses 0, 0.5, 1 and widths 0.5, 1, 1.5, repeated over the modes (a
+mixed pair takes the first and the last, theta = 0.7):
 
 - a mixed boson pair from a coherent state, alpha = 0.1 in mode 1, at
   cutoff 12, 16 and 20 (|S| = 91, 153 and 231);
 - three bosons from |3,3,3> at cutoff 9 and from |4,4,4> at cutoff 12
   (|S| = 220 and 455);
+- one boson at cutoff 20 with two fermions, from |20,1,1> (|S| = 84);
+- eight bosons at cutoff 2 holding two quanta, from |1,1,0,...,0>
+  (|S| = 45, product space 3^8 = 6561);
 - 22 fermions from one excitation (|S| = 23, product space 2^22).
 
 Each run calls ``run_scenario`` on the row's config with one set of routes,
@@ -69,6 +72,19 @@ def _three_bosons(cutoff, n):
     return _config(f"three_bosons_c{cutoff}", modes, {"type": "number", "occupations": [n] * 3})
 
 
+def _boson_with_fermions(cutoff):
+    modes = [("boson", MASSES[0], WIDTHS[0], cutoff),
+             *(("fermion", MASSES[j], WIDTHS[j], 1) for j in (1, 2))]
+    return _config(f"boson_c{cutoff}_two_fermions", modes,
+                   {"type": "number", "occupations": [cutoff, 1, 1]})
+
+
+def _bosons_two_quanta(count):
+    modes = [("boson", MASSES[j % 3], WIDTHS[j % 3], 2) for j in range(count)]
+    return _config(f"bosons_{count}_two_quanta", modes,
+                   {"type": "number", "occupations": [1, 1] + [0] * (count - 2)})
+
+
 def _fermions(count):
     modes = [("fermion", MASSES[j % 3], WIDTHS[j % 3], 1) for j in range(count)]
     return _config(f"fermions_{count}", modes,
@@ -79,6 +95,8 @@ def _fermions(count):
 ROWS = (
     *((_mixed_pair(c), ("heisenberg", "kraus", "ode")) for c in (12, 16, 20)),
     *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4))),
+    (_boson_with_fermions(20), ("heisenberg", "kraus", "ode")),
+    (_bosons_two_quanta(8), ("heisenberg", "kraus", "ode")),
     (_fermions(22), ("heisenberg", "kraus,heisenberg")),
 )
 
