@@ -26,13 +26,19 @@ from .fock import (
     InvariantViolation,
     OperatorMatrix,
     build_annihilator,
+    check_densities,
 )
 
 CERTIFICATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
+MIXING_TOL = 1e-12
 
 # exp(-x) underflows well before this; treat the decayed weight as exact
 LARGE_EXPONENT = 700.0
+
+# Bytes of one (n, d, d) complex stack: evolve_state evaluates its time grid
+# n = max(1, STACK_BYTES // (16 d^2)) points at a time.
+STACK_BYTES = 64 * 1024
 
 
 class CertificateError(ValueError):
@@ -47,7 +53,10 @@ class DecayModel:
     Mode j of the space is the decay mode c_j = ``decay_ops[j]``: its
     ``ModeSpec`` carries the mass m_j and width Gamma_j, read back as
     ``masses`` and ``widths``.  For flavour-mixed models ``mixing_unitary``
-    holds the 2x2 matrix V with c_j^dag = sum_l V[j, l] a_l^dag.
+    holds the 2x2 matrix V with c_j^dag = sum_l V[j, l] a_l^dag; the model
+    is refused (ValueError) unless max |V V^dag - 1| and the defect of
+    c_j = sum_l conj(V[j, l]) a_l relative to max(1, max |a_l|) are within
+    ``MIXING_TOL``, with a_l the annihilators of the space.
     Construction builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, with
     mu_j = m_j - i Gamma_j / 2, and refuses the model unless each c_j lowers
     the total occupation by exactly one (an exact check, so M conserves the
@@ -74,6 +83,8 @@ class DecayModel:
             if np.any(shifts != -1):
                 raise InvariantViolation(f"decay operator c_{j} shifts the total occupation by "
                                          f"Delta N = {shifts.tolist()}, not by exactly -1")
+        if self.mixing_unitary is not None:
+            object.__setattr__(self, "mixing_unitary", _checked_mixing(space, ops, self.mixing_unitary))
         dim = space.dimension
         ham = np.zeros((dim, dim), dtype=complex)
         kay = np.zeros((dim, dim), dtype=complex)
@@ -112,6 +123,29 @@ class DecayModel:
         return self.mixing_unitary is not None
 
 
+def _checked_mixing(space: FockSpace, ops: Sequence[OperatorMatrix], mixing) -> np.ndarray:
+    """V as a read-only array, once it is unitary and rotates the annihilators into the c_j."""
+    v = np.array(mixing, dtype=complex)
+    if v.shape != (len(ops), len(ops)):
+        raise ValueError(f"mixing_unitary must be {len(ops)}x{len(ops)}, got shape {v.shape}")
+    unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(len(ops)))))
+    if not unitarity <= MIXING_TOL:
+        raise ValueError(f"mixing_unitary is not unitary: defect {unitarity:.3e} exceeds {MIXING_TOL}")
+    a = [build_annihilator(space, l).entries for l in range(1, len(ops) + 1)]
+    relation = 0.0
+    for row, c in zip(v, ops):
+        rest = c.entries.copy()
+        for v_jl, a_l in zip(row, a):
+            rest -= v_jl.conjugate() * a_l
+        relation = max(relation, float(np.max(np.abs(rest))))
+    relation /= max(1.0, *(float(np.max(np.abs(a_l))) for a_l in a))
+    if not relation <= MIXING_TOL:
+        raise ValueError(f"decay operators are not c_j = sum_l conj(V[j, l]) a_l: relative defect "
+                         f"{relation:.3e} exceeds {MIXING_TOL}")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus channel of ``model`` at evolution time ``time``, as nested loss maps.
@@ -131,6 +165,8 @@ class KrausSet:
     that is not finite or whose ``completeness_defect``, the spectral norm of
     ``gram`` - 1 over the whole space, exceeds ``COMPLETENESS_TOL``; ``gram``
     = sum_kappa E_kappa^dag E_kappa is the adjoint loss maps applied to U^dag U.
+    A channel is the one-point case of the stacks :func:`evolve_state`
+    evaluates on its grid, with the same checks.
 
     ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
     ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
@@ -146,34 +182,20 @@ class KrausSet:
     completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
-
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
         t = float(self.time)
-        weights = tuple(_decay_weight(g, t) for g in self.model.widths)  # refuses t < 0 or NaN
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-            propagator = scipy.linalg.expm(-1j * self.model.m_operator.entries * t)
-        if not np.isfinite(propagator).all():
-            raise InvariantViolation(f"propagator exp(-i M t) is not finite at t = {t!r}")
-        propagator.setflags(write=False)
-        for name, value in (("time", t), ("propagator", propagator), ("weights", weights)):
+        propagators, weights, grams, defects = _channels(self.model, [t])
+        for name, value in (("time", t), ("propagator", propagators[0]),
+                            ("weights", tuple(weights[0].tolist())), ("gram", grams[0]),
+                            ("completeness_defect", float(defects[0]))):
             object.__setattr__(self, name, value)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-            gram = self.loss_maps(propagator.conj().T @ propagator, adjoint=True)
-        if not np.isfinite(gram).all():
-            raise InvariantViolation(f"Kraus Gram is not finite at t = {t!r}")
-        defect = float(np.linalg.norm(gram - np.eye(self.model.space.dimension), 2))
-        if defect > COMPLETENESS_TOL:
-            raise InvariantViolation(f"Kraus completeness defect {defect:.3e}")
-        gram.setflags(write=False)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "completeness_defect", defect)
+        self.propagator.setflags(write=False)
+        self.gram.setflags(write=False)
 
     def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
-        return _nested_loss_maps(matrix, self.model.space,
-                                 [c.entries for c in self.model.decay_ops], self.weights, adjoint)
+        return _nested_loss_maps(matrix, self.model, np.array([self.weights]), adjoint)[0]
 
     @cached_property
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -208,33 +230,82 @@ class KrausSet:
                      for i in range(self.family.shape[1]))
 
 
+def _channels(
+    model: DecayModel,
+    times: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Kraus channels of ``model`` at each of ``times``, checked as
+    :class:`KrausSet` describes: their propagators U = exp(-i M t) and Grams
+    as (n, d, d) stacks, their weights w_j as an (n, r) array and their
+    completeness defects as an (n,) array.
+
+    scipy's ``expm`` runs its own Pade and scaling choice on each matrix of
+    the stack, so each U is the one a single time would give.
+    """
+    import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
+
+    times = [float(t) for t in times]
+    weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        propagators = scipy.linalg.expm(-1j * model.m_operator.entries * np.array(times)[:, None, None])
+    _check_finite(propagators, "propagator exp(-i M t)", times)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        grams = _nested_loss_maps(_adjoint(propagators) @ propagators, model, weights, adjoint=True)
+    _check_finite(grams, "Kraus Gram", times)
+    defects = np.linalg.norm(grams - np.eye(model.space.dimension), 2, axis=(-2, -1))
+    bad = defects > COMPLETENESS_TOL
+    if bad.any():
+        raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
+    return propagators, weights, grams, defects
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _check_finite(stack: np.ndarray, what: str, times: Sequence[float]) -> None:
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        raise InvariantViolation(f"{what} is not finite at t = {times[int(np.argmin(finite))]!r}")
+
+
 def _nested_loss_maps(
     x: np.ndarray,
-    space: FockSpace,
-    decay: Sequence[np.ndarray],
-    weights: Sequence[float],
+    model: DecayModel,
+    weights: np.ndarray,
     adjoint: bool,
 ) -> np.ndarray:
-    """Phi_1 o ... o Phi_r on x (Phi_r first), or the adjoint maps (Phi_1^dag first).
+    """Phi_1 o ... o Phi_r on x (Phi_r first), or the adjoint maps (Phi_1^dag first),
+    once for each row of the (n, r) ``weights``: an (n, d, d) stack.
 
-    Each Phi_j is summed in Horner form Y <- X + (w/k) c Y c^dag for
-    k = cap_j ... 1, with cap_j = min(cutoff_j, the space's total): no higher
-    power of c_j acts on the space.  The result is a
-    new array, also when no mode decays.
+    ``x`` is one matrix or an (n, d, d) stack.  Each Phi_j is summed in
+    Horner form Y <- X + (w/k) c Y c^dag for k = cap_j ... 1, with cap_j =
+    min(cutoff_j, the space's total): no higher power of c_j acts on the
+    space.  A mode is skipped at the points where its weight is 0, so each
+    matrix of the stack is the one a single point would give.  The result is
+    a new array, also when no mode decays.
     """
-    # (lower, upper, w, cap): Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
-    modes = [(c.conj().T, c, w, cap) if adjoint else (c, c.conj().T, w, cap)
-             for c, w, cap in zip(decay, weights, (min(m.cutoff, space.total) for m in space.modes))
-             if w and cap]
-    if not adjoint:
-        modes.reverse()
-    y = x.copy()
-    for lower, upper, w, cap in modes:
-        z = y
+    space = model.space
+    y = np.array(np.broadcast_to(x, (len(weights), space.dimension, space.dimension)))
+    modes = list(enumerate(zip(model.decay_ops, (min(m.cutoff, space.total) for m in space.modes))))
+    for j, (c, cap) in modes if adjoint else reversed(modes):
+        live = np.flatnonzero(weights[:, j])
+        if not (live.size and cap):
+            continue
+        # Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
+        lower, upper = (c.entries.conj().T, c.entries) if adjoint else (c.entries, c.entries.conj().T)
+        w = weights[live, j, None, None]  # kept real: a complex w rounds differently
+        part = live.size < len(y)
+        z = y[live] if part else y
+        sub = z
         for k in range(cap, 0, -1):
-            y = lower @ y @ upper
-            y *= w / k
-            y += z
+            sub = lower @ sub @ upper
+            sub *= w / k
+            sub += z
+        if part:
+            y[live] = sub
+        else:
+            y = sub
     return y
 
 
@@ -311,8 +382,25 @@ def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     modes, last mode first, then the propagator.
     """
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    u = kraus.propagator
-    return u @ kraus.loss_maps(matrix) @ u.conj().T
+    return _channel_action(kraus.model, kraus.propagator[None], np.array([kraus.weights]), matrix)[0]
+
+
+def _channel_action(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
+                    matrix: np.ndarray) -> np.ndarray:
+    """U [Phi_1 o ... o Phi_r](X) U^dag for each channel of the stack."""
+    return propagators @ _nested_loss_maps(matrix, model, weights, adjoint=False) @ _adjoint(propagators)
+
+
+def _channel_states(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
+                    rho: DensityOperator) -> list[DensityOperator]:
+    """The states the channels of the stack make of rho, with the trace kept to
+    1e-12 and each validated as a density operator."""
+    out = _channel_action(model, propagators, weights, rho.matrix)
+    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
+    if (drift > 1e-12).any():
+        raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
+    check_densities(out)
+    return [DensityOperator(model.space, m, tail_weight=rho.tail_weight, validate=False) for m in out]
 
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
@@ -320,14 +408,9 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
 
     The result is validated as a density operator.
     """
-    space = kraus.model.space
-    if rho.space != space:
+    if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    out = apply_channel_matrix(kraus, rho.matrix)
-    drift = abs(complex(np.trace(out)) - complex(np.trace(rho.matrix)))
-    if drift > 1e-12:
-        raise InvariantViolation(f"channel changed the trace by {drift:.3e}")
-    return DensityOperator(space, out, tail_weight=rho.tail_weight)
+    return _channel_states(kraus.model, kraus.propagator[None], np.array([kraus.weights]), rho)[0]
 
 
 def evolve_state(
@@ -335,14 +418,37 @@ def evolve_state(
     rho0: DensityOperator,
     times: Sequence[float],
 ) -> list[DensityOperator]:
-    """Channel evolution sampled on a time grid: one complete Kraus channel
-    per point, on the model's space, applied to rho0."""
+    """Channel evolution sampled on a time grid: the complete Kraus channel of
+    each point, on the model's space, applied to rho0.
+
+    The grid is evaluated n = max(1, STACK_BYTES // (16 d^2)) points at a
+    time, as (n, d, d) stacks, so the memory is O(n d^2); each state is
+    bit-identical to ``apply_channel(build_kraus(model, t), rho0)``.  A stack
+    runs each check on all its points in turn, so a chunk that fails is
+    evaluated again one point at a time: the error is the earliest point's,
+    as the points would raise one after another.
+    """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    return [apply_channel(build_kraus(model, t), rho0) for t in times]  # each refuses t < 0
+    chunk = max(1, STACK_BYTES // (16 * model.space.dimension ** 2))
+    states: list[DensityOperator] = []
+    for start in range(0, len(times), chunk):
+        part = times[start:start + chunk]
+        try:
+            states += _grid_states(model, rho0, part)
+        except (InvariantViolation, ValueError):
+            for t in part:
+                _grid_states(model, rho0, [t])
+            raise
+    return states
+
+
+def _grid_states(model: DecayModel, rho0: DensityOperator, times: list[float]) -> list[DensityOperator]:
+    propagators, weights, _, _ = _channels(model, times)  # refuses t < 0
+    return _channel_states(model, propagators, weights, rho0)
 
 
 def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:

@@ -178,6 +178,25 @@ class OperatorMatrix:
         return hermitian_scale(self.entries)
 
 
+def check_densities(matrices: np.ndarray) -> None:
+    """Raise InvariantViolation unless each matrix of the (n, d, d) stack is a
+    density matrix: Hermitian within HERMITICITY_TOL, of unit trace within
+    TRACE_TOL, with no eigenvalue below EIGENVALUE_FLOOR.  Each check reports
+    the first matrix that fails it."""
+    herm = np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if (herm > HERMITICITY_TOL).any():
+        raise InvariantViolation(
+            f"density matrix not Hermitian: defect {herm[herm > HERMITICITY_TOL][0]:.3e}")
+    tr = np.trace(matrices, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise InvariantViolation(f"density matrix trace {complex(tr[off][0])} differs from 1")
+    lo = np.linalg.eigvalsh(0.5 * (matrices + matrices.conj().swapaxes(-1, -2))).min(axis=-1)
+    if (lo < EIGENVALUE_FLOOR).any():
+        raise InvariantViolation(
+            f"density matrix has eigenvalue {lo[lo < EIGENVALUE_FLOOR][0]:.3e} < {EIGENVALUE_FLOOR}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive, unit-trace matrix over a :class:`FockSpace`.
@@ -205,15 +224,7 @@ class DensityOperator:
             self.check_invariants()
 
     def check_invariants(self):
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise InvariantViolation(f"density matrix not Hermitian: defect {herm:.3e}")
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace {tr} differs from 1")
-        lo = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-        if lo < EIGENVALUE_FLOOR:
-            raise InvariantViolation(f"density matrix has eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
+        check_densities(self.matrix[None])
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()

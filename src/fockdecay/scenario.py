@@ -628,7 +628,11 @@ def _ode_step(cfg: ScenarioConfig, times: np.ndarray) -> float:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row tuple, its numbers as :func:`_fmt` writes them ("%.17g"
+    formats float(x) alike); the column types are read from the first row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        line = None
         for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+            line = line or ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\n"
+            fh.write(line % row)

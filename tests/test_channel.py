@@ -334,19 +334,70 @@ def test_loss_maps_return_a_new_array_when_no_mode_decays(model, t, rng):
         assert np.array_equal(y, x) and not np.shares_memory(y, x)
 
 
-def test_evolve_state_never_builds_the_family(monkeypatch):
+def _grid_cases():
     space = FockSpace([ModeSpec(mass=0.3, width=0.8, cutoff=3),
                        ModeSpec(Statistics.FERMION, mass=1.0, width=1.2)])
-    model = build_decay_model(space)
-    seen = []
-    apply = channel.apply_channel
-    monkeypatch.setattr(channel, "apply_channel", lambda ks, rho: seen.append(ks) or apply(ks, rho))
-    evolve_state(model, number_state(space, (2, 1)), (0.0, 0.5, 1.0))
-    assert len(seen) == 3
-    for ks in seen:
-        assert not {"family", "operators", "multi_indices"} & set(vars(ks))
-    assert seen[-1].family.shape == (space.dimension, len(seen[-1].multi_indices), space.dimension)
-    assert "family" in vars(seen[-1])
+    yield pytest.param(build_decay_model(space), number_state(space, (2, 1)), id="boson-fermion")
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
+    rho = random_density_matrix(np.random.default_rng(5), bosons)
+    yield pytest.param(build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5)), rho, id="mixed-bosons")
+    space = FockSpace([ModeSpec(mass=0.4, width=1.0, cutoff=3), ModeSpec(mass=1.3, width=0.0, cutoff=2)])
+    rho = random_density_matrix(np.random.default_rng(6), space)
+    yield pytest.param(build_decay_model(space), rho, id="zero-width")
+
+
+@pytest.mark.parametrize("stack_points", [None, 3], ids=["default-chunk", "three-point-chunks"])
+@pytest.mark.parametrize("model, rho", list(_grid_cases()))
+def test_evolve_state_is_the_per_point_channel(model, rho, stack_points, monkeypatch):
+    d = model.space.dimension
+    if stack_points is not None:
+        monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * stack_points)
+    chunk = max(1, channel.STACK_BYTES // (16 * d * d))
+    times = np.linspace(0.0, 4.0, 2 * chunk + 3)  # from t = 0, over more than two chunks
+    want = [apply_channel(build_kraus(model, float(t)), rho).matrix for t in times]
+
+    def no_family(self):
+        raise AssertionError("the Kraus family was built")
+
+    monkeypatch.setattr(KrausSet, "family", property(no_family))
+    got = evolve_state(model, rho, times)
+    assert len(got) == len(times)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix, w)
+
+
+def test_a_breach_at_one_point_of_a_chunk_raises_as_that_point_does(monkeypatch):
+    model = build_decay_model(single_mode_space(cutoff=3))
+    weight = channel._decay_weight
+    # a wrong weight at t = 0.5 alone breaks the completeness of that channel
+    monkeypatch.setattr(channel, "_decay_weight",
+                        lambda g, t: weight(g, t) + (1e-3 if t == 0.5 else 0.0))
+    times = (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert channel.STACK_BYTES // (16 * model.space.dimension ** 2) >= len(times)  # one chunk
+    with pytest.raises(InvariantViolation, match="completeness defect") as one:
+        build_kraus(model, 0.5)
+    with pytest.raises(InvariantViolation) as grid:
+        evolve_state(model, number_state(model.space, (3,)), times)
+    assert str(grid.value) == str(one.value)
+
+
+def test_of_two_breaches_in_one_chunk_the_earlier_point_raises(monkeypatch):
+    model = build_decay_model(single_mode_space(cutoff=3))
+    rho = number_state(model.space, (3,))
+    weight = channel._decay_weight
+    # t = 0.25 passes its completeness check and then changes the trace; t = 0.75 fails
+    # completeness, a check the stack runs on every point before any trace check
+    monkeypatch.setattr(channel, "_decay_weight",
+                        lambda g, t: weight(g, t) + {0.25: 1e-11, 0.75: 1e-3}.get(t, 0.0))
+    times = (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert channel.STACK_BYTES // (16 * model.space.dimension ** 2) >= len(times)  # one chunk
+    with pytest.raises(InvariantViolation, match="changed the trace") as first:
+        apply_channel(build_kraus(model, 0.25), rho)
+    with pytest.raises(InvariantViolation, match="completeness defect"):
+        build_kraus(model, 0.75)
+    with pytest.raises(InvariantViolation) as grid:
+        evolve_state(model, rho, times)
+    assert str(grid.value) == str(first.value)
 
 
 def test_kraus_rejects_negative_time():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockdecay import (
+    DecayModel,
     FockSpace,
     ModeSpec,
     MixingParams,
@@ -133,6 +134,26 @@ def test_mixed_model_certificate_and_errors():
     hybrid = FockSpace([ModeSpec(cutoff=1), ModeSpec(Statistics.FERMION)])
     with pytest.raises(ValueError):
         build_mixed_model(hybrid, MixingParams(theta=1.0))
+
+
+def test_mixed_model_checks_its_mixing_unitary():
+    space = two_boson_space()
+    model = build_mixed_model(space, MixingParams(theta=0.7))
+    # decay operators rotated by theta = 0.7 do not go with the V of theta = 0.1
+    with pytest.raises(ValueError, match="c_j = sum_l conj"):
+        DecayModel(space, model.decay_ops, mixing_unitary=mixing_matrix(MixingParams(theta=0.1)))
+    with pytest.raises(ValueError, match="not unitary"):
+        DecayModel(space, model.decay_ops, mixing_unitary=1.001 * model.mixing_unitary)
+    with pytest.raises(ValueError, match="2x2"):
+        DecayModel(space, model.decay_ops, mixing_unitary=np.eye(3))
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
+                          ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
+    for pair in (space, fermions):  # the pairs build_mixed_model builds pass
+        params = MixingParams(theta=0.9, phi=0.2, psi=0.4, chi=0.3)
+        model = build_mixed_model(pair, params)
+        assert np.array_equal(model.mixing_unitary, mixing_matrix(params))
+        with pytest.raises(ValueError, match="read-only"):
+            model.mixing_unitary[0, 0] = 1.0
 
 
 def test_flavour_observables_structure():

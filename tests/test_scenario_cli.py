@@ -632,3 +632,14 @@ def test_cli_state_and_step_overflow_are_config_errors(tmp_path, capsys, command
         assert main([command, str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"config error [invariant]: {code}")
     assert not (tmp_path / "out").exists()
+
+
+def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):
+    values = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1.0 / 3.0,
+              np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(5e-324))
+    rows = [(v, -v, np.float64(v) * 2.0, "kraus") for v in values]
+    path = tmp_path / "edge.csv"
+    scenario._write_csv(path, ["t", "x", "y", "route"], rows)
+    want = "t,x,y,route\n" + "".join(
+        ",".join(c if isinstance(c, str) else scenario._fmt(c) for c in row) + "\n" for row in rows)
+    assert path.read_text(encoding="utf-8") == want
