@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DecayModel
+from .channel import STACK_BYTES, DecayModel
 from .fock import DensityOperator, InvariantViolation
 
 EIG_EXCURSION_FLOOR = -1e-8
@@ -180,7 +180,9 @@ def integrate(
     The trajectory is returned as-is: no renormalization and no positivity
     projection, so trace drift stays visible to the caller.  Negative
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
-    matrix or a sampled state that is not finite (an unstable step).
+    matrix or a sampled state that is not finite (an unstable step).  The
+    sampled states are checked n = max(1, STACK_BYTES // (16 d^2)) at a time,
+    as (n, d, d) stacks, and an error names the earliest time that fails.
     """
     step = float(step)
     if step <= 0:
@@ -218,26 +220,36 @@ def integrate(
         series.append((r, c, values))
 
     dim = gen.model.space.dimension
+    block = max(1, STACK_BYTES // (16 * dim * dim))
     out: list[DensityOperator] = []
-    for i, (t, n) in enumerate(zip(times, targets)):
-        if n == 0:
-            out.append(rho0)
-            continue
-        rho = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, len(times), block):
+        part = targets[start:start + block]
+        rho = np.zeros((len(part), dim, dim), dtype=complex)
         for r, c, values in series:
-            rho[r, c] = values[i]
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm > 1e-10:
-            raise InvariantViolation(f"RK4 state lost Hermiticity: defect {herm:.3e} at t={t}")
-        lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-        if lo < EIG_EXCURSION_FLOOR:
-            raise InvariantViolation(
-                f"RK4 state eigenvalue {lo:.3e} below {EIG_EXCURSION_FLOOR} at t={t}"
-            )
-        out.append(
-            DensityOperator(gen.model.space, rho, tail_weight=rho0.tail_weight, validate=False)
-        )
+            rho[:, r, c] = values[start:start + len(part)]
+        _check_states(rho, np.array(part) > 0, times[start:start + block])
+        out += [rho0 if n == 0 else
+                DensityOperator(gen.model.space, m, tail_weight=rho0.tail_weight, validate=False)
+                for m, n in zip(rho, part)]
     return out
+
+
+def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float]) -> None:
+    """Hermiticity within 1e-10 and no eigenvalue below EIG_EXCURSION_FLOOR for
+    each ``sampled`` state of the (n, d, d) stack; the error names the earliest
+    state that fails, with the check it fails first."""
+    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2))).min(axis=-1)
+    lost = herm > 1e-10
+    bad = sampled & (lost | (lo < EIG_EXCURSION_FLOOR))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if lost[i]:
+        raise InvariantViolation(f"RK4 state lost Hermiticity: defect {herm[i]:.3e} at t={times[i]}")
+    raise InvariantViolation(
+        f"RK4 state eigenvalue {lo[i]:.3e} below {EIG_EXCURSION_FLOOR} at t={times[i]}"
+    )
 
 
 def default_step(widths: Sequence[float]) -> float:

@@ -542,7 +542,8 @@ def run_scenario(
                     ["t", *columns[name], "t_raw", "route"],
                     [
                         (t_s, *row, t_r, route)
-                        for t_s, row, t_r in zip(t_scaled, series[(route, name)], times)
+                        for t_s, row, t_r in zip(t_scaled.tolist(), series[(route, name)].tolist(),
+                                                 times.tolist())
                     ],
                 )
                 csv_paths.append(path)

@@ -23,3 +23,11 @@ def test_bench_gives_one_result_per_workload_and_seed_and_each_config_time():
     assert [c["config"] for c in doc["configs"]] == shipped
     for c in doc["configs"]:
         assert len(c["warm_run_s"]) == 1 and c["median_s"] > 0
+
+
+def test_tier1_counts_are_read_from_the_pytest_summary_line():
+    assert bench.summary_counts("275 passed in 9.75s") == {"passed": 275, "seconds": 9.75}
+    line = "==== 1 failed, 273 passed, 1 skipped, 2 warnings in 65.20s (0:01:05) ===="
+    assert bench.summary_counts(line) == {"failed": 1, "passed": 273, "skipped": 1, "warnings": 2,
+                                          "seconds": 65.2}
+    assert bench.summary_counts("no tests ran") == {"seconds": None}

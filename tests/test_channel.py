@@ -318,6 +318,52 @@ def test_nested_maps_match_the_family_reference(model, t, rng):
     assert np.max(np.abs(apply_channel(ks, rho).matrix - want)) <= 1e-13
 
 
+def dense_loss_maps(x, model, weights, adjoint):
+    """The Horner sums of the loss maps, one point at a time, each c_j a dense matrix."""
+    space, out = model.space, []
+    modes = list(enumerate(model.decay_ops))
+    for w_point in weights:
+        y = np.array(x, dtype=complex)
+        for j, c in modes if adjoint else reversed(modes):
+            if w_point[j] == 0:
+                continue
+            lower, upper = (c.entries.conj().T, c.entries) if adjoint else (c.entries, c.entries.conj().T)
+            sub = y
+            for k in range(min(space.modes[j].cutoff, space.total), 0, -1):
+                sub = lower @ sub @ upper
+                sub *= w_point[j] / k
+                sub += y
+            y = sub
+        out.append(y)
+    return np.array(out)
+
+
+def _gather_cases():
+    # (model, t, gathered, tol); tol 0 asks for bit-equal sums
+    for case in _edge_cases():
+        if case.id in ("w-zero", "boson-two-fermions", "mixed"):
+            model, t = case.values
+            yield pytest.param(model, t, not model.is_mixed, 0.0, id=case.id)
+    # at theta = 0 each c_j keeps one nonzero per row, with the phase of V: gathered, but the
+    # complex products round unlike the matmul's
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
+    model = build_mixed_model(bosons, MixingParams(theta=0.0, phi=0.5, psi=0.3, chi=0.1))
+    yield pytest.param(model, 0.7, True, 1e-13, id="theta-zero-phases")
+
+
+@pytest.mark.parametrize("model, t, gathered, tol", list(_gather_cases()))
+def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, gathered, tol, rng):
+    assert all((plan is not None) == gathered for plans in model._gather_plans for plan in plans)
+    times = [0.0, t, 2 * t]  # every weight is 0 at t = 0
+    weights = np.array([[channel._decay_weight(g, s) for g in model.widths] for s in times])
+    x = _random_matrix(rng, model.space)
+    for adjoint in (False, True):
+        got = channel._nested_loss_maps(x, model, weights, adjoint)
+        want = dense_loss_maps(x, model, weights, adjoint)
+        assert np.array_equal(got, want) if tol == 0 else np.max(np.abs(got - want)) <= tol
+        assert np.array_equal(got[0], x)
+
+
 @pytest.mark.parametrize("model, t", [
     pytest.param(build_decay_model(FockSpace([ModeSpec(width=0.5, cutoff=3),
                                               ModeSpec(mass=1.0, width=1.5, cutoff=2)])), 0.0,

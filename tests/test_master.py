@@ -149,6 +149,30 @@ def test_integrate_validates_inputs():
         integrate(gen, rho, [1.0, 0.5], 1e-3)
 
 
+@pytest.mark.parametrize("block_points", [None, 2], ids=["one-block", "two-point-blocks"])
+@pytest.mark.parametrize("spoil, message", [
+    (lambda v: v + 1e-6j, "RK4 state lost Hermiticity: defect 2.000e-06 at t=0.3"),
+    (lambda v: -1e-3, "RK4 state eigenvalue -1.000e-03 below -1e-08 at t=0.3"),
+], ids=["hermiticity", "eigenvalue"])
+def test_integrate_names_the_earliest_state_that_fails_a_check(spoil, message, block_points, monkeypatch):
+    model = single_model(cutoff=3)
+    if block_points is not None:
+        monkeypatch.setattr(master, "STACK_BYTES", 16 * model.space.dimension ** 2 * block_points)
+    sample = master._sample
+
+    def spoiled(p, vec, targets):
+        out = sample(p, vec, targets)
+        for i in (3, 5):  # the vacuum population of the states at t = 0.3 and 0.5
+            out[i, 0] = spoil(out[i, 0])
+        return out
+
+    monkeypatch.setattr(master, "_sample", spoiled)
+    times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    with pytest.raises(InvariantViolation) as err:
+        integrate(build_generator(model), number_state(model.space, (3,)), times, 0.01)
+    assert str(err.value) == message
+
+
 def test_trace_drift_budget():
     model = single_model(cutoff=5)
     gen = build_generator(model)

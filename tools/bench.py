@@ -17,7 +17,10 @@ The file holds:
   end-to-end metrics, ``attempted`` and ``failed``);
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
-  median, in a fresh interpreter with BLAS pinned to one thread.
+  median, in a fresh interpreter with BLAS pinned to one thread;
+- ``tier1``: the Tier-1 suite, ``TIER1`` run in CHECKOUT with ``src`` on
+  ``PYTHONPATH``: its wall time, exit code, summary line, and the counts and
+  duration read from that line.
 
 CHECKOUT defaults to the checkout holding this script; the file is written there.
 """
@@ -26,9 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("oracle", "sweep", "multimode")
@@ -37,6 +42,7 @@ SECONDS = 6.0
 REPS = 3
 PIN_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CAP_SECONDS = 600
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 # argv: source checkout, warm repetitions; prints {config name: [seconds, ...]}
 CONFIG_CHILD = """
@@ -103,6 +109,29 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
     }
 
 
+def summary_counts(line: str) -> dict:
+    """Counts and duration of a pytest summary line, such as
+    ``== 1 failed, 274 passed, 2 warnings in 9.75s (0:00:09) ==``, keyed
+    ``passed``, ``failed``, ... and ``seconds`` (None on a line without one)."""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", line.split(" in ")[0])}
+    found = re.search(r" in ([0-9.]+)s\b", line)
+    counts["seconds"] = float(found.group(1)) if found else None
+    return counts
+
+
+def tier1(root: Path) -> dict:
+    """Wall time, exit code and summary of one Tier-1 run of ``root``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=root, capture_output=True, text=True,
+                          env=env, timeout=CAP_SECONDS)
+    wall = time.perf_counter() - start
+    summary = (done.stdout.strip().splitlines() or [""])[-1]
+    return {"command": ["python", *TIER1], "wall_s": wall, "exit_code": done.returncode,
+            "summary": summary, **summary_counts(summary)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/bench.py", description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
@@ -112,7 +141,8 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     doc = {"pr": args.pr,
            "command": ["tools/bench.py", *(sys.argv[1:] if argv is None else argv)],
-           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS)}
+           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS),
+           "tier1": tier1(root)}
     path = root / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(path)
