@@ -37,7 +37,6 @@ from .channel import (
     evolve_state,
     expectation,
     expectations,
-    kraus_multi_indices,
     occupation_distribution,
     trace_distance,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "number_state", "vacuum_state", "coherent_state", "poisson_mixture",
     # channel
     "DecayModel", "KrausSet", "CertificateError",
-    "build_decay_model", "build_kraus", "kraus_multi_indices",
+    "build_decay_model", "build_kraus",
     "apply_channel", "apply_channel_matrix", "evolve_state", "enforce_superselection",
     "expectation", "expectations", "occupation_distribution", "trace_distance",
     # master

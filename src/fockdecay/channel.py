@@ -4,12 +4,11 @@ Builds the completely positive trace-preserving map generated by a set of
 decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses, over every loss pattern
 the space allows; the sum over them factorises by mode, so the channel is
-applied as the propagator around one loss map per mode, and the family
-itself is built only on request.  Every model is exact on its whole space,
-and a :class:`DecayModel` and a :class:`KrausSet` check themselves when
-constructed: the Delta N structure, the commutation certificate and the
-completeness of the channel are computed and enforced over the whole space,
-so no object that fails them can be represented.
+applied as the propagator around one loss map per mode.  Every model is
+exact on its whole space, and a :class:`DecayModel` and a :class:`KrausSet`
+check themselves when constructed: the Delta N structure, the commutation
+certificate and the completeness of the channel are computed and enforced
+over the whole space, so no object that fails them can be represented.
 """
 from __future__ import annotations
 
@@ -36,9 +35,14 @@ MIXING_TOL = 1e-12
 # exp(-x) underflows well before this; treat the decayed weight as exact
 LARGE_EXPONENT = 700.0
 
-# Bytes of one (n, d, d) complex stack: evolve_state evaluates its time grid
-# n = max(1, STACK_BYTES // (16 d^2)) points at a time.
+# Bytes of one (n, d, d) complex stack: time grids and lists of states are
+# evaluated _stack_points(d) points at a time.
 STACK_BYTES = 128 * 1024
+
+
+def _stack_points(dim: int) -> int:
+    """n = max(1, STACK_BYTES // (16 d^2)): the points of one (n, d, d) complex stack."""
+    return max(1, STACK_BYTES // (16 * dim * dim))
 
 
 class CertificateError(ValueError):
@@ -155,11 +159,11 @@ def _checked_mixing(space: FockSpace, ops: Sequence[OperatorMatrix], mixing) -> 
 class KrausSet:
     """Kraus channel of ``model`` at evolution time ``time``, as nested loss maps.
 
-    The family E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!), one
-    operator per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
+    Its Kraus operators E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
+    one per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
     mode's cutoff (1 for a fermion) and sum k_j at most the space's total,
-    is the complete series on the model's space: no other pattern acts
-    there.  Here U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t).  It sums to
+    are the complete series on the model's space: no other pattern acts
+    there.  Here U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t).  They sum to
     sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
     Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
     damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
@@ -172,11 +176,6 @@ class KrausSet:
     = sum_kappa E_kappa^dag E_kappa is the adjoint loss maps applied to U^dag U.
     A channel is the one-point case of the stacks :func:`evolve_state`
     evaluates on its grid, with the same checks.
-
-    ``family`` (the (d, K, d) array with E_i = ``family[:, i, :]``),
-    ``operators`` and ``multi_indices`` (the loss pattern of each E_i) are
-    built by loss-pattern recursion on first use; no channel application
-    reads them.
     """
 
     model: DecayModel
@@ -201,38 +200,6 @@ class KrausSet:
     def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
         return _nested_loss_maps(matrix, self.model, np.array([self.weights]), adjoint)[0]
-
-    @cached_property
-    def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        return kraus_multi_indices(self.model.space)
-
-    @cached_property
-    def family(self) -> np.ndarray:
-        """The (d, K, d) family, by recursion on the pattern.
-
-        E_0 = U, and for kappa != 0, with j the last mode that loses a
-        quantum, E_kappa = sqrt(w_j / k_j) E_{kappa - e_j} c_j.  Appending
-        c_j on the right keeps the ordered product c_1^{k_1} c_2^{k_2} ...
-        that the fermionic signs need.  The recursion reads each parent
-        before its children, so it relies on :func:`kraus_multi_indices`
-        grouping patterns by total.
-        """
-        indices = self.multi_indices
-        d = self.model.space.dimension
-        family = np.empty((d, len(indices), d), dtype=complex)
-        family[:, 0] = self.propagator
-        position = {kappa: i for i, kappa in enumerate(indices)}
-        for i, kappa in enumerate(indices[1:], start=1):
-            j = max(l for l, k in enumerate(kappa) if k)
-            parent = position[kappa[:j] + (kappa[j] - 1,) + kappa[j + 1:]]
-            np.matmul(family[:, parent], self.model.decay_ops[j].entries, out=family[:, i])
-            family[:, i] *= math.sqrt(self.weights[j] / kappa[j])
-        return family
-
-    @cached_property
-    def operators(self) -> tuple[OperatorMatrix, ...]:
-        return tuple(OperatorMatrix(self.model.space, self.family[:, i])
-                     for i in range(self.family.shape[1]))
 
 
 def _channels(
@@ -366,14 +333,6 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
-def kraus_multi_indices(space: FockSpace) -> tuple[tuple[int, ...], ...]:
-    """Deterministic enumeration of loss patterns: grouped by total, then lexicographic.
-
-    The patterns are the occupation tuples of the space itself.
-    """
-    return tuple(sorted(space.occupations, key=sum))
-
-
 def _certificate_defect(
     m_matrix: np.ndarray,
     decay_ops: Sequence[np.ndarray],
@@ -453,8 +412,8 @@ def evolve_state(
     """Channel evolution sampled on a time grid: the complete Kraus channel of
     each point, on the model's space, applied to rho0.
 
-    The grid is evaluated n = max(1, STACK_BYTES // (16 d^2)) points at a
-    time, as (n, d, d) stacks, so the memory is O(n d^2); each state is
+    The grid is evaluated n = _stack_points(d) points at a time, as
+    (n, d, d) stacks, so the memory is O(n d^2); each state is
     bit-identical to ``apply_channel(build_kraus(model, t), rho0)``.  A stack
     runs each check on all its points in turn, so a chunk that fails is
     evaluated again one point at a time: the error is the earliest point's,
@@ -465,7 +424,7 @@ def evolve_state(
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    chunk = max(1, STACK_BYTES // (16 * model.space.dimension ** 2))
+    chunk = _stack_points(model.space.dimension)
     states: list[DensityOperator] = []
     for start in range(0, len(times), chunk):
         part = times[start:start + chunk]
@@ -488,13 +447,12 @@ def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.n
 
     The observable is checked once; the tiny imaginary residue left by
     floating point is checked per state and discarded.  The states are read
-    in (n, d, d) stacks of n = max(1, STACK_BYTES // (16 d^2)), one ``einsum``
-    per stack.
+    in (n, d, d) stacks of n = _stack_points(d), one ``einsum`` per stack.
     """
     if any(rho.space != obs.space for rho in states):
         raise ValueError("state and observable live on different spaces")
     scale = obs.check_hermitian()
-    block = max(1, STACK_BYTES // (16 * obs.space.dimension ** 2))
+    block = _stack_points(obs.space.dimension)
     values = np.empty(len(states), dtype=complex)
     for i in range(0, len(states), block):
         stack = np.array([rho.matrix for rho in states[i:i + block]])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import STACK_BYTES, DecayModel
+from .channel import DecayModel, _stack_points
 from .fock import DensityOperator, InvariantViolation
 
 EIG_EXCURSION_FLOOR = -1e-8
@@ -181,8 +181,8 @@ def integrate(
     projection, so trace drift stays visible to the caller.  Negative
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
     matrix or a sampled state that is not finite (an unstable step).  The
-    sampled states are checked n = max(1, STACK_BYTES // (16 d^2)) at a time,
-    as (n, d, d) stacks, and an error names the earliest time that fails.
+    sampled states are checked n = _stack_points(d) at a time, as (n, d, d)
+    stacks, and an error names the earliest time that fails.
     """
     step = float(step)
     if step <= 0:
@@ -220,7 +220,7 @@ def integrate(
         series.append((r, c, values))
 
     dim = gen.model.space.dimension
-    block = max(1, STACK_BYTES // (16 * dim * dim))
+    block = _stack_points(dim)
     out: list[DensityOperator] = []
     for start in range(0, len(times), block):
         part = targets[start:start + block]

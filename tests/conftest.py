@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockdecay import DensityOperator, FockSpace, OperatorMatrix
 
@@ -26,6 +29,26 @@ def support_total_bound(rho: DensityOperator, tol=1e-14) -> int:
     mag = np.maximum(np.max(np.abs(rho.matrix), axis=0), np.max(np.abs(rho.matrix), axis=1))
     live = np.flatnonzero(mag > tol)
     return int(rho.space.total_occupation[live].max()) if live.size else 0
+
+
+def loss_patterns(space: FockSpace) -> list[tuple[int, ...]]:
+    """The loss patterns of a Kraus channel on ``space``: its occupation tuples, grouped by total."""
+    return sorted(space.occupations, key=sum)
+
+
+def kraus_reference(model, t, patterns):
+    """Each Kraus operator rebuilt from the identity: U(t) prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!)."""
+    prop = scipy.linalg.expm(-1j * model.m_operator.entries * t)
+    weights = [-math.expm1(-g * t) for g in model.widths]
+    out = []
+    for kappa in patterns:
+        coeff2 = math.prod(w**k / math.factorial(k) for k, w in zip(kappa, weights))
+        mono = np.eye(model.space.dimension, dtype=complex)
+        for k_j, c in zip(kappa, model.decay_ops):
+            for _ in range(k_j):
+                mono = mono @ c.entries
+        out.append(math.sqrt(coeff2) * (prop @ mono))
+    return out
 
 
 def random_hermitian(rng, space: FockSpace, scale=1.0) -> OperatorMatrix:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kraus_reference, loss_patterns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,7 +245,7 @@ def test_mixed_model_is_exact_on_its_whole_space(space):
     eye = np.eye(space.dimension)
     for t in (0.3, 1.7):
         ks = build_kraus(model, t)
-        gram = np.einsum("aib,aic->bc", ks.family.conj(), ks.family)
+        gram = sum(E.conj().T @ E for E in kraus_reference(model, t, loss_patterns(space)))
         assert np.linalg.norm(gram - eye, 2) <= 1e-12
         assert ks.completeness_defect <= 1e-12
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_density_matrix, random_hermitian
 
+import fockdecay.channel as channel
 import fockdecay.master as master
 from fockdecay import (
     FockSpace,
@@ -157,7 +158,8 @@ def test_integrate_validates_inputs():
 def test_integrate_names_the_earliest_state_that_fails_a_check(spoil, message, block_points, monkeypatch):
     model = single_model(cutoff=3)
     if block_points is not None:
-        monkeypatch.setattr(master, "STACK_BYTES", 16 * model.space.dimension ** 2 * block_points)
+        monkeypatch.setattr(channel, "STACK_BYTES", 16 * model.space.dimension ** 2 * block_points)
+        assert channel._stack_points(model.space.dimension) == block_points
     sample = master._sample
 
     def spoiled(p, vec, targets):
