@@ -207,19 +207,14 @@ def _channels(
     times: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Kraus channels of ``model`` at each of ``times``, checked as
-    :class:`KrausSet` describes: their propagators U = exp(-i M t) and Grams
-    as (n, d, d) stacks, their weights w_j as an (n, r) array and their
-    completeness defects as an (n,) array.
-
-    scipy's ``expm`` runs its own Pade and scaling choice on each matrix of
-    the stack, so each U is the one a single time would give.
+    :class:`KrausSet` describes: their propagators U = exp(-i M t) (see
+    :func:`_propagators`) and Grams as (n, d, d) stacks, their weights w_j as
+    an (n, r) array and their completeness defects as an (n,) array.
     """
-    import scipy.linalg  # the library's only scipy call; validate and closed forms skip the import
-
     times = [float(t) for t in times]
     weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        propagators = scipy.linalg.expm(-1j * model.m_operator.entries * np.array(times)[:, None, None])
+        propagators = _propagators(model.m_operator.entries, times)
     _check_finite(propagators, "propagator exp(-i M t)", times)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         grams = _nested_loss_maps(_adjoint(propagators) @ propagators, model, weights, adjoint=True)
@@ -229,6 +224,67 @@ def _channels(
     if bad.any():
         raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
     return propagators, weights, grams, defects
+
+
+# Degree-13 Pade coefficients b_0 ... b_13 and the largest 1-norm of A they
+# take unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+THETA_13 = 5.371920351148152
+
+
+def _propagators(m: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """exp(-i M t) for each of ``times``, as an (n, d, d) stack.
+
+    A diagonal M takes exp of its diagonal.  Otherwise each point is the
+    degree-13 Pade approximant r of A = -i M t / 2^s, squared s times, with
+    s = max(0, ceil(log2(t ||M||_1 / THETA_13))) (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005)).  A = -i x B, where B = M / 2^e is M
+    scaled exactly into ||B||_1 < 1 and x = t 2^(e - s), so B^2, B^4 and B^6
+    are formed once for all points and A^2, A^4 and A^6 are scalar multiples
+    of them; each point then costs Higham's three products for the Pade
+    polynomials U and V, one solve and its squarings.  The approximant is
+    taken as r = I + 2 (V - U)^-1 U, whose rounding the squarings amplify
+    less than that of (V - U)^-1 (V + U).  The squarings run on the points,
+    in order of s, that still need one.  Every step acts on each point
+    alone, so each matrix is the one a single time would give.
+    A point where t ||M||_1 is not finite (or M is not) is all NaN.
+    """
+    t = np.asarray(times, dtype=float)
+    d = len(m)
+    if not m[~np.eye(d, dtype=bool)].any():
+        out = np.zeros((len(t), d, d), dtype=complex)
+        out[:, range(d), range(d)] = np.exp(-1j * np.diagonal(m) * t[:, None])
+        return out
+    norm = float(np.abs(m).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full((len(t), d, d), np.nan, dtype=complex)
+    e = math.frexp(norm)[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.maximum(0.0, np.ceil(np.log2(t * norm / THETA_13)))
+    bad = ~np.isfinite(s)
+    s = np.where(bad, 0, s).astype(int)
+    x = np.where(bad, 0.0, np.ldexp(t, e - s))[:, None, None]
+    b = np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), -e).view(complex)
+    b2 = b @ b
+    b4 = b2 @ b2
+    b6 = b2 @ b4
+    a, a2, a4, a6 = -1j * x * b, -x**2 * b2, x**4 * b4, -x**6 * b6
+    c = PADE_13
+    eye = np.eye(d)
+    u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2) + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
+    v = a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2) + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
+    r = eye + 2 * np.linalg.solve(v - u, u)
+    order = np.argsort(s, kind="stable")
+    r, s = r[order], s[order]
+    for i in range(1, int(s.max(initial=0)) + 1):
+        k = int(np.searchsorted(s, i))
+        r[k:] = r[k:] @ r[k:]
+    out = np.empty_like(r)
+    out[order] = r
+    out[bad] = np.nan
+    return out
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import kraus_reference, loss_patterns, random_density_matrix, support_total_bound
 
 from fockdecay import (
@@ -195,6 +196,53 @@ def test_completeness_on_grid():
             assert ks.completeness_defect <= 1e-10
 
 
+def _decaying_generator(rng, d, normal):
+    """A random non-diagonal M whose exp(-i M t) is a contraction for t >= 0, as a model's M is:
+    normal with eigenvalues in the lower half-plane, or H - i K / 2 with H and K >= 0 not commuting."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if normal:
+        q, _ = np.linalg.qr(z)
+        return (q * (rng.standard_normal(d) - 1j * rng.random(d))) @ q.conj().T
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (h + h.conj().T) - 0.5j * (z @ z.conj().T) / d
+
+
+@pytest.mark.parametrize("d", [2, 10, 21, 39])
+@pytest.mark.parametrize("normal", [True, False], ids=["normal", "non-normal"])
+def test_propagators_match_scipy_expm(d, normal, rng):
+    m = _decaying_generator(rng, d, normal)
+    # t ||M||_1 from 0 to 1e4: up to 11 squarings
+    times = np.concatenate([[0.0], np.logspace(-3, 4, 29)]) / np.abs(m).sum(axis=0).max()
+    got = channel._propagators(m, times)
+    want = scipy.linalg.expm(-1j * m * times[:, None, None])
+    scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale)
+    assert np.array_equal(got[0], np.eye(d))
+    # each point is the one its time alone gives, in whatever order the times come
+    order = rng.permutation(len(times))
+    assert np.array_equal(channel._propagators(m, times[order]), got[order])
+    assert all(np.array_equal(channel._propagators(m, [t])[0], u) for t, u in zip(times, got))
+
+
+def test_a_diagonal_generator_takes_exp_of_its_diagonal(rng):
+    diag = rng.standard_normal(6) - 1j * rng.random(6)
+    times = [0.0, 0.3, 7.0, 1e3]
+    for t, u in zip(times, channel._propagators(np.diag(diag), times)):
+        assert np.array_equal(u, np.diag(np.exp(-1j * diag * t)))
+        assert np.array_equal(u, scipy.linalg.expm(-1j * np.diag(diag) * t))
+
+
+def test_a_non_finite_exponent_ends_in_an_invariant_violation():
+    for entry, t in ((math.nan, 1.0), (math.inf, 1.0), (0.2, math.inf)):
+        m = np.array([[0.5 - 0.5j, entry], [0.2, 1.0 - 1.0j]])
+        stack = channel._propagators(m, [0.5, t])  # no LinAlgError from the solve
+        with pytest.raises(InvariantViolation, match="propagator exp\\(-i M t\\) is not finite"):
+            channel._check_finite(stack, "propagator exp(-i M t)", [0.5, t])
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, width=0.5), ModeSpec(Statistics.FERMION, width=1.5)])
+    with pytest.raises(InvariantViolation, match="not finite at t = inf"):
+        build_kraus(build_mixed_model(fermions, MixingParams(theta=0.9)), math.inf)
+
+
 def _block_cases():
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=4), ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=4)
     model = build_mixed_model(bosons, MixingParams(theta=1.2, phi=0.5, psi=0.3, chi=0.1))
@@ -248,6 +296,13 @@ def _edge_cases():
                        ModeSpec(Statistics.FERMION, mass=1.0, width=1.2),
                        ModeSpec(Statistics.FERMION, mass=2.0, width=0.6)])
     yield pytest.param(build_decay_model(space), 0.9, id="boson-two-fermions")
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
+                          ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
+    yield pytest.param(build_mixed_model(fermions, MixingParams(theta=0.9, phi=0.2)), 1.1,
+                       id="mixed-fermions")
+    # w_1 = 1e-200, so w_1**2 / 2 underflows; w_2 = 0
+    space = FockSpace([ModeSpec(width=1.0, cutoff=3), ModeSpec(mass=1.0, width=0.0, cutoff=2)])
+    yield pytest.param(build_decay_model(space), 1e-200, id="w-underflow")
 
 
 @pytest.mark.parametrize("model, t", list(_edge_cases()))

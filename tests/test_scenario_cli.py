@@ -441,6 +441,10 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
     assert "Traceback" not in err
 
 
+MIXED_PAIR = {"modes": [dict(MINIMAL["modes"][0], cutoff=2), dict(MINIMAL["modes"][0], mass=1.0, cutoff=2)],
+              "mixing": {"theta": 0.5}, "initial_state": {"type": "number", "occupations": [1, 0]}}
+
+
 @pytest.mark.parametrize(
     "overrides, code, prefix",
     [
@@ -456,13 +460,11 @@ def test_cli_rejects_nonfinite_numbers(tmp_path, capsys, command, overrides):
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
         ({"ode_step": 5e-324, "routes": ["ode"]},
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
-        # m t overflows where nothing decays, and exp(-i M t) under mixing
+        # m t overflows where nothing decays, and t ||M||_1 under mixing
         ({"modes": [dict(MINIMAL["modes"][0], mass=2.0, width=0.0)],
           "time_grid": dict(MINIMAL["time_grid"], stop=1e308, count=3), "routes": ["heisenberg"]},
          2, "runtime invariant breach: "),
-        ({"modes": [dict(MINIMAL["modes"][0], cutoff=2), dict(MINIMAL["modes"][0], mass=1.0, cutoff=2)],
-          "mixing": {"theta": 0.5}, "initial_state": {"type": "number", "occupations": [1, 0]},
-          "time_grid": dict(MINIMAL["time_grid"], stop=1e300, count=3)},
+        (dict(MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=1.7e308, count=3)),
          2, "runtime invariant breach: "),
         # a huge but finite mass in the shape of fig1_number: the certificate is
         # relative, so the closed forms run; exp(-i M t) and the RK4 step do not
@@ -503,6 +505,24 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
     assert (tmp_path / "out").exists() == (code == 0)  # a failed run leaves no output directory
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_runs_a_mixed_pair_to_a_huge_time_on_the_kraus_route(tmp_path, capsys):
+    # t ||M||_1 = 1e300 is finite: exp(-i M t) takes ~1000 squarings, and every
+    # decaying state has decayed, as the closed forms say
+    cfg = tmp_path / "huge_t.json"
+    cfg.write_text(json.dumps(make_config(
+        **MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=1e300, count=3),
+        routes=["kraus", "heisenberg"], observables=["N", "S"], output_path=str(tmp_path / "out"))))
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    for obs in ("N", "S"):
+        _, kraus = read_csv(tmp_path / "out" / f"minimal__kraus__{obs}.csv")
+        _, heis = read_csv(tmp_path / "out" / f"minimal__heisenberg__{obs}.csv")
+        got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(got[1:], [0.0, 0.0])
+
+
 @pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
 @pytest.mark.filterwarnings("error")
 def test_cli_runs_a_mass_near_the_float_limit_on_every_route(tmp_path, capsys, route):
@@ -520,19 +540,16 @@ def test_cli_runs_a_mass_near_the_float_limit_on_every_route(tmp_path, capsys, r
         assert (out / f"minimal__{route}__N.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "args, loads_scipy",
-    [(["validate"], False), (["run", "--routes", "heisenberg"], False), (["run", "--routes", "kraus"], True)],
-)
-def test_scipy_is_imported_only_by_the_kraus_route(tmp_path, args, loads_scipy):
+@pytest.mark.parametrize("args", [["validate"], ["run", "--routes", "heisenberg"], ["run", "--routes", "kraus"]])
+def test_no_command_imports_scipy(tmp_path, args):
     # a fresh interpreter, so that no other test has imported scipy yet
     script = ("import sys\n"
               "from fockdecay.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, 'scipy' in sys.modules)\n")
-    doc = json.loads((CONFIGS / "single_mode_decay.json").read_text())
+    doc = json.loads((CONFIGS / "fig1_number.json").read_text())
     doc["observables"] = ["N"]  # occupations would need a state-side route
-    config = tmp_path / "single_mode_decay.json"
+    config = tmp_path / "fig1_number.json"
     config.write_text(json.dumps(doc))
     argv = [args[0], str(config), *args[1:]]
     if args[0] == "run":
@@ -541,7 +558,7 @@ def test_scipy_is_imported_only_by_the_kraus_route(tmp_path, args, loads_scipy):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_missing_file(capsys):

@@ -1,6 +1,6 @@
 """Write BENCH_<N>.json: the benchmark workloads and the shipped configs, timed on one checkout.
 
-    python3 tools/bench.py --pr N [--root CHECKOUT]
+    python3 tools/bench.py --pr N [--root CHECKOUT] [--parent PARENT]
 
 The file holds:
 
@@ -18,6 +18,10 @@ The file holds:
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
   median, in a fresh interpreter with BLAS pinned to one thread;
+- ``outputs``, with ``--parent``: ``tools/compare_outputs.py run`` on PARENT
+  and on CHECKOUT, then ``diff`` of the two (see ``output_diff``).  PARENT
+  is a checkout, or a git revision of CHECKOUT that is extracted with ``git
+  archive`` for the run;
 - ``tier1``: the Tier-1 suite, ``TIER1`` run in CHECKOUT with ``src`` on
   ``PYTHONPATH``: its wall time, exit code, summary line, and the counts and
   duration read from that line.
@@ -33,6 +37,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,6 +48,7 @@ REPS = 3
 PIN_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CAP_SECONDS = 600
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+COMPARE = Path(__file__).resolve().parent / "compare_outputs.py"
 
 # argv: source checkout, warm repetitions; prints {config name: [seconds, ...]}
 CONFIG_CHILD = """
@@ -109,6 +115,50 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
     }
 
 
+def _parent_checkout(root: Path, parent: str, dest: Path) -> tuple[Path, str | None]:
+    """PARENT itself when it is a directory, else git revision PARENT of ``root``
+    extracted into ``dest``; with its commit (None when git cannot name it)."""
+    if Path(parent).is_dir():
+        return Path(parent).resolve(), _rev_parse(Path(parent), "HEAD")
+    tar = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", parent],
+                         capture_output=True, check=True, timeout=CAP_SECONDS).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True, timeout=CAP_SECONDS)
+    return dest, _rev_parse(root, parent)
+
+
+def _rev_parse(repo: Path, revision: str) -> str | None:
+    done = subprocess.run(["git", "-C", str(repo), "rev-parse", revision],
+                          capture_output=True, text=True, timeout=30)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def diff_report(a: Path, b: Path) -> dict:
+    """``tools/compare_outputs.py diff A B`` as a dict: its exit code, the max abs CSV
+    diff per route, and the counts of byte-equal CSVs and of manifests whose lines
+    other than ``timestamp=`` are identical, each out of all such files."""
+    done = subprocess.run([sys.executable, str(COMPARE), "diff", str(a), str(b)],
+                          capture_output=True, text=True, timeout=CAP_SECONDS)
+    routes = re.findall(r"^route (\S+): max_abs_diff=(\S+)$", done.stdout, re.M)
+    counts = re.search(r"^summary: (\d+) of (\d+) CSVs byte-equal, (\d+) of (\d+) manifests",
+                       done.stdout, re.M)
+    keys = ("csvs_byte_equal", "csvs", "manifests_identical", "manifests")
+    return {"exit_code": done.returncode,
+            "max_abs_diff": {route: float(dev) for route, dev in routes},
+            **dict(zip(keys, map(int, counts.groups()) if counts else (None,) * 4))}
+
+
+def output_diff(root: Path, parent: str) -> dict:
+    """The outputs of ``compare_outputs.py run`` on the parent and on ``root``, compared
+    by :func:`diff_report`, with the parent's commit (None when it has no git)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "parent").mkdir()
+        checkout, commit = _parent_checkout(root, parent, tmp / "parent")
+        for name, source in (("parent", checkout), ("change", root)):
+            _child([str(COMPARE), "run", str(tmp / f"out-{name}"), "--root", str(source)], root)
+        return {"parent_commit": commit, **diff_report(tmp / "out-parent", tmp / "out-change")}
+
+
 def summary_counts(line: str) -> dict:
     """Counts and duration of a pytest summary line, such as
     ``== 1 failed, 274 passed, 2 warnings in 9.75s (0:00:09) ==``, keyed
@@ -137,12 +187,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="source checkout to run (default: this script's)")
+    parser.add_argument("--parent", help="checkout, or git revision of CHECKOUT, whose outputs "
+                                         "CHECKOUT's are compared with")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     doc = {"pr": args.pr,
            "command": ["tools/bench.py", *(sys.argv[1:] if argv is None else argv)],
-           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS),
-           "tier1": tier1(root)}
+           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS)}
+    if args.parent is not None:
+        doc["outputs"] = output_diff(root, args.parent)
+    doc["tier1"] = tier1(root)
     path = root / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(path)
