@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,6 +38,8 @@ LARGE_EXPONENT = 700.0
 # Bytes of one (n, d, d) complex stack: time grids and lists of states are
 # evaluated _stack_points(d) points at a time.
 STACK_BYTES = 128 * 1024
+
+Result = TypeVar("Result")
 
 
 def _stack_points(dim: int) -> int:
@@ -438,16 +440,22 @@ def _channel_action(model: DecayModel, propagators: np.ndarray, weights: np.ndar
     return propagators @ _nested_loss_maps(matrix, model, weights, adjoint=False) @ _adjoint(propagators)
 
 
-def _channel_states(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
-                    rho: DensityOperator) -> list[DensityOperator]:
-    """The states the channels of the stack make of rho, with the trace kept to
-    1e-12 and each validated as a density operator."""
+def _channel_stack(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
+                   rho: DensityOperator) -> np.ndarray:
+    """The (n, d, d) stack of states the channels of the stack make of rho, with
+    the trace kept to 1e-12 and each validated as a density operator."""
     out = _channel_action(model, propagators, weights, rho.matrix)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
     check_densities(out)
-    return [DensityOperator(model.space, m, tail_weight=rho.tail_weight, validate=False) for m in out]
+    return out
+
+
+def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[DensityOperator]:
+    """Checked state matrices as DensityOperators on ``like``'s space, with its tail weight."""
+    return [DensityOperator(like.space, m, tail_weight=like.tail_weight, validate=False)
+            for m in matrices]
 
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
@@ -457,66 +465,99 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """
     if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    return _channel_states(kraus.model, kraus.propagator[None], np.array([kraus.weights]), rho)[0]
+    return _as_states(_channel_stack(kraus.model, kraus.propagator[None], np.array([kraus.weights]), rho),
+                      rho)[0]
 
 
 def evolve_state(
     model: DecayModel,
     rho0: DensityOperator,
     times: Sequence[float],
-) -> list[DensityOperator]:
+    read: Callable[[Iterator[np.ndarray]], Result] | None = None,
+) -> list[DensityOperator] | Result:
     """Channel evolution sampled on a time grid: the complete Kraus channel of
     each point, on the model's space, applied to rho0.
 
-    The grid is evaluated n = _stack_points(d) points at a time, as
-    (n, d, d) stacks, so the memory is O(n d^2); each state is
+    The grid is evaluated n = _stack_points(d) points at a time, as checked
+    (n, d, d) stacks of states, so the memory is O(n d^2); each state is
     bit-identical to ``apply_channel(build_kraus(model, t), rho0)``.  A stack
     runs each check on all its points in turn, so a chunk that fails is
     evaluated again one point at a time: the error is the earliest point's,
-    as the points would raise one after another.
+    as the points would raise one after another.  With ``read``, the result
+    is ``read(stacks)``, the stacks handed over in grid order and made one
+    at a time as ``read`` iterates (see :func:`read_series`).  Without, it
+    is a thin wrapper: the list of one DensityOperator per grid point.
     """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
+    stacks = _state_stacks(model, rho0, times)
+    return _as_states((m for stack in stacks for m in stack), rho0) if read is None else read(stacks)
+
+
+def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
     chunk = _stack_points(model.space.dimension)
-    states: list[DensityOperator] = []
     for start in range(0, len(times), chunk):
         part = times[start:start + chunk]
         try:
-            states += _grid_states(model, rho0, part)
+            stack = _grid_stack(model, rho0, part)
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_states(model, rho0, [t])
+                _grid_stack(model, rho0, [t])
             raise
-    return states
+        yield stack
 
 
-def _grid_states(model: DecayModel, rho0: DensityOperator, times: list[float]) -> list[DensityOperator]:
+def _grid_stack(model: DecayModel, rho0: DensityOperator, times: list[float]) -> np.ndarray:
     propagators, weights, _, _ = _channels(model, times)  # refuses t < 0
-    return _channel_states(model, propagators, weights, rho0)
+    return _channel_stack(model, propagators, weights, rho0)
+
+
+def read_series(
+    stacks: Iterable[np.ndarray],
+    observables: Mapping[str, OperatorMatrix],
+    diagonal: bool = False,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The series of a grid of states handed over as (n, d, d) stacks, each
+    dropped once read: tr(rho * obs) of each Hermitian observable, as a real
+    array under its name, and with ``diagonal`` the (T, d) real diagonals
+    (None without).
+
+    Each observable is checked once, with one ``einsum`` per observable per
+    stack; the tiny imaginary residue left by floating point is checked over
+    the whole series and discarded.
+    """
+    scales = {name: obs.check_hermitian() for name, obs in observables.items()}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in observables}
+    diagonals = []
+    for stack in stacks:
+        for name, obs in observables.items():
+            parts[name].append(np.einsum("nij,ji->n", stack, obs.entries))
+        if diagonal:
+            diagonals.append(np.real(stack.diagonal(axis1=-2, axis2=-1)).copy())
+    values = {}
+    for name, scale in scales.items():
+        series = np.concatenate(parts[name]) if parts[name] else np.empty(0, dtype=complex)
+        residue = float(np.max(np.abs(series.imag), initial=0.0))
+        if residue > 1e-12 * scale:
+            raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
+        values[name] = series.real
+    if not diagonal:
+        return values, None
+    return values, np.concatenate(diagonals) if diagonals else np.empty((0, 0))
 
 
 def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:
-    """tr(rho * obs) for each state, for a Hermitian observable.
-
-    The observable is checked once; the tiny imaginary residue left by
-    floating point is checked per state and discarded.  The states are read
-    in (n, d, d) stacks of n = _stack_points(d), one ``einsum`` per stack.
-    """
+    """tr(rho * obs) for each state, for a Hermitian observable: a thin wrapper
+    that reads the states in (n, d, d) stacks of n = _stack_points(d) with
+    :func:`read_series`."""
     if any(rho.space != obs.space for rho in states):
         raise ValueError("state and observable live on different spaces")
-    scale = obs.check_hermitian()
     block = _stack_points(obs.space.dimension)
-    values = np.empty(len(states), dtype=complex)
-    for i in range(0, len(states), block):
-        stack = np.array([rho.matrix for rho in states[i:i + block]])
-        values[i:i + block] = np.einsum("nij,ji->n", stack, obs.entries)
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
-    if residue > 1e-12 * scale:
-        raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
-    return values.real
+    stacks = (np.array([rho.matrix for rho in states[i:i + block]]) for i in range(0, len(states), block))
+    return read_series(stacks, {"obs": obs})[0]["obs"]
 
 
 def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:

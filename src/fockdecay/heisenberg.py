@@ -12,6 +12,7 @@ forms refuses a negative or NaN time.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -50,12 +51,17 @@ def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(kraus.model.space, out)
 
 
+def _grid_amplitudes(model: DecayModel, times) -> np.ndarray:
+    """The (T, r) array of exp(-(i m_j + Gamma_j / 2) t) for each time and decay
+    mode j, each entry as :func:`_decay_amplitude` gives it."""
+    modes = list(zip(model.masses, model.widths))
+    return np.array([[_decay_amplitude(m, g, t) for m, g in modes] for t in map(float, times)],
+                    dtype=complex).reshape(-1, len(modes))
+
+
 def _mode_amplitudes(model: DecayModel, t: float) -> np.ndarray:
-    """Per decay mode: exp(-(i m_j + Gamma_j / 2) t)."""
-    return np.array(
-        [_decay_amplitude(m, g, t) for m, g in zip(model.masses, model.widths)],
-        dtype=complex,
-    )
+    """Per decay mode: exp(-(i m_j + Gamma_j / 2) t), the one-point grid."""
+    return _grid_amplitudes(model, [t])[0]
 
 
 def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -97,23 +103,39 @@ def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> Operator
 
 def mean_quadratic_trajectory(model: DecayModel, rho0: DensityOperator, omega: np.ndarray,
                               times) -> np.ndarray:
-    """tr(rho0 evolve_quadratic(model, omega, t)) for every t, without building an operator.
+    """tr(rho0 evolve_quadratic(model, omega, t)) for every t, without building an
+    operator: :func:`mean_quadratic_trajectories` of one omega."""
+    return mean_quadratic_trajectories(model, rho0, {"omega": omega}, times)["omega"]
 
-    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k), computed once:
-    <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
+
+def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
+                                omegas: Mapping[str, np.ndarray], times) -> dict[str, np.ndarray]:
+    """For each named omega, tr(rho0 evolve_quadratic(model, omega, t)) for every t.
+
+    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k) and the time
+    only through the (T, r) amplitudes d_j(t), both computed once for all
+    omegas: <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
     """
-    coeffs = _propagation_coefficients(model, omega)
-    hermitian_scale(omega)
+    coeffs = {}
+    for name, omega in omegas.items():
+        coeffs[name] = _propagation_coefficients(model, omega)
+        hermitian_scale(omega)
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
     ops = [c.entries for c in model.decay_ops]
-    terms = coeffs * np.array([[np.vdot(cj, ck @ rho0.matrix) for ck in ops] for cj in ops])
-    amps = np.array([_mode_amplitudes(model, float(t)) for t in times]).reshape(-1, len(ops))
-    values = np.einsum("jk,tj,tk->t", terms, amps.conj(), amps)
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
-    if residue > 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):
-        raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
-    return values.real
+    c_rho = [ck @ rho0.matrix for ck in ops]
+    gram = np.array([[np.vdot(cj, ck_rho) for ck_rho in c_rho] for cj in ops])
+    amps = _grid_amplitudes(model, times)
+    amps_conj = amps.conj()
+    out = {}
+    for name, coeff in coeffs.items():
+        terms = coeff * gram
+        values = np.einsum("jk,tj,tk->t", terms, amps_conj, amps)
+        residue = float(np.max(np.abs(values.imag), initial=0.0))
+        if residue > 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):
+            raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
+        out[name] = values.real
+    return out
 
 
 def evolve_number(model: DecayModel, t: float) -> OperatorMatrix:

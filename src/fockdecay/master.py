@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import DecayModel, _stack_points
+from .channel import DecayModel, Result, _as_states, _stack_points
 from .fock import DensityOperator, InvariantViolation
 
 EIG_EXCURSION_FLOOR = -1e-8
@@ -146,20 +146,29 @@ def _rk4_step_matrix(a: np.ndarray) -> np.ndarray:
     return p
 
 
-def _sample(p: np.ndarray, vec: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Rows P^n vec for each n in ``targets``; one cached power per distinct gap."""
-    out = np.empty((len(targets), vec.size), dtype=complex)
-    powers: dict[int, np.ndarray] = {}
+def _sample(p: np.ndarray, vec: np.ndarray, targets: Sequence[int], size: int) -> Iterator[np.ndarray]:
+    """Rows P^n vec for each n in ``targets``, handed over ``size`` rows at a time.
+
+    The power of each distinct gap between targets is taken here, once, so
+    the iterator holds those powers and one vector, not ``p``.
+    """
+    gaps = set(np.diff(targets, prepend=0).tolist()) - {0}
+    powers = {m: np.linalg.matrix_power(p, m) for m in gaps}
+    return _advance(powers, vec, targets, size)
+
+
+def _advance(powers: dict[int, np.ndarray], vec: np.ndarray, targets: Sequence[int],
+             size: int) -> Iterator[np.ndarray]:
     done = 0
-    for i, n in enumerate(targets):
-        m = n - done
-        if m:
-            if m not in powers:
-                powers[m] = np.linalg.matrix_power(p, m)
-            vec = powers[m] @ vec
-        done = n
-        out[i] = vec
-    return out
+    for start in range(0, len(targets), size):
+        part = targets[start:start + size]
+        out = np.empty((len(part), vec.size), dtype=complex)
+        for i, n in enumerate(part):
+            if n != done:
+                vec = powers[n - done] @ vec
+                done = n
+            out[i] = vec
+        yield out
 
 
 def integrate(
@@ -167,7 +176,8 @@ def integrate(
     rho0: DensityOperator,
     times: Sequence[float],
     step: float,
-) -> list[DensityOperator]:
+    read: Callable[[Iterator[np.ndarray]], Result] | None = None,
+) -> list[DensityOperator] | Result:
     """Classic fixed-step RK4 trajectory sampled at the requested times.
 
     Every requested time must be an integer multiple of ``step``.  Only the
@@ -180,9 +190,16 @@ def integrate(
     The trajectory is returned as-is: no renormalization and no positivity
     projection, so trace drift stays visible to the caller.  Negative
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
-    matrix or a sampled state that is not finite (an unstable step).  The
-    sampled states are checked n = _stack_points(d) at a time, as (n, d, d)
-    stacks, and an error names the earliest time that fails.
+    matrix or a sampled state that is not finite (an unstable step).
+
+    The grid is assembled n = _stack_points(d) points at a time, as
+    (n, d, d) stacks of states checked as they are made (a point at step 0
+    is rho0 itself, unchecked), and an error names the earliest time of the
+    stack that fails.  With ``read``, the result is ``read(stacks)``, the
+    stacks handed over in grid order and made one at a time as ``read``
+    iterates (see :func:`fockdecay.channel.read_series`).  Without, it is a
+    thin wrapper: the list of one DensityOperator per grid point, rho0 itself
+    at step 0.
     """
     step = float(step)
     if step <= 0:
@@ -196,42 +213,61 @@ def integrate(
         raise ValueError("state and generator live on different spaces")
 
     targets = [steps_for(t, step) for t in times]
+    stacks = _rk4_stacks(gen, rho0, times, targets, step)
+    if read is not None:
+        return read(stacks)
+    states = _as_states((m for stack in stacks for m in stack), rho0)
+    return [rho0 if n == 0 else state for n, state in zip(targets, states)]
+
+
+def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, times: list[float],
+                targets: list[int], step: float) -> Iterator[np.ndarray]:
     tot = gen.model.space.total_occupation
+    dim = gen.model.space.dimension
+    size = _stack_points(dim)
     live = _reachable(gen, rho0.matrix)
     rows, cols = np.nonzero(live)
     delta = tot[rows] - tot[cols]
-    series = []
+    blocks = []
     dns, sizes = np.unique(delta, return_counts=True)
     for dn in dns[np.argsort(-sizes, kind="stable")]:  # largest first: later blocks reuse its memory
         r, c = rows[delta == dn], cols[delta == dn]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-            # no name holds the block's L, so it is freed before the powers are taken
-            p = _rk4_step_matrix(step * _block_generator(gen, r, c))
-            if not np.isfinite(p).all():
-                raise InvariantViolation(
-                    f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"
-                )
-            values = _sample(p, rho0.matrix[r, c], targets)
-        if not np.isfinite(values).all():
-            raise InvariantViolation(
-                f"RK4 state of the Delta N = {dn} block is not finite on the grid; "
-                f"step {step!r} is unstable for this generator"
-            )
-        series.append((r, c, values))
-
-    dim = gen.model.space.dimension
-    block = _stack_points(dim)
-    out: list[DensityOperator] = []
-    for start in range(0, len(times), block):
-        part = targets[start:start + block]
+        blocks.append((dn, r, c, _block_samples(gen, rho0, dn, r, c, targets, step, size)))
+    for start in range(0, len(times), size):
+        part = np.array(targets[start:start + size])
         rho = np.zeros((len(part), dim, dim), dtype=complex)
-        for r, c, values in series:
-            rho[:, r, c] = values[start:start + len(part)]
-        _check_states(rho, np.array(part) > 0, times[start:start + block])
-        out += [rho0 if n == 0 else
-                DensityOperator(gen.model.space, m, tail_weight=rho0.tail_weight, validate=False)
-                for m, n in zip(rho, part)]
-    return out
+        for dn, r, c, samples in blocks:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
+                values = next(samples)
+            if not np.isfinite(values).all():
+                raise InvariantViolation(
+                    f"RK4 state of the Delta N = {dn} block is not finite on the grid; "
+                    f"step {step!r} is unstable for this generator"
+                )
+            rho[:, r, c] = values
+        rho[part == 0] = rho0.matrix
+        _check_states(rho, part > 0, times[start:start + size])
+        yield rho
+
+
+def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.ndarray, c: np.ndarray,
+                   targets: list[int], step: float, size: int) -> Iterator[np.ndarray]:
+    """The values of the block's entries (r[i], c[i]) on the grid, ``size``
+    points at a time (see :func:`_sample`).
+
+    A block whose series is no larger than its step matrix (no more grid
+    points than entries) is sampled whole here, so only its series is kept;
+    any other keeps one power per gap and advances as it is read.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness here and by the caller
+        # no name holds the block's L, so it is freed before the powers are taken
+        p = _rk4_step_matrix(step * _block_generator(gen, r, c))
+        if not np.isfinite(p).all():
+            raise InvariantViolation(
+                f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"
+            )
+        samples = _sample(p, rho0.matrix[r, c], targets, size)
+        return iter(list(samples)) if len(targets) <= r.size else samples
 
 
 def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float]) -> None:

@@ -12,13 +12,14 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .channel import build_decay_model, evolve_state, expectations
+from .channel import build_decay_model, evolve_state, read_series
 from .channel import expectation  # noqa: F401 -- only for the benchmark's tracer
 from .flavour import (
     MixingParams,
@@ -39,7 +40,7 @@ from .fock import (
     poisson_mixture,
 )
 from .heisenberg import evolve_quadratic  # noqa: F401 -- only for the benchmark's tracer
-from .heisenberg import mean_quadratic_trajectory
+from .heisenberg import mean_quadratic_trajectories
 from .master import StepError, build_generator, default_step, integrate, steps_for
 
 ROUTES = ("kraus", "ode", "heisenberg")
@@ -495,58 +496,48 @@ def run_scenario(
     if "occupations" in names:  # parsing ensures a state-side route reads them
         columns["occupations"], from_s = _occupation_columns(space)
     omegas = quadratic_omegas(space.n_modes, phi)
-    if scalar_obs and {"kraus", "ode"} & set(routes):
-        obs_matrices = build_quadratic_observables(space, phi)
+    if {"kraus", "ode"} & set(routes):  # the state routes' reader: every series of a route in one pass
+        obs_matrices = build_quadratic_observables(space, phi) if scalar_obs else {}
+        read = partial(read_series, observables={name: obs_matrices[name] for name in scalar_obs},
+                       diagonal="occupations" in names)
 
     sweep: list[MixingParams | None] = list(cfg.mixing) if mixed else [None]
-    csv_paths: list[Path] = []
     skipped: list[str] = []
     deviation_lines: list[str] = []
     max_dev = 0.0
+    # every angle's series, each (route, observable) -> T x columns: the CSVs are
+    # written only once all of them are computed, so a run that fails writes nothing
+    results: list[tuple[str, dict[tuple[str, str], np.ndarray]]] = []
 
     for ti, mix in enumerate(sweep):
-        tag = f"__theta{ti}" if mixed and len(sweep) > 1 else ""
         if mix is None:
             model = build_decay_model(space)
         else:
             model = build_mixed_model(space, mix)
 
-        # (route, observable) -> T x columns[observable]
         series: dict[tuple[str, str], np.ndarray] = {}
         for route in routes:
             if route == "heisenberg":  # observable-side closed forms
-                for name in scalar_obs:
-                    series[(route, name)] = mean_quadratic_trajectory(
-                        model, rho0, omegas[name], times)[:, None]
+                if scalar_obs:
+                    values = mean_quadratic_trajectories(
+                        model, rho0, {name: omegas[name] for name in scalar_obs}, times)
+                    for name in scalar_obs:
+                        series[(route, name)] = values[name][:, None]
                 if "occupations" in names:
                     skipped.append(f"{route}:occupations=unsupported")
                 continue
             if route == "kraus":
-                states = evolve_state(model, rho0, times)
+                values, diagonals = evolve_state(model, rho0, times, read)
             else:
-                states = integrate(build_generator(model), rho0, times, step)
+                values, diagonals = integrate(build_generator(model), rho0, times, step, read)
             for name in scalar_obs:
-                series[(route, name)] = expectations(states, obs_matrices[name])[:, None]
-            if "occupations" in names:
-                series[(route, "occupations")] = np.array(
-                    [np.append(s.diagonal(), 0.0)[from_s] for s in states])
+                series[(route, name)] = values[name][:, None]
+            if diagonals is not None:
+                series[(route, "occupations")] = diagonals
 
         theta_key = f"theta={ti}" if mixed and len(sweep) > 1 else "theta=-"
-        out.mkdir(parents=True, exist_ok=True)  # made only once there is output to write
         for name in names:
             have = [r for r in routes if (r, name) in series]
-            for route in have:
-                path = out / f"{cfg.name}{tag}__{route}__{name}.csv"
-                _write_csv(
-                    path,
-                    ["t", *columns[name], "t_raw", "route"],
-                    [
-                        (t_s, *row, t_r, route)
-                        for t_s, row, t_r in zip(t_scaled.tolist(), series[(route, name)].tolist(),
-                                                 times.tolist())
-                    ],
-                )
-                csv_paths.append(path)
             if name == "occupations":  # occupation keys name their routes in sorted order
                 have.sort()
             for i, ra in enumerate(have):
@@ -556,6 +547,26 @@ def run_scenario(
                     deviation_lines.append(
                         f"cross_route_max_deviation[{name}][{ra}|{rb}][{theta_key}]={_fmt(dev)}"
                     )
+        results.append((f"__theta{ti}" if mixed and len(sweep) > 1 else "", series))
+
+    out.mkdir(parents=True, exist_ok=True)  # made only once there is output to write
+    stamps = list(zip(map(_fmt, t_scaled.tolist()), map(_fmt, times.tolist())))
+    csv_paths: list[Path] = []
+    for tag, series in results:
+        for name in names:
+            if name == "occupations":  # tuples outside the run's space read 0
+                inside = from_s < space.dimension
+                cells, pick = inside.tolist(), from_s[inside]
+            else:
+                cells, pick = [True], [0]
+            for route in routes:
+                if (route, name) not in series:
+                    continue
+                path = out / f"{cfg.name}{tag}__{route}__{name}.csv"
+                _write_csv(path, ["t", *columns[name], "t_raw", "route"], _line_format(cells, route),
+                           ((t_s, *row, t_r) for (t_s, t_r), row
+                            in zip(stamps, series[(route, name)][:, pick].tolist())))
+                csv_paths.append(path)
 
     manifest_path = out / f"{cfg.name}__manifest.txt"
     lines = [
@@ -589,8 +600,9 @@ def run_scenario(
 
 def _occupation_columns(space: FockSpace) -> tuple[list[str], np.ndarray]:
     """The occupations CSV's columns, one per tuple of the product space, and
-    ``from_s``: column i reads entry ``from_s[i]`` of the diagonal with a 0
-    appended, the 0 for tuples outside the run's space."""
+    ``from_s``: column i reads entry ``from_s[i]`` of the diagonal, and
+    ``from_s[i]`` = the space's dimension marks a tuple outside the run's
+    space, which reads 0."""
     radices = tuple(m.cutoff + 1 for m in space.modes)
     labels = ["p_" + "_".join(map(str, occ)) for occ in np.ndindex(*radices)]
     from_s = np.full(len(labels), space.dimension)
@@ -628,12 +640,17 @@ def _ode_step(cfg: ScenarioConfig, times: np.ndarray) -> float:
     return step
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row tuple, its numbers as :func:`_fmt` writes them ("%.17g"
-    formats float(x) alike); the column types are read from the first row."""
+def _line_format(cells: Sequence[bool], route: str) -> str:
+    """The %-format of one CSV line: the t cell, one cell per column, the t_raw
+    cell and the route.  The t cells come formatted by :func:`_fmt`; a column
+    marked True takes its value as "%.17g" formats it (as :func:`_fmt` does),
+    and one marked False, a tuple outside the run's space, is the literal 0,
+    which is "%.17g" of the 0.0 it reads."""
+    return "%s," + "".join("%.17g," if live else "0," for live in cells) + "%s," + route + "\n"
+
+
+def _write_csv(path: Path, header: list[str], line: str, rows) -> None:
+    """The header, then ``line % row`` for each row tuple."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        line = None
-        for row in rows:
-            line = line or ",".join("%s" if isinstance(c, str) else "%.17g" for c in row) + "\n"
-            fh.write(line % row)
+        fh.writelines(line % row for row in rows)

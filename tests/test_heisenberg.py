@@ -34,7 +34,9 @@ from fockdecay import (
 )
 from fockdecay.flavour import quadratic_omegas
 from fockdecay.fock import quadratic_form
-from fockdecay.heisenberg import mean_quadratic_trajectory
+import fockdecay.heisenberg as heisenberg
+from fockdecay.channel import _decay_amplitude
+from fockdecay.heisenberg import mean_quadratic_trajectories, mean_quadratic_trajectory
 
 
 def single_model(cutoff=6, mass=0.5, width=1.0):
@@ -390,3 +392,40 @@ def test_closed_forms_refuse_a_negative_or_nan_time(name):
     for t in (-1.0, -1e-300, math.nan):
         with pytest.raises(ValueError, match="time must be >= 0"):
             form(t)
+
+
+def test_grid_amplitudes_equal_the_per_point_ones_bit_for_bit():
+    # widths 2 and 1e-3: 0.5 * 2 * t passes LARGE_EXPONENT = 700 at t = 700, where mode 1
+    # underflows to an exact zero while mode 2 still decays
+    model = build_decay_model(FockSpace([ModeSpec(mass=0.7, width=2.0, cutoff=1),
+                                         ModeSpec(mass=-3.1, width=1e-3, cutoff=1)]))
+    times = np.concatenate([np.linspace(0.0, 10.0, 201), [699.9, 700.0, np.nextafter(700.0, 1e3), 701.0,
+                                                          1e4, 1e300]])
+    grid = heisenberg._grid_amplitudes(model, times)
+    want = np.array([[_decay_amplitude(m, g, float(t)) for m, g in zip(model.masses, model.widths)]
+                     for t in times])
+    assert grid.shape == (len(times), 2)
+    assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    assert np.array_equal(np.ascontiguousarray(grid[-4:, 0]).view(np.uint64), np.zeros(8, dtype=np.uint64))
+    assert grid[-4, 1] != 0
+    for t, row in zip(times, grid):
+        assert np.array_equal(heisenberg._mode_amplitudes(model, t).view(np.uint64), row.view(np.uint64))
+    assert heisenberg._grid_amplitudes(model, []).shape == (0, 2)
+    for bad in ([0.5, -1.0], [math.nan]):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            heisenberg._grid_amplitudes(model, bad)
+    # m t overflows while Gamma t / 2 stays below LARGE_EXPONENT
+    huge = build_decay_model(FockSpace(ModeSpec(mass=1e300, width=1e-12, cutoff=1)))
+    with pytest.raises(InvariantViolation, match="phase m t"):
+        heisenberg._grid_amplitudes(huge, [0.0, 1e10])
+
+
+def test_trajectories_share_one_pass_and_equal_each_omega_alone(rng):
+    model = mixed_model(theta=0.8)
+    rho0 = random_density_matrix(rng, model.space)
+    omegas = quadratic_omegas(2, phi=0.4)
+    times = np.linspace(0.0, 3.0, 13)
+    got = mean_quadratic_trajectories(model, rho0, omegas, times)
+    assert list(got) == list(omegas)
+    for name, omega in omegas.items():
+        assert np.array_equal(got[name], mean_quadratic_trajectory(model, rho0, omega, times))

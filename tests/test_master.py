@@ -19,6 +19,9 @@ from fockdecay import (
     build_kraus,
     apply_channel,
     build_mixed_model,
+    build_total_number,
+    evolve_state,
+    expectations,
     integrate,
     number_state,
     trace_distance,
@@ -162,11 +165,14 @@ def test_integrate_names_the_earliest_state_that_fails_a_check(spoil, message, b
         assert channel._stack_points(model.space.dimension) == block_points
     sample = master._sample
 
-    def spoiled(p, vec, targets):
-        out = sample(p, vec, targets)
-        for i in (3, 5):  # the vacuum population of the states at t = 0.3 and 0.5
-            out[i, 0] = spoil(out[i, 0])
-        return out
+    def spoiled(p, vec, targets, size):
+        start = 0
+        for out in sample(p, vec, targets, size):
+            for i in (3, 5):  # the vacuum population of the states at t = 0.3 and 0.5
+                if start <= i < start + len(out):
+                    out[i - start, 0] = spoil(out[i - start, 0])
+            start += len(out)
+            yield out
 
     monkeypatch.setattr(master, "_sample", spoiled)
     times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -275,3 +281,27 @@ def test_integrate_refuses_an_unstable_step(mass, match):
     model = build_mixed_model(space, MixingParams(theta=0.7))
     with pytest.raises(InvariantViolation, match=match):
         integrate(build_generator(model), number_state(space, (2, 1)), [0.0, 0.5], 1e-3)
+
+
+def test_a_reader_gets_the_wrappers_states_stack_by_stack(monkeypatch):
+    space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)], total=3)
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4))
+    rho0 = number_state(space, (2, 1))
+    monkeypatch.setattr(channel, "STACK_BYTES", 16 * space.dimension ** 2 * 3)
+    times, step = np.arange(8) * 0.25, 0.25 / 50
+    n_op = build_total_number(space)
+    for stacks, states in [
+        (evolve_state(model, rho0, times, list), evolve_state(model, rho0, times)),
+        (integrate(build_generator(model), rho0, times, step, list),
+         integrate(build_generator(model), rho0, times, step)),
+    ]:
+        assert [len(s) for s in stacks] == [3, 3, 2]
+        assert np.array_equal(np.concatenate(stacks), [s.matrix for s in states])
+        values, diagonals = channel.read_series(iter(stacks), {"N": n_op}, diagonal=True)
+        assert np.array_equal(values["N"], expectations(states, n_op))
+        assert np.array_equal(diagonals, [s.diagonal() for s in states])
+    # a reader that stops early leaves the rest of the grid unevaluated
+    monkeypatch.setattr(master, "_check_states", lambda *args: seen.append(len(args[0])))
+    seen = []
+    first = integrate(build_generator(model), rho0, times, step, next)
+    assert len(first) == 3 and seen == [3]

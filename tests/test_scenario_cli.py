@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 from conftest import support_total_bound
 
-from fockdecay import ConfigError, config_to_json, parse_config, run_scenario
+from fockdecay import (ConfigError, InvariantViolation, build_decay_model, build_generator, config_to_json,
+                       evolve_state, expectations, integrate, parse_config, run_scenario)
 from fockdecay.cli import main
 import fockdecay.scenario as scenario
+from fockdecay.flavour import build_mixed_model, build_quadratic_observables, quadratic_omegas
+from fockdecay.heisenberg import mean_quadratic_trajectory
 from fockdecay.scenario import build_initial_state, build_space
 
 REPO = Path(__file__).resolve().parent.parent
@@ -654,9 +657,112 @@ def test_cli_state_and_step_overflow_are_config_errors(tmp_path, capsys, command
 def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):
     values = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1.0 / 3.0,
               np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(5e-324))
-    rows = [(v, -v, np.float64(v) * 2.0, "kraus") for v in values]
+    # t and t_raw come as _fmt cells; x, y and w are live columns, z a tuple outside the space
+    rows = [(scenario._fmt(v), v, -v, np.float64(v) * 2.0, scenario._fmt(-v)) for v in values]
     path = tmp_path / "edge.csv"
-    scenario._write_csv(path, ["t", "x", "y", "route"], rows)
-    want = "t,x,y,route\n" + "".join(
-        ",".join(c if isinstance(c, str) else scenario._fmt(c) for c in row) + "\n" for row in rows)
+    line = scenario._line_format([True, True, False, True], "kraus")
+    scenario._write_csv(path, ["t", "x", "y", "z", "w", "t_raw", "route"], line, rows)
+    want = "t,x,y,z,w,t_raw,route\n" + "".join(
+        ",".join([t_s, scenario._fmt(x), scenario._fmt(y), "0", scenario._fmt(w), t_r, "kraus"]) + "\n"
+        for t_s, x, y, w, t_r in rows)
     assert path.read_text(encoding="utf-8") == want
+    assert want.splitlines()[2].split(",")[1:5] == ["-0", "0", "0", "-0"]  # a live -0.0 keeps its sign
+
+
+def _reference_series(cfg, mix, route, name):
+    """One route's series of one observable, from the list wrappers: T rows of columns."""
+    space = build_space(cfg)
+    rho0 = build_initial_state(cfg, space)
+    times = cfg.time_grid.times()
+    model = build_decay_model(space) if mix is None else build_mixed_model(space, mix)
+    phi = mix.phi if mix is not None else 0.0
+    if route == "heisenberg":
+        return [[v] for v in mean_quadratic_trajectory(model, rho0, quadratic_omegas(space.n_modes, phi)[name],
+                                                      times)]
+    if route == "kraus":
+        states = evolve_state(model, rho0, times)
+    else:
+        states = integrate(build_generator(model), rho0, times, scenario._ode_step(cfg, times))
+    if name != "occupations":
+        return [[v] for v in expectations(states, build_quadratic_observables(space, phi)[name])]
+    _, from_s = scenario._occupation_columns(space)
+    return [np.append(s.diagonal(), 0.0)[from_s] for s in states]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"modes": [{"statistics": "boson", "mass": 0.1, "width": 0.5, "cutoff": 3},
+               {"statistics": "boson", "mass": 5.0, "width": 1.5, "cutoff": 3}],
+     "mixing": {"theta": [0.4, 1.2], "phi": 0.3},
+     "initial_state": {"type": "number", "occupations": [2, 1]},
+     "observables": ["N", "S", "Qplus", "Qminus", "occupations"]},
+    {"modes": [{"statistics": "boson", "mass": 0.3, "width": 1.0, "cutoff": 4},
+               {"statistics": "boson", "mass": 0.0, "width": 0.5, "cutoff": 4}],
+     "initial_state": {"type": "coherent", "mode": 1, "alpha": 0.05},
+     "observables": ["occupations", "N"]},
+], ids=["mixed-sweep", "coherent"])
+def test_each_csv_is_its_series_written_row_by_row(tmp_path, overrides):
+    doc = make_config(time_grid={"start": 0.0, "stop": 1.0, "count": 11},
+                      routes=["kraus", "ode", "heisenberg"], **overrides)
+    cfg = parse_config(json.dumps(doc))
+    result = run_scenario(cfg, out_dir=tmp_path)
+    sweep = list(cfg.mixing) if cfg.mixing else [None]
+    times = cfg.time_grid.times()
+    t_scaled = times * scenario._mean_width(cfg.modes) if cfg.mixing else times
+    seen = 0
+    for ti, mix in enumerate(sweep):
+        tag = f"__theta{ti}" if len(sweep) > 1 else ""
+        for route in cfg.routes:
+            for name in cfg.observables:
+                path = tmp_path / f"{cfg.name}{tag}__{route}__{name}.csv"
+                if route == "heisenberg" and name == "occupations":
+                    assert not path.exists()
+                    continue
+                rows = _reference_series(cfg, mix, route, name)
+                lines = path.read_text(encoding="utf-8").splitlines()[1:]
+                assert lines == [",".join([scenario._fmt(t_s), *map(scenario._fmt, row), scenario._fmt(t_r),
+                                           route]) for t_s, row, t_r in zip(t_scaled, rows, times)]
+                if name == "occupations":  # the tuples outside the run's space print 0
+                    header, cells = read_csv(path)
+                    outside = [i for i, col in enumerate(header)
+                               if col.startswith("p_")
+                               and sum(map(int, col[2:].split("_"))) > build_space(cfg).total]
+                    assert outside and all(row[i] == "0" for row in cells for i in outside)
+                seen += 1
+    assert seen == len(result.csv_paths)
+
+
+def test_a_failed_run_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a rerun with other masses fails at its second angle: the first angle's CSVs and the
+    # old manifest stay as the first run wrote them
+    out = tmp_path / "out"
+    config = tmp_path / "sweep.json"
+    doc = make_config(
+        name="sweep",
+        modes=[{"statistics": "boson", "mass": 0.0, "width": 0.5, "cutoff": 2},
+               {"statistics": "boson", "mass": 5.0, "width": 1.5, "cutoff": 2}],
+        mixing={"theta": [0.3, 0.9]},
+        initial_state={"type": "number", "occupations": [1, 1]},
+        time_grid={"start": 0.0, "stop": 1.0, "count": 6},
+        routes=["kraus", "heisenberg"], observables=["N", "S"], output_path=str(out))
+    config.write_text(json.dumps(doc))
+    assert main(["run", str(config)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 9
+    doc["modes"][1]["mass"] = 3.0
+    config.write_text(json.dumps(doc))
+
+    calls = []
+    build = scenario.build_mixed_model
+
+    def failing_on_the_second_angle(space, mix):
+        calls.append(mix)
+        if len(calls) == 2:
+            raise InvariantViolation("model breach at the second angle")
+        return build(space, mix)
+
+    monkeypatch.setattr(scenario, "build_mixed_model", failing_on_the_second_angle)
+    capsys.readouterr()
+    assert main(["run", str(config)]) == 2
+    assert "model breach at the second angle" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -2,14 +2,17 @@
 
     python3 tools/ladder.py [--root CHECKOUT]
 
-Every row is a scenario with 21 grid points to t = 2 and the observable N,
-with masses 0, 0.5, 1 and widths 0.5, 1, 1.5, repeated over the modes (a
-mixed pair takes the first and the last, theta = 0.7):
+Every row is a scenario with 21 grid points to t = 2 (161 where its name
+ends in ``_t161``) and the observable N, with masses 0, 0.5, 1 and widths
+0.5, 1, 1.5, repeated over the modes (a mixed pair takes the first and the
+last, theta = 0.7):
 
 - a mixed boson pair from a coherent state, alpha = 0.1 in mode 1, at
   cutoff 12, 16 and 20 (|S| = 91, 153 and 231);
 - three bosons from |3,3,3> at cutoff 9 and from |4,4,4> at cutoff 12
-  (|S| = 220 and 455);
+  (|S| = 220 and 455), and the cutoff-9 row again on 161 grid points: the
+  state routes read each chunk of states and drop it, so its peak RSS should
+  stay near the 21-point row's;
 - one boson at cutoff 20 with two fermions, from |20,1,1> (|S| = 84);
 - eight bosons at cutoff 2 holding two quanta, from |1,1,0,...,0>
   (|S| = 45, product space 3^8 = 6561);
@@ -51,12 +54,12 @@ print(json.dumps({"seconds": round(seconds, 3), "peak_rss_mb": round(peak, 1)}))
 """
 
 
-def _config(name, modes, initial_state, mixing=None):
+def _config(name, modes, initial_state, mixing=None, count=21):
     return {"schema_version": 1, "name": name,
             "modes": [{"statistics": s, "mass": m, "width": g, "cutoff": c}
                       for s, m, g, c in modes],
             "mixing": mixing, "initial_state": initial_state,
-            "time_grid": {"start": 0.0, "stop": 2.0, "count": 21},
+            "time_grid": {"start": 0.0, "stop": 2.0, "count": count},
             "routes": ["kraus", "ode", "heisenberg"], "observables": ["N"],
             "output_path": f"out/{name}"}
 
@@ -67,9 +70,10 @@ def _mixed_pair(cutoff):
                    {"type": "coherent", "mode": 1, "alpha": 0.1}, mixing={"theta": 0.7})
 
 
-def _three_bosons(cutoff, n):
+def _three_bosons(cutoff, n, count=21):
     modes = [("boson", m, g, cutoff) for m, g in zip(MASSES, WIDTHS)]
-    return _config(f"three_bosons_c{cutoff}", modes, {"type": "number", "occupations": [n] * 3})
+    name = f"three_bosons_c{cutoff}" + (f"_t{count}" if count != 21 else "")
+    return _config(name, modes, {"type": "number", "occupations": [n] * 3}, count=count)
 
 
 def _boson_with_fermions(cutoff):
@@ -95,6 +99,7 @@ def _fermions(count):
 ROWS = (
     *((_mixed_pair(c), ("heisenberg", "kraus", "ode")) for c in (12, 16, 20)),
     *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4))),
+    (_three_bosons(9, 3, count=161), ("kraus", "ode")),
     (_boson_with_fermions(20), ("heisenberg", "kraus", "ode")),
     (_bosons_two_quanta(8), ("heisenberg", "kraus", "ode")),
     (_fermions(22), ("heisenberg", "kraus,heisenberg")),
