@@ -4,17 +4,20 @@ Builds the completely positive trace-preserving map generated by a set of
 decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses, over every loss pattern
 the space allows; the sum over them factorises by mode, so the channel is
-applied as the propagator around one loss map per mode.  Every model is
-exact on its whole space, and a :class:`DecayModel` and a :class:`KrausSet`
-check themselves when constructed: the Delta N structure, the commutation
-certificate and the completeness of the channel are computed and enforced
+applied as the propagator around one loss map per mode.  A
+:class:`DecayModel` builds its decay operators from its space and mixing
+unitary, so their Delta N structure and their relation to V hold by
+construction.  Every model is exact on its whole space, and a model and a
+:class:`KrausSet` check themselves when constructed: the commutation
+certificate, which guards that the space is closed under the decay
+operators, and the completeness of the channel are computed and enforced
 over the whole space, so no object that fails them can be represented.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -54,43 +57,48 @@ class CertificateError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DecayModel:
     """Decay operators and the non-Hermitian generator M of one dissipative
-    evolution, exact on its whole space and certified when constructed.
+    evolution, built from its space and mixing unitary alone, exact on the
+    whole space and certified when constructed.
 
-    Mode j of the space is the decay mode c_j = ``decay_ops[j]``: its
-    ``ModeSpec`` carries the mass m_j and width Gamma_j, read back as
-    ``masses`` and ``widths``.  For flavour-mixed models ``mixing_unitary``
-    holds the 2x2 matrix V with c_j^dag = sum_l V[j, l] a_l^dag; the model
-    is refused (ValueError) unless max |V V^dag - 1| and the defect of
-    c_j = sum_l conj(V[j, l]) a_l relative to max(1, max |a_l|) are within
-    ``MIXING_TOL``, with a_l the annihilators of the space.
-    Construction builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, with
-    mu_j = m_j - i Gamma_j / 2, and refuses the model unless each c_j lowers
-    the total occupation by exactly one (an exact check, so M conserves the
-    total), M is finite with a Hermitian mass part, and the relative defect
-    of [M, c_j] = -mu_j c_j, kept as ``certificate_defect``, is within
-    ``CERTIFICATE_TOL``.
+    Mode j of the space carries the mass m_j and width Gamma_j of decay mode
+    c_j = ``decay_ops[j]``, read back as ``masses`` and ``widths``.  Without
+    ``mixing_unitary`` c_j = a_j, the annihilator of mode j.  With it, V must
+    be an n x n matrix (n the number of modes) with max |V V^dag - 1| within
+    ``MIXING_TOL`` (a ValueError otherwise), and c_j = sum_l conj(V[j, l]) a_l,
+    summed over l in order, so c_j^dag = sum_l V[j, l] a_l^dag.  Each c_j thus
+    lowers the total occupation by exactly one and M conserves the total, by
+    construction.  Construction builds ``m_operator`` = M = sum_j mu_j
+    c_j^dag c_j, with mu_j = m_j - i Gamma_j / 2, and refuses the model
+    unless M is finite with a Hermitian mass part and the relative defect of
+    [M, c_j] = -mu_j c_j, kept as ``certificate_defect``, is within
+    ``CERTIFICATE_TOL``.  The certificate guards closure: it refuses a V
+    under which the space is not closed, such as a mixed boson pair past its
+    common cutoff or a boson mixed with a fermion.
     """
 
     space: FockSpace
-    decay_ops: tuple[OperatorMatrix, ...]
     mixing_unitary: np.ndarray | None = None
+    decay_ops: tuple[OperatorMatrix, ...] = field(init=False, repr=False)
     m_operator: OperatorMatrix = field(init=False, repr=False)
     certificate_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        space, ops = self.space, tuple(self.decay_ops)
-        if len(ops) != space.n_modes or any(getattr(c, "space", None) != space for c in ops):
-            raise ValueError(f"a model needs one decay operator per mode of its space, "
-                             f"got {len(ops)}")
-        tot = space.total_occupation
-        for j, c in enumerate(ops, start=1):
-            rows, cols = np.nonzero(c.entries)
-            shifts = np.unique(tot[rows] - tot[cols])
-            if np.any(shifts != -1):
-                raise InvariantViolation(f"decay operator c_{j} shifts the total occupation by "
-                                         f"Delta N = {shifts.tolist()}, not by exactly -1")
+        space = self.space
+        ops = tuple(build_annihilator(space, l) for l in range(1, space.n_modes + 1))
         if self.mixing_unitary is not None:
-            object.__setattr__(self, "mixing_unitary", _checked_mixing(space, ops, self.mixing_unitary))
+            v = np.array(self.mixing_unitary, dtype=complex)
+            if v.shape != (len(ops), len(ops)):
+                raise ValueError(f"mixing_unitary must be {len(ops)}x{len(ops)}, got shape {v.shape}")
+            unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(len(ops)))))
+            if not unitarity <= MIXING_TOL:
+                raise ValueError(f"mixing_unitary is not unitary: defect {unitarity:.3e} "
+                                 f"exceeds {MIXING_TOL}")
+            v.setflags(write=False)
+            object.__setattr__(self, "mixing_unitary", v)
+            # c_j = sum_l conj(V[j, l]) a_l, summed left to right
+            ops = tuple(OperatorMatrix(space, reduce(np.add, (v_jl.conjugate() * a_l.entries
+                                                              for v_jl, a_l in zip(row, ops))))
+                        for row in v)
         dim = space.dimension
         ham = np.zeros((dim, dim), dtype=complex)
         kay = np.zeros((dim, dim), dtype=complex)
@@ -110,7 +118,7 @@ class DecayModel:
         if defect > CERTIFICATE_TOL:
             raise CertificateError(
                 f"commutation certificate defect {defect:.3e} (relative) exceeds "
-                f"{CERTIFICATE_TOL}; the decay operators are not valid for this model"
+                f"{CERTIFICATE_TOL}; the space is not closed under the decay operators"
             )
         object.__setattr__(self, "decay_ops", ops)
         object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
@@ -132,29 +140,6 @@ class DecayModel:
     def _gather_plans(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray] | None, ...], ...]:
         """For each c_j, the :func:`_one_per_row` plans of c_j and of c_j^dag."""
         return tuple((_one_per_row(c.entries), _one_per_row(c.entries.conj().T)) for c in self.decay_ops)
-
-
-def _checked_mixing(space: FockSpace, ops: Sequence[OperatorMatrix], mixing) -> np.ndarray:
-    """V as a read-only array, once it is unitary and rotates the annihilators into the c_j."""
-    v = np.array(mixing, dtype=complex)
-    if v.shape != (len(ops), len(ops)):
-        raise ValueError(f"mixing_unitary must be {len(ops)}x{len(ops)}, got shape {v.shape}")
-    unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(len(ops)))))
-    if not unitarity <= MIXING_TOL:
-        raise ValueError(f"mixing_unitary is not unitary: defect {unitarity:.3e} exceeds {MIXING_TOL}")
-    a = [build_annihilator(space, l).entries for l in range(1, len(ops) + 1)]
-    relation = 0.0
-    for row, c in zip(v, ops):
-        rest = c.entries.copy()
-        for v_jl, a_l in zip(row, a):
-            rest -= v_jl.conjugate() * a_l
-        relation = max(relation, float(np.max(np.abs(rest))))
-    relation /= max(1.0, *(float(np.max(np.abs(a_l))) for a_l in a))
-    if not relation <= MIXING_TOL:
-        raise ValueError(f"decay operators are not c_j = sum_l conj(V[j, l]) a_l: relative defect "
-                         f"{relation:.3e} exceeds {MIXING_TOL}")
-    v.setflags(write=False)
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +401,7 @@ def _certificate_defect(
 
 def build_decay_model(space: FockSpace) -> DecayModel:
     """Unmixed model: every mode decays independently at its own width."""
-    return DecayModel(space, tuple(build_annihilator(space, j) for j in range(1, space.n_modes + 1)))
+    return DecayModel(space)
 
 
 def build_kraus(model: DecayModel, t: float) -> KrausSet:

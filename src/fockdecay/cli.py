@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .channel import CertificateError
 from .fock import InvariantViolation, TruncationError

@@ -99,13 +99,7 @@ def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:
             f"a mixed boson pair is exact only on totals <= the common cutoff {bound}, "
             f"but the space reaches total {space.total}; build it on FockSpace(modes, total={bound})"
         )
-    V = mixing_matrix(params)
-    a_ops = [build_annihilator(space, 1).entries, build_annihilator(space, 2).entries]
-    decay_ops = tuple(
-        OperatorMatrix(space, V[j, 0].conjugate() * a_ops[0] + V[j, 1].conjugate() * a_ops[1])
-        for j in range(2)
-    )
-    return DecayModel(space, decay_ops, mixing_unitary=V)
+    return DecayModel(space, mixing_matrix(params))
 
 
 def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:

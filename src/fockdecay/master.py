@@ -7,7 +7,7 @@ the numerics: it evolves only the entries of rho that the generator's own
 sparsity pattern reaches from the initial state, every other entry being
 exactly zero for all time.  Those entries split into blocks of equal
 Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
-column occupations together, which a DecayModel checks when constructed).
+column occupations together, which holds by construction of a DecayModel).
 Each block's generator matrix is gathered from W and the L_j at the
 block's own indices by the Liouville form of the generator, and the block
 advances by the RK4 step polynomial of that matrix, formed once.
@@ -75,18 +75,22 @@ def build_generator(model: DecayModel) -> GeneratorAction:
     return GeneratorAction(model)
 
 
-def steps_for(t: float, step: float) -> int:
-    """The number of RK4 steps to time ``t``, which must be a multiple of ``step``."""
-    ratio = t / step
-    if not math.isfinite(ratio):
-        raise StepError(f"time {t!r} over step {step!r} is not a finite step count")
-    n = int(round(ratio))
-    if abs(n * step - t) > STEP_MATCH_TOL * max(1.0, abs(t)):
-        raise StepError(
-            f"time {t!r} is not a multiple of step {step!r}; "
-            "interpolation is not supported"
-        )
-    return n
+def steps_for(times: Sequence[float], step: float) -> list[int]:
+    """The number of RK4 steps to each of ``times``, which must be multiples of ``step``;
+    the grid is checked in one pass, and an error names the first time that fails."""
+    t = np.asarray(times, dtype=float)
+    step = float(step)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
+        ratio = t / step
+        n = np.rint(ratio)
+        bad = ~(np.abs(n * step - t) <= STEP_MATCH_TOL * np.maximum(1.0, np.abs(t)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not math.isfinite(ratio[i]):
+            raise StepError(f"time {float(t[i])!r} over step {step!r} is not a finite step count")
+        raise StepError(f"time {float(t[i])!r} is not a multiple of step {step!r}; "
+                        "interpolation is not supported")
+    return list(map(int, n.tolist()))
 
 
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def integrate(
     if rho0.space != gen.model.space:
         raise ValueError("state and generator live on different spaces")
 
-    targets = [steps_for(t, step) for t in times]
+    targets = steps_for(times, step)
     stacks = _rk4_stacks(gen, rho0, times, targets, step)
     if read is not None:
         return read(stacks)

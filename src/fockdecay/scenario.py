@@ -94,7 +94,6 @@ class ScenarioConfig:
 
 @dataclass
 class RunResult:
-    exit_code: int
     csv_paths: list[Path]
     manifest_path: Path
     max_deviation: float
@@ -131,6 +130,11 @@ def _as_int(value, path: str) -> int:
 def _as_str(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError("CONFIG_FIELD_TYPE", f"expected a string, got {value!r}", "schema", path)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, such as "\ud800", cannot be printed or named
+        raise ConfigError("CONFIG_STRING_UNENCODABLE", f"{value!r} cannot be encoded as UTF-8: {exc.reason}",
+                          "invariant", path) from None
     return value
 
 
@@ -289,7 +293,7 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
     """Parse and validate a JSON scenario document."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep to decode
         raise ConfigError("CONFIG_JSON_MALFORMED", str(exc), "json") from None
     root = _as_dict(root, "$")
     version = _require(root, "schema_version", "$")
@@ -372,7 +376,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     p = Path(path)
-    return parse_config(p.read_text(encoding="utf-8"), default_name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("CONFIG_JSON_MALFORMED", f"not UTF-8: {exc}", "json") from None
+    return parse_config(text, default_name=p.stem)
 
 
 def config_to_json(cfg: ScenarioConfig) -> str:
@@ -591,7 +599,6 @@ def run_scenario(
     manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     return RunResult(
-        exit_code=0,
         csv_paths=sorted(csv_paths),
         manifest_path=manifest_path,
         max_deviation=max_dev,
@@ -632,8 +639,7 @@ def _ode_step(cfg: ScenarioConfig, times: np.ndarray) -> float:
                 if not 0 < ratio < math.inf:
                     raise StepError(f"default step {step!r} does not fit grid spacing {spacing!r}")
                 step = spacing / math.ceil(ratio)
-        for t in times:
-            steps_for(float(t), step)
+        steps_for(times, step)
     except StepError as exc:
         path = "$.ode_step" if cfg.ode_step is not None else "$.time_grid"
         raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant", path) from exc

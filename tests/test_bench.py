@@ -33,6 +33,16 @@ def test_tier1_counts_are_read_from_the_pytest_summary_line():
     assert bench.summary_counts("no tests ran") == {"seconds": None}
 
 
+def test_src_lines_counts_code_and_docstrings_but_not_blanks_or_comments(tmp_path):
+    pkg = tmp_path / "src" / "fockdecay"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text('"""Doc."""\n\n# comment\n    # indented comment\nx = 1  # trailing\n   \n')
+    (pkg / "b.py").write_text("def f():\n    return 2\n")
+    (pkg / "notes.txt").write_text("not python\n")
+    assert bench.src_lines(tmp_path) == 4
+    assert bench.src_lines(ROOT) > 0
+
+
 def _run_dir(root: Path, value: str, timestamp: str) -> Path:
     run = root / "single"
     run.mkdir(parents=True)
@@ -58,9 +68,12 @@ def test_parent_outputs_go_into_the_bench_file(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "bench", lambda root, *args: {"perfbench": []})
     monkeypatch.setattr(bench, "tier1", lambda root: {"exit_code": 0})
     monkeypatch.setattr(bench, "output_diff", lambda root, parent: seen.append(parent) or {"csvs": 0})
+    (tmp_path / "src" / "fockdecay").mkdir(parents=True)
+    (tmp_path / "src" / "fockdecay" / "m.py").write_text("x = 1\n")
     for extra, outputs in (([], None), (["--parent", "HEAD~1"], {"csvs": 0})):
         assert bench.main(["--pr", "0", "--root", str(tmp_path), *extra]) == 0
         doc = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
         assert doc.get("outputs") == outputs and doc["tier1"] == {"exit_code": 0}
+        assert doc["src_lines"] == 1
     assert seen == ["HEAD~1"]
     assert bench._parent_checkout(ROOT, str(tmp_path), tmp_path / "unused")[0] == tmp_path.resolve()

@@ -35,6 +35,7 @@ from fockdecay import (
     DensityOperator,
     InvariantViolation,
     MixingParams,
+    mixing_matrix,
 )
 import fockdecay.channel as channel
 from fockdecay.channel import LARGE_EXPONENT
@@ -86,13 +87,32 @@ def test_certificate_is_relative_to_the_largest_complex_mass():
 
 
 def test_certificate_catches_a_wrong_relation_at_large_scale():
-    # c_1 = a_1 + 1e-3 a_2 is not an annihilator of its own mode, so [M, c_1] != -mu_1 c_1
-    space = FockSpace([ModeSpec(mass=1e6, width=0.5, cutoff=3),
-                       ModeSpec(mass=2e6, width=1.5, cutoff=3)])
-    a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
-    ops = [OperatorMatrix(space, a1 + 1e-3 * a2), OperatorMatrix(space, a2)]
+    # past the common cutoff the rotated c_j leave the space, so [M, c_j] != -mu_j c_j
+    v = mixing_matrix(MixingParams(theta=0.7))
+    for masses in ((0.0, 5.0), (1e6, 2e6)):
+        space = FockSpace([ModeSpec(mass=m, width=g, cutoff=3) for m, g in zip(masses, (0.5, 1.5))])
+        with pytest.raises(CertificateError, match="certificate defect"):
+            DecayModel(space, v)
+
+
+def test_certificate_refuses_a_boson_mixed_with_a_fermion():
+    space = FockSpace([ModeSpec(width=0.5, cutoff=1), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
     with pytest.raises(CertificateError, match="certificate defect"):
-        DecayModel(space, ops)
+        DecayModel(space, mixing_matrix(MixingParams(theta=0.7)))
+
+
+def test_model_accepts_any_unitary_on_a_closed_space():
+    rng = np.random.default_rng(3)
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    for cutoff in (1, 2, 3, 4):
+        space = FockSpace([ModeSpec(mass=0.3 * j, width=0.5 + j, cutoff=cutoff) for j in range(3)],
+                          total=cutoff)
+        model = DecayModel(space, v)
+        assert model.certificate_defect <= 1e-12
+        a = [build_annihilator(space, l).entries for l in (1, 2, 3)]
+        for row, c in zip(v, model.decay_ops):
+            assert np.max(np.abs(c.entries - sum(v_jl.conjugate() * a_l for v_jl, a_l in zip(row, a)))) \
+                <= 1e-14
 
 
 def test_certificate_is_formed_on_the_scaled_generator():
@@ -103,28 +123,8 @@ def test_certificate_is_formed_on_the_scaled_generator():
         assert model.certificate_defect <= 1e-12
 
 
-def test_model_refuses_decay_operators_that_do_not_lower_the_total_by_one():
-    space = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)])
-    a1, a2 = (build_annihilator(space, j).entries for j in (1, 2))
-    drop_two = a1.copy()
-    drop_two[space.index_of((0, 0)), space.index_of((1, 1))] = 0.1  # lowers the total by 2
-    for bad in (drop_two, a1 + a1.conj().T):  # c + c^dag also raises it
-        with pytest.raises(InvariantViolation, match="Delta N"):
-            DecayModel(space, (OperatorMatrix(space, bad), OperatorMatrix(space, a2)))
-
-
-def test_model_refuses_operators_that_do_not_match_its_space():
-    space = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)])
-    a1 = build_annihilator(space, 1)
-    with pytest.raises(ValueError, match="one decay operator per mode"):
-        DecayModel(space, (a1,))
-    other = FockSpace([ModeSpec(cutoff=2), ModeSpec(cutoff=2)], total=3)
-    with pytest.raises(ValueError, match="one decay operator per mode"):
-        DecayModel(space, (a1, build_annihilator(other, 2)))
-
-
 def test_models_and_channels_are_constructed_only_from_what_they_check():
-    assert [f.name for f in fields(DecayModel) if f.init] == ["space", "decay_ops", "mixing_unitary"]
+    assert [f.name for f in fields(DecayModel) if f.init] == ["space", "mixing_unitary"]
     assert [f.name for f in fields(KrausSet) if f.init] == ["model", "time"]
     model = build_decay_model(single_mode_space(cutoff=2))
     ks = KrausSet(model, 0.5)

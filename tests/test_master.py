@@ -153,6 +153,51 @@ def test_integrate_validates_inputs():
         integrate(gen, rho, [1.0, 0.5], 1e-3)
 
 
+def steps_for_reference(times, step):
+    """The step counts of a grid checked one time at a time, in order."""
+    out = []
+    for t in map(float, times):
+        ratio = t / step
+        if not math.isfinite(ratio):
+            raise master.StepError(f"time {t!r} over step {step!r} is not a finite step count")
+        n = int(round(ratio))
+        if abs(n * step - t) > master.STEP_MATCH_TOL * max(1.0, abs(t)):
+            raise master.StepError(f"time {t!r} is not a multiple of step {step!r}; "
+                                   "interpolation is not supported")
+        out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("times, step", [
+    (np.linspace(0.0, 8.0, 161), 8.0 / 160 / 50),
+    ([0.0, 0.125, 0.375, 2.5, 1e16], 0.125),  # 2.5 / 0.125 and 1e16 / 0.125 round exactly
+    ([0.0, 5e-4, 1.0], 1e-3),  # half a step rounds to even, then misses
+    ([0.0, 0.75, 1e308], 0.3),  # the first miss is named, not the later overflow
+    ([0.0, 1e308, 0.75], 0.3),  # t / step overflows first
+    ([0.0, 1e20], 0.3),  # 3.3e20 steps: a Python int past the int64 range
+    ([], 0.1),
+])
+def test_steps_for_checks_a_grid_as_the_per_time_loop_does(times, step):
+    try:
+        want = steps_for_reference(times, step)
+    except master.StepError as exc:
+        with pytest.raises(master.StepError) as got:
+            master.steps_for(times, step)
+        assert str(got.value) == str(exc) and "np." not in str(exc)
+    else:
+        got = master.steps_for(times, step)
+        assert got == want and all(type(n) is int for n in got)
+
+
+def test_integrate_counts_the_steps_of_its_grid_once(monkeypatch):
+    model = single_model(cutoff=2)
+    calls = []
+    counted = master.steps_for
+    monkeypatch.setattr(master, "steps_for", lambda times, step: calls.append(step) or counted(times, step))
+    integrate(build_generator(model), number_state(model.space, (2,)), np.linspace(0, 1, 21), 1e-2)
+    assert calls == [1e-2]
+
+
 @pytest.mark.parametrize("block_points", [None, 2], ids=["one-block", "two-point-blocks"])
 @pytest.mark.parametrize("spoil, message", [
     (lambda v: v + 1e-6j, "RK4 state lost Hermiticity: defect 2.000e-06 at t=0.3"),

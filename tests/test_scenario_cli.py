@@ -154,7 +154,6 @@ def test_unequal_cutoffs_under_mixing_rejected():
 def test_single_mode_run_matches_decay_law(tmp_path):
     cfg = parse_config((CONFIGS / "single_mode_decay.json").read_text())
     result = run_scenario(cfg, out_dir=tmp_path)
-    assert result.exit_code == 0
     header, rows = read_csv(tmp_path / "single_mode_decay__kraus__N.csv")
     assert header == ["t", "N", "t_raw", "route"]
     assert len(rows) == 101
@@ -166,8 +165,7 @@ def test_single_mode_run_matches_decay_law(tmp_path):
 
 def test_fig1_run_matches_mean_number_formula(tmp_path):
     cfg = parse_config((CONFIGS / "fig1_number.json").read_text())
-    result = run_scenario(cfg, out_dir=tmp_path)
-    assert result.exit_code == 0
+    run_scenario(cfg, out_dir=tmp_path)
     g1, g2 = 0.5, 1.5
     n1, n2 = 2, 1
     for idx, theta in enumerate(m.theta for m in cfg.mixing):
@@ -183,8 +181,7 @@ def test_fig1_run_matches_mean_number_formula(tmp_path):
 
 def test_oscillation_run_matches_strangeness_formula(tmp_path):
     cfg = parse_config((CONFIGS / "oscillation_theta90.json").read_text())
-    result = run_scenario(cfg, out_dir=tmp_path, routes=("kraus", "heisenberg"))
-    assert result.exit_code == 0
+    run_scenario(cfg, out_dir=tmp_path, routes=("kraus", "heisenberg"))
     _, rows = read_csv(tmp_path / "oscillation_theta90__kraus__S.csv")
     for row in rows:
         t_raw, value = float(row[2]), float(row[1])
@@ -259,7 +256,7 @@ def test_run_builds_only_what_its_routes_read(tmp_path, monkeypatch, routes, obs
     for name in unread:
         monkeypatch.setattr(scenario, name, unread_builder)
     cfg = parse_config(json.dumps(make_config(routes=routes, observables=observables)))
-    assert run_scenario(cfg, out_dir=tmp_path).exit_code == 0
+    run_scenario(cfg, out_dir=tmp_path)
 
 
 def test_three_mode_mixed_statistics_scenario(tmp_path):
@@ -276,7 +273,6 @@ def test_three_mode_mixed_statistics_scenario(tmp_path):
         observables=["N", "occupations"],
     )
     result = run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
-    assert result.exit_code == 0
     assert result.max_deviation <= 1e-8
     _, rows = read_csv(tmp_path / "tri__heisenberg__N.csv")
     for row in rows:
@@ -332,7 +328,6 @@ def test_fermion_pair_scenario(tmp_path):
         observables=["N", "S", "occupations"],
     )
     result = run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
-    assert result.exit_code == 0
     assert result.max_deviation <= 1e-8
     _, rows = read_csv(tmp_path / "ferm__kraus__S.csv")
     for row in rows:
@@ -623,6 +618,35 @@ def test_cli_rejects_names_that_leave_the_out_dir(tmp_path, capsys, name):
     for command in ("validate", "run"):
         assert main([command, str(bad)]) == 1
         assert capsys.readouterr().err.startswith("config error [invariant]: CONFIG_NAME_INVALID at $.name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def _latin1_name(out):
+    return json.dumps(make_config(name="caf\u00e9", output_path=out), ensure_ascii=False).encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "document, error",
+    [
+        pytest.param(_latin1_name, "[json]: CONFIG_JSON_MALFORMED at $: not UTF-8", id="not-utf8"),
+        pytest.param(lambda out: json.dumps(make_config(name="x\ud800", output_path=out)).encode(),
+                     "[invariant]: CONFIG_STRING_UNENCODABLE at $.name", id="lone-surrogate-name"),
+        pytest.param(lambda out: json.dumps(make_config(output_path=out + "/\udc80")).encode(),
+                     "[invariant]: CONFIG_STRING_UNENCODABLE at $.output_path", id="lone-surrogate-path"),
+        pytest.param(lambda out: b"[" * 200_000, "[json]: CONFIG_JSON_MALFORMED at $: maximum recursion",
+                     id="nested-too-deep"),
+        pytest.param(lambda out: json.dumps(make_config(output_path=out)).replace(
+            '"schema_version": 1', '"schema_version": ' + "1" * 5000).encode(),
+            "[json]: CONFIG_JSON_MALFORMED at $: Exceeds the limit", id="integer-too-long"),
+    ],
+)
+def test_cli_refuses_undecodable_documents_and_strings(tmp_path, capsys, document, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(document(str(tmp_path / "out")))
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error {error}") and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 

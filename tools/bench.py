@@ -22,6 +22,9 @@ The file holds:
   and on CHECKOUT, then ``diff`` of the two (see ``output_diff``).  PARENT
   is a checkout, or a git revision of CHECKOUT that is extracted with ``git
   archive`` for the run;
+- ``src_lines``: the count of non-blank lines of ``src/fockdecay/*.py`` in
+  CHECKOUT that are not comment-only lines (docstrings count), and with
+  ``--parent`` the same count of PARENT as ``outputs.parent_src_lines``;
 - ``tier1``: the Tier-1 suite, ``TIER1`` run in CHECKOUT with ``src`` on
   ``PYTHONPATH``: its wall time, exit code, summary line, and the counts and
   duration read from that line.
@@ -115,6 +118,13 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
     }
 
 
+def src_lines(root: Path) -> int:
+    """Non-blank lines of ``root``'s ``src/fockdecay/*.py`` that are not comment-only lines."""
+    return sum(1 for path in sorted((root / "src" / "fockdecay").glob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
+
+
 def _parent_checkout(root: Path, parent: str, dest: Path) -> tuple[Path, str | None]:
     """PARENT itself when it is a directory, else git revision PARENT of ``root``
     extracted into ``dest``; with its commit (None when git cannot name it)."""
@@ -149,14 +159,16 @@ def diff_report(a: Path, b: Path) -> dict:
 
 def output_diff(root: Path, parent: str) -> dict:
     """The outputs of ``compare_outputs.py run`` on the parent and on ``root``, compared
-    by :func:`diff_report`, with the parent's commit (None when it has no git)."""
+    by :func:`diff_report`, with the parent's commit (None when it has no git) and
+    its :func:`src_lines`."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "parent").mkdir()
         checkout, commit = _parent_checkout(root, parent, tmp / "parent")
         for name, source in (("parent", checkout), ("change", root)):
             _child([str(COMPARE), "run", str(tmp / f"out-{name}"), "--root", str(source)], root)
-        return {"parent_commit": commit, **diff_report(tmp / "out-parent", tmp / "out-change")}
+        return {"parent_commit": commit, "parent_src_lines": src_lines(checkout),
+                **diff_report(tmp / "out-parent", tmp / "out-change")}
 
 
 def summary_counts(line: str) -> dict:
@@ -194,6 +206,7 @@ def main(argv=None) -> int:
     doc = {"pr": args.pr,
            "command": ["tools/bench.py", *(sys.argv[1:] if argv is None else argv)],
            **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS)}
+    doc["src_lines"] = src_lines(root)
     if args.parent is not None:
         doc["outputs"] = output_diff(root, args.parent)
     doc["tier1"] = tier1(root)
