@@ -2,16 +2,13 @@
 
 Builds the completely positive trace-preserving map generated by a set of
 decaying modes on the space the model is given.  Its Kraus operators are
-indexed by how many quanta each decay mode loses, over every loss pattern
-the space allows; the sum over them factorises by mode, so the channel is
-applied as the propagator around one loss map per mode.  A
-:class:`DecayModel` builds its decay operators from its space and mixing
-unitary, so their Delta N structure and their relation to V hold by
-construction.  Every model is exact on its whole space, and a model and a
-:class:`KrausSet` check themselves when constructed: the commutation
-certificate, which guards that the space is closed under the decay
-operators, and the completeness of the channel are computed and enforced
-over the whole space, so no object that fails them can be represented.
+indexed by how many quanta each decay mode loses; their sum factorises by
+mode, and is evaluated in the basis of the decay modes' number states, where
+M is diagonal and each loss map is the amplitude damping of one mode, a
+gather.  A model and a :class:`KrausSet` check themselves when constructed
+(the commutation certificate, which guards that the space is closed under
+the decay operators, and completeness), over the whole space, so no object
+that fails them can be represented.
 """
 from __future__ import annotations
 
@@ -34,6 +31,9 @@ from .fock import (
 CERTIFICATE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 MIXING_TOL = 1e-12
+MODE_BASIS_TOL = 1e-12
+# Largest rounding 2^-53 |Re lambda_n| t of the phase of a nonzero amplitude D_n
+PHASE_TOL = 1e-10
 
 # exp(-x) underflows well before this; treat the decayed weight as exact
 LARGE_EXPONENT = 700.0
@@ -61,19 +61,17 @@ class DecayModel:
     whole space and certified when constructed.
 
     Mode j of the space carries the mass m_j and width Gamma_j of decay mode
-    c_j = ``decay_ops[j]``, read back as ``masses`` and ``widths``.  Without
-    ``mixing_unitary`` c_j = a_j, the annihilator of mode j.  With it, V must
-    be an n x n matrix (n the number of modes) with max |V V^dag - 1| within
-    ``MIXING_TOL`` (a ValueError otherwise), and c_j = sum_l conj(V[j, l]) a_l,
-    summed over l in order, so c_j^dag = sum_l V[j, l] a_l^dag.  Each c_j thus
-    lowers the total occupation by exactly one and M conserves the total, by
-    construction.  Construction builds ``m_operator`` = M = sum_j mu_j
-    c_j^dag c_j, with mu_j = m_j - i Gamma_j / 2, and refuses the model
-    unless M is finite with a Hermitian mass part and the relative defect of
-    [M, c_j] = -mu_j c_j, kept as ``certificate_defect``, is within
-    ``CERTIFICATE_TOL``.  The certificate guards closure: it refuses a V
-    under which the space is not closed, such as a mixed boson pair past its
-    common cutoff or a boson mixed with a fermion.
+    c_j = ``decay_ops[j]``.  Without ``mixing_unitary`` c_j = a_j, the
+    annihilator of mode j.  With it, V must be an n x n matrix (n the number
+    of modes) with max |V V^dag - 1| within ``MIXING_TOL`` (a ValueError
+    otherwise), and c_j = sum_l conj(V[j, l]) a_l, summed over l in order.
+    Each c_j thus lowers the total occupation by exactly one.  Construction
+    builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, mu_j = m_j - i Gamma_j
+    / 2, and refuses the model unless M is finite with a Hermitian mass part
+    and the relative defect of [M, c_j] = -mu_j c_j, ``certificate_defect``,
+    is within ``CERTIFICATE_TOL``: this refuses a V under which the space is
+    not closed, such as a mixed boson pair past its common cutoff.  The
+    ``mode_basis`` its Kraus channels use is built on their first use.
     """
 
     space: FockSpace
@@ -81,12 +79,18 @@ class DecayModel:
     decay_ops: tuple[OperatorMatrix, ...] = field(init=False, repr=False)
     m_operator: OperatorMatrix = field(init=False, repr=False)
     certificate_defect: float = field(init=False, repr=False)
+    # the gather plans of the a_j (see _gather_plan), which the loss maps apply
+    _gather_plans: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         space = self.space
         ops = tuple(build_annihilator(space, l) for l in range(1, space.n_modes + 1))
+        plans = tuple(_gather_plan(a.entries.real) for a in ops)
         if self.mixing_unitary is not None:
-            v = np.array(self.mixing_unitary, dtype=complex)
+            try:
+                v = np.array(self.mixing_unitary, dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"mixing_unitary must be a numeric matrix: {exc}") from None
             if v.shape != (len(ops), len(ops)):
                 raise ValueError(f"mixing_unitary must be {len(ops)}x{len(ops)}, got shape {v.shape}")
             unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(len(ops)))))
@@ -123,6 +127,7 @@ class DecayModel:
         object.__setattr__(self, "decay_ops", ops)
         object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
         object.__setattr__(self, "certificate_defect", defect)
+        object.__setattr__(self, "_gather_plans", plans)
 
     @property
     def masses(self) -> tuple[float, ...]:
@@ -136,38 +141,95 @@ class DecayModel:
     def is_mixed(self) -> bool:
         return self.mixing_unitary is not None
 
+    @property
+    def mode_basis(self) -> np.ndarray | None:
+        """W, the Fock-space rotation of V with c_j W = W a_j (None unmixed); see :attr:`_rotation`."""
+        return self._rotation[0]
+
     @cached_property
-    def _gather_plans(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray] | None, ...], ...]:
-        """For each c_j, the :func:`_one_per_row` plans of c_j and of c_j^dag."""
-        return tuple((_one_per_row(c.entries), _one_per_row(c.entries.conj().T)) for c in self.decay_ops)
+    def _rotation(self) -> tuple[np.ndarray | None, float]:
+        """(W, ||W^dag W - 1||_2), or (None, 0.0) unmixed.  Column n of W is
+        prod_j (c_j^dag)^{n_j} |0> / sqrt(prod_j n_j!), formed as c_j^dag of the
+        column of n - e_j over sqrt(n_j), j the first occupied mode of n (no
+        Jordan-Wigner sign), then one Newton-Schulz step W <- W (3 - W^dag W) / 2.
+        Refused: ||W^dag W - 1||_2 above ``MODE_BASIS_TOL``, and W^dag M W off
+        diag(m_ref N + lambda) by more than ``CERTIFICATE_TOL``, relative as the
+        certificate."""
+        if not self.is_mixed:
+            return None, 0.0
+        space, eye = self.space, np.eye(self.space.dimension)
+        occ, totals = space.occupation_array, space.total_occupation
+        first = np.argmax(occ > 0, axis=1)
+        lowered = occ - (np.arange(space.n_modes) == first[:, None])
+        parent = np.array([space.index_of(n) if total else 0 for n, total in zip(lowered, totals)])
+        w = eye.astype(complex)  # the vacuum's column; every other one is overwritten
+        raising = [c.entries.conj().T for c in self.decay_ops]
+        for total in range(1, space.total + 1):
+            for j, c_dag in enumerate(raising):
+                cols = np.flatnonzero((totals == total) & (first == j))
+                block = c_dag @ w[:, parent[cols]]
+                block.real /= np.sqrt(occ[cols, j])  # real divisions: sqrt(n) / sqrt(n) is exactly 1
+                block.imag /= np.sqrt(occ[cols, j])
+                w[:, cols] = block
+        w = w @ (3.0 * eye - w.conj().T @ w) / 2.0
+        defect = float(np.linalg.norm(w.conj().T @ w - eye, 2))
+        if not defect <= MODE_BASIS_TOL:
+            raise InvariantViolation(f"mode basis W is not unitary: ||W^dag W - 1|| = {defect:.3e}")
+        m_ref, split, half_width = self._spectrum
+        scale = _mass_scale(self.masses, self.widths)
+        off = w.conj().T @ (self.m_operator.entries / scale) @ w - np.diag(
+            (m_ref / scale) * totals + split / scale - 1j * (half_width / scale))
+        if not float(np.max(np.abs(off))) <= CERTIFICATE_TOL:
+            raise CertificateError(f"mode-basis certificate defect {np.max(np.abs(off)):.3e} (relative) "
+                                   f"exceeds {CERTIFICATE_TOL}: W^dag M W is not diagonal")
+        w.setflags(write=False)
+        return w, defect
+
+    @cached_property
+    def _spectrum(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(m_ref, split, half_width): m_ref = min_j m_j, and per basis state n
+        split_n = sum_j (m_j - m_ref) n_j and half_width_n = sum_j Gamma_j n_j / 2,
+        so lambda_n = split_n - i half_width_n and sum_j mu_j n_j = m_ref N + lambda_n."""
+        m_ref = min(self.masses)
+        occ = self.space.occupation_array.astype(float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes an amplitude non-finite
+            return m_ref, occ @ (np.array(self.masses) - m_ref), occ @ (0.5 * np.array(self.widths))
+
+
+def _gather_plan(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(cols, vals) of a real a_j and of a_j^dag: row r's only nonzero is vals[r]
+    in column cols[r] (0 on an empty row)."""
+    rows = np.arange(len(a))
+    cols = (np.argmax(a != 0, axis=1), np.argmax(a.T != 0, axis=1))
+    return (cols[0], a[rows, cols[0]]), (cols[1], a.T[rows, cols[1]])
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus channel of ``model`` at evolution time ``time``, as nested loss maps.
+    """Kraus channel of ``model`` at time ``time``, as loss maps in the decay-mode basis.
 
     Its Kraus operators E_kappa = U prod_j (sqrt(w_j) c_j)^{k_j} / sqrt(k_j!),
-    one per loss pattern kappa = (k_1, ..., k_r) with k_j at most the
-    mode's cutoff (1 for a fermion) and sum k_j at most the space's total,
-    are the complete series on the model's space: no other pattern acts
-    there.  Here U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t).  They sum to
-    sum_kappa E_kappa X E_kappa^dag = U [Phi_1 o ... o Phi_r](X) U^dag, with
-    Phi_j(X) = sum_k (w_j^k / k!) c_j^k X c_j^{dag k} the bosonic amplitude
-    damping of mode j alone (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).
-    So a time point carries only ``propagator`` = U and ``weights`` = (w_j);
-    :meth:`loss_maps` applies the Phi_j or their adjoints with the model's
-    c_j, and a zero weight drops its mode (at t = 0 the channel is the
-    identity).  Construction refuses a negative or NaN time, and a channel
-    that is not finite or whose ``completeness_defect``, the spectral norm of
-    ``gram`` - 1 over the whole space, exceeds ``COMPLETENESS_TOL``; ``gram``
-    = sum_kappa E_kappa^dag E_kappa is the adjoint loss maps applied to U^dag U.
-    A channel is the one-point case of the stacks :func:`evolve_state`
-    evaluates on its grid, with the same checks.
+    U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t), over every loss pattern the
+    space allows, sum to W D [Phi_1 o ... o Phi_r](W^dag X W) D^dag W^dag, W
+    the model's ``mode_basis`` (none unmixed) and Phi_j the amplitude damping
+    of a_j (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  D =
+    diag(``amplitudes``) is U in that basis: exp(-i M_nn t) unmixed, and
+    exp(-i (m_ref N_n + lambda_n) t) under mixing, with the sector phase and
+    the splitting phase taken apart (see :attr:`DecayModel._spectrum`);
+    ``propagator`` = U and ``gram`` = sum E^dag E are formed from D and
+    ``weights``.  Construction refuses a negative or NaN time, a non-finite
+    amplitude, under mixing a nonzero one whose splitting phase rounds by
+    more than ``PHASE_TOL`` (2^-53 Re lambda_n t), and a
+    ``completeness_defect`` above ``COMPLETENESS_TOL``: with g the largest
+    |Phi^dag(D^dag D) - 1| (a diagonal) and delta = ||W^dag W - 1||_2, (1 +
+    delta)^2 (1 + g) - 1 bounds ||sum E^dag E - 1||_2.  A channel is the
+    one-point case of the stacks :func:`evolve_state` evaluates.
     """
 
     model: DecayModel
     time: float
     propagator: np.ndarray = field(init=False, repr=False)
+    amplitudes: np.ndarray = field(init=False, repr=False)
     weights: tuple[float, ...] = field(init=False, repr=False)
     gram: np.ndarray = field(init=False, repr=False)
     completeness_defect: float = field(init=False, repr=False)
@@ -176,153 +238,94 @@ class KrausSet:
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
         t = float(self.time)
-        propagators, weights, grams, defects = _channels(self.model, [t])
-        for name, value in (("time", t), ("propagator", propagators[0]),
-                            ("weights", tuple(weights[0].tolist())), ("gram", grams[0]),
+        amplitudes, weights, grams, defects = _channels(self.model, [t])
+        for name, value in (("time", t), ("amplitudes", amplitudes[0]),
+                            ("propagator", _from_mode_basis(self.model, np.diag(amplitudes[0]))),
+                            ("weights", tuple(weights[0].tolist())),
+                            ("gram", _from_mode_basis(self.model, np.diag(grams[0]).astype(complex))),
                             ("completeness_defect", float(defects[0]))):
             object.__setattr__(self, name, value)
-        self.propagator.setflags(write=False)
-        self.gram.setflags(write=False)
-
-    def loss_maps(self, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """[Phi_1 o ... o Phi_r](X), or with ``adjoint`` [Phi_r^dag o ... o Phi_1^dag](X)."""
-        return _nested_loss_maps(matrix, self.model, np.array([self.weights]), adjoint)[0]
+        for array in (self.propagator, self.amplitudes, self.gram):
+            array.setflags(write=False)
 
 
-def _channels(
-    model: DecayModel,
-    times: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The Kraus channels of ``model`` at each of ``times``, checked as
-    :class:`KrausSet` describes: their propagators U = exp(-i M t) (see
-    :func:`_propagators`) and Grams as (n, d, d) stacks, their weights w_j as
-    an (n, r) array and their completeness defects as an (n,) array.
+    :class:`KrausSet` describes: their (n, d) amplitudes D, (n, r) weights,
+    (n, d) diagonals of the Grams Phi^dag(D^dag D) and (n,) completeness defects.
     """
     times = [float(t) for t in times]
     weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
+    space, t = model.space, np.array(times)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        propagators = _propagators(model.m_operator.entries, times)
-    _check_finite(propagators, "propagator exp(-i M t)", times)
+        if model.is_mixed:
+            m_ref, split, half_width = model._spectrum
+            amplitudes = np.exp(-1j * ((m_ref * space.total_occupation) * t)) \
+                * np.exp(-(half_width + 1j * split) * t)
+        else:  # M is diagonal, D_n = exp(-i M_nn t) rounds each phase once as the closed forms do,
+            # and there is no W to turn a phase into interference: none is checked
+            split = np.zeros(space.dimension)
+            amplitudes = np.exp(-1j * model.m_operator.entries.diagonal() * t)
+        rounding = 2.0**-53 * split * t
+    _check_finite(amplitudes, "propagator exp(-i M t)", times)
+    coarse = np.argwhere((amplitudes != 0) & (rounding > PHASE_TOL))
+    if coarse.size:
+        i, n = coarse[0]
+        raise InvariantViolation(f"the phase {split[n] * times[i]:.3e} of amplitude {space.occupation_of(n)} at "
+                                 f"t = {times[i]!r} rounds by {rounding[i, n]:.3e}, more than {PHASE_TOL}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        grams = _nested_loss_maps(_adjoint(propagators) @ propagators, model, weights, adjoint=True)
+        grams = _loss_maps(np.abs(amplitudes) ** 2, model, weights, adjoint=True, diagonal=True)
     _check_finite(grams, "Kraus Gram", times)
-    defects = np.linalg.norm(grams - np.eye(model.space.dimension), 2, axis=(-2, -1))
+    defects = (1.0 + model._rotation[1]) ** 2 * (1.0 + np.max(np.abs(grams - 1.0), axis=-1)) - 1.0
     bad = defects > COMPLETENESS_TOL
     if bad.any():
         raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
-    return propagators, weights, grams, defects
+    return amplitudes, weights, grams, defects
 
 
-# Degree-13 Pade coefficients b_0 ... b_13 and the largest 1-norm of A they
-# take unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-THETA_13 = 5.371920351148152
+def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
+    """W^dag X W, or X itself for an unmixed model."""
+    w = model.mode_basis
+    return x if w is None else w.conj().T @ x @ w
 
 
-def _propagators(m: np.ndarray, times: Sequence[float]) -> np.ndarray:
-    """exp(-i M t) for each of ``times``, as an (n, d, d) stack.
-
-    A diagonal M takes exp of its diagonal.  Otherwise each point is the
-    degree-13 Pade approximant r of A = -i M t / 2^s, squared s times, with
-    s = max(0, ceil(log2(t ||M||_1 / THETA_13))) (Higham, SIAM J. Matrix
-    Anal. Appl. 26, 1179 (2005)).  A = -i x B, where B = M / 2^e is M
-    scaled exactly into ||B||_1 < 1 and x = t 2^(e - s), so B^2, B^4 and B^6
-    are formed once for all points and A^2, A^4 and A^6 are scalar multiples
-    of them; each point then costs Higham's three products for the Pade
-    polynomials U and V, one solve and its squarings.  The approximant is
-    taken as r = I + 2 (V - U)^-1 U, whose rounding the squarings amplify
-    less than that of (V - U)^-1 (V + U).  The squarings run on the points,
-    in order of s, that still need one.  Every step acts on each point
-    alone, so each matrix is the one a single time would give.
-    A point where t ||M||_1 is not finite (or M is not) is all NaN.
-    """
-    t = np.asarray(times, dtype=float)
-    d = len(m)
-    if not m[~np.eye(d, dtype=bool)].any():
-        out = np.zeros((len(t), d, d), dtype=complex)
-        out[:, range(d), range(d)] = np.exp(-1j * np.diagonal(m) * t[:, None])
-        return out
-    norm = float(np.abs(m).sum(axis=0).max())
-    if not math.isfinite(norm):
-        return np.full((len(t), d, d), np.nan, dtype=complex)
-    e = math.frexp(norm)[1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.maximum(0.0, np.ceil(np.log2(t * norm / THETA_13)))
-    bad = ~np.isfinite(s)
-    s = np.where(bad, 0, s).astype(int)
-    x = np.where(bad, 0.0, np.ldexp(t, e - s))[:, None, None]
-    b = np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), -e).view(complex)
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b2 @ b4
-    a, a2, a4, a6 = -1j * x * b, -x**2 * b2, x**4 * b4, -x**6 * b6
-    c = PADE_13
-    eye = np.eye(d)
-    u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2) + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-    v = a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2) + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
-    r = eye + 2 * np.linalg.solve(v - u, u)
-    order = np.argsort(s, kind="stable")
-    r, s = r[order], s[order]
-    for i in range(1, int(s.max(initial=0)) + 1):
-        k = int(np.searchsorted(s, i))
-        r[k:] = r[k:] @ r[k:]
-    out = np.empty_like(r)
-    out[order] = r
-    out[bad] = np.nan
-    return out
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
+def _from_mode_basis(model: DecayModel, y: np.ndarray) -> np.ndarray:
+    """W Y W^dag on the last two axes, or Y itself for an unmixed model."""
+    w = model.mode_basis
+    return y if w is None else w @ y @ w.conj().T
 
 
 def _check_finite(stack: np.ndarray, what: str, times: Sequence[float]) -> None:
-    finite = np.isfinite(stack).all(axis=(-2, -1))
+    finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=-1)
     if not finite.all():
         raise InvariantViolation(f"{what} is not finite at t = {times[int(np.argmin(finite))]!r}")
 
 
-def _nested_loss_maps(
-    x: np.ndarray,
-    model: DecayModel,
-    weights: np.ndarray,
-    adjoint: bool,
-) -> np.ndarray:
-    """Phi_1 o ... o Phi_r on x (Phi_r first), or the adjoint maps (Phi_1^dag first),
-    once for each row of the (n, r) ``weights``: an (n, d, d) stack.
-
-    ``x`` is one matrix or an (n, d, d) stack.  Each Phi_j is summed in
-    Horner form Y <- X + (w/k) c Y c^dag for k = cap_j ... 1, with cap_j =
-    min(cutoff_j, the space's total): no higher power of c_j acts on the
-    space.  When the operator on the left (c_j, or c_j^dag for the adjoint
-    maps) has at most one nonzero per row, as an unmixed c_j does, its two
-    products are a gather and a scale, O(n d^2) in place of O(n d^3).  The
-    matmuls' other terms are exact zeros, so with real nonzeros (the
-    annihilators and their Jordan-Wigner signs) the two are bit-equal.  A
-    mixed c_j, with two nonzeros per row, keeps the matmuls; at theta = 0 it
-    has one, with the phase of V, and its gather equals them within rounding.
-    A mode is skipped at the points where its weight is 0, so each matrix of
-    the stack is the one a single point would give.  The result is a new
-    array, also when no mode decays.
+def _loss_maps(x: np.ndarray, model: DecayModel, weights: np.ndarray, adjoint: bool,
+               diagonal: bool = False) -> np.ndarray:
+    """Phi_1 o ... o Phi_r of the space's a_j on x (Phi_r first), or the adjoint
+    maps (Phi_1^dag first), for each row of the (n, r) ``weights``: a new (n,
+    d, d) stack, or with ``diagonal`` (n, d) diagonals of diagonal matrices.
+    Each Phi_j is summed in Horner form Y <- X + (w/k) lower Y lower^dag, k =
+    min(cutoff_j, total) ... 1, lower = a_j (a_j^dag adjoint): a gather and a
+    scale per side.  A mode is skipped where its weight is 0, so each matrix
+    is the one a single point would give.
     """
     space = model.space
-    y = np.array(np.broadcast_to(x, (len(weights), space.dimension, space.dimension)))
-    modes = list(enumerate(zip(model.decay_ops, (min(m.cutoff, space.total) for m in space.modes))))
-    for j, (c, cap) in modes if adjoint else reversed(modes):
+    shape = (space.dimension,) if diagonal else (space.dimension, space.dimension)
+    y = np.array(np.broadcast_to(x, (len(weights), *shape)))
+    modes = list(enumerate(min(m.cutoff, space.total) for m in space.modes))
+    for j, cap in modes if adjoint else reversed(modes):
         live = np.flatnonzero(weights[:, j])
         if not (live.size and cap):
             continue
-        # Phi_j(X) = sum_k (w^k / k!) lower^k X upper^k
-        lower, upper = (c.entries.conj().T, c.entries) if adjoint else (c.entries, c.entries.conj().T)
-        plan = model._gather_plans[j][adjoint]
-        w = weights[live, j, None, None]  # kept real: a complex w rounds differently
+        cols, vals = model._gather_plans[j][adjoint]
+        w = weights[live, j].reshape(-1, *(1,) * len(shape))
         part = live.size < len(y)
         z = y[live] if part else y
         sub = z
         for k in range(cap, 0, -1):
-            sub = lower @ sub @ upper if plan is None else _gather_sandwich(sub, *plan)
+            sub = np.take(sub, cols, axis=-1) * vals**2 if diagonal else _gather_sandwich(sub, cols, vals)
             sub *= w / k
             sub += z
         if part:
@@ -332,22 +335,12 @@ def _nested_loss_maps(
     return y
 
 
-def _one_per_row(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(cols, vals) with matrix[a, cols[a]] = vals[a] the only nonzero of row a
-    (vals[a] = 0 on an empty row), or None when some row has two nonzeros."""
-    nonzero = matrix != 0
-    if (nonzero.sum(axis=1) > 1).any():
-        return None
-    cols = np.argmax(nonzero, axis=1)
-    return cols, matrix[np.arange(len(matrix)), cols]
-
-
 def _gather_sandwich(y: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """lower @ y @ lower^dag for the lower of plan (cols, vals), on the last two axes."""
+    """lower @ y @ lower^dag for the real lower of plan (cols, vals), on the last two axes."""
     out = np.take(y, cols, axis=-2)
     out *= vals[:, None]
     out = np.take(out, cols, axis=-1)
-    out *= vals.conj()
+    out *= vals
     return out
 
 
@@ -382,21 +375,20 @@ def _certificate_defect(
     masses: Sequence[float],
     widths: Sequence[float],
 ) -> float:
-    """Max deviation of [M, c_j] from -mu_j c_j over the whole space, with
-    mu_j = m_j - i Gamma_j / 2, relative to s = max(1, max_j |mu_j|).
-
-    The commutator is formed on M / s and mu_j / s, whose entries are of
-    order one, so a finite M never overflows it, and its rounding is
-    rounding-sized at any finite scale.  |mu_j| is taken as the larger of
-    |m_j| and Gamma_j / 2, which unlike the modulus cannot overflow.
-    """
-    scale = max(1.0, *(max(abs(m_j), 0.5 * g_j) for m_j, g_j in zip(masses, widths)))
+    """Max deviation of [M, c_j] from -mu_j c_j over the whole space, formed on
+    M / s and mu_j / s (s = :func:`_mass_scale`), so a finite M never overflows it."""
+    scale = _mass_scale(masses, widths)
     m_scaled = m_matrix / scale
     worst = 0.0
     for c, m_j, g_j in zip(decay_ops, masses, widths):
         defect = m_scaled @ c - c @ m_scaled + complex(m_j / scale, -0.5 * g_j / scale) * c
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
+
+
+def _mass_scale(masses: Sequence[float], widths: Sequence[float]) -> float:
+    """s = max(1, max_j |mu_j|), |mu_j| taken as max(|m_j|, Gamma_j / 2), which cannot overflow."""
+    return max(1.0, *(max(abs(m_j), 0.5 * g_j) for m_j, g_j in zip(masses, widths)))
 
 
 def build_decay_model(space: FockSpace) -> DecayModel:
@@ -410,26 +402,31 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
 
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
-    """Linear action sum_k E_k X E_k^dag on a raw d x d matrix.
-
-    Computed as U [Phi_1 o ... o Phi_r](X) U^dag: the loss maps of the
-    modes, last mode first, then the propagator.
-    """
+    """Linear action sum_k E_k X E_k^dag on a raw d x d matrix (see :func:`_channel_action`)."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    return _channel_action(kraus.model, kraus.propagator[None], np.array([kraus.weights]), matrix)[0]
+    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), matrix)[0]
 
 
-def _channel_action(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
-                    matrix: np.ndarray) -> np.ndarray:
-    """U [Phi_1 o ... o Phi_r](X) U^dag for each channel of the stack."""
-    return propagators @ _nested_loss_maps(matrix, model, weights, adjoint=False) @ _adjoint(propagators)
+def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
+                    matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """For each channel of the stack, sum_k E_k X E_k^dag = W D [Phi_1 o ... o
+    Phi_r](W^dag X W) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X E_k =
+    W [Phi_r^dag o ... o Phi_1^dag](D^dag W^dag X W D) W^dag."""
+    y = _to_mode_basis(model, matrix)
+    phases = amplitudes[:, :, None] * amplitudes[:, None, :].conj()  # D_a conj(D_b)
+    if adjoint:
+        y = _loss_maps(y * phases.conj(), model, weights, adjoint=True)
+    else:
+        y = _loss_maps(y, model, weights, adjoint=False)
+        y *= phases
+    return _from_mode_basis(model, y)
 
 
-def _channel_stack(model: DecayModel, propagators: np.ndarray, weights: np.ndarray,
+def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
                    rho: DensityOperator) -> np.ndarray:
     """The (n, d, d) stack of states the channels of the stack make of rho, with
     the trace kept to 1e-12 and each validated as a density operator."""
-    out = _channel_action(model, propagators, weights, rho.matrix)
+    out = _channel_action(model, amplitudes, weights, rho.matrix)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
@@ -444,13 +441,10 @@ def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[De
 
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
-    """Evolve a state on the channel's space; trace is preserved to 1e-12.
-
-    The result is validated as a density operator.
-    """
+    """Evolve a state on the channel's space, validated as a density operator with its trace kept to 1e-12."""
     if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    return _as_states(_channel_stack(kraus.model, kraus.propagator[None], np.array([kraus.weights]), rho),
+    return _as_states(_channel_stack(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rho),
                       rho)[0]
 
 
@@ -460,18 +454,14 @@ def evolve_state(
     times: Sequence[float],
     read: Callable[[Iterator[np.ndarray]], Result] | None = None,
 ) -> list[DensityOperator] | Result:
-    """Channel evolution sampled on a time grid: the complete Kraus channel of
-    each point, on the model's space, applied to rho0.
+    """The complete Kraus channel of each point of a time grid applied to rho0.
 
-    The grid is evaluated n = _stack_points(d) points at a time, as checked
-    (n, d, d) stacks of states, so the memory is O(n d^2); each state is
-    bit-identical to ``apply_channel(build_kraus(model, t), rho0)``.  A stack
-    runs each check on all its points in turn, so a chunk that fails is
-    evaluated again one point at a time: the error is the earliest point's,
-    as the points would raise one after another.  With ``read``, the result
-    is ``read(stacks)``, the stacks handed over in grid order and made one
-    at a time as ``read`` iterates (see :func:`read_series`).  Without, it
-    is a thin wrapper: the list of one DensityOperator per grid point.
+    The grid is evaluated as checked (n, d, d) stacks of n = _stack_points(d)
+    states, each bit-identical to ``apply_channel(build_kraus(model, t),
+    rho0)``.  A chunk that fails is evaluated again one point at a time, so
+    the error is the earliest point's.  With ``read``, the result is
+    ``read(stacks)``, the stacks made one at a time as ``read`` iterates (see
+    :func:`read_series`); without, the list of one state per grid point.
     """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
@@ -496,8 +486,8 @@ def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) 
 
 
 def _grid_stack(model: DecayModel, rho0: DensityOperator, times: list[float]) -> np.ndarray:
-    propagators, weights, _, _ = _channels(model, times)  # refuses t < 0
-    return _channel_stack(model, propagators, weights, rho0)
+    amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0
+    return _channel_stack(model, amplitudes, weights, rho0)
 
 
 def read_series(

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight
+from .channel import DecayModel, KrausSet, _channel_action, _decay_amplitude, _decay_weight
 from .flavour import quadratic_omegas
 from .fock import (
     DensityOperator,
@@ -28,14 +28,11 @@ from .fock import (
 
 
 def evolve_observable_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
-    """Raw linear action sum_k E_k^dag X E_k of a Kraus channel on a d x d matrix.
-
-    Computed as [Phi_r^dag o ... o Phi_1^dag](U^dag X U): the propagator,
-    then the adjoint loss maps of the modes, first mode first.
-    """
+    """Raw linear action sum_k E_k^dag X E_k of a Kraus channel on a d x d matrix,
+    the adjoint channel in the decay-mode basis (see ``channel._channel_action``)."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    u = kraus.propagator
-    return kraus.loss_maps(u.conj().T @ matrix @ u, adjoint=True)
+    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), matrix,
+                           adjoint=True)[0]
 
 
 def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:

@@ -47,6 +47,8 @@ ROUTES = ("kraus", "ode", "heisenberg")
 OBSERVABLES = ("N", "S", "Qplus", "Qminus", "occupations")
 WEIGHT_SUM_TOL = 1e-12
 SCHEMA_VERSION = 1
+# Longest file name, in bytes, that common file systems accept
+FILE_NAME_BYTES = 255
 
 
 class ConfigError(ValueError):
@@ -360,6 +362,12 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("CONFIG_NAME_INVALID",
                           f"name {name!r} must be a plain file-name part (no path separator)",
                           "invariant", "$.name")
+    # the longest output file name; <name>__manifest.txt is shorter
+    tag = f"__theta{len(mixing) - 1}" if mixing is not None and len(mixing) > 1 else ""
+    longest = len(f"{name}{tag}__{max(ROUTES, key=len)}__{max(OBSERVABLES, key=len)}.csv".encode())
+    if longest > FILE_NAME_BYTES:
+        raise ConfigError("CONFIG_NAME_INVALID", f"name makes output file names of {longest} bytes, "
+                          f"more than {FILE_NAME_BYTES}", "invariant", "$.name")
     output_path = _as_str(_require(root, "output_path", "$"), "$.output_path")
     return ScenarioConfig(
         name=name,

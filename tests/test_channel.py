@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import kraus_reference, loss_patterns, random_density_matrix, support_total_bound
 
 from fockdecay import (
@@ -196,51 +198,100 @@ def test_completeness_on_grid():
             assert ks.completeness_defect <= 1e-10
 
 
-def _decaying_generator(rng, d, normal):
-    """A random non-diagonal M whose exp(-i M t) is a contraction for t >= 0, as a model's M is:
-    normal with eigenvalues in the lower half-plane, or H - i K / 2 with H and K >= 0 not commuting."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    if normal:
-        q, _ = np.linalg.qr(z)
-        return (q * (rng.standard_normal(d) - 1j * rng.random(d))) @ q.conj().T
-    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (h + h.conj().T) - 0.5j * (z @ z.conj().T) / d
+@st.composite
+def rotated_models(draw, identity=False):
+    """A mixed model of one of three kinds: a boson pair with theta, phi, psi and chi
+    drawn, a fermion pair, or three bosons with a random 3x3 unitary; with
+    ``identity`` the same space under V = 1."""
+    masses = st.floats(0.0, 5.0)
+    widths = st.floats(0.1, 2.0)
+    kind = draw(st.sampled_from(["boson-pair", "fermion-pair", "three-bosons"]))
+    if kind == "three-bosons":
+        cutoff = draw(st.integers(1, 3))
+        space = FockSpace([ModeSpec(mass=draw(masses), width=draw(widths), cutoff=cutoff) for _ in range(3)],
+                          total=cutoff)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        return DecayModel(space, np.eye(3) if identity else v)
+    if kind == "boson-pair":
+        cutoff = draw(st.integers(1, 5))
+        space = FockSpace([ModeSpec(mass=draw(masses), width=draw(widths), cutoff=cutoff) for _ in range(2)],
+                          total=cutoff)
+    else:
+        space = FockSpace([ModeSpec(Statistics.FERMION, mass=draw(masses), width=draw(widths))
+                           for _ in range(2)])
+    angles = st.floats(0.0, 2 * math.pi)
+    params = MixingParams(theta=draw(angles), phi=draw(angles), psi=draw(angles), chi=draw(angles))
+    return DecayModel(space, np.eye(2) if identity else mixing_matrix(params))
 
 
-@pytest.mark.parametrize("d", [2, 10, 21, 39])
-@pytest.mark.parametrize("normal", [True, False], ids=["normal", "non-normal"])
-def test_propagators_match_scipy_expm(d, normal, rng):
-    m = _decaying_generator(rng, d, normal)
-    # t ||M||_1 from 0 to 1e4: up to 11 squarings
-    times = np.concatenate([[0.0], np.logspace(-3, 4, 29)]) / np.abs(m).sum(axis=0).max()
-    got = channel._propagators(m, times)
-    want = scipy.linalg.expm(-1j * m * times[:, None, None])
-    scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
-    assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale)
-    assert np.array_equal(got[0], np.eye(d))
-    # each point is the one its time alone gives, in whatever order the times come
-    order = rng.permutation(len(times))
-    assert np.array_equal(channel._propagators(m, times[order]), got[order])
-    assert all(np.array_equal(channel._propagators(m, [t])[0], u) for t, u in zip(times, got))
+@settings(max_examples=60, deadline=None)
+@given(model=rotated_models())
+def test_mode_basis_rotates_the_annihilators_into_the_decay_operators(model):
+    w = model.mode_basis
+    assert np.linalg.norm(w.conj().T @ w - np.eye(model.space.dimension), 2) <= 1e-14
+    for j, c in enumerate(model.decay_ops, start=1):
+        a = build_annihilator(model.space, j).entries
+        assert np.max(np.abs(c.entries @ w - w @ a)) <= 1e-13
 
 
-def test_a_diagonal_generator_takes_exp_of_its_diagonal(rng):
-    diag = rng.standard_normal(6) - 1j * rng.random(6)
-    times = [0.0, 0.3, 7.0, 1e3]
-    for t, u in zip(times, channel._propagators(np.diag(diag), times)):
-        assert np.array_equal(u, np.diag(np.exp(-1j * diag * t)))
-        assert np.array_equal(u, scipy.linalg.expm(-1j * np.diag(diag) * t))
+@settings(max_examples=20, deadline=None)
+@given(model=rotated_models(identity=True))
+def test_the_identity_mixing_unitary_gives_the_identity_mode_basis(model):
+    assert np.array_equal(model.mode_basis, np.eye(model.space.dimension))
+    assert build_decay_model(model.space).mode_basis is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=rotated_models(), t=st.floats(0.0, 20.0))
+def test_propagator_matches_scipy_expm(model, t):
+    # W D W^dag against scipy's scaled and squared Pade exponential of the dense M; both
+    # round at about 1e-16 of ||exp(-i M t)|| <= 1 on these spaces (|S| <= 21, t ||M||_1 < 1e3)
+    want = scipy.linalg.expm(-1j * model.m_operator.entries * t)
+    assert np.max(np.abs(build_kraus(model, t).propagator - want)) <= 1e-13
 
 
 def test_a_non_finite_exponent_ends_in_an_invariant_violation():
-    for entry, t in ((math.nan, 1.0), (math.inf, 1.0), (0.2, math.inf)):
-        m = np.array([[0.5 - 0.5j, entry], [0.2, 1.0 - 1.0j]])
-        stack = channel._propagators(m, [0.5, t])  # no LinAlgError from the solve
-        with pytest.raises(InvariantViolation, match="propagator exp\\(-i M t\\) is not finite"):
-            channel._check_finite(stack, "propagator exp(-i M t)", [0.5, t])
     fermions = FockSpace([ModeSpec(Statistics.FERMION, width=0.5), ModeSpec(Statistics.FERMION, width=1.5)])
-    with pytest.raises(InvariantViolation, match="not finite at t = inf"):
-        build_kraus(build_mixed_model(fermions, MixingParams(theta=0.9)), math.inf)
+    for model in (build_mixed_model(fermions, MixingParams(theta=0.9)), build_decay_model(fermions)):
+        with pytest.raises(InvariantViolation, match="propagator exp\\(-i M t\\) is not finite at t = inf"):
+            build_kraus(model, math.inf)
+    # the phase m t overflows, though the amplitude has decayed to 0
+    single = FockSpace(ModeSpec(mass=1e308, width=1e308, cutoff=1))
+    with pytest.raises(InvariantViolation, match="not finite at t = 1.8"):
+        build_kraus(build_decay_model(single), 1.8)
+
+
+def test_a_splitting_too_large_to_resolve_ends_in_an_invariant_violation():
+    params = MixingParams(theta=0.7)
+    for masses in ((0.0, 1e20), (5.0, 1e200)):
+        space = FockSpace([ModeSpec(mass=m, width=g, cutoff=3) for m, g in zip(masses, (0.5, 1.5))], total=3)
+        model = build_mixed_model(space, params)
+        build_kraus(model, 0.0)
+        with pytest.raises(InvariantViolation, match="rounds by .* more than 1e-10"):
+            build_kraus(model, 0.5)
+        # once every amplitude but the vacuum's has decayed to 0, no phase is read
+        assert build_kraus(model, 1e4).completeness_defect <= 1e-12
+    # a large common mass drops out of the splittings: only the sector phase m_ref N t is large
+    for m in (1e4, 1e8, 1e14):
+        space = FockSpace([ModeSpec(mass=m + dm, width=g, cutoff=3) for dm, g in ((0.0, 0.5), (5.0, 1.5))],
+                          total=3)
+        model = build_mixed_model(space, params)
+        for t in (0.1, 1.0):
+            assert build_kraus(model, t).completeness_defect <= 1e-12
+    # resolved to 1e-10 up to (m_j - m_ref) n_j t = 9.0e5 rad: 15 t at total 3
+    zero_width = FockSpace([ModeSpec(mass=m, width=0.0, cutoff=3) for m in (0.0, 5.0)], total=3)
+    model = build_mixed_model(zero_width, params)
+    assert build_kraus(model, 6e4).completeness_defect <= 1e-12
+    with pytest.raises(InvariantViolation, match="rounds by .* more than 1e-10"):
+        build_kraus(model, 7e4)
+    # an unmixed M is diagonal, and its phases m_j n_j t are those of the closed forms: not refused
+    for masses in ((0.0, 1e6), (0.0, 1e20)):
+        space = FockSpace([ModeSpec(mass=m, width=0.5, cutoff=3) for m in masses], total=3)
+        model = build_decay_model(space)
+        ks = build_kraus(model, 1.0)
+        assert np.array_equal(ks.amplitudes, np.exp(-1j * model.m_operator.entries.diagonal() * 1.0))
+        assert ks.completeness_defect <= 1e-12
 
 
 def _block_cases():
@@ -343,29 +394,30 @@ def dense_loss_maps(x, model, weights, adjoint):
 
 
 def _gather_cases():
-    # (model, t, gathered, tol); tol 0 asks for bit-equal sums
+    # (model, t, tol); tol 0 asks for bit-equal sums: an unmixed model is in its decay-mode
+    # basis already, so its maps are the gathers alone
     for case in _edge_cases():
         if case.id in ("w-zero", "boson-two-fermions", "mixed"):
             model, t = case.values
-            yield pytest.param(model, t, not model.is_mixed, 0.0, id=case.id)
-    # at theta = 0 each c_j keeps one nonzero per row, with the phase of V: gathered, but the
-    # complex products round unlike the matmul's
+            yield pytest.param(model, t, 1e-14 if model.is_mixed else 0.0, id=case.id)
+    # at theta = 0 each c_j is a_j times a phase of V, and W is diagonal with those phases
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
     model = build_mixed_model(bosons, MixingParams(theta=0.0, phi=0.5, psi=0.3, chi=0.1))
-    yield pytest.param(model, 0.7, True, 1e-13, id="theta-zero-phases")
+    yield pytest.param(model, 0.7, 1e-14, id="theta-zero-phases")
 
 
-@pytest.mark.parametrize("model, t, gathered, tol", list(_gather_cases()))
-def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, gathered, tol, rng):
-    assert all((plan is not None) == gathered for plans in model._gather_plans for plan in plans)
+@pytest.mark.parametrize("model, t, tol", list(_gather_cases()))
+def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, tol, rng):
+    # the maps of the model's c_j, evaluated as W [the gathers of the a_j](W^dag X W) W^dag
     times = [0.0, t, 2 * t]  # every weight is 0 at t = 0
     weights = np.array([[channel._decay_weight(g, s) for g in model.widths] for s in times])
     x = _random_matrix(rng, model.space)
     for adjoint in (False, True):
-        got = channel._nested_loss_maps(x, model, weights, adjoint)
+        gathered = channel._loss_maps(channel._to_mode_basis(model, x), model, weights, adjoint)
+        got = channel._from_mode_basis(model, gathered)
         want = dense_loss_maps(x, model, weights, adjoint)
         assert np.array_equal(got, want) if tol == 0 else np.max(np.abs(got - want)) <= tol
-        assert np.array_equal(got[0], x)
+        assert np.array_equal(got[0], x) if tol == 0 else np.max(np.abs(got[0] - x)) <= tol
 
 
 @pytest.mark.parametrize("model, t", [
@@ -377,11 +429,15 @@ def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, gathered, tol,
                  id="widths-zero"),
 ])
 def test_loss_maps_return_a_new_array_when_no_mode_decays(model, t, rng):
+    # the loss maps are the identity: each action is D X D^dag (adjoint D^dag X D), a new array
     ks = build_kraus(model, t)
     x = _random_matrix(rng, model.space)
-    for adjoint in (False, True):
-        y = ks.loss_maps(x, adjoint=adjoint)
-        assert np.array_equal(y, x) and not np.shares_memory(y, x)
+    phases = ks.amplitudes[:, None] * ks.amplitudes.conj()
+    for y, want in ((apply_channel_matrix(ks, x), x * phases),
+                    (evolve_observable_matrix(ks, x), x * phases.conj())):
+        assert np.array_equal(y, want) and not np.shares_memory(y, x)
+    if t == 0.0:
+        assert np.array_equal(apply_channel_matrix(ks, x), x)
 
 
 def _grid_cases():

@@ -148,6 +148,10 @@ def test_mixed_model_checks_its_mixing_unitary():
     for v in (np.eye(3), np.eye(2)[:, :1]):
         with pytest.raises(ValueError, match="2x2"):
             DecayModel(space, v)
+    # not numbers: decay operators in the place of V, and strings
+    for v in ((build_annihilator(space, 1), build_annihilator(space, 2)), [["a", "b"], ["c", "d"]]):
+        with pytest.raises(ValueError, match="mixing_unitary must be a numeric matrix"):
+            DecayModel(space, v)
     fermions = FockSpace([ModeSpec(Statistics.FERMION, mass=0.0, width=0.5),
                           ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
     for pair in (space, fermions):  # the pairs build_mixed_model builds pass

@@ -458,14 +458,16 @@ MIXED_PAIR = {"modes": [dict(MINIMAL["modes"][0], cutoff=2), dict(MINIMAL["modes
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
         ({"ode_step": 5e-324, "routes": ["ode"]},
          1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
-        # m t overflows where nothing decays, and t ||M||_1 under mixing
+        # m t overflows where nothing decays; under mixing the splitting phase stays
+        # finite and every amplitude but the vacuum's has decayed to 0, so the run ends
+        # well (test_cli_runs_a_mixed_pair_to_a_huge_time_on_the_kraus_route checks it)
         ({"modes": [dict(MINIMAL["modes"][0], mass=2.0, width=0.0)],
           "time_grid": dict(MINIMAL["time_grid"], stop=1e308, count=3), "routes": ["heisenberg"]},
          2, "runtime invariant breach: "),
-        (dict(MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=1.7e308, count=3)),
-         2, "runtime invariant breach: "),
+        (dict(MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=1.7e308, count=3)), 0, ""),
         # a huge but finite mass in the shape of fig1_number: the certificate is
-        # relative, so the closed forms run; exp(-i M t) and the RK4 step do not
+        # relative, so the closed forms run; the kraus route cannot resolve the
+        # splitting's phase, and the RK4 step is not finite
         *[
             ({"modes": [dict(MINIMAL["modes"][0], mass=mass, width=0.5, cutoff=3),
                         dict(MINIMAL["modes"][0], mass=5.0, width=1.5, cutoff=3)],
@@ -488,6 +490,21 @@ MIXED_PAIR = {"modes": [dict(MINIMAL["modes"][0], cutoff=2), dict(MINIMAL["modes
                 ("ode", 1, "config error [invariant]: CONFIG_TIME_GRID_STEP"),
                 ("kraus", 2, "runtime invariant breach: "))
         ],
+        # the kraus route resolves a splitting phase (m_j - m_ref) n_j t of a mixed pair
+        # to 1e-10 up to 9.0e5 rad: with the splitting 5 from |1,0>, t = 1.8e5 reaches
+        # 9e5 and runs, t = 1.81e5 stops.  An unmixed pair's phases m_j n_j t are
+        # those of the closed forms, and it runs at any mass
+        *[
+            ({"modes": [dict(MINIMAL["modes"][0], mass=0.0, width=0.0, cutoff=1),
+                        dict(MINIMAL["modes"][0], mass=5.0, width=0.0, cutoff=1)],
+              "mixing": {"theta": 0.7}, "initial_state": {"type": "number", "occupations": [1, 0]},
+              "time_grid": dict(MINIMAL["time_grid"], stop=stop, count=3)}, code, prefix)
+            for stop, code, prefix in ((1.8e5, 0, ""), (1.81e5, 2, "runtime invariant breach: "))
+        ],
+        ({"modes": [dict(MINIMAL["modes"][0], mass=0.0, width=0.5, cutoff=3),
+                    dict(MINIMAL["modes"][0], mass=1e6, width=0.5, cutoff=3)],
+          "initial_state": {"type": "number", "occupations": [1, 1]},
+          "time_grid": dict(MINIMAL["time_grid"], stop=1.0, count=3)}, 0, ""),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would precede the prefix on stderr
@@ -505,20 +522,49 @@ def test_cli_overflowing_runs_exit_with_codes(tmp_path, capsys, overrides, code,
 
 @pytest.mark.filterwarnings("error")
 def test_cli_runs_a_mixed_pair_to_a_huge_time_on_the_kraus_route(tmp_path, capsys):
-    # t ||M||_1 = 1e300 is finite: exp(-i M t) takes ~1000 squarings, and every
-    # decaying state has decayed, as the closed forms say
-    cfg = tmp_path / "huge_t.json"
-    cfg.write_text(json.dumps(make_config(
-        **MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=1e300, count=3),
-        routes=["kraus", "heisenberg"], observables=["N", "S"], output_path=str(tmp_path / "out"))))
-    assert main(["run", str(cfg)]) == 0
-    assert capsys.readouterr().err == ""
-    for obs in ("N", "S"):
-        _, kraus = read_csv(tmp_path / "out" / f"minimal__kraus__{obs}.csv")
-        _, heis = read_csv(tmp_path / "out" / f"minimal__heisenberg__{obs}.csv")
-        got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
-        assert np.max(np.abs(got - want)) <= 1e-15
-        assert np.array_equal(got[1:], [0.0, 0.0])
+    # at t = 1e300, and at 1.7e308 where t ||M||_1 overflows, the splitting phases are
+    # finite and every decaying state has decayed, as the closed forms say
+    for stop in (1e300, 1.7e308):
+        cfg = tmp_path / "huge_t.json"
+        out = tmp_path / f"out_{stop:g}"
+        cfg.write_text(json.dumps(make_config(
+            **MIXED_PAIR, time_grid=dict(MINIMAL["time_grid"], stop=stop, count=3),
+            routes=["kraus", "heisenberg"], observables=["N", "S"], output_path=str(out))))
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        for obs in ("N", "S"):
+            _, kraus = read_csv(out / f"minimal__kraus__{obs}.csv")
+            _, heis = read_csv(out / f"minimal__heisenberg__{obs}.csv")
+            got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
+            assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.array_equal(got[1:], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("state", [{"type": "number", "occupations": [2, 1]},
+                                   {"type": "coherent", "mode": 1, "alpha": 0.1}], ids=["number", "coherent"])
+@pytest.mark.filterwarnings("error")
+def test_cli_runs_a_large_common_mass_on_the_kraus_route(tmp_path, capsys, state):
+    # the kaon regime: masses (m, m + 5) under mixing.  The common mass is a phase per
+    # total-N sector, so kraus agrees with heisenberg as closely as at m = 0
+    devs = {}
+    for mass in (0.0, 1e4, 1e8, 1e14):
+        cfg = tmp_path / "big.json"
+        out = tmp_path / f"out_{mass:g}"
+        cfg.write_text(json.dumps(make_config(
+            modes=[dict(MINIMAL["modes"][0], mass=mass, width=0.5, cutoff=5),
+                   dict(MINIMAL["modes"][0], mass=mass + 5.0, width=1.5, cutoff=5)],
+            mixing={"theta": 0.7}, initial_state=state, routes=["kraus", "heisenberg"],
+            observables=["N", "S"], time_grid=dict(MINIMAL["time_grid"], stop=1.0, count=11),
+            output_path=str(out))))
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        for obs in ("N", "S"):
+            _, kraus = read_csv(out / f"minimal__kraus__{obs}.csv")
+            _, heis = read_csv(out / f"minimal__heisenberg__{obs}.csv")
+            got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
+            devs[mass, obs] = np.max(np.abs(got - want))
+    for (mass, obs), dev in devs.items():
+        assert dev <= 2 * devs[0.0, obs]
 
 
 @pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
@@ -619,6 +665,29 @@ def test_cli_rejects_names_that_leave_the_out_dir(tmp_path, capsys, name):
         assert main([command, str(bad)]) == 1
         assert capsys.readouterr().err.startswith("config error [invariant]: CONFIG_NAME_INVALID at $.name")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("name, theta", [("x" * 227, 0.5), ("x" * 218, [0.1 * i for i in range(11)]),
+                                         ("\u00e9" * 113 + "x", 0.5)],
+                         ids=["ascii", "theta-sweep", "two-byte-utf8"])
+def test_cli_rejects_names_too_long_for_their_output_files(tmp_path, capsys, name, theta):
+    # <name>[__theta<k>]__heisenberg__occupations.csv must fit in 255 bytes of UTF-8
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(**dict(MIXED_PAIR, mixing={"theta": theta}), name=name,
+                                          output_path=str(tmp_path / "out"))))
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error [invariant]: CONFIG_NAME_INVALID at $.name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+    # one byte shorter runs, and writes its longest file
+    short = name[:-1]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(make_config(**dict(MIXED_PAIR, mixing={"theta": theta}), name=short,
+                                           routes=["kraus"], observables=["occupations"],
+                                           output_path=str(tmp_path / "out"))))
+    assert main(["run", str(good)]) == 0
+    tag = "__theta10" if isinstance(theta, list) else ""
+    assert (tmp_path / "out" / f"{short}{tag}__kraus__occupations.csv").exists()
 
 
 def _latin1_name(out):

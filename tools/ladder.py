@@ -8,7 +8,9 @@ ends in ``_t161``) and the observable N, with masses 0, 0.5, 1 and widths
 last, theta = 0.7):
 
 - a mixed boson pair from a coherent state, alpha = 0.1 in mode 1, at
-  cutoff 12, 16 and 20 (|S| = 91, 153 and 231);
+  cutoff 12, 16 and 20 (|S| = 91, 153 and 231), and at cutoff 30 (|S| =
+  496) on the heisenberg and kraus routes only: its ode step matrix for
+  Delta N = 0 alone would need about 1.7 GB;
 - three bosons from |3,3,3> at cutoff 9 and from |4,4,4> at cutoff 12
   (|S| = 220 and 455), and the cutoff-9 row again on 161 grid points: the
   state routes read each chunk of states and drop it, so its peak RSS should
@@ -98,6 +100,7 @@ def _fermions(count):
 # (config, route sets): each route set is one run
 ROWS = (
     *((_mixed_pair(c), ("heisenberg", "kraus", "ode")) for c in (12, 16, 20)),
+    (_mixed_pair(30), ("heisenberg", "kraus")),
     *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4))),
     (_three_bosons(9, 3, count=161), ("kraus", "ode")),
     (_boson_with_fermions(20), ("heisenberg", "kraus", "ode")),
