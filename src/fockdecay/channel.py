@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -79,13 +79,10 @@ class DecayModel:
     decay_ops: tuple[OperatorMatrix, ...] = field(init=False, repr=False)
     m_operator: OperatorMatrix = field(init=False, repr=False)
     certificate_defect: float = field(init=False, repr=False)
-    # the gather plans of the a_j (see _gather_plan), which the loss maps apply
-    _gather_plans: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         space = self.space
         ops = tuple(build_annihilator(space, l) for l in range(1, space.n_modes + 1))
-        plans = tuple(_gather_plan(a.entries.real) for a in ops)
         if self.mixing_unitary is not None:
             try:
                 v = np.array(self.mixing_unitary, dtype=complex)
@@ -127,7 +124,6 @@ class DecayModel:
         object.__setattr__(self, "decay_ops", ops)
         object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
         object.__setattr__(self, "certificate_defect", defect)
-        object.__setattr__(self, "_gather_plans", plans)
 
     @property
     def masses(self) -> tuple[float, ...]:
@@ -150,24 +146,22 @@ class DecayModel:
     def _rotation(self) -> tuple[np.ndarray | None, float]:
         """(W, ||W^dag W - 1||_2), or (None, 0.0) unmixed.  Column n of W is
         prod_j (c_j^dag)^{n_j} |0> / sqrt(prod_j n_j!), formed as c_j^dag of the
-        column of n - e_j over sqrt(n_j), j the first occupied mode of n (no
-        Jordan-Wigner sign), then one Newton-Schulz step W <- W (3 - W^dag W) / 2.
-        Refused: ||W^dag W - 1||_2 above ``MODE_BASIS_TOL``, and W^dag M W off
-        diag(m_ref N + lambda) by more than ``CERTIFICATE_TOL``, relative as the
-        certificate."""
+        column of n - e_j (the space's ladder map) over sqrt(n_j), j the first
+        occupied mode of n (no Jordan-Wigner sign), then one Newton-Schulz step
+        W <- W (3 - W^dag W) / 2.  Refused: ||W^dag W - 1||_2 above
+        ``MODE_BASIS_TOL``, and W^dag M W off diag(m_ref N + lambda) by more than
+        ``CERTIFICATE_TOL``, relative as the certificate."""
         if not self.is_mixed:
             return None, 0.0
         space, eye = self.space, np.eye(self.space.dimension)
         occ, totals = space.occupation_array, space.total_occupation
         first = np.argmax(occ > 0, axis=1)
-        lowered = occ - (np.arange(space.n_modes) == first[:, None])
-        parent = np.array([space.index_of(n) if total else 0 for n, total in zip(lowered, totals)])
         w = eye.astype(complex)  # the vacuum's column; every other one is overwritten
         raising = [c.entries.conj().T for c in self.decay_ops]
         for total in range(1, space.total + 1):
             for j, c_dag in enumerate(raising):
                 cols = np.flatnonzero((totals == total) & (first == j))
-                block = c_dag @ w[:, parent[cols]]
+                block = c_dag @ w[:, space.ladders[j][1][0][cols]]  # the columns of n - e_j
                 block.real /= np.sqrt(occ[cols, j])  # real divisions: sqrt(n) / sqrt(n) is exactly 1
                 block.imag /= np.sqrt(occ[cols, j])
                 w[:, cols] = block
@@ -194,14 +188,6 @@ class DecayModel:
         occ = self.space.occupation_array.astype(float)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes an amplitude non-finite
             return m_ref, occ @ (np.array(self.masses) - m_ref), occ @ (0.5 * np.array(self.widths))
-
-
-def _gather_plan(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(cols, vals) of a real a_j and of a_j^dag: row r's only nonzero is vals[r]
-    in column cols[r] (0 on an empty row)."""
-    rows = np.arange(len(a))
-    cols = (np.argmax(a != 0, axis=1), np.argmax(a.T != 0, axis=1))
-    return (cols[0], a[rows, cols[0]]), (cols[1], a.T[rows, cols[1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +305,7 @@ def _loss_maps(x: np.ndarray, model: DecayModel, weights: np.ndarray, adjoint: b
         live = np.flatnonzero(weights[:, j])
         if not (live.size and cap):
             continue
-        cols, vals = model._gather_plans[j][adjoint]
+        cols, vals = space.ladders[j][adjoint]
         w = weights[live, j].reshape(-1, *(1,) * len(shape))
         part = live.size < len(y)
         z = y[live] if part else y
@@ -404,29 +390,33 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     """Linear action sum_k E_k X E_k^dag on a raw d x d matrix (see :func:`_channel_action`)."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), matrix)[0]
+    rotated = _to_mode_basis(kraus.model, matrix)
+    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rotated)[0]
 
 
 def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
-                    matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
+                    y: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """For each channel of the stack, sum_k E_k X E_k^dag = W D [Phi_1 o ... o
-    Phi_r](W^dag X W) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X E_k =
-    W [Phi_r^dag o ... o Phi_1^dag](D^dag W^dag X W D) W^dag."""
-    y = _to_mode_basis(model, matrix)
-    phases = amplitudes[:, :, None] * amplitudes[:, None, :].conj()  # D_a conj(D_b)
+    Phi_r](y) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X E_k = W [Phi_r^dag
+    o ... o Phi_1^dag](D^dag y D) W^dag, given y = W^dag X W (see
+    :func:`_to_mode_basis`): a grid rotates its matrix once for all its stacks."""
+    # the (n, d, d) phases D_a conj(D_b) are formed where they are used, so they are not held
+    # through the loss maps and the rotation back
     if adjoint:
-        y = _loss_maps(y * phases.conj(), model, weights, adjoint=True)
+        y = _loss_maps(y * (amplitudes[:, :, None] * amplitudes[:, None, :].conj()).conj(), model, weights,
+                       adjoint=True)
     else:
         y = _loss_maps(y, model, weights, adjoint=False)
-        y *= phases
+        y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
     return _from_mode_basis(model, y)
 
 
 def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
-                   rho: DensityOperator) -> np.ndarray:
-    """The (n, d, d) stack of states the channels of the stack make of rho, with
-    the trace kept to 1e-12 and each validated as a density operator."""
-    out = _channel_action(model, amplitudes, weights, rho.matrix)
+                   rho: DensityOperator, rotated: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack of states the channels of the stack make of rho, given
+    also as ``rotated`` = W^dag rho W, with the trace kept to 1e-12 and each
+    validated as a density operator."""
+    out = _channel_action(model, amplitudes, weights, rotated)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
@@ -444,8 +434,9 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """Evolve a state on the channel's space, validated as a density operator with its trace kept to 1e-12."""
     if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    return _as_states(_channel_stack(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rho),
-                      rho)[0]
+    rotated = _to_mode_basis(kraus.model, rho.matrix)
+    return _as_states(_channel_stack(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rho,
+                                     rotated), rho)[0]
 
 
 def evolve_state(
@@ -474,20 +465,22 @@ def evolve_state(
 
 def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
     chunk = _stack_points(model.space.dimension)
+    rotated = cache(partial(_to_mode_basis, model, rho0.matrix))  # W^dag rho0 W, once per grid
     for start in range(0, len(times), chunk):
         part = times[start:start + chunk]
         try:
-            stack = _grid_stack(model, rho0, part)
+            stack = _grid_stack(model, rho0, rotated, part)
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_stack(model, rho0, [t])
+                _grid_stack(model, rho0, rotated, [t])
             raise
         yield stack
 
 
-def _grid_stack(model: DecayModel, rho0: DensityOperator, times: list[float]) -> np.ndarray:
-    amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0
-    return _channel_stack(model, amplitudes, weights, rho0)
+def _grid_stack(model: DecayModel, rho0: DensityOperator, rotated: Callable[[], np.ndarray],
+                times: list[float]) -> np.ndarray:
+    amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
+    return _channel_stack(model, amplitudes, weights, rho0, rotated())
 
 
 def read_series(

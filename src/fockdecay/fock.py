@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,11 +80,12 @@ def sector_occupations(cutoffs: Sequence[int], total: int) -> np.ndarray:
 class FockSpace:
     """Lexicographic occupation-number basis over an ordered list of modes.
 
-    The basis is the sector space S = {n : n_j <= cutoff_j, sum_j n_j <=
-    ``total``}, ordered with the first mode varying slowest, so the vacuum
-    tuple ``(0, ..., 0)`` always sits at flat index 0.  ``total`` defaults
-    to (and is capped at) the sum of the cutoffs, where S is the product
-    space.  Instances are immutable after construction.
+    The basis is the sector space S = {n : n_j <= cutoff_j, sum_j n_j <= ``total``},
+    ordered with the first mode varying slowest, so the vacuum tuple ``(0, ..., 0)``
+    always sits at flat index 0.  ``total`` defaults to (and is capped at) the sum
+    of the cutoffs, where S is the product space.  Instances are immutable after
+    construction.  Every annihilator and gather plan is read from :attr:`ladders`,
+    so the order of S is known to this class alone.
     """
 
     def __init__(self, modes: Sequence[ModeSpec] | ModeSpec, total: int | None = None):
@@ -127,6 +129,32 @@ class FockSpace:
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
         return self._occupations[index]
+
+    @cached_property
+    def ladders(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        """Per mode j (0-based), the gather plans (cols, vals) of a_j and of a_j^dag: row
+        i's only nonzero is vals[i], in column cols[i] (both 0 on an empty row).
+        a_j^dag's plan (lower, amp) is the mode's ladder map, a_j|n_i> = amp[i]
+        |n_lower[i]>: n_i - e_j is looked up in the space's own index, so the map
+        holds in any order of S, and amp[i] = sqrt(n_ij), times (-1)^(occupation of
+        the earlier fermionic modes) for a fermion.  a_j's plan is its inverse."""
+        occ = self.occupation_array
+        fermionic = occ * np.array([m.is_fermion for m in self.modes])
+        # (-1)^(occupation of the earlier fermionic modes), an integer so that amp = +0.0 where n = 0
+        sign = 1 - 2 * ((np.cumsum(fermionic, axis=1) - fermionic) % 2)
+        plans = []
+        for j, mode in enumerate(self.modes):
+            lower = np.array([self._flat_index[t[:j] + (t[j] - 1,) + t[j + 1:]] if t[j] else 0
+                              for t in self._occupations])
+            # a fermion's sqrt(n) is n
+            amp = (occ[:, j] * sign[:, j]).astype(float) if mode.is_fermion else np.sqrt(occ[:, j])
+            hit = np.flatnonzero(amp)
+            cols, vals = np.zeros_like(lower), np.zeros_like(amp)
+            cols[lower[hit]], vals[lower[hit]] = hit, amp[hit]
+            for array in (cols, vals, lower, amp):
+                array.setflags(write=False)
+            plans.append(((cols, vals), (lower, amp)))
+        return tuple(plans)
 
     def __eq__(self, other):
         return (isinstance(other, FockSpace) and self.modes == other.modes
@@ -237,32 +265,16 @@ def _check_mode(space: FockSpace, mode: int) -> int:
     return mode - 1
 
 
-def _jw_sign(space: FockSpace, occ: tuple[int, ...], j: int) -> float:
-    parity = sum(occ[l] for l in range(j) if space.modes[l].is_fermion)
-    return -1.0 if parity % 2 else 1.0
-
-
 def build_annihilator(space: FockSpace, mode: int) -> OperatorMatrix:
-    """Lowering operator for one mode on the truncated basis.
+    """Lowering operator for one mode, scattered from its :attr:`FockSpace.ladders` map.
 
     Bosonic matrix elements are sqrt(n); fermionic modes carry the
     Jordan-Wigner string over earlier fermionic modes so that the
     anti-commutation relations hold exactly.
     """
-    j = _check_mode(space, mode)
-    fermion = space.modes[j].is_fermion
+    lower, amp = space.ladders[_check_mode(space, mode)][1]
     out = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for col, occ in enumerate(space.occupations):
-        n = occ[j]
-        if n == 0:
-            continue
-        target = list(occ)
-        target[j] = n - 1
-        row = space.index_of(target)
-        if fermion:
-            out[row, col] = _jw_sign(space, occ, j)
-        else:
-            out[row, col] = math.sqrt(n)
+    out[lower, np.arange(space.dimension)] = amp
     return OperatorMatrix(space, out)
 
 

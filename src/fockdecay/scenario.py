@@ -49,6 +49,10 @@ WEIGHT_SUM_TOL = 1e-12
 SCHEMA_VERSION = 1
 # Longest file name, in bytes, that common file systems accept
 FILE_NAME_BYTES = 255
+# Budgets checked when parsing (CONFIG_BUDGET_EXCEEDED): the largest mode cutoff, and the
+# most occupations CSV columns, one per tuple of the product space
+CUTOFF_LIMIT = 1024
+OCCUPATION_COLUMNS_LIMIT = 2**20
 
 
 class ConfigError(ValueError):
@@ -185,7 +189,11 @@ def _parse_mode(entry, path: str) -> ModeSpec:
     cutoff = _as_int(_require(entry, "cutoff", path), f"{path}.cutoff")
     if cutoff < 0:
         raise ConfigError("CONFIG_CUTOFF_NEGATIVE", f"cutoff {cutoff} < 0", "invariant", f"{path}.cutoff")
-    return ModeSpec(statistics=statistics, mass=mass, width=width, cutoff=cutoff)
+    mode = ModeSpec(statistics=statistics, mass=mass, width=width, cutoff=cutoff)
+    if mode.cutoff > CUTOFF_LIMIT:
+        raise ConfigError("CONFIG_BUDGET_EXCEEDED", f"cutoff {cutoff} exceeds {CUTOFF_LIMIT}", "invariant",
+                          f"{path}.cutoff")
+    return mode
 
 
 def _parse_occupations(value, n_modes: int, modes, path: str) -> tuple[int, ...]:
@@ -338,6 +346,11 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
                               f"observable {o} needs exactly 2 modes, got {len(modes)}",
                               "invariant", f"$.observables[{i}]")
     _check_observable_routes(observables, routes, "$.observables")
+    # the count is not printed: it can have more digits than str() of an int allows
+    if "occupations" in observables and math.prod(m.cutoff + 1 for m in modes) > OCCUPATION_COLUMNS_LIMIT:
+        raise ConfigError("CONFIG_BUDGET_EXCEEDED", "occupations need one column per product-space tuple, "
+                          f"prod_j (cutoff_j + 1), more than {OCCUPATION_COLUMNS_LIMIT}", "invariant",
+                          f"$.observables[{observables.index('occupations')}]")
 
     bound = mixing_total_bound(modes) if mixing is not None else None
     if initial.occupations is not None:

@@ -77,3 +77,29 @@ def test_parent_outputs_go_into_the_bench_file(tmp_path, monkeypatch):
         assert doc["src_lines"] == 1
     assert seen == ["HEAD~1"]
     assert bench._parent_checkout(ROOT, str(tmp_path), tmp_path / "unused")[0] == tmp_path.resolve()
+
+
+def test_parent_perfbench_runs_pair_by_pair_alternating_which_side_runs_first(tmp_path, monkeypatch):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    calls = []
+
+    def child(args, cwd):
+        if args[0] != "perfbench/run.py":  # the shipped configs' warm times
+            return [json.dumps({"single": [0.5]})]
+        calls.append((args[2], int(args[4]), Path(cwd)))
+        env = {"commit": "c", "src_sha256": "s", "side": str(cwd)}
+        return ["# environment " + json.dumps(env), json.dumps({"side": str(cwd), "failed": 0})]
+
+    monkeypatch.setattr(bench, "_child", child)
+    doc = bench.bench(ROOT, ["oracle", "sweep"], [1, 2], 0, 1, str(parent))
+    pairs = [("oracle", 1), ("oracle", 2), ("sweep", 1), ("sweep", 2)]
+    sides = [ROOT, parent.resolve()]
+    assert calls == [(w, k, side) for i, (w, k) in enumerate(pairs) for side in sides[::(-1) ** i]]
+    for key, side in (("perfbench", ROOT), ("perfbench_parent", parent.resolve())):
+        assert [(r["workload"], r["seed"]) for r in doc[key]] == pairs
+        assert all(r["result"]["side"] == str(side) for r in doc[key])
+    assert doc["environment"]["side"] == str(ROOT)  # the environment is CHECKOUT's, not PARENT's
+    calls.clear()
+    assert "perfbench_parent" not in bench.bench(ROOT, ["oracle"], [1], 0, 1)
+    assert calls == [("oracle", 1, ROOT)]

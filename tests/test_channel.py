@@ -467,6 +467,23 @@ def test_evolve_state_is_the_per_point_channel(model, rho, stack_points, monkeyp
         assert np.array_equal(g.matrix, w)
 
 
+def test_a_grid_rotates_rho0_into_the_mode_basis_once(monkeypatch):
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
+    model = build_mixed_model(bosons, MixingParams(theta=0.9, phi=0.3))
+    rho = random_density_matrix(np.random.default_rng(7), bosons)
+    d = bosons.dimension
+    monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * 2)
+    times = np.linspace(0.0, 2.0, 7)  # four stacks of at most two points
+    want = [apply_channel(build_kraus(model, float(t)), rho).matrix for t in times]
+    rotate, rotated = channel._to_mode_basis, []
+    monkeypatch.setattr(channel, "_to_mode_basis", lambda m, x: rotated.append(x) or rotate(m, x))
+    stacks = []
+    evolve_state(model, rho, times, read=stacks.extend)
+    # one W^dag rho0 W for the whole grid, and the states of the per-point channel bit for bit
+    assert len(stacks) == 4 and len(rotated) == 1 and rotated[0] is rho.matrix
+    assert np.array_equal(np.concatenate(stacks), np.array(want))
+
+
 def test_a_breach_at_one_point_of_a_chunk_raises_as_that_point_does(monkeypatch):
     model = build_decay_model(single_mode_space(cutoff=3))
     weight = channel._decay_weight

@@ -189,6 +189,81 @@ def test_creation_is_adjoint():
         assert np.array_equal(adag, a.conj().T)
 
 
+def _column_loop_annihilator(space, mode):
+    """a_j as the column loop that built it before the space owned its ladder map:
+    the reference build_annihilator must match bit for bit."""
+    j = mode - 1
+    out = np.zeros((space.dimension, space.dimension), dtype=complex)
+    for col, occ in enumerate(space.occupations):
+        n = occ[j]
+        if n == 0:
+            continue
+        target = list(occ)
+        target[j] = n - 1
+        row = space.index_of(target)
+        if space.modes[j].is_fermion:
+            parity = sum(occ[l] for l in range(j) if space.modes[l].is_fermion)
+            out[row, col] = -1.0 if parity % 2 else 1.0
+        else:
+            out[row, col] = math.sqrt(n)
+    return out
+
+
+def _reference_plans(space, j):
+    """The gather plans (cols, vals) of a_j and a_j^dag from a dict of the occupations."""
+    index = {occ: i for i, occ in enumerate(space.occupations)}
+    d = space.dimension
+    plans = [(np.zeros(d, dtype=int), np.zeros(d)), (np.zeros(d, dtype=int), np.zeros(d))]
+    for i, occ in enumerate(space.occupations):
+        if occ[j] == 0:
+            continue
+        target = index[occ[:j] + (occ[j] - 1,) + occ[j + 1:]]
+        sign = (-1) ** sum(occ[l] for l in range(j) if space.modes[l].is_fermion)
+        amp = float(sign) if space.modes[j].is_fermion else math.sqrt(occ[j])
+        plans[0][0][target], plans[0][1][target] = i, amp  # a_j: row n - e_j reads column n
+        plans[1][0][i], plans[1][1][i] = target, amp  # a_j^dag: row n reads column n - e_j
+    return plans
+
+
+def _check_ladders(space):
+    assert len(space.ladders) == space.n_modes
+    for j, plans in enumerate(space.ladders):
+        for (cols, vals), (want_cols, want_vals) in zip(plans, _reference_plans(space, j)):
+            assert np.array_equal(cols, want_cols)
+            assert np.array_equal(vals.view(np.uint64), want_vals.view(np.uint64))  # no -0.0 either
+            assert not (cols.flags.writeable or vals.flags.writeable)
+        a = build_annihilator(space, j + 1).entries
+        assert a.tobytes() == _column_loop_annihilator(space, j + 1).tobytes()
+        # each plan is the dense operator's one nonzero per row
+        rows = np.arange(space.dimension)
+        for lower, (cols, vals) in ((a, plans[0]), (a.T, plans[1])):
+            assert np.array_equal(lower[rows, cols].real, vals)
+            assert np.count_nonzero(lower) == np.count_nonzero(vals)
+
+
+mode_lists = st.lists(st.one_of(st.integers(0, 4).map(boson), st.just(fermion())), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=mode_lists, data=st.data())
+def test_ladder_maps_and_gather_plans_match_a_dict_reference(modes, data):
+    full = sum(m.cutoff for m in modes)
+    total = data.draw(st.one_of(st.none(), st.integers(0, full)))  # None: the product space
+    _check_ladders(FockSpace(modes, total=total))
+
+
+@pytest.mark.parametrize("modes, total", [
+    ([boson(3), fermion(), boson(2), fermion(), fermion()], None),
+    ([fermion(), boson(4), fermion()], 3),
+    ([fermion()] * 6, 2),
+    ([boson(2)] * 64, 1),  # |S| = 65, product space 3^64 > 2^63
+])
+def test_ladder_maps_on_mixed_statistics_sector_and_wide_spaces(modes, total):
+    space = FockSpace(modes, total=total)
+    _check_ladders(space)
+    assert space.ladders is space.ladders  # one map per space, shared by every model on it
+
+
 # ---------------------------------------------------------------------------
 # states
 

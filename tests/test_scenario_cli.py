@@ -315,6 +315,27 @@ def test_six_bosons_run_on_the_sector_space(tmp_path, route):
         assert sum(values) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sixty_four_bosons_holding_one_quantum_run_on_every_route(tmp_path, capsys):
+    # |S| = 65 while the product space holds 3**64 > 2**63 tuples: every lookup uses the space's own index
+    widths = [0.5 + 0.25 * (j % 4) for j in range(64)]
+    doc = make_config(
+        name="wide",
+        modes=[{"statistics": "boson", "mass": 0.1 * (j % 3), "width": g, "cutoff": 2}
+               for j, g in enumerate(widths)],
+        initial_state={"type": "number", "occupations": [0, 1] + [0] * 62},
+        time_grid={"start": 0.0, "stop": 1.0, "count": 5},
+        routes=["kraus", "ode", "heisenberg"],
+        output_path=str(tmp_path),
+    )
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 0
+    for route in ("kraus", "ode", "heisenberg"):
+        _, rows = read_csv(tmp_path / f"wide__{route}__N.csv")
+        for row in rows:
+            assert abs(float(row[1]) - math.exp(-widths[1] * float(row[0]))) <= 1e-9
+
+
 def test_fermion_pair_scenario(tmp_path):
     doc = make_config(
         name="ferm",
@@ -745,6 +766,56 @@ def test_cli_state_and_step_overflow_are_config_errors(tmp_path, capsys, command
         assert main([command, str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"config error [invariant]: {code}")
     assert not (tmp_path / "out").exists()
+
+
+def _modes(count, statistics="boson", cutoff=1):
+    return [{"statistics": statistics, "mass": 0.0, "width": 1.0, "cutoff": cutoff}] * count
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        pytest.param({"modes": _modes(1, cutoff=10**21)}, "$.modes[0].cutoff", id="cutoff-past-int64"),
+        pytest.param({"modes": _modes(1, cutoff=1025)}, "$.modes[0].cutoff", id="cutoff-past-limit"),
+        # the example that ended in a MemoryError in _occupation_columns: the cutoff refuses it first
+        pytest.param({"modes": _modes(1, cutoff=10**12), "observables": ["occupations"]},
+                     "$.modes[0].cutoff", id="occupations-one-boson"),
+        pytest.param({"modes": _modes(3, cutoff=1024), "observables": ["N", "occupations"],
+                      "initial_state": {"type": "number", "occupations": [1, 0, 0]}},
+                     "$.observables[1]", id="occupations-1025^3-columns"),
+        pytest.param({"modes": _modes(21, "fermion"), "observables": ["occupations"],
+                      "initial_state": {"type": "number", "occupations": [1] + [0] * 20}},
+                     "$.observables[0]", id="occupations-2^21-columns"),
+        # 1025^1500 has more digits than str() of an int allows: the message must not print it
+        pytest.param({"modes": _modes(1500, cutoff=1024), "observables": ["occupations"],
+                      "initial_state": {"type": "number", "occupations": [1] + [0] * 1499}},
+                     "$.observables[0]", id="occupations-width-past-str-digits"),
+    ],
+)
+def test_cli_refuses_a_config_over_budget_before_building_anything(tmp_path, capsys, overrides, path):
+    # estimates only: each refusal comes from parsing, so no space of this size is ever built
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error [invariant]: CONFIG_BUDGET_EXCEEDED at {path}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"modes": _modes(1, cutoff=scenario.CUTOFF_LIMIT)}, id="cutoff-at-limit"),
+        pytest.param({"modes": _modes(20, "fermion"), "observables": ["occupations"],
+                      "initial_state": {"type": "number", "occupations": [1] + [0] * 19}},
+                     id="occupations-2^20-columns"),
+    ],
+)
+def test_cli_validates_a_config_at_the_budget(tmp_path, capsys, overrides):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
+    assert main(["validate", str(good)]) == 0
+    assert scenario.OCCUPATION_COLUMNS_LIMIT == 2**20  # the 20 fermions' product space, exactly
 
 
 def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):

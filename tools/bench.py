@@ -15,6 +15,10 @@ The file holds:
   ``SEEDS``, the last line of ``perfbench/run.py --workload W --seed K
   --seconds SECONDS --trace 0``, run as a subprocess of CHECKOUT (its
   end-to-end metrics, ``attempted`` and ``failed``);
+- ``perfbench_parent``, with ``--parent``: the same runs of PARENT's
+  perfbench, each (workload, seed) run on both sides back to back, the
+  side that runs first alternating from one pair to the next, so that the
+  two lists can be compared pair by pair on the same machine state;
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
   median, in a fresh interpreter with BLAS pinned to one thread;
@@ -34,6 +38,7 @@ CHECKOUT defaults to the checkout holding this script; the file is written there
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -92,18 +97,23 @@ def _source_committed(root: Path) -> bool | None:
     return done.stdout.strip() == "" if done.returncode == 0 else None
 
 
-def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, reps: int) -> dict:
+def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, reps: int,
+          parent: str | None = None) -> dict:
     environment = None
-    runs = []
-    for workload in workloads:
-        for seed in seeds:
-            lines = _child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                            "--seconds", str(seconds), "--trace", "0"], root)
-            if environment is None:
-                env_line = next(ln for ln in lines if ln.startswith("# environment "))
-                environment = json.loads(env_line.split(" ", 2)[2])
-            runs.append({"workload": workload, "seed": seed, "seconds": seconds,
-                         "result": json.loads(lines[-1])})
+    runs, parent_runs = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [(root, runs)]
+        if parent is not None:
+            sides.append((_parent_checkout(root, parent, Path(tmp))[0], parent_runs))
+        for k, (workload, seed) in enumerate(itertools.product(workloads, seeds)):
+            for checkout, into in sides[::-1] if k % 2 else sides:
+                lines = _child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                "--seconds", str(seconds), "--trace", "0"], checkout)
+                if environment is None and into is runs:
+                    env_line = next(ln for ln in lines if ln.startswith("# environment "))
+                    environment = json.loads(env_line.split(" ", 2)[2])
+                into.append({"workload": workload, "seed": seed, "seconds": seconds,
+                             "result": json.loads(lines[-1])})
     walls = json.loads(_child(["-c", CONFIG_CHILD, str(root), str(reps)], root)[-1])
     environment["source_committed"] = _source_committed(root)
     if environment["source_committed"] is not True:
@@ -113,6 +123,7 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
     return {
         "environment": environment,
         "perfbench": runs,
+        **({"perfbench_parent": parent_runs} if parent is not None else {}),
         "configs": [{"config": name, "warm_run_s": times, "median_s": statistics.median(times)}
                     for name, times in walls.items()],
     }
@@ -205,7 +216,7 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     doc = {"pr": args.pr,
            "command": ["tools/bench.py", *(sys.argv[1:] if argv is None else argv)],
-           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS)}
+           **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS, args.parent)}
     doc["src_lines"] = src_lines(root)
     if args.parent is not None:
         doc["outputs"] = output_diff(root, args.parent)
