@@ -5,10 +5,11 @@ decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses; their sum factorises by
 mode, and is evaluated in the basis of the decay modes' number states, where
 M is diagonal and each loss map is the amplitude damping of one mode, a
-gather.  A model and a :class:`KrausSet` check themselves when constructed
-(the commutation certificate, which guards that the space is closed under
-the decay operators, and completeness), over the whole space, so no object
-that fails them can be represented.
+gather, run on the entries a state can reach from its own (its support).  A
+model and a :class:`KrausSet` check themselves when constructed (the
+commutation certificate, which guards that the space is closed under the
+decay operators, and completeness), over the whole space, so no object that
+fails them can be represented.
 """
 from __future__ import annotations
 
@@ -25,7 +26,10 @@ from .fock import (
     InvariantViolation,
     OperatorMatrix,
     build_annihilator,
+    Support,
     check_densities,
+    closed_support,
+    connected_blocks,
 )
 
 CERTIFICATE_TOL = 1e-10
@@ -180,6 +184,12 @@ class DecayModel:
         return w, defect
 
     @cached_property
+    def _diagonal(self) -> Support:
+        """The diagonal of the space, which the Grams of its channels are on."""
+        d = self.space.dimension
+        return Support(self.space, np.arange(d), np.arange(d))
+
+    @cached_property
     def _spectrum(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(m_ref, split, half_width): m_ref = min_j m_j, and per basis state n
         split_n = sum_j (m_j - m_ref) n_j and half_width_n = sum_j Gamma_j n_j / 2,
@@ -260,7 +270,7 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
         raise InvariantViolation(f"the phase {split[n] * times[i]:.3e} of amplitude {space.occupation_of(n)} at "
                                  f"t = {times[i]!r} rounds by {rounding[i, n]:.3e}, more than {PHASE_TOL}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        grams = _loss_maps(np.abs(amplitudes) ** 2, model, weights, adjoint=True, diagonal=True)
+        grams = _loss_maps(np.abs(amplitudes) ** 2, model._diagonal, weights, adjoint=True)
     _check_finite(grams, "Kraus Gram", times)
     defects = (1.0 + model._rotation[1]) ** 2 * (1.0 + np.max(np.abs(grams - 1.0), axis=-1)) - 1.0
     bad = defects > COMPLETENESS_TOL
@@ -287,47 +297,66 @@ def _check_finite(stack: np.ndarray, what: str, times: Sequence[float]) -> None:
         raise InvariantViolation(f"{what} is not finite at t = {times[int(np.argmin(finite))]!r}")
 
 
-def _loss_maps(x: np.ndarray, model: DecayModel, weights: np.ndarray, adjoint: bool,
-               diagonal: bool = False) -> np.ndarray:
-    """Phi_1 o ... o Phi_r of the space's a_j on x (Phi_r first), or the adjoint
-    maps (Phi_1^dag first), for each row of the (n, r) ``weights``: a new (n,
-    d, d) stack, or with ``diagonal`` (n, d) diagonals of diagonal matrices.
-    Each Phi_j is summed in Horner form Y <- X + (w/k) lower Y lower^dag, k =
-    min(cutoff_j, total) ... 1, lower = a_j (a_j^dag adjoint): a gather and a
-    scale per side.  A mode is skipped where its weight is 0, so each matrix
-    is the one a single point would give.
+def _state_support(model: DecayModel, y0: np.ndarray) -> Support:
+    """The exact nonzeros of y0 = W^dag rho0 W closed under (n, m) -> (n - e_j, m -
+    e_j) for each mode j: the loss maps move an entry only so and D is diagonal,
+    so each state of the grid is zero off them in the decay-mode basis."""
+    space, (down, _) = model.space, model.space.steps
+    rows, cols = closed_support(space.dimension, *np.nonzero(y0), down, down)
+    return Support(space, rows, cols)
+
+
+def _state_blocks(model: DecayModel, support: Support) -> tuple[np.ndarray, ...]:
+    """The connected blocks of the states made on ``support``, in the model's basis:
+    under mixing W keeps each total-N sector, so each index joins its sector's block."""
+    space, rows, cols = model.space, support.rows, support.cols
+    if model.is_mixed:  # join the sectors that an entry joins, through an index of each
+        tot = space.total_occupation
+        hub = np.zeros(space.total + 1, dtype=np.int64)
+        hub[tot] = np.arange(space.dimension)
+        pairs = np.zeros((space.total + 1,) * 2, dtype=bool)
+        pairs[tot[rows], tot[cols]] = True
+        a, b = np.nonzero(pairs)
+        rows, cols = np.concatenate([hub[a], hub[tot]]), np.concatenate([hub[b], np.arange(space.dimension)])
+    return connected_blocks(space.dimension, rows, cols)
+
+
+def _loss_maps(x: np.ndarray, support: Support, weights: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Phi_1 o ... o Phi_r of the space's a_j (Phi_r first), or the adjoint maps
+    (Phi_1^dag first), on the values ``x`` of a matrix on ``support``, for each
+    row of the (n, r) ``weights``: the new (n, K) values.  Each Phi_j is summed
+    in Horner form Y <- X + (w/k) lower Y lower^dag, k = min(cutoff_j, total)
+    ... 1, lower = a_j (a_j^dag adjoint): a gather by the mode's plan, times
+    vals[row], times vals[col], as the dense product, so each value is
+    bit-identical to it.  A mode is skipped where its weight is 0, so each
+    matrix is the one a single point would give.
     """
-    space = model.space
-    shape = (space.dimension,) if diagonal else (space.dimension, space.dimension)
-    y = np.array(np.broadcast_to(x, (len(weights), *shape)))
+    space, size = support.space, support.rows.size
+    y = np.zeros((len(weights), size + 1), dtype=x.dtype)
+    y[:, :size] = x
     modes = list(enumerate(min(m.cutoff, space.total) for m in space.modes))
     for j, cap in modes if adjoint else reversed(modes):
         live = np.flatnonzero(weights[:, j])
         if not (live.size and cap):
             continue
-        cols, vals = space.ladders[j][adjoint]
-        w = weights[live, j].reshape(-1, *(1,) * len(shape))
+        src, vals = support.plans(adjoint)[j], space.ladders[j][adjoint][1]
+        row_vals, col_vals = np.zeros(size + 1), np.zeros(size + 1)
+        row_vals[:size], col_vals[:size] = vals[support.rows], vals[support.cols]
+        w = weights[live, j][:, None]
         part = live.size < len(y)
         z = y[live] if part else y
         sub = z
         for k in range(cap, 0, -1):
-            sub = np.take(sub, cols, axis=-1) * vals**2 if diagonal else _gather_sandwich(sub, cols, vals)
+            sub = np.take(sub, src, axis=1)  # faster than sub[:, src]; src is writeable, so not copied
+            sub *= row_vals
+            sub *= col_vals
             sub *= w / k
             sub += z
         if part:
             y[live] = sub
         else:
             y = sub
-    return y
-
-
-def _gather_sandwich(y: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """lower @ y @ lower^dag for the real lower of plan (cols, vals), on the last two axes."""
-    out = np.take(y, cols, axis=-2)
-    out *= vals[:, None]
-    out = np.take(out, cols, axis=-1)
-    out *= vals
-    return out
+    return y[:, :size]
 
 
 def _decay_weight(gamma: float, t: float) -> float:
@@ -389,38 +418,44 @@ def build_kraus(model: DecayModel, t: float) -> KrausSet:
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     """Linear action sum_k E_k X E_k^dag on a raw d x d matrix (see :func:`_channel_action`)."""
+    return _raw_action(kraus, matrix)
+
+
+def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    rotated = _to_mode_basis(kraus.model, matrix)
-    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rotated)[0]
+    full = Support.every(kraus.model.space)
+    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]),
+                           full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)[0]
 
 
 def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
-                    y: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """For each channel of the stack, sum_k E_k X E_k^dag = W D [Phi_1 o ... o
-    Phi_r](y) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X E_k = W [Phi_r^dag
-    o ... o Phi_1^dag](D^dag y D) W^dag, given y = W^dag X W (see
-    :func:`_to_mode_basis`): a grid rotates its matrix once for all its stacks."""
-    # the (n, d, d) phases D_a conj(D_b) are formed where they are used, so they are not held
-    # through the loss maps and the rotation back
+                    y: np.ndarray, support: Support, adjoint: bool = False) -> np.ndarray:
+    """For each channel of the stack, the (n, d, d) stack of sum_k E_k X E_k^dag = W
+    D [Phi_1 o ... o Phi_r](y) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X
+    E_k = W [Phi_r^dag o ... o Phi_1^dag](D^dag y D) W^dag, given y, the values
+    of W^dag X W on ``support``: a grid rotates its matrix once for all its stacks."""
+    # the (n, K) phases D_a conj(D_b) are formed where they are used, not held through the maps
+    rows, cols = support.rows, support.cols
     if adjoint:
-        y = _loss_maps(y * (amplitudes[:, :, None] * amplitudes[:, None, :].conj()).conj(), model, weights,
+        y = _loss_maps(y * (amplitudes[:, rows] * amplitudes[:, cols].conj()).conj(), support, weights,
                        adjoint=True)
     else:
-        y = _loss_maps(y, model, weights, adjoint=False)
-        y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
-    return _from_mode_basis(model, y)
+        y = _loss_maps(y, support, weights, adjoint=False)
+        y *= amplitudes[:, rows] * amplitudes[:, cols].conj()
+    return _from_mode_basis(model, support.scatter(y))
 
 
-def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
-                   rho: DensityOperator, rotated: np.ndarray) -> np.ndarray:
+def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray, rho: DensityOperator,
+                   rotated: np.ndarray, support: Support, blocks: Sequence[np.ndarray]) -> np.ndarray:
     """The (n, d, d) stack of states the channels of the stack make of rho, given
-    also as ``rotated`` = W^dag rho W, with the trace kept to 1e-12 and each
-    validated as a density operator."""
-    out = _channel_action(model, amplitudes, weights, rotated)
+    also as ``rotated``, its values in the mode basis on ``support``, with the
+    trace kept to 1e-12 and each validated as a density operator on ``blocks``."""
+    out = _channel_action(model, amplitudes, weights, rotated, support)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
-    check_densities(out)
+    check_densities(out, blocks)
     return out
 
 
@@ -434,9 +469,10 @@ def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """Evolve a state on the channel's space, validated as a density operator with its trace kept to 1e-12."""
     if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    rotated = _to_mode_basis(kraus.model, rho.matrix)
+    full = Support.every(rho.space)
+    rotated = full.values(_to_mode_basis(kraus.model, rho.matrix))
     return _as_states(_channel_stack(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rho,
-                                     rotated), rho)[0]
+                                     rotated, full, _state_blocks(kraus.model, full)), rho)[0]
 
 
 def evolve_state(
@@ -465,22 +501,31 @@ def evolve_state(
 
 def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
     chunk = _stack_points(model.space.dimension)
-    rotated = cache(partial(_to_mode_basis, model, rho0.matrix))  # W^dag rho0 W, once per grid
-    for start in range(0, len(times), chunk):
-        part = times[start:start + chunk]
+    start = cache(partial(_grid_start, model, rho0))  # once per grid
+    for first in range(0, len(times), chunk):
+        part = times[first:first + chunk]
         try:
-            stack = _grid_stack(model, rho0, rotated, part)
+            stack = _grid_stack(model, rho0, start, part)
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_stack(model, rho0, rotated, [t])
+                _grid_stack(model, rho0, start, [t])
             raise
         yield stack
 
 
-def _grid_stack(model: DecayModel, rho0: DensityOperator, rotated: Callable[[], np.ndarray],
+def _grid_start(model: DecayModel, rho0: DensityOperator) -> tuple[Support, np.ndarray, tuple[np.ndarray, ...]]:
+    """rho0's support in the mode basis, its values there and the states' blocks."""
+    y0 = _to_mode_basis(model, rho0.matrix)
+    support = _state_support(model, y0)
+    return support, support.values(y0), _state_blocks(model, support)
+
+
+def _grid_stack(model: DecayModel, rho0: DensityOperator,
+                start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...]]],
                 times: list[float]) -> np.ndarray:
     amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
-    return _channel_stack(model, amplitudes, weights, rho0, rotated())
+    support, rotated, blocks = start()
+    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks)
 
 
 def read_series(
@@ -536,11 +581,11 @@ def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:
 def occupation_distribution(rho: DensityOperator) -> dict[tuple[int, ...], float]:
     """Probabilities of each occupation tuple (the diagonal of the state)."""
     diag = np.diag(rho.matrix)
-    if float(np.max(np.abs(diag.imag))) > 1e-12:
+    if not float(np.max(np.abs(diag.imag))) <= 1e-12:
         raise InvariantViolation("occupation probabilities have imaginary parts")
     probs = diag.real
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise InvariantViolation(f"occupation probabilities sum to {total}, not 1")
     return {occ: float(p) for occ, p in zip(rho.space.occupations, probs)}
 

@@ -1,13 +1,14 @@
 """Truncated occupation-number bases and dense operator matrices.
 
 Multi-mode boson/fermion spaces with a per-mode occupation cutoff,
-matrix representations of ladder and number operators, and the standard
-initial states (number states, coherent states, Poisson mixtures).
+matrix representations of ladder and number operators, the standard
+initial states (number states, coherent states, Poisson mixtures), and the
+supports and connected blocks that the density checks run on.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -18,6 +19,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TAIL_TOL = 1e-10
+# Entries of a support up to which its indices are intp, and int32 beyond
+SMALL_SUPPORT = 2**14
 
 
 class InvariantViolation(RuntimeError):
@@ -156,6 +159,16 @@ class FockSpace:
             plans.append(((cols, vals), (lower, amp)))
         return tuple(plans)
 
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """(down, up): row j maps the index of n to that of n - e_j (n + e_j), or to
+        -1 outside the space; a last column maps -1 to -1, so maps compose."""
+        maps = np.full((2, self.n_modes, self.dimension + 1), -1)
+        for j, ((cols, vals), (lower, amp)) in enumerate(self.ladders):
+            maps[:, j, :-1] = np.where(amp != 0, lower, -1), np.where(vals != 0, cols, -1)
+        maps.setflags(write=False)
+        return maps
+
     def __eq__(self, other):
         return (isinstance(other, FockSpace) and self.modes == other.modes
                 and self.total == other.total)
@@ -172,8 +185,11 @@ class FockSpace:
 
 def hermitian_scale(matrix: np.ndarray) -> float:
     """The scale max(1, max |entries|) of an observable's square matrix, once its
-    Hermiticity defect is within 1e-12 of it; a ValueError otherwise."""
+    entries are finite and its Hermiticity defect is within 1e-12 of it; a
+    ValueError otherwise."""
     matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise ValueError("observable has a non-finite entry")
     scale = max(1.0, float(np.max(np.abs(matrix))))
     herm = float(np.max(np.abs(matrix - matrix.conj().T)))
     if herm > 1e-12 * scale:
@@ -206,11 +222,133 @@ class OperatorMatrix:
         return hermitian_scale(self.entries)
 
 
-def check_densities(matrices: np.ndarray) -> None:
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Entries (rows[i], cols[i]) of a d x d matrix on ``space``, in row-major
+    order, such as those a route runs on; a matrix on them is the flat array of
+    its values there."""
+
+    space: FockSpace
+    rows: np.ndarray
+    cols: np.ndarray
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        # int32 halves the indices of a large support; a small one keeps intp, as numpy's cast from
+        # int32 loads code that weighs more in a short run's peak RSS than its indices do
+        index = np.int32 if self.rows.size > SMALL_SUPPORT else np.intp
+        object.__setattr__(self, "rows", self.rows.astype(index, copy=False))
+        object.__setattr__(self, "cols", self.cols.astype(index, copy=False))
+
+    @classmethod
+    def every(cls, space: FockSpace) -> Support:
+        rows, cols = np.divmod(np.arange(space.dimension**2), space.dimension)
+        return cls(space, rows, cols)
+
+    def values(self, matrix: np.ndarray) -> np.ndarray:
+        return matrix.reshape(*matrix.shape[:-2], -1) if self.full else matrix[..., self.rows, self.cols]
+
+    def scatter(self, flat: np.ndarray) -> np.ndarray:
+        """The (n, d, d) stack of the (n, K) values, zero off the entries."""
+        d = self.space.dimension
+        if self.full:  # row-major: the values are the stack's own
+            return flat.reshape(len(flat), d, d)
+        out = np.zeros((len(flat), d, d), dtype=flat.dtype)
+        out[:, self.rows, self.cols] = flat
+        return out
+
+    @property
+    def full(self) -> bool:
+        return self.rows.size == self.space.dimension ** 2
+
+    def plans(self, adjoint: bool) -> tuple[np.ndarray, ...]:
+        """Per mode j, where each value of lower Y lower^dag is gathered from, lower
+        the plan (cols, vals) of ``space.ladders[j][adjoint]``: the slot of entry
+        (cols[rows[i]], cols[cols[i]]), or slot K, a last one that is always 0."""
+        if adjoint not in self._plans:
+            slot = np.full((self.space.dimension,) * 2, self.rows.size)  # each entry's slot, K off them
+            slot[self.rows, self.cols] = np.arange(self.rows.size)
+            self._plans[adjoint] = tuple(
+                np.append(slot[cols[self.rows], cols[self.cols]], self.rows.size).astype(self.rows.dtype)
+                for cols in (ladder[adjoint][0] for ladder in self.space.ladders))
+        return self._plans[adjoint]
+
+
+def closed_support(dim: int, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (rows, cols), row-major, of the least d x d pattern holding the
+    entries (rows[i], cols[i]) and closed under each move (n, m) -> (f[k, n], g[k,
+    m]) where both are >= 0.  The maps are one-to-one there, as those of
+    :attr:`FockSpace.steps` are, so a move finds each new entry once."""
+    live = np.zeros((dim, dim), dtype=bool)
+    n, m = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    live[n, m] = True
+    while n.size:
+        found = []
+        for f_k, g_k in zip(f, g):
+            a, b = f_k[n], g_k[m]
+            hit = (a >= 0) & (b >= 0)
+            a, b = a[hit], b[hit]
+            fresh = ~live[a, b]
+            live[a[fresh], b[fresh]] = True
+            found.append((a[fresh], b[fresh]))
+        n, m = (np.concatenate(part) for part in zip(*found)) if found else (n[:0], m[:0])
+    return np.nonzero(live)
+
+
+def connected_blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The components of the graph on the indices of a d x d matrix with an edge per
+    entry (rows[i], cols[i]), as one (blocks, size) index array per size, by
+    increasing size; an index in no entry is in none.  A matrix zero off them
+    has the union of their spectra (and 0 per index in none)."""
+    # no sort, np.minimum.at or np.unique: code that no other step loads raises the peak RSS
+    root = np.arange(dim)
+    while True:  # the larger root of each edge between two trees hooks onto the smaller
+        a, b = root[rows], root[cols]
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        if not (hook := low < high).any():
+            break
+        root[high[hook]] = low[hook]
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    nodes = np.flatnonzero(np.bincount(rows, minlength=dim) + np.bincount(cols, minlength=dim))
+    sizes, members = np.bincount(root[nodes], minlength=dim), []
+    while nodes.size:  # each root takes one more of its indices per pass, whichever the scatter keeps
+        members.append(np.full(dim, -1))
+        members[-1][root[nodes]] = nodes
+        nodes = nodes[members[-1][root[nodes]] != nodes]
+    return tuple(np.array(members)[:s, sizes == s].T for s in sorted(set(sizes.tolist()) - {0}))
+
+
+def block_minima(matrices: np.ndarray, blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of the (n, d, d) stack: the least eigenvalue of its Hermitian part
+    on ``blocks`` (inf with none), one ``eigvalsh`` per block size, a 1 x 1 block's
+    being its real entry, and the count of its nonzero entries off the blocks."""
+    lo = np.full(len(matrices), np.inf)
+    inside = np.zeros(len(matrices), dtype=np.int64)
+    for idx in blocks:
+        if idx.shape[1] == 1:
+            sub = matrices[:, idx[:, 0], idx[:, 0]]
+            inside += np.count_nonzero(sub, axis=1)
+            lo = np.minimum(lo, sub.real.min(axis=1))
+            continue
+        if idx.shape[1] == matrices.shape[-1]:  # every index: the whole matrix, in any order
+            sub = matrices[:, None]
+        else:
+            sub = matrices[:, idx[:, :, None], idx[:, None, :]]
+        inside += np.count_nonzero(sub, axis=(1, 2, 3))
+        lo = np.minimum(lo, np.linalg.eigvalsh(0.5 * (sub + sub.conj().swapaxes(-1, -2))).min(axis=(1, 2)))
+    return lo, np.count_nonzero(matrices, axis=(1, 2)) - inside
+
+
+def check_densities(matrices: np.ndarray, blocks: Sequence[np.ndarray] | None = None) -> None:
     """Raise InvariantViolation unless each matrix of the (n, d, d) stack is a
-    density matrix: Hermitian within HERMITICITY_TOL, of unit trace within
-    TRACE_TOL, with no eigenvalue below EIGENVALUE_FLOOR.  Each check reports
-    the first matrix that fails it."""
+    density matrix: finite, Hermitian within HERMITICITY_TOL, of unit trace
+    within TRACE_TOL, zero off ``blocks`` (by default those of the stack's
+    exact-nonzero pattern) and with no eigenvalue on them below
+    EIGENVALUE_FLOOR.  Each check reports the first matrix that fails it."""
+    if not np.isfinite(matrices).all():
+        raise InvariantViolation("density matrix has a non-finite entry")
     herm = np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1))
     if (herm > HERMITICITY_TOL).any():
         raise InvariantViolation(
@@ -219,7 +357,11 @@ def check_densities(matrices: np.ndarray) -> None:
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise InvariantViolation(f"density matrix trace {complex(tr[off][0])} differs from 1")
-    lo = np.linalg.eigvalsh(0.5 * (matrices + matrices.conj().swapaxes(-1, -2))).min(axis=-1)
+    if blocks is None:
+        blocks = connected_blocks(matrices.shape[-1], *np.nonzero((matrices != 0).any(axis=0)))
+    lo, stray = block_minima(matrices, blocks)
+    if stray.any():
+        raise InvariantViolation(f"density matrix has {stray[stray > 0][0]} nonzero entries outside its support")
     if (lo < EIGENVALUE_FLOOR).any():
         raise InvariantViolation(
             f"density matrix has eigenvalue {lo[lo < EIGENVALUE_FLOOR][0]:.3e} < {EIGENVALUE_FLOOR}")

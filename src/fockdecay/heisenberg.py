@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import DecayModel, KrausSet, _channel_action, _decay_amplitude, _decay_weight, _to_mode_basis
+from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight, _raw_action
 from .flavour import quadratic_omegas
 from .fock import (
     DensityOperator,
@@ -30,9 +30,7 @@ from .fock import (
 def evolve_observable_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
     """Raw linear action sum_k E_k^dag X E_k of a Kraus channel on a d x d matrix,
     the adjoint channel in the decay-mode basis (see ``channel._channel_action``)."""
-    matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]),
-                           _to_mode_basis(kraus.model, matrix), adjoint=True)[0]
+    return _raw_action(kraus, matrix, adjoint=True)
 
 
 def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:

@@ -8,9 +8,12 @@ sparsity pattern reaches from the initial state, every other entry being
 exactly zero for all time.  Those entries split into blocks of equal
 Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
 column occupations together, which holds by construction of a DecayModel).
-Each block's generator matrix is gathered from W and the L_j at the
-block's own indices by the Liouville form of the generator, and the block
-advances by the RK4 step polynomial of that matrix, formed once.
+That pattern is closed from the space's ladder maps, reading W and the L_j
+only where they can be nonzero, with no matrix product, and each state is
+checked per connected block of it.  Each block's generator matrix is
+gathered from W and the L_j at the block's own indices by the Liouville form
+of the generator, and the block advances by the RK4 step polynomial of that
+matrix, formed once.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import DecayModel, Result, _as_states, _stack_points
-from .fock import DensityOperator, InvariantViolation
+from .fock import DensityOperator, InvariantViolation, block_minima, closed_support, connected_blocks
 
 EIG_EXCURSION_FLOOR = -1e-8
 STEP_MATCH_TOL = 1e-9
@@ -93,28 +96,27 @@ def steps_for(times: Sequence[float], step: float) -> list[int]:
     return list(map(int, n.tolist()))
 
 
-def _reachable(gen: GeneratorAction, rho: np.ndarray) -> np.ndarray:
-    """Entries that can ever be nonzero, as a boolean mask.
-
-    The exact-nonzero pattern of ``rho`` closed under the pattern of the
-    generator, (W!=0) X + X (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T, until it
-    stops growing.  No tolerance: only exact zeros are dropped.  The patterns
-    are multiplied as 0/1 floats, so the products run in BLAS; their entries
-    are sums of nonnegative integers, nonzero exactly where the boolean
-    product is true.
+def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (rows, cols) of rho that can ever be nonzero, in row-major order: the
+    exact-nonzero pattern of ``rho`` closed under the generator's, (W!=0) X + X
+    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T.  Off its diagonal W can be nonzero
+    only at (q - e_m + e_l, q) and L_j only at (q - e_l, q); those entries are
+    read and moved along, W's on a row or a column, L_j's on both (any two l).
     """
-    w = (gen.w_matrix != 0).astype(float)
-    jumps = [(L != 0).astype(float) for L in gen.jump_ops]
-    live = rho != 0
-    while True:
-        x = live.astype(float)
-        grown = w @ x + x @ w.T
-        for L in jumps:
-            grown += L @ x @ L.T
-        grown = live | (grown != 0)
-        if np.array_equal(grown, live):
-            return live
-        live = grown
+    space = gen.model.space
+    dim, (down, up) = space.dimension, space.steps
+    q = np.arange(dim)
+    hops = up[:, down[:, :dim]][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
+    hops = np.where((hops >= 0) & (gen.w_matrix[hops, q] != 0), hops, -1)
+    hops = hops[(hops >= 0).any(axis=-1)]
+    same = np.broadcast_to(q, hops.shape)
+    f, g = [hops, same], [same, hops]
+    for L in gen.jump_ops:
+        lows = np.where((down[:, :dim] >= 0) & (L[down[:, :dim], q] != 0), down[:, :dim], -1)
+        lows = lows[(lows >= 0).any(axis=-1)]
+        f.append(np.repeat(lows, len(lows), axis=0))
+        g.append(np.tile(lows, (len(lows), 1)))
+    return closed_support(dim, *np.nonzero(rho), np.concatenate(f), np.concatenate(g))
 
 
 def _block_generator(gen: GeneratorAction, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -229,8 +231,8 @@ def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, times: list[float],
     tot = gen.model.space.total_occupation
     dim = gen.model.space.dimension
     size = _stack_points(dim)
-    live = _reachable(gen, rho0.matrix)
-    rows, cols = np.nonzero(live)
+    rows, cols = _reachable(gen, rho0.matrix)
+    checked = connected_blocks(dim, rows, cols)  # the blocks of the states' eigenvalue checks
     delta = tot[rows] - tot[cols]
     blocks = []
     dns, sizes = np.unique(delta, return_counts=True)
@@ -250,7 +252,7 @@ def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, times: list[float],
                 )
             rho[:, r, c] = values
         rho[part == 0] = rho0.matrix
-        _check_states(rho, part > 0, times[start:start + size])
+        _check_states(rho, part > 0, times[start:start + size], checked)
         yield rho
 
 
@@ -274,19 +276,24 @@ def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.n
         return iter(list(samples)) if len(targets) <= r.size else samples
 
 
-def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float]) -> None:
-    """Hermiticity within 1e-10 and no eigenvalue below EIG_EXCURSION_FLOOR for
-    each ``sampled`` state of the (n, d, d) stack; the error names the earliest
-    state that fails, with the check it fails first."""
+def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float],
+                  blocks: Sequence[np.ndarray]) -> None:
+    """Hermiticity within 1e-10, no nonzero entry outside ``blocks`` and no
+    eigenvalue below EIG_EXCURSION_FLOOR, taken block by block (see
+    :func:`fockdecay.fock.block_minima`), for each ``sampled`` state of the (n,
+    d, d) stack; the error names the earliest state that fails, with the check
+    it fails first.  A non-finite entry fails Hermiticity."""
     herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2))).min(axis=-1)
-    lost = herm > 1e-10
-    bad = sampled & (lost | (lo < EIG_EXCURSION_FLOOR))
+    lo, stray = block_minima(rho, blocks)
+    lost = ~(herm <= 1e-10)
+    bad = sampled & (lost | (stray > 0) | ~(lo >= EIG_EXCURSION_FLOOR))
     if not bad.any():
         return
     i = int(np.argmax(bad))
     if lost[i]:
         raise InvariantViolation(f"RK4 state lost Hermiticity: defect {herm[i]:.3e} at t={times[i]}")
+    if stray[i]:
+        raise InvariantViolation(f"RK4 state has {stray[i]} nonzero entries off its support at t={times[i]}")
     raise InvariantViolation(
         f"RK4 state eigenvalue {lo[i]:.3e} below {EIG_EXCURSION_FLOOR} at t={times[i]}"
     )

@@ -32,6 +32,7 @@ from fockdecay import (
     number_state,
     coherent_state,
     occupation_distribution,
+    poisson_mixture,
     trace_distance,
     vacuum_state,
     DensityOperator,
@@ -393,6 +394,59 @@ def dense_loss_maps(x, model, weights, adjoint):
     return np.array(out)
 
 
+def kraus_support_reference(model, y0):
+    """The exact-nonzero pattern of y0 closed under the loss maps' pattern, (a_j!=0) Y (a_j!=0)^T,
+    as numpy boolean products of the dense a_j."""
+    lowers = [build_annihilator(model.space, j).entries != 0 for j in range(1, model.space.n_modes + 1)]
+    live = y0 != 0
+    while True:
+        grown = live.copy()
+        for a in lowers:
+            grown |= a @ live @ a.T
+        if np.array_equal(grown, live):
+            return live
+        live = grown
+
+
+def _support_cases():
+    # states whose supports in the decay-mode basis are neither diagonal nor full
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=6), ModeSpec(mass=3.0, width=1.5, cutoff=6)], total=6)
+    mixed = build_mixed_model(bosons, MixingParams(theta=0.7, phi=0.4))
+    yield pytest.param(mixed, poisson_mixture(bosons, 1, 0.05), id="mixed-pair-poisson")
+    yield pytest.param(mixed, random_density_matrix(np.random.default_rng(3), bosons, max_total=2),
+                       id="mixed-pair-low-totals")
+    space = FockSpace([ModeSpec(mass=0.3, width=0.8, cutoff=3),
+                       ModeSpec(Statistics.FERMION, mass=1.0, width=1.2)])
+    mat = np.zeros((space.dimension,) * 2, dtype=complex)
+    a, b = space.index_of((2, 1)), space.index_of((3, 0))
+    mat[a, a], mat[b, b], mat[a, b], mat[b, a] = 0.5, 0.5, 0.25j, -0.25j
+    yield pytest.param(build_decay_model(space), DensityOperator(space, mat), id="boson-fermion-coherence")
+
+
+@pytest.mark.parametrize("model, rho", list(_support_cases()))
+def test_the_kraus_support_is_the_closure_of_the_loss_maps_pattern(model, rho):
+    y0 = channel._to_mode_basis(model, rho.matrix)
+    support = channel._state_support(model, y0)
+    live = np.zeros(y0.shape, dtype=bool)
+    live[support.rows, support.cols] = True
+    assert np.array_equal(live, kraus_support_reference(model, y0))
+    assert np.array_equal(np.nonzero(live), (support.rows, support.cols))  # in row-major order
+    assert model.space.dimension < support.rows.size < model.space.dimension ** 2
+
+
+@pytest.mark.parametrize("model, rho", list(_support_cases()))
+def test_a_grid_stack_is_the_dense_loss_maps_bit_for_bit(model, rho):
+    # the maps of the a_j on the dense y0 = W^dag rho0 W, as the unmixed model on the same space
+    # has them, then the phases and the rotation back
+    times = [0.0, 0.4, 1.3]
+    (stack,) = evolve_state(model, rho, times, read=list)
+    amplitudes, weights, _, _ = channel._channels(model, times)
+    y = dense_loss_maps(channel._to_mode_basis(model, rho.matrix), build_decay_model(model.space), weights,
+                        adjoint=False)
+    y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
+    assert np.array_equal(stack, channel._from_mode_basis(model, y))
+
+
 def _gather_cases():
     # (model, t, tol); tol 0 asks for bit-equal sums: an unmixed model is in its decay-mode
     # basis already, so its maps are the gathers alone
@@ -412,9 +466,10 @@ def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, tol, rng):
     times = [0.0, t, 2 * t]  # every weight is 0 at t = 0
     weights = np.array([[channel._decay_weight(g, s) for g in model.widths] for s in times])
     x = _random_matrix(rng, model.space)
+    full = channel.Support.every(model.space)
     for adjoint in (False, True):
-        gathered = channel._loss_maps(channel._to_mode_basis(model, x), model, weights, adjoint)
-        got = channel._from_mode_basis(model, gathered)
+        gathered = channel._loss_maps(full.values(channel._to_mode_basis(model, x)), full, weights, adjoint)
+        got = channel._from_mode_basis(model, full.scatter(gathered))
         want = dense_loss_maps(x, model, weights, adjoint)
         assert np.array_equal(got, want) if tol == 0 else np.max(np.abs(got - want)) <= tol
         assert np.array_equal(got[0], x) if tol == 0 else np.max(np.abs(got[0] - x)) <= tol

@@ -22,6 +22,8 @@ from fockdecay import (
     poisson_mixture,
     vacuum_state,
 )
+from fockdecay.channel import occupation_distribution
+from fockdecay.fock import block_minima, check_densities, connected_blocks, hermitian_scale
 
 
 def boson(cutoff=4, mass=0.0, width=1.0):
@@ -380,3 +382,117 @@ def test_density_operator_is_read_only():
     rho = vacuum_state(FockSpace(boson(2)))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_checks_refuse_a_non_finite_entry(bad):
+    space = FockSpace(boson(1))
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        check_densities(np.full((1, 2, 2), np.nan, dtype=complex))
+    for at in ((0, 0), (0, 1)):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[at] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DensityOperator(space, mat)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            check_densities(mat[None])
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_scale(mat)
+    # the occupation probabilities read the diagonal
+    with pytest.raises(InvariantViolation, match="occupation probabilities"):
+        occupation_distribution(DensityOperator(space, np.diag([bad, 0.5]), validate=False))
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues per connected block
+
+
+@st.composite
+def block_stacks(draw):
+    """(stack, blocks, rng): n Hermitian matrices, block-diagonal in a permutation of
+    the drawn block sizes, which cover every index; their entries in a block are
+    nonzero, so each block is connected.  The blocks come as index arrays."""
+    kind = draw(st.sampled_from(["ones", "mixed", "full"]))
+    if kind == "ones":
+        sizes = [1] * draw(st.integers(2, 12))
+    elif kind == "mixed":
+        sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=6))
+    else:
+        sizes = [draw(st.integers(2, 8))]
+    dim = sum(sizes)
+    perm = np.array(draw(st.permutations(range(dim))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((draw(st.integers(1, 3)), dim, dim), dtype=complex)
+    blocks, start = [], 0
+    for size in sizes:
+        idx = perm[start:start + size]
+        start += size
+        raw = rng.standard_normal((len(stack), size, size)) + 1j * rng.standard_normal((len(stack), size, size))
+        stack[:, idx[:, None], idx] = raw + raw.conj().swapaxes(-1, -2)
+        blocks.append(idx)
+    return stack, blocks, rng
+
+
+@given(block_stacks())
+@settings(max_examples=60, deadline=None)
+def test_block_eigenvalues_match_the_dense_spectrum(case):
+    stack, blocks, _ = case
+    dim = stack.shape[-1]
+    found = connected_blocks(dim, *np.nonzero(stack.any(axis=0)))
+    assert sorted(tuple(sorted(b)) for group in found for b in group) == sorted(tuple(sorted(b)) for b in blocks)
+    assert [group.shape[1] for group in found] == sorted({b.size for b in blocks})
+    lo, stray = block_minima(stack, found)
+    assert np.max(np.abs(lo - np.linalg.eigvalsh(stack).min(axis=-1))) <= 1e-12
+    assert not stray.any()
+
+
+@given(block_stacks())
+@settings(max_examples=60, deadline=None)
+def test_block_checks_refuse_a_negative_eigenvalue_and_an_entry_outside(case):
+    stack, blocks, rng = case
+    dim = stack.shape[-1]
+    # density matrices: each block U diag(p) U^dag, with p >= 0 summing to 1 over the blocks
+    weights = rng.dirichlet(np.ones(dim), size=len(stack))
+    states = np.zeros_like(stack)
+    start = 0
+    for idx in blocks:
+        u = np.linalg.qr(stack[:, idx[:, None], idx])[0]
+        p = weights[:, start:start + idx.size]
+        states[:, idx[:, None], idx] = (u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        start += idx.size
+    found = connected_blocks(dim, *np.nonzero(states.any(axis=0)))
+    check_densities(states, found)
+    # the least eigenvalue of one block of the last matrix moved to -1e-3, and the trace kept
+    # by adding as much to its largest one, or to another block's first diagonal entry
+    k = int(rng.integers(len(blocks)))
+    idx = blocks[k]
+    bad = states.copy()
+    vals, vecs = np.linalg.eigh(bad[-1][np.ix_(idx, idx)])
+    shift = -1e-3 - vals[0]
+    bad[-1][np.ix_(idx, idx)] += shift * np.outer(vecs[:, 0], vecs[:, 0].conj())
+    if idx.size > 1:
+        bad[-1][np.ix_(idx, idx)] -= shift * np.outer(vecs[:, -1], vecs[:, -1].conj())
+    else:
+        other = blocks[k - 1][0]
+        bad[-1, other, other] -= shift
+    for with_blocks in (found, None):
+        with pytest.raises(InvariantViolation, match="eigenvalue"):
+            check_densities(bad, with_blocks)
+    # a Hermitian pair of entries that joins two blocks, too small to move an eigenvalue below the
+    # floor: refused on the old blocks, and passed on its own pattern's
+    if len(blocks) > 1:
+        i, j = blocks[0][0], blocks[1][0]
+        joined = states.copy()
+        joined[:, i, j], joined[:, j, i] = 1e-14j, -1e-14j
+        with pytest.raises(InvariantViolation, match="outside its support"):
+            check_densities(joined, found)
+        check_densities(joined)
+
+
+def test_number_state_checks_one_block():
+    # a basis projector's pattern is one entry: a 1 x 1 block, whatever the dimension
+    space = FockSpace([boson(16)] * 3, total=18)
+    rho = number_state(space, (6, 6, 6))
+    (block,) = connected_blocks(space.dimension, *np.nonzero(rho.matrix))
+    assert block.tolist() == [[space.index_of((6, 6, 6))]]
+    assert connected_blocks(space.dimension, np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == ()

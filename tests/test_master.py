@@ -50,7 +50,7 @@ def rk4_reference(gen, rho0, times, step):
 
 
 def reachable_reference(gen, rho):
-    """The pattern closure of ``master._reachable`` as numpy boolean products."""
+    """The pattern closure of ``master._reachable`` as numpy boolean products of dense matrices."""
     w = gen.w_matrix != 0
     jumps = [L != 0 for L in gen.jump_ops]
     live = rho != 0
@@ -283,9 +283,11 @@ def test_integrate_matches_full_space_loop(rng, case):
 
     # each gathered block matrix is the generator's image of the basis matrices E_rc
     tot = model.space.total_occupation
-    live = master._reachable(gen, rho0.matrix)
+    rows, cols = master._reachable(gen, rho0.matrix)
+    live = np.zeros_like(rho0.matrix, dtype=bool)
+    live[rows, cols] = True
     assert np.array_equal(live, reachable_reference(gen, rho0.matrix))
-    rows, cols = np.nonzero(live)
+    assert np.array_equal(np.nonzero(live), (rows, cols))  # in row-major order
     delta = tot[rows] - tot[cols]
     for dn in np.unique(delta):
         r, c = rows[delta == dn], cols[delta == dn]

@@ -611,7 +611,7 @@ def test_no_command_imports_scipy(tmp_path, args):
     script = ("import sys\n"
               "from fockdecay.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, 'scipy' in sys.modules)\n")
+              "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n")
     doc = json.loads((CONFIGS / "fig1_number.json").read_text())
     doc["observables"] = ["N"]  # occupations would need a state-side route
     config = tmp_path / "fig1_number.json"
@@ -623,7 +623,7 @@ def test_no_command_imports_scipy(tmp_path, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.splitlines()[-1] == "0 False False"  # nor numpy.ma, which a plain np.unique loads
 
 
 def test_cli_missing_file(capsys):

@@ -5,11 +5,14 @@
 
 ``run`` runs the shipped ``configs/*.json``, the three benchmark workloads
 of ``perfbench/workloads.py`` at one seed (default 1) and the small inline
-``SCENARIOS`` below, each into its own subdirectory of OUT.  The inline
-scenarios start from coherent or Poisson states whose support (entries above
-1e-14) ends below the total occupation K of the run's space, a case no
-shipped config or workload reaches; they are defined here, so that
-``--root`` runs them on every version.  ``--root`` selects the source
+``SCENARIOS`` below, each into its own subdirectory of OUT.  The first three
+inline scenarios start from coherent or Poisson states whose support
+(entries above 1e-14) ends below the total occupation K of the run's space;
+the last two evolve a state that is neither diagonal nor full in the
+decay-mode basis, but block-diagonal in N: a mixed boson pair from a Poisson
+state and a mixed fermion pair from the mixture (|1,1><1,1| + |1,0><1,0|) / 2.
+No shipped config or workload reaches these cases.  They are defined here,
+so that ``--root`` runs them on every version.  ``--root`` selects the source
 checkout whose ``src/``, ``configs/`` and ``perfbench/`` are used (default:
 the checkout holding this script), so the outputs of an older commit come
 from a plain ``git archive`` or ``git clone`` of it.  A run that raises leaves ``error.txt`` in its
@@ -45,9 +48,9 @@ import numpy as np  # noqa: E402 -- after the thread pinning
 WORKLOADS = ("oracle", "sweep", "multimode")
 
 
-def _scenario(name, modes, initial_state, observables, mixing=None):
+def _scenario(name, modes, initial_state, observables, mixing=None, statistics="boson"):
     return {"schema_version": 1, "name": name,
-            "modes": [{"statistics": "boson", "mass": m, "width": g, "cutoff": c}
+            "modes": [{"statistics": statistics, "mass": m, "width": g, "cutoff": c}
                       for m, g, c in modes],
             "mixing": mixing, "initial_state": initial_state,
             "time_grid": {"start": 0.0, "stop": 2.0, "count": 21},
@@ -55,7 +58,8 @@ def _scenario(name, modes, initial_state, observables, mixing=None):
             "output_path": f"out/{name}"}
 
 
-# support bound below K: 6 of 8, 4 of 5 and 7 of 9
+# the first three: support bound below K, 6 of 8, 4 of 5 and 7 of 9; the last two: a support
+# block-diagonal in N
 SCENARIOS = (
     _scenario("tail_coherent_pair", [(0.0, 0.5, 8), (0.5, 1.0, 8)],
               {"type": "coherent", "mode": 1, "alpha": 0.01}, ["N", "S", "occupations"]),
@@ -64,6 +68,13 @@ SCENARIOS = (
     _scenario("tail_coherent_mixed", [(0.0, 0.5, 9), (5.0, 1.5, 9)],
               {"type": "coherent", "mode": 1, "alpha": 0.03}, ["N", "S", "occupations"],
               mixing={"theta": 0.7}),
+    _scenario("poisson_mixed_pair", [(0.0, 0.5, 8), (5.0, 1.5, 8)],
+              {"type": "poisson", "mode": 1, "nbar": 0.3}, ["N", "S", "occupations"],
+              mixing={"theta": 0.7}),
+    _scenario("mixture_mixed_fermions", [(0.0, 0.5, 1), (2.0, 1.5, 1)],
+              {"type": "mixture", "components": [{"weight": 0.5, "occupations": [1, 1]},
+                                                 {"weight": 0.5, "occupations": [1, 0]}]},
+              ["N", "S", "occupations"], mixing={"theta": 0.7}, statistics="fermion"),
 )
 
 

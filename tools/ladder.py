@@ -11,10 +11,10 @@ last, theta = 0.7):
   cutoff 12, 16 and 20 (|S| = 91, 153 and 231), and at cutoff 30 (|S| =
   496) on the heisenberg and kraus routes only: its ode step matrix for
   Delta N = 0 alone would need about 1.7 GB;
-- three bosons from |3,3,3> at cutoff 9 and from |4,4,4> at cutoff 12
-  (|S| = 220 and 455), and the cutoff-9 row again on 161 grid points: the
-  state routes read each chunk of states and drop it, so its peak RSS should
-  stay near the 21-point row's;
+- three bosons from |3,3,3> at cutoff 9, from |4,4,4> at cutoff 12 and from
+  |6,6,6> at cutoff 16 (|S| = 220, 455 and 1318), and the cutoff-9 row again
+  on 161 grid points: the state routes read each chunk of states and drop
+  it, so its peak RSS should stay near the 21-point row's;
 - one boson at cutoff 20 with two fermions, from |20,1,1> (|S| = 84);
 - eight bosons at cutoff 2 holding two quanta, from |1,1,0,...,0>
   (|S| = 45, product space 3^8 = 6561);
@@ -101,7 +101,7 @@ def _fermions(count):
 ROWS = (
     *((_mixed_pair(c), ("heisenberg", "kraus", "ode")) for c in (12, 16, 20)),
     (_mixed_pair(30), ("heisenberg", "kraus")),
-    *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4))),
+    *((_three_bosons(c, n), ("heisenberg", "kraus", "ode")) for c, n in ((9, 3), (12, 4), (16, 6))),
     (_three_bosons(9, 3, count=161), ("kraus", "ode")),
     (_boson_with_fermions(20), ("heisenberg", "kraus", "ode")),
     (_bosons_two_quanta(8), ("heisenberg", "kraus", "ode")),
