@@ -278,21 +278,19 @@ def closed_support(dim: int, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries (rows, cols), row-major, of the least d x d pattern holding the
     entries (rows[i], cols[i]) and closed under each move (n, m) -> (f[k, n], g[k,
-    m]) where both are >= 0.  The maps are one-to-one there, as those of
-    :attr:`FockSpace.steps` are, so a move finds each new entry once."""
+    m]) where both are >= 0, such as the maps of :attr:`FockSpace.steps`: every
+    move of a frontier of new entries at once, then the entries it found."""
     live = np.zeros((dim, dim), dtype=bool)
-    n, m = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    live[n, m] = True
+    live[rows, cols] = True
+    n, m = rows, cols
     while n.size:
-        found = []
-        for f_k, g_k in zip(f, g):
-            a, b = f_k[n], g_k[m]
-            hit = (a >= 0) & (b >= 0)
-            a, b = a[hit], b[hit]
-            fresh = ~live[a, b]
-            live[a[fresh], b[fresh]] = True
-            found.append((a[fresh], b[fresh]))
-        n, m = (np.concatenate(part) for part in zip(*found)) if found else (n[:0], m[:0])
+        a, b = f[:, n], g[:, m]
+        hit = (a >= 0) & (b >= 0)
+        found = np.zeros_like(live)
+        found[a[hit], b[hit]] = True
+        found &= ~live
+        live |= found
+        n, m = np.nonzero(found)
     return np.nonzero(live)
 
 
