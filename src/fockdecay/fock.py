@@ -311,6 +311,8 @@ def connected_blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.n
             root = root[root]
     nodes = np.flatnonzero(np.bincount(rows, minlength=dim) + np.bincount(cols, minlength=dim))
     sizes, members = np.bincount(root[nodes], minlength=dim), []
+    if nodes.size and sizes.max() == nodes.size:  # one block
+        return (nodes[None],)
     while nodes.size:  # each root takes one more of its indices per pass, whichever the scatter keeps
         members.append(np.full(dim, -1))
         members[-1][root[nodes]] = nodes
@@ -330,10 +332,10 @@ def block_minima(matrices: np.ndarray, blocks: Sequence[np.ndarray]) -> tuple[np
             inside += np.count_nonzero(sub, axis=1)
             lo = np.minimum(lo, sub.real.min(axis=1))
             continue
-        if idx.shape[1] == matrices.shape[-1]:  # every index: the whole matrix, in any order
-            sub = matrices[:, None]
-        else:
-            sub = matrices[:, idx[:, :, None], idx[:, None, :]]
+        if idx.shape[1] == matrices.shape[-1]:  # every index: the whole matrix, none off it
+            lo = np.linalg.eigvalsh(0.5 * (matrices + matrices.conj().swapaxes(-1, -2))).min(axis=-1)
+            return lo, np.zeros_like(inside)
+        sub = matrices[:, idx[:, :, None], idx[:, None, :]]
         inside += np.count_nonzero(sub, axis=(1, 2, 3))
         lo = np.minimum(lo, np.linalg.eigvalsh(0.5 * (sub + sub.conj().swapaxes(-1, -2))).min(axis=(1, 2)))
     return lo, np.count_nonzero(matrices, axis=(1, 2)) - inside
