@@ -30,6 +30,7 @@ from .fock import (
     check_densities,
     closed_support,
     connected_blocks,
+    quadratic_form,
 )
 
 CERTIFICATE_TOL = 1e-10
@@ -71,10 +72,14 @@ class DecayModel:
     otherwise), and c_j = sum_l conj(V[j, l]) a_l, summed over l in order.
     Each c_j thus lowers the total occupation by exactly one.  Construction
     builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, mu_j = m_j - i Gamma_j
-    / 2, and refuses the model unless M is finite with a Hermitian mass part
-    and the relative defect of [M, c_j] = -mu_j c_j, ``certificate_defect``,
-    is within ``CERTIFICATE_TOL``: this refuses a V under which the space is
-    not closed, such as a mixed boson pair past its common cutoff.  The
+    / 2, as the quadratic forms sum_lm Omega_lm a_l^dag a_m of its mass part,
+    Omega = V^T diag(m) conj(V), and of its decay part, V^T diag(-Gamma / 2)
+    conj(V) (both diagonal unmixed), read from the space's ladder maps with
+    no matrix product.  It refuses the model unless M is finite with a
+    Hermitian mass part and the relative defect of [M, c_j] = -mu_j c_j,
+    ``certificate_defect``, gathered one [M, a_l] at a time, is within
+    ``CERTIFICATE_TOL``: this refuses a V under which the space is not
+    closed, such as a mixed boson pair past its common cutoff.  The
     ``mode_basis`` its Kraus channels use is built on their first use.
     """
 
@@ -104,14 +109,10 @@ class DecayModel:
             ops = tuple(OperatorMatrix(space, reduce(np.add, (v_jl.conjugate() * a_l.entries
                                                               for v_jl, a_l in zip(row, ops))))
                         for row in v)
-        dim = space.dimension
-        ham = np.zeros((dim, dim), dtype=complex)
-        kay = np.zeros((dim, dim), dtype=complex)
+        object.__setattr__(self, "decay_ops", ops)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            for c, m_j, g_j in zip(ops, self.masses, self.widths):
-                cdag_c = c.entries.conj().T @ c.entries
-                ham += m_j * cdag_c
-                kay += -0.5 * g_j * cdag_c
+            ham = quadratic_form(space, self._on_ladders(np.diag(self.masses)))
+            kay = quadratic_form(space, self._on_ladders(-0.5 * np.diag(self.widths)))
         if not (np.isfinite(ham).all() and np.isfinite(kay).all()):
             raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
                                      "overflow at this cutoff")
@@ -119,13 +120,12 @@ class DecayModel:
         if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
             raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
         m_matrix = ham + 1j * kay
-        defect = _certificate_defect(m_matrix, [c.entries for c in ops], self.masses, self.widths)
+        defect = _certificate_defect(self, m_matrix)
         if defect > CERTIFICATE_TOL:
             raise CertificateError(
                 f"commutation certificate defect {defect:.3e} (relative) exceeds "
                 f"{CERTIFICATE_TOL}; the space is not closed under the decay operators"
             )
-        object.__setattr__(self, "decay_ops", ops)
         object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
         object.__setattr__(self, "certificate_defect", defect)
 
@@ -140,6 +140,10 @@ class DecayModel:
     @property
     def is_mixed(self) -> bool:
         return self.mixing_unitary is not None
+
+    def _on_ladders(self, coeff: np.ndarray) -> np.ndarray:
+        """V^T coeff conj(V) (coeff unmixed): the omega of sum_jk coeff[j, k] c_j^dag c_k."""
+        return self.mixing_unitary.T @ coeff @ self.mixing_unitary.conj() if self.is_mixed else coeff
 
     @property
     def mode_basis(self) -> np.ndarray | None:
@@ -384,19 +388,21 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
-def _certificate_defect(
-    m_matrix: np.ndarray,
-    decay_ops: Sequence[np.ndarray],
-    masses: Sequence[float],
-    widths: Sequence[float],
-) -> float:
+def _certificate_defect(model: DecayModel, m_matrix: np.ndarray) -> float:
     """Max deviation of [M, c_j] from -mu_j c_j over the whole space, formed on
-    M / s and mu_j / s (s = :func:`_mass_scale`), so a finite M never overflows it."""
-    scale = _mass_scale(masses, widths)
+    M / s and mu_j / s (s = :func:`_mass_scale`), so a finite M never overflows it.
+    Each [M, a_l] of [M, c_j] = sum_l conj(V[j, l]) [M, a_l] is gathered in turn:
+    M a_l = M[:, lower] * amp and a_l M = vals[:, None] * M[cols]."""
+    space = model.space
+    scale = _mass_scale(model.masses, model.widths)
     m_scaled = m_matrix / scale
+    v = model.mixing_unitary if model.is_mixed else np.eye(space.n_modes)
     worst = 0.0
-    for c, m_j, g_j in zip(decay_ops, masses, widths):
-        defect = m_scaled @ c - c @ m_scaled + complex(m_j / scale, -0.5 * g_j / scale) * c
+    for row, c, m_j, g_j in zip(v, model.decay_ops, model.masses, model.widths):
+        defect = complex(m_j / scale, -0.5 * g_j / scale) * c.entries
+        for l in np.flatnonzero(row):
+            (cols, vals), (lower, amp) = space.ladders[l]
+            defect += row[l].conjugate() * (m_scaled[:, lower] * amp - vals[:, None] * m_scaled[cols])
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 
@@ -554,7 +560,7 @@ def read_series(
     for name, scale in scales.items():
         series = np.concatenate(parts[name]) if parts[name] else np.empty(0, dtype=complex)
         residue = float(np.max(np.abs(series.imag), initial=0.0))
-        if residue > 1e-12 * scale:
+        if not residue <= 1e-12 * scale:  # NaN fails it
             raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
         values[name] = series.real
     if not diagonal:

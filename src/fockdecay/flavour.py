@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import DecayModel
-from .fock import FockSpace, ModeSpec, OperatorMatrix, build_annihilator, quadratic_form
+from .fock import FockSpace, ModeSpec, OperatorMatrix, quadratic_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,9 +114,8 @@ def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:
 
 def build_quadratic_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
     """Fock operators of every observable in :func:`quadratic_omegas`."""
-    a_ops = [build_annihilator(space, j).entries for j in range(1, space.n_modes + 1)]
     return {
-        name: OperatorMatrix(space, quadratic_form(omega, a_ops))
+        name: OperatorMatrix(space, quadratic_form(space, omega))
         for name, omega in quadratic_omegas(space.n_modes, phi).items()
     }
 

@@ -1,7 +1,8 @@
-"""Truncated occupation-number bases and dense operator matrices.
+"""Truncated occupation-number bases and the operators read from their ladder maps.
 
-Multi-mode boson/fermion spaces with a per-mode occupation cutoff,
-matrix representations of ladder and number operators, the standard
+Multi-mode boson/fermion spaces with a per-mode occupation cutoff, dense
+ladder and number matrices, the quadratic forms sum_lm omega_lm a_l^dag a_m
+and their means, scattered and gathered with no matrix product, the standard
 initial states (number states, coherent states, Poisson mixtures), and the
 supports and connected blocks that the density checks run on.
 """
@@ -437,12 +438,28 @@ def build_total_number(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(space.total_occupation.astype(complex)))
 
 
-def quadratic_form(omega: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_{jk} omega[j, k] X_j^dag X_k over the matrices X_j in ``ops``; zero terms are skipped."""
-    out = np.zeros_like(ops[0], dtype=complex)
-    for j, k in zip(*np.nonzero(omega)):
-        out += omega[j, k] * (ops[j].conj().T @ ops[k])
+def ladder_pair(space: FockSpace, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a_l^dag a_m (0-based modes): column q holds values[q] in row rows[q] alone,
+    as a_m |n_q> = amp_m[q] |n_r>, r = lower_m[q], and a_l^dag |n_r> = vals_l[r] |n_{cols_l[r]}>."""
+    (cols, vals), _ = space.ladders[l]
+    lower, amp = space.ladders[m][1]
+    return cols[lower], vals[lower] * amp
+
+
+def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:
+    """sum_{lm} omega[l, m] a_l^dag a_m, one :func:`ladder_pair` scattered at a time; zero terms are skipped."""
+    out = np.zeros((space.dimension,) * 2, dtype=complex)
+    for l, m in zip(*np.nonzero(omega)):
+        rows, values = ladder_pair(space, l, m)
+        out[rows, np.arange(space.dimension)] += omega[l, m] * values
     return out
+
+
+def one_body_correlations(rho: DensityOperator) -> np.ndarray:
+    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[q]] values[q] of :func:`ladder_pair`."""
+    r, q = rho.space.n_modes, np.arange(rho.space.dimension)
+    pairs = (ladder_pair(rho.space, l, m) for l, m in np.ndindex(r, r))
+    return np.array([np.sum(rho.matrix[q, rows] * values) for rows, values in pairs]).reshape(r, r)
 
 
 def number_state(space: FockSpace, occupations) -> DensityOperator:

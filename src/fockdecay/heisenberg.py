@@ -23,6 +23,7 @@ from .fock import (
     InvariantViolation,
     OperatorMatrix,
     hermitian_scale,
+    one_body_correlations,
     quadratic_form,
 )
 
@@ -54,11 +55,6 @@ def _grid_amplitudes(model: DecayModel, times) -> np.ndarray:
                     dtype=complex).reshape(-1, len(modes))
 
 
-def _mode_amplitudes(model: DecayModel, t: float) -> np.ndarray:
-    """Per decay mode: exp(-(i m_j + Gamma_j / 2) t), the one-point grid."""
-    return _grid_amplitudes(model, [t])[0]
-
-
 def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Adjoint-evolved (lowering, raising) pair for one flavour mode.
 
@@ -67,7 +63,7 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     """
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
-    d = _mode_amplitudes(model, t)
+    d = _grid_amplitudes(model, [t])[0]
     V = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
     low = OperatorMatrix(model.space, sum(
         V[j, mode - 1] * d[j] * c.entries for j, c in enumerate(model.decay_ops)))
@@ -85,15 +81,35 @@ def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarra
     return omega
 
 
+def _pair_amplitudes(model: DecayModel, times) -> np.ndarray:
+    """The (T, r, r) array of conj(d_j(t)) d_k(t): the magnitudes |d_j| |d_k| of
+    :func:`_grid_amplitudes`, with its refusals, times exp(i (m_j - m_k) t), so
+    a large common mass cancels before it is multiplied by t.  A non-finite
+    phase is refused."""
+    times = np.array(times, dtype=float).reshape(-1)
+    size = np.abs(_grid_amplitudes(model, times))
+    masses = np.array(model.masses)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        phase = np.multiply.outer(times, masses[:, None] - masses)
+    if not np.isfinite(phase).all():
+        raise InvariantViolation("a mass difference times t is not finite")
+    return size[:, :, None] * size[:, None, :] * np.exp(1j * phase)
+
+
+def _mode_correlations(model: DecayModel, rho0: DensityOperator) -> np.ndarray:
+    """G[j, k] = tr(rho0 c_j^dag c_k) = (V T V^dag)[j, k], T = :func:`one_body_correlations`, one sum per entry."""
+    gram, v = one_body_correlations(rho0), model.mixing_unitary
+    return np.einsum("jl,lm,km->jk", v, gram, v.conj()) if model.is_mixed else gram
+
+
 def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> OperatorMatrix:
     """Closed-form adjoint evolution of sum_{lm} omega[l, m] a_l^dag a_m.
 
     In the propagation basis each monomial c_j^dag c_k just picks up the
     factor conj(d_j) d_k, with d_j the mode decay amplitude.
     """
-    d = _mode_amplitudes(model, t)
-    scaled = _propagation_coefficients(model, omega) * np.outer(d.conj(), d)
-    return OperatorMatrix(model.space, quadratic_form(scaled, [c.entries for c in model.decay_ops]))
+    scaled = _propagation_coefficients(model, omega) * _pair_amplitudes(model, [t])[0]
+    return OperatorMatrix(model.space, quadratic_form(model.space, model._on_ladders(scaled)))
 
 
 def mean_quadratic_trajectory(model: DecayModel, rho0: DensityOperator, omega: np.ndarray,
@@ -107,9 +123,10 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
                                 omegas: Mapping[str, np.ndarray], times) -> dict[str, np.ndarray]:
     """For each named omega, tr(rho0 evolve_quadratic(model, omega, t)) for every t.
 
-    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k) and the time
-    only through the (T, r) amplitudes d_j(t), both computed once for all
-    omegas: <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
+    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k) (see
+    :func:`_mode_correlations`) and the time only through the (T, r, r) pair
+    amplitudes conj(d_j(t)) d_k(t), both computed once for all omegas:
+    <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
     """
     coeffs = {}
     for name, omega in omegas.items():
@@ -117,17 +134,14 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
         hermitian_scale(omega)
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    ops = [c.entries for c in model.decay_ops]
-    c_rho = [ck @ rho0.matrix for ck in ops]
-    gram = np.array([[np.vdot(cj, ck_rho) for ck_rho in c_rho] for cj in ops])
-    amps = _grid_amplitudes(model, times)
-    amps_conj = amps.conj()
+    gram = _mode_correlations(model, rho0)
+    pairs = _pair_amplitudes(model, times)
     out = {}
     for name, coeff in coeffs.items():
         terms = coeff * gram
-        values = np.einsum("jk,tj,tk->t", terms, amps_conj, amps)
+        values = np.einsum("jk,tjk->t", terms, pairs)
         residue = float(np.max(np.abs(values.imag), initial=0.0))
-        if residue > 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):
+        if not residue <= 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):  # NaN fails it
             raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
         out[name] = values.real
     return out

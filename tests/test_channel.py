@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -102,6 +103,59 @@ def test_certificate_refuses_a_boson_mixed_with_a_fermion():
     space = FockSpace([ModeSpec(width=0.5, cutoff=1), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
     with pytest.raises(CertificateError, match="certificate defect"):
         DecayModel(space, mixing_matrix(MixingParams(theta=0.7)))
+
+
+def _dense_certificate(space, v):
+    """max_j |[M, c_j] + mu_j c_j| / s from dense matmuls: M = sum_lm Omega_lm a_l^dag a_m,
+    Omega = V^T diag(mu) conj(V), and c_j = sum_l conj(V[j, l]) a_l."""
+    masses = np.array([m.mass for m in space.modes])
+    mus = masses - 0.5j * np.array([m.width for m in space.modes])
+    scale = max(1.0, *(max(abs(m.mass), 0.5 * m.width) for m in space.modes))
+    a = [build_annihilator(space, l).entries for l in range(1, space.n_modes + 1)]
+    omega = v.T @ np.diag(mus) @ v.conj()
+    m_mat = sum(omega[l, m] * (a[l].conj().T @ a[m]) for l in range(len(a)) for m in range(len(a)))
+    c = [sum(v[j, l].conjugate() * a[l] for l in range(len(a))) for j in range(len(a))]
+    return max(float(np.max(np.abs((m_mat / scale) @ c_j - c_j @ (m_mat / scale) + mu / scale * c_j)))
+               for c_j, mu in zip(c, mus))
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(5)
+    v3, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    pair = mixing_matrix(MixingParams(theta=0.7, phi=0.3, psi=1.1))
+    fermions = [ModeSpec(Statistics.FERMION, width=0.5), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)]
+    return {
+        "unmixed three": (FockSpace([ModeSpec(mass=0.4, width=0.8, cutoff=3),
+                                     ModeSpec(Statistics.FERMION, mass=1.1, width=1.6),
+                                     ModeSpec(mass=2.5, width=0.2, cutoff=2)]), None),
+        "mixed bosons": (FockSpace([ModeSpec(mass=1e6, width=0.5, cutoff=4),
+                                    ModeSpec(mass=1e6 + 5, width=1.5, cutoff=4)], total=4), pair),
+        "mixed fermions": (FockSpace(fermions), pair),
+        "three mixed": (FockSpace([ModeSpec(mass=0.3 * j, width=0.5 + j, cutoff=3) for j in range(3)],
+                                  total=3), v3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_certificate_cases()))
+def test_gathered_certificate_matches_the_dense_commutators(case):
+    space, v = _certificate_cases()[case]
+    model = DecayModel(space, v)
+    want = _dense_certificate(space, np.eye(space.n_modes) if v is None else v)
+    assert want <= 1e-12
+    assert abs(model.certificate_defect - want) <= 1e-15
+
+
+@pytest.mark.parametrize("modes, want", [
+    # a mixed boson pair at cutoff 3 with no total: the rotated c_j leave the space
+    ([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=5.0, width=1.5, cutoff=3)], 2.107),
+    ([ModeSpec(width=0.5, cutoff=1), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)], 0.624),
+], ids=["bosons past the common cutoff", "boson with fermion"])
+def test_gathered_certificate_refuses_with_the_dense_defect(modes, want):
+    space, v = FockSpace(modes), mixing_matrix(MixingParams(theta=0.7))
+    dense = _dense_certificate(space, v)
+    assert round(dense, 3) == want
+    with pytest.raises(CertificateError, match=re.escape(f"defect {dense:.3e} ")):
+        DecayModel(space, v)
 
 
 def test_model_accepts_any_unitary_on_a_closed_space():
@@ -736,6 +790,16 @@ def test_expectations_check_every_state():
     hop = OperatorMatrix(space, np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
     with pytest.raises(InvariantViolation):
         expectations([vacuum_state(space), bad], hop)
+
+
+def test_a_nan_state_fails_the_expectation_residue_check():
+    # NaN compares False with any tolerance, so the check must be written to fail on it
+    space = single_mode_space(cutoff=1)
+    with pytest.raises(InvariantViolation, match="imaginary residue nan"):
+        channel.read_series([np.full((1, 2, 2), np.nan)], {"n": build_total_number(space)})
+    nan_state = DensityOperator(space, np.full((2, 2), np.nan), validate=False)
+    with pytest.raises(InvariantViolation, match="imaginary residue nan"):
+        expectation(nan_state, build_total_number(space))
 
 
 def test_binomial_occupation_distribution():

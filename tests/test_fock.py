@@ -23,7 +23,14 @@ from fockdecay import (
     vacuum_state,
 )
 from fockdecay.channel import occupation_distribution
-from fockdecay.fock import block_minima, check_densities, connected_blocks, hermitian_scale
+from fockdecay.fock import (
+    block_minima,
+    check_densities,
+    connected_blocks,
+    hermitian_scale,
+    one_body_correlations,
+    quadratic_form,
+)
 
 
 def boson(cutoff=4, mass=0.0, width=1.0):
@@ -264,6 +271,32 @@ def test_ladder_maps_on_mixed_statistics_sector_and_wide_spaces(modes, total):
     space = FockSpace(modes, total=total)
     _check_ladders(space)
     assert space.ladders is space.ladders  # one map per space, shared by every model on it
+
+
+small_mode_lists = st.lists(st.one_of(st.integers(0, 3).map(boson), st.just(fermion())), min_size=1, max_size=3)
+omega_entries = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                          allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=small_mode_lists, data=st.data())
+def test_quadratic_forms_are_the_dense_ladder_products(modes, data):
+    total = data.draw(st.one_of(st.none(), st.integers(0, sum(m.cutoff for m in modes))))
+    space = FockSpace(modes, total=total)
+    r = space.n_modes
+    omega = np.array(data.draw(st.lists(omega_entries, min_size=r * r, max_size=r * r))).reshape(r, r)
+    a = [build_annihilator(space, j).entries for j in range(1, r + 1)]
+    want = np.zeros((space.dimension,) * 2, dtype=complex)
+    for l, m in zip(*np.nonzero(omega)):
+        want += omega[l, m] * (a[l].conj().T @ a[m])
+    assert np.array_equal(quadratic_form(space, omega), want)
+    # the means of every a_l^dag a_m in a random state
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((space.dimension,) * 2) + 1j * rng.standard_normal((space.dimension,) * 2)
+    rho = raw @ raw.conj().T
+    rho = DensityOperator(space, rho / np.trace(rho))
+    dense = np.array([[np.trace(rho.matrix @ a[l].conj().T @ a[m]) for m in range(r)] for l in range(r)])
+    assert np.max(np.abs(one_body_correlations(rho) - dense)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from fockdecay import (
     build_kraus,
     build_mixed_model,
     build_total_number,
+    coherent_state,
     evolve_ladder,
     evolve_number,
     evolve_observable,
@@ -352,8 +353,7 @@ def test_grid_form_shares_the_operator_form_checks(rng):
     # the tolerance is relative to the observable's scale on both paths
     large = 1e6 * np.array([[1.0, 0.3], [0.3, -2.0]], dtype=complex)
     large[0, 1] += 1e-7
-    a_ops = [build_annihilator(model.space, j).entries for j in (1, 2)]
-    operator = OperatorMatrix(model.space, quadratic_form(large, a_ops))
+    operator = OperatorMatrix(model.space, quadratic_form(model.space, large))
     assert np.isfinite(mean_quadratic_trajectory(model, rho0, large, [0.5])).all()
     assert np.isfinite(expectations([rho0], operator)).all()
 
@@ -364,6 +364,42 @@ def test_grid_form_rejects_an_imaginary_expectation():
     state = DensityOperator(model.space, np.diag([0.0, 1.0 + 0.5j, 0.0]), validate=False)
     with pytest.raises(InvariantViolation, match="imaginary residue"):
         mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])
+
+
+def test_grid_form_rejects_a_nan_state():
+    # NaN compares False with any tolerance, so the residue check must be written to fail on it
+    model = single_model(cutoff=2)
+    state = DensityOperator(model.space, np.full((3, 3), np.nan), validate=False)
+    with pytest.raises(InvariantViolation, match="imaginary residue nan"):
+        mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])
+
+
+@pytest.mark.parametrize("case", ["mixed pair, coherent", "boson and fermion, mixture"])
+def test_mode_correlations_match_the_dense_trace(case):
+    if case == "mixed pair, coherent":
+        model = mixed_model(theta=1.1, phi=0.7, psi=1.3, chi=0.4)
+        rho0 = coherent_state(model.space, 1, 0.1 + 0.05j)
+    else:
+        model = build_decay_model(FockSpace([ModeSpec(mass=0.3, width=0.6, cutoff=3),
+                                             ModeSpec(Statistics.FERMION, mass=2.0, width=0.8)]))
+        rho0 = DensityOperator(model.space, 0.25 * number_state(model.space, (2, 1)).matrix
+                               + 0.75 * number_state(model.space, (3, 0)).matrix)
+    ops = [c.entries for c in model.decay_ops]
+    want = np.array([[np.trace(rho0.matrix @ cj.conj().T @ ck) for ck in ops] for cj in ops])
+    assert np.max(np.abs(heisenberg._mode_correlations(model, rho0) - want)) <= 1e-14
+
+
+def test_pair_amplitudes_refuse_a_non_finite_mass_difference():
+    # m t = 1e308 is finite for each mode, (m_1 - m_2) t = -2e308 is not
+    model = build_decay_model(FockSpace([ModeSpec(mass=-1e300, width=1e-12, cutoff=1),
+                                         ModeSpec(mass=1e300, width=1e-12, cutoff=1)]))
+    rho0 = number_state(model.space, (1, 0))
+    heisenberg._grid_amplitudes(model, [1e8])
+    omega = quadratic_omegas(2)["N"]
+    with pytest.raises(InvariantViolation, match="mass difference"):
+        mean_quadratic_trajectory(model, rho0, omega, [0.0, 1e8])
+    with pytest.raises(InvariantViolation, match="mass difference"):
+        evolve_quadratic(model, omega, 1e8)
 
 
 def _closed_forms():
@@ -408,8 +444,6 @@ def test_grid_amplitudes_equal_the_per_point_ones_bit_for_bit():
     assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))  # signed zeros too
     assert np.array_equal(np.ascontiguousarray(grid[-4:, 0]).view(np.uint64), np.zeros(8, dtype=np.uint64))
     assert grid[-4, 1] != 0
-    for t, row in zip(times, grid):
-        assert np.array_equal(heisenberg._mode_amplitudes(model, t).view(np.uint64), row.view(np.uint64))
     assert heisenberg._grid_amplitudes(model, []).shape == (0, 2)
     for bad in ([0.5, -1.0], [math.nan]):
         with pytest.raises(ValueError, match="time must be >= 0"):

@@ -588,6 +588,31 @@ def test_cli_runs_a_large_common_mass_on_the_kraus_route(tmp_path, capsys, state
         assert dev <= 2 * devs[0.0, obs]
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_keeps_the_coherence_pair_at_a_large_common_mass(tmp_path, capsys):
+    # conj(d_1) d_2 carries the phase (m_1 - m_2) t = -5 t, not the difference of two
+    # phases m t that round at ulp(m t): the closed forms agree with kraus as at m = 0
+    devs = {}
+    for mass in (0.0, 1e8, 1e12, 1e14):
+        cfg = tmp_path / "big.json"
+        out = tmp_path / f"out_{mass:g}"
+        cfg.write_text(json.dumps(make_config(
+            modes=[dict(MINIMAL["modes"][0], mass=mass, width=0.5, cutoff=3),
+                   dict(MINIMAL["modes"][0], mass=mass + 5.0, width=1.5, cutoff=3)],
+            mixing={"theta": 0.7}, initial_state={"type": "number", "occupations": [2, 1]},
+            routes=["kraus", "heisenberg"], observables=["Qplus", "Qminus"],
+            time_grid=dict(MINIMAL["time_grid"], stop=0.9371, count=7), output_path=str(out))))
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        for obs in ("Qplus", "Qminus"):
+            _, kraus = read_csv(out / f"minimal__kraus__{obs}.csv")
+            _, heis = read_csv(out / f"minimal__heisenberg__{obs}.csv")
+            got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
+            devs[mass, obs] = np.max(np.abs(got - want))
+    for (mass, obs), dev in devs.items():
+        assert dev <= 2 * devs[0.0, obs], (mass, obs, dev)
+
+
 @pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
 @pytest.mark.filterwarnings("error")
 def test_cli_runs_a_mass_near_the_float_limit_on_every_route(tmp_path, capsys, route):

@@ -1,6 +1,6 @@
-"""Time fockdecay's size ladder, one run per (row, routes), each in a fresh process.
+"""Time fockdecay's size ladder: each (row, routes) cell, several runs per checkout, each in a fresh process.
 
-    python3 tools/ladder.py [--root CHECKOUT]
+    python3 tools/ladder.py [--root CHECKOUT]...
 
 Every row is a scenario with 21 grid points to t = 2 (161 where its name
 ends in ``_t161``) and the observable N, with masses 0, 0.5, 1 and widths
@@ -23,21 +23,29 @@ last, theta = 0.7):
 Each run calls ``run_scenario`` on the row's config with one set of routes,
 in a new interpreter that imports fockdecay from ``CHECKOUT/src`` (default:
 the checkout holding this script), with BLAS pinned to one thread and a
-wall-clock cap of ``CAP_SECONDS``.  It prints one JSON line per run: the row,
-the routes, ``status`` ("ok", "timeout" or "error"), the ``run_scenario``
-wall time in seconds and the child's peak RSS in MB (both null unless ok),
-and for an error its last line.
+wall-clock cap of ``CAP_SECONDS``.  ``--root`` may be given more than once,
+to compare checkouts on the same machine state: each cell runs ``REPS``
+times per checkout, one run of every checkout per pass, and the checkout
+that goes first rotates from one pass to the next, over the whole ladder.
+It prints one JSON line per cell and checkout: the row, the routes, the
+checkout, ``status`` ("ok" when every run was, else the first other
+"timeout" or "error", with that error's last line), and the median, min
+and max of the ``run_scenario`` wall times in seconds and of the child's
+peak RSS in MB (all null unless ok).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 CAP_SECONDS = 150
+REPS = 3
 MASSES = (0.0, 0.5, 1.0)
 WIDTHS = (0.5, 1.0, 1.5)
 
@@ -127,15 +135,43 @@ def _run(doc: dict, routes: str, root: Path) -> dict:
     return record
 
 
+def _summary(runs: list[dict], root: Path) -> dict:
+    """One cell's line for one checkout: the first failed run's status and error with
+    null measures, or the median, min and max of each measure over the runs."""
+    failed = [run for run in runs if run["status"] != "ok"]
+    record = {**(failed or runs)[0], "root": str(root), "runs": len(runs)}
+    for key in ("seconds", "peak_rss_mb"):
+        values = [run[key] for run in runs]
+        record[key] = None if failed else {"median": statistics.median(values),
+                                           "min": min(values), "max": max(values)}
+    return record
+
+
+def cells(roots: Sequence[Path], rows=ROWS, reps: int = REPS,
+          run: Callable[[dict, str, Path], dict] = _run) -> Iterator[dict]:
+    """The :func:`_summary` of every (row, routes) cell for each of ``roots``, in
+    ladder order, each cell made of ``reps`` passes over the roots, every pass
+    starting one root later than the one before it."""
+    passes = 0
+    for doc, route_sets in rows:
+        for routes in route_sets:
+            runs = {root: [] for root in roots}
+            for _ in range(reps):
+                for k in range(len(roots)):
+                    root = roots[(passes + k) % len(roots)]
+                    runs[root].append(run(doc, routes, root))
+                passes += 1
+            yield from (_summary(runs[root], root) for root in roots)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/ladder.py", description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="source checkout to run (default: this script's)")
+    parser.add_argument("--root", type=Path, action="append",
+                        help="source checkout to run, repeatable (default: this script's)")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    for doc, route_sets in ROWS:
-        for routes in route_sets:
-            print(json.dumps(_run(doc, routes, root)), flush=True)
+    roots = [root.resolve() for root in args.root or [Path(__file__).resolve().parent.parent]]
+    for line in cells(roots):
+        print(json.dumps(line), flush=True)
     return 0
 
 
