@@ -438,7 +438,7 @@ def build_total_number(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(space.total_occupation.astype(complex)))
 
 
-def ladder_pair(space: FockSpace, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_pair(space: FockSpace, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, values) of a_l^dag a_m (0-based modes): column q holds values[q] in row rows[q] alone,
     as a_m |n_q> = amp_m[q] |n_r>, r = lower_m[q], and a_l^dag |n_r> = vals_l[r] |n_{cols_l[r]}>."""
     (cols, vals), _ = space.ladders[l]
@@ -447,18 +447,18 @@ def ladder_pair(space: FockSpace, l: int, m: int) -> tuple[np.ndarray, np.ndarra
 
 
 def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:
-    """sum_{lm} omega[l, m] a_l^dag a_m, one :func:`ladder_pair` scattered at a time; zero terms are skipped."""
+    """sum_{lm} omega[l, m] a_l^dag a_m, one :func:`_ladder_pair` scattered at a time; zero terms are skipped."""
     out = np.zeros((space.dimension,) * 2, dtype=complex)
     for l, m in zip(*np.nonzero(omega)):
-        rows, values = ladder_pair(space, l, m)
+        rows, values = _ladder_pair(space, l, m)
         out[rows, np.arange(space.dimension)] += omega[l, m] * values
     return out
 
 
 def one_body_correlations(rho: DensityOperator) -> np.ndarray:
-    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[q]] values[q] of :func:`ladder_pair`."""
+    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[q]] values[q] of :func:`_ladder_pair`."""
     r, q = rho.space.n_modes, np.arange(rho.space.dimension)
-    pairs = (ladder_pair(rho.space, l, m) for l, m in np.ndindex(r, r))
+    pairs = (_ladder_pair(rho.space, l, m) for l, m in np.ndindex(r, r))
     return np.array([np.sum(rho.matrix[q, rows] * values) for rows, values in pairs]).reshape(r, r)
 
 
