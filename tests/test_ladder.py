@@ -44,8 +44,8 @@ def test_cells_alternate_the_roots_and_summarise_each():
     assert lines[0]["seconds"] == {"median": 4.0, "min": 1.0, "max": 5.0}
     assert lines[0]["peak_rss_mb"] == {"median": 40.0, "min": 10.0, "max": 50.0}
     assert lines[1]["seconds"] == {"median": 3.0, "min": 2.0, "max": 6.0}
-    # kraus on b: one of its three runs timed out, so the cell has no measures
     assert lines[2]["seconds"] == {"median": 9.0, "min": 8.0, "max": 12.0}
+    # kraus on b: one of its three runs timed out, so the cell has no measures
     assert lines[3]["status"] == "timeout"
     assert lines[3]["seconds"] is None and lines[3]["peak_rss_mb"] is None
 
