@@ -453,15 +453,17 @@ def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarr
 
 
 def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray, rho: DensityOperator,
-                   rotated: np.ndarray, support: Support, blocks: Sequence[np.ndarray]) -> np.ndarray:
+                   rotated: np.ndarray, support: Support, blocks: Sequence[np.ndarray],
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """The (n, d, d) stack of states the channels of the stack make of rho, given
     also as ``rotated``, its values in the mode basis on ``support``, with the
-    trace kept to 1e-12 and each validated as a density operator on ``blocks``."""
+    trace kept to 1e-12 and each validated as a density operator on ``blocks``
+    (with ``scratch``, see :func:`fockdecay.fock.check_densities`)."""
     out = _channel_action(model, amplitudes, weights, rotated, support)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
-    check_densities(out, blocks)
+    check_densities(out, blocks, scratch)
     return out
 
 
@@ -506,15 +508,18 @@ def evolve_state(
 
 
 def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
-    chunk = _stack_points(model.space.dimension)
+    d = model.space.dimension
+    chunk = _stack_points(d)
     start = cache(partial(_grid_start, model, rho0))  # once per grid
+    # one scratch for every stack's check, so a stack allocates no temporary of its own size
+    scratch = np.empty((min(chunk, len(times)), d, d), dtype=complex)
     for first in range(0, len(times), chunk):
         part = times[first:first + chunk]
         try:
-            stack = _grid_stack(model, rho0, start, part)
+            stack = _grid_stack(model, rho0, start, part, scratch[:len(part)])
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_stack(model, rho0, start, [t])
+                _grid_stack(model, rho0, start, [t], scratch[:1])
             raise
         yield stack
 
@@ -528,10 +533,10 @@ def _grid_start(model: DecayModel, rho0: DensityOperator) -> tuple[Support, np.n
 
 def _grid_stack(model: DecayModel, rho0: DensityOperator,
                 start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...]]],
-                times: list[float]) -> np.ndarray:
+                times: list[float], scratch: np.ndarray) -> np.ndarray:
     amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
     support, rotated, blocks = start()
-    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks)
+    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks, scratch)
 
 
 def read_series(

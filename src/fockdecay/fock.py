@@ -342,15 +342,20 @@ def block_minima(matrices: np.ndarray, blocks: Sequence[np.ndarray]) -> tuple[np
     return lo, np.count_nonzero(matrices, axis=(1, 2)) - inside
 
 
-def check_densities(matrices: np.ndarray, blocks: Sequence[np.ndarray] | None = None) -> None:
+def check_densities(matrices: np.ndarray, blocks: Sequence[np.ndarray] | None = None,
+                    scratch: np.ndarray | None = None) -> None:
     """Raise InvariantViolation unless each matrix of the (n, d, d) stack is a
     density matrix: finite, Hermitian within HERMITICITY_TOL, of unit trace
     within TRACE_TOL, zero off ``blocks`` (by default those of the stack's
     exact-nonzero pattern) and with no eigenvalue on them below
-    EIGENVALUE_FLOOR.  Each check reports the first matrix that fails it."""
+    EIGENVALUE_FLOOR.  Each check reports the first matrix that fails it.
+    The Hermiticity defect is formed in ``scratch``, a complex array of the
+    stack's shape, when given, or in one new such array."""
     if not np.isfinite(matrices).all():
         raise InvariantViolation("density matrix has a non-finite entry")
-    herm = np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    diff = np.conjugate(matrices.swapaxes(-1, -2), out=scratch)
+    np.subtract(matrices, diff, out=diff)
+    herm = np.max(np.abs(diff), axis=(-2, -1))
     if (herm > HERMITICITY_TOL).any():
         raise InvariantViolation(
             f"density matrix not Hermitian: defect {herm[herm > HERMITICITY_TOL][0]:.3e}")

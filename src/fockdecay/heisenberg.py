@@ -96,12 +96,6 @@ def _pair_amplitudes(model: DecayModel, times) -> np.ndarray:
     return size[:, :, None] * size[:, None, :] * np.exp(1j * phase)
 
 
-def _mode_correlations(model: DecayModel, rho0: DensityOperator) -> np.ndarray:
-    """G[j, k] = tr(rho0 c_j^dag c_k) = (V T V^dag)[j, k], T = :func:`one_body_correlations`, one sum per entry."""
-    gram, v = one_body_correlations(rho0), model.mixing_unitary
-    return np.einsum("jl,lm,km->jk", v, gram, v.conj()) if model.is_mixed else gram
-
-
 def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> OperatorMatrix:
     """Closed-form adjoint evolution of sum_{lm} omega[l, m] a_l^dag a_m.
 
@@ -123,9 +117,9 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
                                 omegas: Mapping[str, np.ndarray], times) -> dict[str, np.ndarray]:
     """For each named omega, tr(rho0 evolve_quadratic(model, omega, t)) for every t.
 
-    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k) (see
-    :func:`_mode_correlations`) and the time only through the (T, r, r) pair
-    amplitudes conj(d_j(t)) d_k(t), both computed once for all omegas:
+    rho0 enters only through G[j, k] = tr(rho0 c_j^dag c_k), G = V T V^dag with
+    T = :func:`one_body_correlations`, and the time only through the (T, r, r)
+    pair amplitudes conj(d_j(t)) d_k(t), both computed once for all omegas:
     <Omega(t)> = sum_{jk} coeff[j, k] conj(d_j(t)) d_k(t) G[j, k].
     """
     coeffs = {}
@@ -134,7 +128,9 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
         hermitian_scale(omega)
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    gram = _mode_correlations(model, rho0)
+    gram, v = one_body_correlations(rho0), model.mixing_unitary
+    if model.is_mixed:  # one sum per entry, not two matmuls, whose order rounds differently
+        gram = np.einsum("jl,lm,km->jk", v, gram, v.conj())
     pairs = _pair_amplitudes(model, times)
     out = {}
     for name, coeff in coeffs.items():

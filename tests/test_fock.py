@@ -436,6 +436,20 @@ def test_density_checks_refuse_a_non_finite_entry(bad):
         occupation_distribution(DensityOperator(space, np.diag([bad, 0.5]), validate=False))
 
 
+def test_density_checks_form_the_hermiticity_defect_in_a_given_scratch():
+    # the same refusal with and without a scratch, the stack left as it was
+    good = np.diag([0.5, 0.5]).astype(complex)
+    bad = good + np.array([[0.0, 0.25], [0.0, 0.0]])
+    stack = np.array([good, bad])
+    kept = stack.copy()
+    scratch = np.empty_like(stack)
+    for given in (None, scratch):
+        with pytest.raises(InvariantViolation, match="not Hermitian: defect 2.500e-01"):
+            check_densities(stack, scratch=given)
+    assert np.array_equal(stack, kept)
+    assert np.array_equal(scratch, stack - stack.conj().swapaxes(-1, -2))  # the defect was formed there
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues per connected block
 

@@ -34,7 +34,7 @@ from fockdecay import (
     number_state,
 )
 from fockdecay.flavour import quadratic_omegas
-from fockdecay.fock import quadratic_form
+from fockdecay.fock import one_body_correlations, quadratic_form
 import fockdecay.heisenberg as heisenberg
 from fockdecay.channel import _decay_amplitude
 from fockdecay.heisenberg import mean_quadratic_trajectories, mean_quadratic_trajectory
@@ -375,7 +375,7 @@ def test_grid_form_rejects_a_nan_state():
 
 
 @pytest.mark.parametrize("case", ["mixed pair, coherent", "boson and fermion, mixture"])
-def test_mode_correlations_match_the_dense_trace(case):
+def test_rotated_one_body_correlations_match_the_dense_trace(case):
     if case == "mixed pair, coherent":
         model = mixed_model(theta=1.1, phi=0.7, psi=1.3, chi=0.4)
         rho0 = coherent_state(model.space, 1, 0.1 + 0.05j)
@@ -386,7 +386,10 @@ def test_mode_correlations_match_the_dense_trace(case):
                                + 0.75 * number_state(model.space, (3, 0)).matrix)
     ops = [c.entries for c in model.decay_ops]
     want = np.array([[np.trace(rho0.matrix @ cj.conj().T @ ck) for ck in ops] for cj in ops])
-    assert np.max(np.abs(heisenberg._mode_correlations(model, rho0) - want)) <= 1e-14
+    # G = V T V^dag, as mean_quadratic_trajectories forms it
+    v = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
+    gram = np.einsum("jl,lm,km->jk", v, one_body_correlations(rho0), v.conj())
+    assert np.max(np.abs(gram - want)) <= 1e-14
 
 
 def test_pair_amplitudes_refuse_a_non_finite_mass_difference():

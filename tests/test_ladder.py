@@ -34,7 +34,7 @@ def test_cells_alternate_the_roots_and_summarise_each():
                 "seconds": float(len(calls)), "peak_rss_mb": 10.0 * len(calls)}
 
     rows = [({"name": "one"}, ("heisenberg", "kraus"))]
-    lines = list(ladder.cells(["a", "b"], rows=rows, reps=3, run=run))
+    lines = list(ladder.cells(["a", "b"], rows=rows, run=run))
     assert [root for _, _, root in calls] == ["a", "b", "b", "a", "a", "b",  # heisenberg
                                               "b", "a", "a", "b", "b", "a"]  # kraus
     assert [(line["row"], line["routes"], line["root"]) for line in lines] == [

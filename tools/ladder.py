@@ -147,16 +147,16 @@ def _summary(runs: list[dict], root: Path) -> dict:
     return record
 
 
-def cells(roots: Sequence[Path], rows=ROWS, reps: int = REPS,
+def cells(roots: Sequence[Path], rows=ROWS,
           run: Callable[[dict, str, Path], dict] = _run) -> Iterator[dict]:
     """The :func:`_summary` of every (row, routes) cell for each of ``roots``, in
-    ladder order, each cell made of ``reps`` passes over the roots, every pass
+    ladder order, each cell made of ``REPS`` passes over the roots, every pass
     starting one root later than the one before it."""
     passes = 0
     for doc, route_sets in rows:
         for routes in route_sets:
             runs = {root: [] for root in roots}
-            for _ in range(reps):
+            for _ in range(REPS):
                 for k in range(len(roots)):
                     root = roots[(passes + k) % len(roots)]
                     runs[root].append(run(doc, routes, root))
