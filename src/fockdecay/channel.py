@@ -508,35 +508,37 @@ def evolve_state(
 
 
 def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
-    d = model.space.dimension
-    chunk = _stack_points(d)
-    start = cache(partial(_grid_start, model, rho0))  # once per grid
-    # one scratch for every stack's check, so a stack allocates no temporary of its own size
-    scratch = np.empty((min(chunk, len(times)), d, d), dtype=complex)
+    chunk = _stack_points(model.space.dimension)
+    start = cache(partial(_grid_start, model, rho0, min(chunk, len(times))))  # once per grid
     for first in range(0, len(times), chunk):
         part = times[first:first + chunk]
         try:
-            stack = _grid_stack(model, rho0, start, part, scratch[:len(part)])
+            stack = _grid_stack(model, rho0, start, part)
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_stack(model, rho0, start, [t], scratch[:1])
+                _grid_stack(model, rho0, start, [t])
             raise
         yield stack
 
 
-def _grid_start(model: DecayModel, rho0: DensityOperator) -> tuple[Support, np.ndarray, tuple[np.ndarray, ...]]:
-    """rho0's support in the mode basis, its values there and the states' blocks."""
+def _grid_start(model: DecayModel, rho0: DensityOperator,
+                points: int) -> tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """rho0's support in the mode basis, its values there, the states' blocks and
+    the scratch of every stack's check (of at most ``points`` states; see
+    :func:`fockdecay.fock.check_densities`), made after the first stack's
+    channels have built W, so that W's build does not hold it too."""
     y0 = _to_mode_basis(model, rho0.matrix)
     support = _state_support(model, y0)
-    return support, support.values(y0), _state_blocks(model, support)
+    scratch = np.empty((points, model.space.dimension, model.space.dimension), dtype=complex)
+    return support, support.values(y0), _state_blocks(model, support), scratch
 
 
 def _grid_stack(model: DecayModel, rho0: DensityOperator,
-                start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...]]],
-                times: list[float], scratch: np.ndarray) -> np.ndarray:
+                start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]],
+                times: list[float]) -> np.ndarray:
     amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
-    support, rotated, blocks = start()
-    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks, scratch)
+    support, rotated, blocks, scratch = start()
+    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks, scratch[:len(times)])
 
 
 def read_series(

@@ -443,28 +443,30 @@ def build_total_number(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(space.total_occupation.astype(complex)))
 
 
-def _ladder_pair(space: FockSpace, l: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, values) of a_l^dag a_m (0-based modes): column q holds values[q] in row rows[q] alone,
-    as a_m |n_q> = amp_m[q] |n_r>, r = lower_m[q], and a_l^dag |n_r> = vals_l[r] |n_{cols_l[r]}>."""
-    (cols, vals), _ = space.ladders[l]
-    lower, amp = space.ladders[m][1]
-    return cols[lower], vals[lower] * amp
+def _ladder_pairs(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values), each (r, r, d): column q of a_l^dag a_m (0-based modes) holds values[l, m, q] in
+    row rows[l, m, q] alone, as a_m |n_q> = amp_m[q] |n_k>, k = lower_m[q], and a_l^dag |n_k> =
+    vals_l[k] |n_{cols_l[k]}>."""
+    up, down = zip(*space.ladders)
+    (cols, vals), (lower, amp) = (map(np.array, zip(*plans)) for plans in (up, down))
+    return cols[:, lower], vals[:, lower] * amp
 
 
 def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:
-    """sum_{lm} omega[l, m] a_l^dag a_m, one :func:`_ladder_pair` scattered at a time; zero terms are skipped."""
+    """sum_{lm} omega[l, m] a_l^dag a_m, one of :func:`_ladder_pairs` scattered at a time; zero terms are skipped."""
+    rows, values = _ladder_pairs(space)
     out = np.zeros((space.dimension,) * 2, dtype=complex)
     for l, m in zip(*np.nonzero(omega)):
-        rows, values = _ladder_pair(space, l, m)
-        out[rows, np.arange(space.dimension)] += omega[l, m] * values
+        out[rows[l, m], np.arange(space.dimension)] += omega[l, m] * values[l, m]
     return out
 
 
 def one_body_correlations(rho: DensityOperator) -> np.ndarray:
-    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[q]] values[q] of :func:`_ladder_pair`."""
-    r, q = rho.space.n_modes, np.arange(rho.space.dimension)
-    pairs = (_ladder_pair(rho.space, l, m) for l, m in np.ndindex(r, r))
-    return np.array([np.sum(rho.matrix[q, rows] * values) for rows, values in pairs]).reshape(r, r)
+    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[l, m, q]] values[l, m, q] of
+    :func:`_ladder_pairs`."""
+    rows, values = _ladder_pairs(rho.space)
+    terms = rho.matrix[np.arange(rho.space.dimension), rows] * values  # laid out q-major, as gathered
+    return np.sum(np.ascontiguousarray(terms), axis=-1)  # so each (l, m) is one pairwise sum over q
 
 
 def number_state(space: FockSpace, occupations) -> DensityOperator:
