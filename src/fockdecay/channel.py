@@ -524,9 +524,8 @@ def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) 
 def _grid_start(model: DecayModel, rho0: DensityOperator,
                 points: int) -> tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """rho0's support in the mode basis, its values there, the states' blocks and
-    the scratch of every stack's check (of at most ``points`` states; see
-    :func:`fockdecay.fock.check_densities`), made after the first stack's
-    channels have built W, so that W's build does not hold it too."""
+    one scratch for the checks of every stack of at most ``points`` states (see
+    :func:`fockdecay.fock.check_densities`)."""
     y0 = _to_mode_basis(model, rho0.matrix)
     support = _state_support(model, y0)
     scratch = np.empty((points, model.space.dimension, model.space.dimension), dtype=complex)
