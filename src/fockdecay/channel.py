@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .config import CertificateError
 from .fock import (
     DensityOperator,
     FockSpace,
@@ -55,10 +56,6 @@ def _stack_points(dim: int) -> int:
     return max(1, STACK_BYTES // (16 * dim * dim))
 
 
-class CertificateError(ValueError):
-    """The decay operators do not shift the non-Hermitian generator as required."""
-
-
 @dataclass(frozen=True, eq=False)
 class DecayModel:
     """Decay operators and the non-Hermitian generator M of one dissipative
@@ -80,7 +77,8 @@ class DecayModel:
     ``certificate_defect``, gathered one [M, a_l] at a time, is within
     ``CERTIFICATE_TOL``: this refuses a V under which the space is not
     closed, such as a mixed boson pair past its common cutoff.  The
-    ``mode_basis`` its Kraus channels use is built on their first use.
+    ``mode_basis`` its Kraus channels use, and its conjugate, are built on
+    their first use.
     """
 
     space: FockSpace
@@ -149,6 +147,15 @@ class DecayModel:
     def mode_basis(self) -> np.ndarray | None:
         """W, the Fock-space rotation of V with c_j W = W a_j (None unmixed); see :attr:`_rotation`."""
         return self._rotation[0]
+
+    @cached_property
+    def _mode_basis_conj(self) -> np.ndarray | None:
+        """conj(W), formed once per model (None unmixed): W^dag is its transpose."""
+        if not self.is_mixed:
+            return None
+        wc = self.mode_basis.conj()
+        wc.setflags(write=False)
+        return wc
 
     @cached_property
     def _rotation(self) -> tuple[np.ndarray | None, float]:
@@ -286,13 +293,13 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
 def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
     """W^dag X W, or X itself for an unmixed model."""
     w = model.mode_basis
-    return x if w is None else w.conj().T @ x @ w
+    return x if w is None else model._mode_basis_conj.T @ x @ w
 
 
 def _from_mode_basis(model: DecayModel, y: np.ndarray) -> np.ndarray:
     """W Y W^dag on the last two axes, or Y itself for an unmixed model."""
     w = model.mode_basis
-    return y if w is None else w @ y @ w.conj().T
+    return y if w is None else w @ y @ model._mode_basis_conj.T
 
 
 def _check_finite(stack: np.ndarray, what: str, times: Sequence[float]) -> None:

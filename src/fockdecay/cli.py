@@ -1,5 +1,10 @@
 """Command-line front end: validate and run scenario configs.
 
+``validate`` reads the config alone, through :mod:`fockdecay.config`: it
+checks the initial state's tail weight and the RK4 step with the same
+functions a run calls, and loads neither numpy nor the routes.  ``run``
+imports the run side when it starts.
+
 Exit codes: 0 success, 1 config error, 2 runtime invariant breach or I/O
 failure while producing outputs.
 """
@@ -8,9 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import CertificateError
-from .fock import InvariantViolation, TruncationError
-from .scenario import ConfigError, load_config, run_scenario, validate_config
+from .config import (
+    CertificateError,
+    ConfigError,
+    InvariantViolation,
+    TruncationError,
+    load_config,
+    validate_config,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,6 +63,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"valid: {cfg.name} ({len(cfg.modes)} modes, {cfg.time_grid.count} time points)")
         return 0
+
+    from .scenario import run_scenario
 
     routes = None
     if args.routes is not None:

@@ -7,36 +7,12 @@ the flavour charge oscillate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channel import DecayModel
-from .fock import FockSpace, ModeSpec, OperatorMatrix, quadratic_form
-
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class MixingParams:
-    """Mixing angles (theta, phi, psi) plus a global phase chi.
-
-    Angles are stored reduced to [0, 2*pi) so serialized configs have a
-    canonical form; the reduction changes nothing observable.
-    """
-
-    theta: float = 0.0
-    phi: float = 0.0
-    psi: float = 0.0
-    chi: float = 0.0
-
-    def __post_init__(self):
-        for name in ("theta", "phi", "psi", "chi"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value % TWO_PI)
+from .config import MixingParams, mixing_total_bound
+from .fock import FockSpace, OperatorMatrix, quadratic_form
 
 
 def mixing_matrix(params: MixingParams) -> np.ndarray:
@@ -53,16 +29,6 @@ def mixing_matrix(params: MixingParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def mixing_total_bound(modes: Sequence[ModeSpec]) -> int | None:
-    """Largest total occupation on which a mixed pair of ``modes`` is exact.
-
-    The rotated c_j move quanta between the modes, so a boson pair with
-    common cutoff c is closed under them only on the sectors of total <= c;
-    a fermion pair is exact on its whole space, so it has no bound.
-    """
-    return None if modes[0].is_fermion else modes[0].cutoff
 
 
 def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:

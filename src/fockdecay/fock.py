@@ -10,59 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .config import TAIL_TOL, InvariantViolation, ModeSpec, Statistics, TruncationError  # noqa: F401
+from .config import truncated_terms
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-TAIL_TOL = 1e-10
 # Entries of a support up to which its indices are intp, and int32 beyond
 SMALL_SUPPORT = 2**14
-
-
-class InvariantViolation(RuntimeError):
-    """A numerical contract that should hold by construction was broken."""
-
-
-class TruncationError(ValueError):
-    """Requested state content does not fit inside the truncated basis."""
-
-
-class Statistics(Enum):
-    BOSON = "boson"
-    FERMION = "fermion"
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """One particle type: exchange statistics, mass, decay width, cutoff.
-
-    ``cutoff`` is the largest retained occupation of the mode.  Fermionic
-    modes are always stored with cutoff 1, whatever was passed in.
-    """
-
-    statistics: Statistics = Statistics.BOSON
-    mass: float = 0.0
-    width: float = 0.0
-    cutoff: int = 8
-
-    def __post_init__(self):
-        if not math.isfinite(self.mass):
-            raise ValueError(f"mass must be finite, got {self.mass}")
-        if not (math.isfinite(self.width) and self.width >= 0.0):
-            raise ValueError(f"width must be >= 0, got {self.width}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        if self.statistics is Statistics.FERMION and self.cutoff != 1:
-            object.__setattr__(self, "cutoff", 1)
-
-    @property
-    def is_fermion(self) -> bool:
-        return self.statistics is Statistics.FERMION
 
 
 def sector_occupations(cutoffs: Sequence[int], total: int) -> np.ndarray:
@@ -506,22 +466,8 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> DensityOperat
     j = _check_mode(space, mode)
     if space.modes[j].is_fermion:
         raise ValueError(f"mode {mode} is fermionic; coherent states need a bosonic mode")
-    alpha = complex(alpha)
-    cutoff = space.modes[j].cutoff
-    nbar = abs(alpha) * abs(alpha)  # inf, not OverflowError, for a huge alpha
-    # amp_k = amp_{k-1} alpha / sqrt(k) stays <= 1, so no power or factorial overflows
-    amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * nbar)
-    for k in range(1, cutoff + 1):
-        amps[k] = amps[k - 1] * alpha / math.sqrt(k)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    tail = max(0.0, 1.0 - kept)
-    if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"coherent state |alpha|^2={nbar:.6g} leaves weight {tail:.3e} beyond "
-            f"cutoff {cutoff} (tolerance {TAIL_TOL})"
-        )
-    amps /= math.sqrt(kept)
+    amps, kept, tail = truncated_terms("coherent", alpha, space.modes[j].cutoff)
+    amps = np.array(amps) / math.sqrt(kept)
     vec = _single_mode_embedding(space, j, amps)
     return DensityOperator(space, np.outer(vec, vec.conj()), tail_weight=tail)
 
@@ -534,20 +480,8 @@ def poisson_mixture(space: FockSpace, mode: int, nbar: float) -> DensityOperator
     nbar = float(nbar)
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    cutoff = space.modes[j].cutoff
-    # w_k = w_{k-1} nbar / k stays <= 1, so no power or factorial overflows
-    weights = np.empty(cutoff + 1)
-    weights[0] = math.exp(-nbar)
-    for k in range(1, cutoff + 1):
-        weights[k] = weights[k - 1] * nbar / k
-    kept = float(weights.sum())
-    tail = max(0.0, 1.0 - kept)
-    if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"Poisson mixture nbar={nbar:.6g} leaves weight {tail:.3e} beyond "
-            f"cutoff {cutoff} (tolerance {TAIL_TOL})"
-        )
-    weights /= kept
+    weights, kept, tail = truncated_terms("poisson", nbar, space.modes[j].cutoff)
+    weights = np.array(weights) / kept
     mat = np.zeros((space.dimension, space.dimension), dtype=complex)
     for n, p in enumerate(weights):
         occ = [0] * space.n_modes

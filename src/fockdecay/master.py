@@ -25,14 +25,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import DecayModel, Result, _as_states, _stack_points
+from .config import STEP_MATCH_TOL, StepError, default_step, steps_for  # noqa: F401
 from .fock import DensityOperator, InvariantViolation, block_minima, closed_support, connected_blocks
 
 EIG_EXCURSION_FLOOR = -1e-8
-STEP_MATCH_TOL = 1e-9
-
-
-class StepError(ValueError):
-    """The RK4 step does not fit the requested times."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,24 +72,6 @@ class GeneratorAction:
 
 def build_generator(model: DecayModel) -> GeneratorAction:
     return GeneratorAction(model)
-
-
-def steps_for(times: Sequence[float], step: float) -> list[int]:
-    """The number of RK4 steps to each of ``times``, which must be multiples of ``step``;
-    the grid is checked in one pass, and an error names the first time that fails."""
-    t = np.asarray(times, dtype=float)
-    step = float(step)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
-        ratio = t / step
-        n = np.rint(ratio)
-        bad = ~(np.abs(n * step - t) <= STEP_MATCH_TOL * np.maximum(1.0, np.abs(t)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not math.isfinite(ratio[i]):
-            raise StepError(f"time {float(t[i])!r} over step {step!r} is not a finite step count")
-        raise StepError(f"time {float(t[i])!r} is not a multiple of step {step!r}; "
-                        "interpolation is not supported")
-    return list(map(int, n.tolist()))
 
 
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,9 +275,3 @@ def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float],
     raise InvariantViolation(
         f"RK4 state eigenvalue {lo[i]:.3e} below {EIG_EXCURSION_FLOOR} at t={times[i]}"
     )
-
-
-def default_step(widths: Sequence[float]) -> float:
-    """1e-3 in units of the fastest width (1e-3 raw when nothing decays)."""
-    gmax = max(widths, default=0.0)
-    return 1e-3 / gmax if gmax > 0 else 1e-3

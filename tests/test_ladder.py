@@ -14,7 +14,7 @@ _spec.loader.exec_module(ladder)
 
 @pytest.mark.parametrize("doc, route_sets", ladder.ROWS, ids=[doc["name"] for doc, _ in ladder.ROWS])
 def test_ladder_rows_are_valid_configs(doc, route_sets):
-    # parsed and validated as a run would be (space, initial state, ode step), but not run
+    # parsed and validated as a run would be (the initial state's tail, the ode step), but not run
     cfg = parse_config(json.dumps(doc))
     validate_config(cfg)
     for routes in route_sets:

@@ -636,7 +636,7 @@ def test_no_command_imports_scipy(tmp_path, args):
     script = ("import sys\n"
               "from fockdecay.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n")
+              "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules, 'numpy' in sys.modules)\n")
     doc = json.loads((CONFIGS / "fig1_number.json").read_text())
     doc["observables"] = ["N"]  # occupations would need a state-side route
     config = tmp_path / "fig1_number.json"
@@ -648,7 +648,10 @@ def test_no_command_imports_scipy(tmp_path, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False False"  # nor numpy.ma, which a plain np.unique loads
+    code, scipy, numpy_ma, numpy = done.stdout.splitlines()[-1].split()
+    assert (code, scipy, numpy_ma) == ("0", "False", "False")  # nor numpy.ma, which a plain np.unique loads
+    if args[0] == "validate":  # validate reads the config alone
+        assert numpy == "False"
 
 
 def test_cli_missing_file(capsys):
@@ -781,6 +784,10 @@ def test_cli_refuses_undecodable_documents_and_strings(tmp_path, capsys, documen
                      "CONFIG_TIME_GRID_STEP at $.time_grid", id="default-step-misses-start"),
         pytest.param(("validate", "run"), {"ode_step": 0.3, "routes": ["kraus", "ode"]},
                      "CONFIG_TIME_GRID_STEP at $.ode_step", id="ode-step-misses-grid"),
+        # |alpha| itself is past the float range
+        pytest.param(("validate", "run"), {"initial_state": {"type": "coherent", "mode": 1,
+                                                             "alpha": [1.7e308, 1.7e308]}},
+                     "CONFIG_STATE_TAIL", id="alpha-modulus-overflows"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -862,7 +869,7 @@ def _reference_series(cfg, mix, route, name):
     """One route's series of one observable, from the list wrappers: T rows of columns."""
     space = build_space(cfg)
     rho0 = build_initial_state(cfg, space)
-    times = cfg.time_grid.times()
+    times = np.linspace(cfg.time_grid.start, cfg.time_grid.stop, cfg.time_grid.count)
     model = build_decay_model(space) if mix is None else build_mixed_model(space, mix)
     phi = mix.phi if mix is not None else 0.0
     if route == "heisenberg":
@@ -871,7 +878,7 @@ def _reference_series(cfg, mix, route, name):
     if route == "kraus":
         states = evolve_state(model, rho0, times)
     else:
-        states = integrate(build_generator(model), rho0, times, scenario._ode_step(cfg, times))
+        states = integrate(build_generator(model), rho0, times, scenario._ode_step(cfg))
     if name != "occupations":
         return [[v] for v in expectations(states, build_quadratic_observables(space, phi)[name])]
     _, from_s = scenario._occupation_columns(space)
@@ -895,7 +902,7 @@ def test_each_csv_is_its_series_written_row_by_row(tmp_path, overrides):
     cfg = parse_config(json.dumps(doc))
     result = run_scenario(cfg, out_dir=tmp_path)
     sweep = list(cfg.mixing) if cfg.mixing else [None]
-    times = cfg.time_grid.times()
+    times = np.linspace(cfg.time_grid.start, cfg.time_grid.stop, cfg.time_grid.count)
     t_scaled = times * scenario._mean_width(cfg.modes) if cfg.mixing else times
     seen = 0
     for ti, mix in enumerate(sweep):
