@@ -49,7 +49,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
