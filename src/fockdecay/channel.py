@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -26,11 +26,11 @@ from .fock import (
     FockSpace,
     InvariantViolation,
     OperatorMatrix,
-    build_annihilator,
     Support,
     check_densities,
     closed_support,
     connected_blocks,
+    linear_form,
     quadratic_form,
 )
 
@@ -66,48 +66,41 @@ class DecayModel:
     c_j = ``decay_ops[j]``.  Without ``mixing_unitary`` c_j = a_j, the
     annihilator of mode j.  With it, V must be an n x n matrix (n the number
     of modes) with max |V V^dag - 1| within ``MIXING_TOL`` (a ValueError
-    otherwise), and c_j = sum_l conj(V[j, l]) a_l, summed over l in order.
-    Each c_j thus lowers the total occupation by exactly one.  Construction
-    builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, mu_j = m_j - i Gamma_j
-    / 2, as the quadratic forms sum_lm Omega_lm a_l^dag a_m of its mass part,
-    Omega = V^T diag(m) conj(V), and of its decay part, V^T diag(-Gamma / 2)
-    conj(V) (both diagonal unmixed), read from the space's ladder maps with
-    no matrix product.  It refuses the model unless M is finite with a
-    Hermitian mass part and the relative defect of [M, c_j] = -mu_j c_j,
-    ``certificate_defect``, gathered one [M, a_l] at a time, is within
-    ``CERTIFICATE_TOL``: this refuses a V under which the space is not
+    otherwise), and c_j = sum_l conj(V[j, l]) a_l, a :func:`linear_form`.
+    Each c_j thus lowers the total occupation by exactly one.  The c_j are
+    built on the first read of ``decay_ops``, which no closed form makes.
+    Construction builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, mu_j =
+    m_j - i Gamma_j / 2, as the quadratic forms sum_lm Omega_lm a_l^dag a_m
+    of its mass part, Omega = V^T diag(m) conj(V), and of its decay part, V^T
+    diag(-Gamma / 2) conj(V) (both diagonal unmixed), read from the space's
+    ladder maps with no matrix product.  It refuses the model unless M is
+    finite with a Hermitian mass part and the relative defect of [M, c_j] =
+    -mu_j c_j, ``certificate_defect``, gathered one [M, a_l] at a time, is
+    within ``CERTIFICATE_TOL``: this refuses a V under which the space is not
     closed, such as a mixed boson pair past its common cutoff.  The
-    ``mode_basis`` its Kraus channels use, and its conjugate, are built on
-    their first use.
+    ``mode_basis`` its Kraus channels use is built on its first use.
     """
 
     space: FockSpace
     mixing_unitary: np.ndarray | None = None
-    decay_ops: tuple[OperatorMatrix, ...] = field(init=False, repr=False)
     m_operator: OperatorMatrix = field(init=False, repr=False)
     certificate_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        space = self.space
-        ops = tuple(build_annihilator(space, l) for l in range(1, space.n_modes + 1))
+        space, r = self.space, self.space.n_modes
         if self.mixing_unitary is not None:
             try:
                 v = np.array(self.mixing_unitary, dtype=complex)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"mixing_unitary must be a numeric matrix: {exc}") from None
-            if v.shape != (len(ops), len(ops)):
-                raise ValueError(f"mixing_unitary must be {len(ops)}x{len(ops)}, got shape {v.shape}")
-            unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(len(ops)))))
+            if v.shape != (r, r):
+                raise ValueError(f"mixing_unitary must be {r}x{r}, got shape {v.shape}")
+            unitarity = float(np.max(np.abs(v @ v.conj().T - np.eye(r))))
             if not unitarity <= MIXING_TOL:
                 raise ValueError(f"mixing_unitary is not unitary: defect {unitarity:.3e} "
                                  f"exceeds {MIXING_TOL}")
             v.setflags(write=False)
             object.__setattr__(self, "mixing_unitary", v)
-            # c_j = sum_l conj(V[j, l]) a_l, summed left to right
-            ops = tuple(OperatorMatrix(space, reduce(np.add, (v_jl.conjugate() * a_l.entries
-                                                              for v_jl, a_l in zip(row, ops))))
-                        for row in v)
-        object.__setattr__(self, "decay_ops", ops)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             ham = quadratic_form(space, self._on_ladders(np.diag(self.masses)))
             kay = quadratic_form(space, self._on_ladders(-0.5 * np.diag(self.widths)))
@@ -139,6 +132,17 @@ class DecayModel:
     def is_mixed(self) -> bool:
         return self.mixing_unitary is not None
 
+    @property
+    def _couplings(self) -> np.ndarray:
+        """V, or the identity unmixed: c_j = sum_l conj(V[j, l]) a_l."""
+        return self.mixing_unitary if self.is_mixed else np.eye(self.space.n_modes)
+
+    @cached_property
+    def decay_ops(self) -> tuple[OperatorMatrix, ...]:
+        """The c_j, each the :func:`linear_form` of its row of conj(V), built on first read."""
+        return tuple(OperatorMatrix(self.space, linear_form(self.space, row.conj()))
+                     for row in self._couplings)
+
     def _on_ladders(self, coeff: np.ndarray) -> np.ndarray:
         """V^T coeff conj(V) (coeff unmixed): the omega of sum_jk coeff[j, k] c_j^dag c_k."""
         return self.mixing_unitary.T @ coeff @ self.mixing_unitary.conj() if self.is_mixed else coeff
@@ -149,19 +153,11 @@ class DecayModel:
         return self._rotation[0]
 
     @cached_property
-    def _mode_basis_conj(self) -> np.ndarray | None:
-        """conj(W), formed once per model (None unmixed): W^dag is its transpose."""
-        if not self.is_mixed:
-            return None
-        wc = self.mode_basis.conj()
-        wc.setflags(write=False)
-        return wc
-
-    @cached_property
     def _rotation(self) -> tuple[np.ndarray | None, float]:
         """(W, ||W^dag W - 1||_2), or (None, 0.0) unmixed.  Column n of W is
-        prod_j (c_j^dag)^{n_j} |0> / sqrt(prod_j n_j!), formed as c_j^dag of the
-        column of n - e_j (the space's ladder map) over sqrt(n_j), j the first
+        prod_j (c_j^dag)^{n_j} |0> / sqrt(prod_j n_j!), formed as c_j^dag (the
+        adjoint of its :func:`linear_form`, held until W is built) of the column
+        of n - e_j (the space's ladder map) over sqrt(n_j), j the first
         occupied mode of n (no Jordan-Wigner sign), then one Newton-Schulz step
         W <- W (3 - W^dag W) / 2.  Refused: ||W^dag W - 1||_2 above
         ``MODE_BASIS_TOL``, and W^dag M W off diag(m_ref N + lambda) by more than
@@ -172,7 +168,7 @@ class DecayModel:
         occ, totals = space.occupation_array, space.total_occupation
         first = np.argmax(occ > 0, axis=1)
         w = eye.astype(complex)  # the vacuum's column; every other one is overwritten
-        raising = [c.entries.conj().T for c in self.decay_ops]
+        raising = [linear_form(space, row.conj()).conj().T for row in self.mixing_unitary]
         for total in range(1, space.total + 1):
             for j, c_dag in enumerate(raising):
                 cols = np.flatnonzero((totals == total) & (first == j))
@@ -180,6 +176,7 @@ class DecayModel:
                 block.real /= np.sqrt(occ[cols, j])  # real divisions: sqrt(n) / sqrt(n) is exactly 1
                 block.imag /= np.sqrt(occ[cols, j])
                 w[:, cols] = block
+        del raising
         w = w @ (3.0 * eye - w.conj().T @ w) / 2.0
         defect = float(np.linalg.norm(w.conj().T @ w - eye, 2))
         if not defect <= MODE_BASIS_TOL:
@@ -293,13 +290,13 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
 def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
     """W^dag X W, or X itself for an unmixed model."""
     w = model.mode_basis
-    return x if w is None else model._mode_basis_conj.T @ x @ w
+    return x if w is None else w.conj().T @ x @ w
 
 
 def _from_mode_basis(model: DecayModel, y: np.ndarray) -> np.ndarray:
     """W Y W^dag on the last two axes, or Y itself for an unmixed model."""
     w = model.mode_basis
-    return y if w is None else w @ y @ model._mode_basis_conj.T
+    return y if w is None else w @ y @ w.conj().T
 
 
 def _check_finite(stack: np.ndarray, what: str, times: Sequence[float]) -> None:
@@ -399,14 +396,15 @@ def _certificate_defect(model: DecayModel, m_matrix: np.ndarray) -> float:
     """Max deviation of [M, c_j] from -mu_j c_j over the whole space, formed on
     M / s and mu_j / s (s = :func:`_mass_scale`), so a finite M never overflows it.
     Each [M, a_l] of [M, c_j] = sum_l conj(V[j, l]) [M, a_l] is gathered in turn:
-    M a_l = M[:, lower] * amp and a_l M = vals[:, None] * M[cols]."""
+    M a_l = M[:, lower] * amp and a_l M = vals[:, None] * M[cols]; c_j is a
+    :func:`linear_form`, one at a time."""
     space = model.space
     scale = _mass_scale(model.masses, model.widths)
     m_scaled = m_matrix / scale
-    v = model.mixing_unitary if model.is_mixed else np.eye(space.n_modes)
     worst = 0.0
-    for row, c, m_j, g_j in zip(v, model.decay_ops, model.masses, model.widths):
-        defect = complex(m_j / scale, -0.5 * g_j / scale) * c.entries
+    for row, m_j, g_j in zip(model._couplings, model.masses, model.widths):
+        defect = linear_form(space, row.conj())
+        defect *= complex(m_j / scale, -0.5 * g_j / scale)
         for l in np.flatnonzero(row):
             (cols, vals), (lower, amp) = space.ladders[l]
             defect += row[l].conjugate() * (m_scaled[:, lower] * amp - vals[:, None] * m_scaled[cols])
@@ -437,7 +435,8 @@ def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
 def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    full = Support.every(kraus.model.space)
+    d = kraus.model.space.dimension
+    full = Support(kraus.model.space, *np.divmod(np.arange(d * d), d))
     return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]),
                            full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)[0]
 
@@ -459,21 +458,6 @@ def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarr
     return _from_mode_basis(model, support.scatter(y))
 
 
-def _channel_stack(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray, rho: DensityOperator,
-                   rotated: np.ndarray, support: Support, blocks: Sequence[np.ndarray],
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """The (n, d, d) stack of states the channels of the stack make of rho, given
-    also as ``rotated``, its values in the mode basis on ``support``, with the
-    trace kept to 1e-12 and each validated as a density operator on ``blocks``
-    (with ``scratch``, see :func:`fockdecay.fock.check_densities`)."""
-    out = _channel_action(model, amplitudes, weights, rotated, support)
-    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho.matrix))
-    if (drift > 1e-12).any():
-        raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
-    check_densities(out, blocks, scratch)
-    return out
-
-
 def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[DensityOperator]:
     """Checked state matrices as DensityOperators on ``like``'s space, with its tail weight."""
     return [DensityOperator(like.space, m, tail_weight=like.tail_weight, validate=False)
@@ -481,13 +465,10 @@ def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[De
 
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
-    """Evolve a state on the channel's space, validated as a density operator with its trace kept to 1e-12."""
+    """Evolve a state on the channel's space: the one-point grid of :func:`evolve_state` at its time."""
     if rho.space != kraus.model.space:
         raise ValueError("state and Kraus channel live on different spaces")
-    full = Support.every(rho.space)
-    rotated = full.values(_to_mode_basis(kraus.model, rho.matrix))
-    return _as_states(_channel_stack(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]), rho,
-                                     rotated, full, _state_blocks(kraus.model, full)), rho)[0]
+    return evolve_state(kraus.model, rho, [kraus.time])[0]
 
 
 def evolve_state(
@@ -499,8 +480,9 @@ def evolve_state(
     """The complete Kraus channel of each point of a time grid applied to rho0.
 
     The grid is evaluated as checked (n, d, d) stacks of n = _stack_points(d)
-    states, each bit-identical to ``apply_channel(build_kraus(model, t),
-    rho0)``.  A chunk that fails is evaluated again one point at a time, so
+    states, each bit-identical to the raw full-space action
+    ``apply_channel_matrix(build_kraus(model, t), rho0.matrix)``, with the
+    trace kept to 1e-12 and validated as a density operator.  A chunk that fails is evaluated again one point at a time, so
     the error is the earliest point's.  With ``read``, the result is
     ``read(stacks)``, the stacks made one at a time as ``read`` iterates (see
     :func:`read_series`); without, the list of one state per grid point.
@@ -542,9 +524,17 @@ def _grid_start(model: DecayModel, rho0: DensityOperator,
 def _grid_stack(model: DecayModel, rho0: DensityOperator,
                 start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]],
                 times: list[float]) -> np.ndarray:
+    """The (n, d, d) stack of states the channels at ``times`` make of rho0, from
+    ``start()`` (see :func:`_grid_start`), with the trace kept to 1e-12 and each
+    validated as a density operator on the blocks of its support."""
     amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
     support, rotated, blocks, scratch = start()
-    return _channel_stack(model, amplitudes, weights, rho0, rotated, support, blocks, scratch[:len(times)])
+    out = _channel_action(model, amplitudes, weights, rotated, support)
+    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho0.matrix))
+    if (drift > 1e-12).any():
+        raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
+    check_densities(out, blocks, scratch[:len(times)])
+    return out
 
 
 def read_series(

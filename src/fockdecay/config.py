@@ -32,6 +32,9 @@ CUTOFF_LIMIT = 1024
 OCCUPATION_COLUMNS_LIMIT = 2**20
 TAIL_TOL = 1e-10
 STEP_MATCH_TOL = 1e-9
+# Most RK4 steps to a grid time: each step rounds by about 2^-53, so up to this count their sum
+# stays within STEP_MATCH_TOL
+MAX_RK4_STEPS = STEP_MATCH_TOL * 2.0**53
 TWO_PI = 2.0 * math.pi
 
 
@@ -598,7 +601,8 @@ def _mean_width(modes: Sequence[ModeSpec]) -> float:
 
 
 def _ode_step(cfg: ScenarioConfig) -> float:
-    """The ode route's RK4 step, checked against every grid time by :func:`steps_for`.
+    """The ode route's RK4 step, checked against every grid time by :func:`steps_for`,
+    and refused where the last time needs more than ``MAX_RK4_STEPS`` steps.
 
     By default the largest step <= ``default_step`` that divides the grid
     spacing evenly.  Every model of the sweep takes its widths from the
@@ -615,7 +619,9 @@ def _ode_step(cfg: ScenarioConfig) -> float:
                 if not 0 < ratio < math.inf:
                     raise StepError(f"default step {step!r} does not fit grid spacing {spacing!r}")
                 step = spacing / math.ceil(ratio)
-        steps_for(cfg.time_grid, step)
+        if steps_for(cfg.time_grid, step)[-1] > MAX_RK4_STEPS:  # a count can have hundreds of digits
+            raise StepError(f"time {cfg.time_grid.stop!r} needs more than {MAX_RK4_STEPS:.2e} RK4 steps of "
+                            f"{step!r}, whose rounding (2^-53 each) would add up past {STEP_MATCH_TOL}")
     except StepError as exc:
         path = "$.ode_step" if cfg.ode_step is not None else "$.time_grid"
         raise ConfigError("CONFIG_TIME_GRID_STEP", str(exc), "invariant", path) from exc

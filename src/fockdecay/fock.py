@@ -1,10 +1,11 @@
 """Truncated occupation-number bases and the operators read from their ladder maps.
 
 Multi-mode boson/fermion spaces with a per-mode occupation cutoff, dense
-ladder and number matrices, the quadratic forms sum_lm omega_lm a_l^dag a_m
-and their means, scattered and gathered with no matrix product, the standard
-initial states (number states, coherent states, Poisson mixtures), and the
-supports and connected blocks that the density checks run on.
+ladder and number matrices, the linear forms sum_l coeffs_l a_l, the quadratic
+forms sum_lm omega_lm a_l^dag a_m and their means, scattered and gathered
+with no matrix product, the standard initial states (number states, coherent
+states, Poisson mixtures), and the supports and connected blocks that the
+density checks run on.
 """
 from __future__ import annotations
 
@@ -201,11 +202,6 @@ class Support:
         object.__setattr__(self, "rows", self.rows.astype(index, copy=False))
         object.__setattr__(self, "cols", self.cols.astype(index, copy=False))
 
-    @classmethod
-    def every(cls, space: FockSpace) -> Support:
-        rows, cols = np.divmod(np.arange(space.dimension**2), space.dimension)
-        return cls(space, rows, cols)
-
     def values(self, matrix: np.ndarray) -> np.ndarray:
         return matrix.reshape(*matrix.shape[:-2], -1) if self.full else matrix[..., self.rows, self.cols]
 
@@ -380,10 +376,7 @@ def build_annihilator(space: FockSpace, mode: int) -> OperatorMatrix:
     Jordan-Wigner string over earlier fermionic modes so that the
     anti-commutation relations hold exactly.
     """
-    lower, amp = space.ladders[_check_mode(space, mode)][1]
-    out = np.zeros((space.dimension, space.dimension), dtype=complex)
-    out[lower, np.arange(space.dimension)] = amp
-    return OperatorMatrix(space, out)
+    return OperatorMatrix(space, linear_form(space, np.eye(space.n_modes)[_check_mode(space, mode)]))
 
 
 def build_creation(space: FockSpace, mode: int) -> OperatorMatrix:
@@ -410,6 +403,15 @@ def _ladder_pairs(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     up, down = zip(*space.ladders)
     (cols, vals), (lower, amp) = (map(np.array, zip(*plans)) for plans in (up, down))
     return cols[:, lower], vals[:, lower] * amp
+
+
+def linear_form(space: FockSpace, coeffs: np.ndarray) -> np.ndarray:
+    """sum_l coeffs[l] a_l, one mode's ladder map scattered at a time in mode order; zero terms are skipped."""
+    out = np.zeros((space.dimension,) * 2, dtype=complex)
+    for l in np.flatnonzero(coeffs):
+        lower, amp = space.ladders[l][1]
+        out[lower, np.arange(space.dimension)] += coeffs[l] * amp
+    return out
 
 
 def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:

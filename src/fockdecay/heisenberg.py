@@ -23,6 +23,7 @@ from .fock import (
     InvariantViolation,
     OperatorMatrix,
     hermitian_scale,
+    linear_form,
     one_body_correlations,
     quadratic_form,
 )
@@ -59,14 +60,14 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     """Adjoint-evolved (lowering, raising) pair for one flavour mode.
 
     With a_m = sum_j V[j, m] c_j (V the identity without mixing), each
-    propagation mode contributes its decay amplitude d_j.
+    propagation mode contributes its decay amplitude d_j: the lowering one is
+    the :func:`linear_form` sum_l (sum_j V[j, m] d_j conj(V[j, l])) a_l.
     """
     if not 1 <= mode <= model.space.n_modes:
         raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
     d = _grid_amplitudes(model, [t])[0]
-    V = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
-    low = OperatorMatrix(model.space, sum(
-        V[j, mode - 1] * d[j] * c.entries for j, c in enumerate(model.decay_ops)))
+    v = model._couplings
+    low = OperatorMatrix(model.space, linear_form(model.space, (v[:, mode - 1] * d) @ v.conj()))
     return low, low.dagger()
 
 

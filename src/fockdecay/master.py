@@ -13,13 +13,13 @@ only where they can be nonzero, with no matrix product, and each state is
 checked per connected block of it.  Each block's generator matrix is
 gathered from W and the L_j at the block's own indices by the Liouville form
 of the generator, and the block advances by the RK4 step polynomial of that
-matrix, formed once.
+matrix, formed once.  W and the L_j are read from the model's M and c_j,
+gathered where they are read and scaled there, so no copy of them is held.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -36,9 +36,10 @@ class GeneratorAction:
     """Right-hand side of the evolution: rho -> W rho + rho W^dag + sum L rho L^dag,
 
     where W = -iM combines the commutator and anticommutator parts and
-    L_j = sqrt(Gamma_j) c_j.  Both are derived from ``model`` on first use,
-    as read-only arrays, so they inherit its guarantees: W conserves the
-    total occupation and each L_j lowers it by exactly one.
+    L_j = sqrt(Gamma_j) c_j.  Both are read from ``model`` and formed on each
+    read, so the generator holds nothing but its model and inherits its
+    guarantees: W conserves the total occupation and each L_j lowers it by
+    exactly one.
     """
 
     model: DecayModel
@@ -47,24 +48,19 @@ class GeneratorAction:
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a generator needs a DecayModel, got {type(self.model).__name__}")
 
-    @cached_property
+    @property
     def w_matrix(self) -> np.ndarray:
-        w = -1j * self.model.m_operator.entries
-        w.setflags(write=False)
-        return w
+        return -1j * self.model.m_operator.entries
 
-    @cached_property
+    @property
     def jump_ops(self) -> tuple[np.ndarray, ...]:
-        jumps = tuple(math.sqrt(g_j) * c.entries
-                      for g_j, c in zip(self.model.widths, self.model.decay_ops))
-        for L in jumps:
-            L.setflags(write=False)
-        return jumps
+        return tuple(math.sqrt(g_j) * c.entries for g_j, c in zip(self.model.widths, self.model.decay_ops))
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        if rho.shape != self.w_matrix.shape:
-            raise ValueError(f"matrix shape {rho.shape} does not match {self.w_matrix.shape}")
-        out = self.w_matrix @ rho + rho @ self.w_matrix.conj().T
+        w = self.w_matrix
+        if rho.shape != w.shape:
+            raise ValueError(f"matrix shape {rho.shape} does not match {w.shape}")
+        out = w @ rho + rho @ w.conj().T
         for L in self.jump_ops:
             out += L @ rho @ L.conj().T
         return out
@@ -74,6 +70,13 @@ def build_generator(model: DecayModel) -> GeneratorAction:
     return GeneratorAction(model)
 
 
+def _scaled(matrix: np.ndarray, index: tuple[np.ndarray, ...], scale: complex) -> np.ndarray:
+    """matrix[index] * scale, scaled in place of the gather: one new array."""
+    out = matrix[index]
+    out *= scale
+    return out
+
+
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries (rows, cols) of rho that can ever be nonzero, in row-major order: the
     exact-nonzero pattern of ``rho`` closed under the generator's, (W!=0) X + X
@@ -81,16 +84,17 @@ def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.nd
     only at (q - e_m + e_l, q) and L_j only at (q - e_l, q); those entries are
     read and moved along, W's on a row or a column, L_j's on both (any two l).
     """
-    space = gen.model.space
+    model, space = gen.model, gen.model.space
     dim, (down, up) = space.dimension, space.steps
-    q = np.arange(dim)
-    hops = up[:, down[:, :dim]][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
-    hops = np.where((hops >= 0) & (gen.w_matrix[hops, q] != 0), hops, -1)
+    q, low = np.arange(dim), down[:, :dim]  # (l, q): q - e_l
+    hops = up[:, low][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
+    # W = -iM is nonzero where M is
+    hops = np.where((hops >= 0) & (model.m_operator.entries[hops, q] != 0), hops, -1)
     hops = hops[(hops >= 0).any(axis=-1)]
     same = np.broadcast_to(q, hops.shape)
     f, g = [hops, same], [same, hops]
-    for L in gen.jump_ops:
-        lows = np.where((down[:, :dim] >= 0) & (L[down[:, :dim], q] != 0), down[:, :dim], -1)
+    for g_j, c in zip(model.widths, model.decay_ops):
+        lows = np.where((low >= 0) & (math.sqrt(g_j) * c.entries[low, q] != 0), low, -1)
         lows = lows[(lows >= 0).any(axis=-1)]
         f.append(np.repeat(lows, len(lows), axis=0))
         g.append(np.tile(lows, (len(lows), 1)))
@@ -102,18 +106,20 @@ def _block_generator(gen: GeneratorAction, r: np.ndarray, c: np.ndarray) -> np.n
 
     Gathered at the block's indices from the Liouville form
     L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc),
-    in place: at most three block-sized arrays are alive at once.
+    each gather of M or c_j scaled to W or L_j in place: at most three
+    block-sized arrays are alive at once.
     """
+    model = gen.model
     rr, cc = np.ix_(r, r), np.ix_(c, c)
-    out = gen.w_matrix[rr]
+    out = _scaled(model.m_operator.entries, rr, -1j)
     out *= c[:, None] == c
-    tmp = gen.w_matrix[cc]
+    tmp = _scaled(model.m_operator.entries, cc, -1j)
     np.conj(tmp, out=tmp)
     tmp *= r[:, None] == r
     out += tmp
-    for L in gen.jump_ops:
-        np.conj(L[cc], out=tmp)
-        tmp *= L[rr]
+    for g_j, op in zip(model.widths, model.decay_ops):
+        np.conj(_scaled(op.entries, cc, math.sqrt(g_j)), out=tmp)
+        tmp *= _scaled(op.entries, rr, math.sqrt(g_j))
         out += tmp
     return out
 

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,14 +81,17 @@ def test_parent_outputs_go_into_the_bench_file(tmp_path, monkeypatch):
     assert bench._parent_checkout(ROOT, str(tmp_path), tmp_path / "unused")[0] == tmp_path.resolve()
 
 
-def test_parent_perfbench_runs_pair_by_pair_alternating_which_side_runs_first(tmp_path, monkeypatch):
+def test_parent_perfbench_runs_pair_by_pair_alternating_which_side_runs_first(tmp_path, monkeypatch, capsys):
     parent = tmp_path / "parent"
     parent.mkdir()
-    calls = []
+    calls, prefixes = [], set()
 
-    def child(args, cwd):
+    def child(args, cwd, **env):
         if args[0] != "perfbench/run.py":  # the shipped configs' warm times
             return [json.dumps({"single": [0.5]})]
+        # every perfbench run is from source: no bytecode written, and an empty cache prefix to read
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and os.listdir(env["PYTHONPYCACHEPREFIX"]) == []
+        prefixes.add(env["PYTHONPYCACHEPREFIX"])
         calls.append((args[2], int(args[4]), Path(cwd)))
         env = {"commit": "c", "src_sha256": "s", "side": str(cwd)}
         return ["# environment " + json.dumps(env), json.dumps({"side": str(cwd), "failed": 0})]
@@ -100,6 +105,42 @@ def test_parent_perfbench_runs_pair_by_pair_alternating_which_side_runs_first(tm
         assert [(r["workload"], r["seed"]) for r in doc[key]] == pairs
         assert all(r["result"]["side"] == str(side) for r in doc[key])
     assert doc["environment"]["side"] == str(ROOT)  # the environment is CHECKOUT's, not PARENT's
+    assert len(prefixes) == len(calls) and not any(map(os.path.exists, prefixes))
+    if len(str(parent.resolve())) != len(str(ROOT)):  # a directory PARENT runs where it is
+        assert "warning: PARENT runs at" in capsys.readouterr().err
     calls.clear()
     assert "perfbench_parent" not in bench.bench(ROOT, ["oracle"], [1], 0, 1)
     assert calls == [("oracle", 1, ROOT)]
+
+
+def test_a_revision_parent_is_extracted_to_a_path_as_long_as_the_checkout(tmp_path, monkeypatch, capsys):
+    # a checkout whose path is longer than a temporary directory's, with one commit
+    root = tmp_path / ("checkout-" + "x" * 40)
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "m.py").write_text("x = 1\n")
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    short = tmp_path / "t"
+    short.mkdir()
+    dest, commit = bench._parent_checkout(root, "HEAD", short)
+    assert len(str(dest)) == len(str(root)) and dest.parent == short
+    assert (dest / "src" / "m.py").read_text() == "x = 1\n" and commit == bench._rev_parse(root, "HEAD")
+    # a temporary directory too long to match takes the shortest name, and the runs warn
+    long = tmp_path / ("t" * 60)
+    long.mkdir()
+    assert bench._parent_checkout(root, "HEAD", long)[0] == long / "p"
+
+    def child(args, cwd, **env):
+        if args[0] != "perfbench/run.py":
+            return [json.dumps({})]
+        lengths.append(len(str(cwd)))
+        return ["# environment " + json.dumps({"commit": "c", "src_sha256": "s"}), json.dumps({"failed": 0})]
+
+    monkeypatch.setattr(bench, "_child", child)
+    for tmp, warned in ((short, False), (long, True)):
+        monkeypatch.setattr(bench.tempfile, "tempdir", str(tmp))
+        lengths = []
+        bench.bench(root, ["oracle"], [1], 0, 1, "HEAD")
+        assert (lengths[0] != lengths[1]) == warned
+        assert ("warning: PARENT runs at" in capsys.readouterr().err) == warned

@@ -520,7 +520,8 @@ def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, tol, rng):
     times = [0.0, t, 2 * t]  # every weight is 0 at t = 0
     weights = np.array([[channel._decay_weight(g, s) for g in model.widths] for s in times])
     x = _random_matrix(rng, model.space)
-    full = channel.Support.every(model.space)
+    d = model.space.dimension
+    full = channel.Support(model.space, *np.divmod(np.arange(d * d), d))  # every entry
     for adjoint in (False, True):
         gathered = channel._loss_maps(full.values(channel._to_mode_basis(model, x)), full, weights, adjoint)
         got = channel._from_mode_basis(model, full.scatter(gathered))
@@ -569,7 +570,7 @@ def test_evolve_state_is_the_per_point_channel(model, rho, stack_points, monkeyp
         monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * stack_points)
     chunk = channel._stack_points(d)
     times = np.linspace(0.0, 4.0, 2 * chunk + 3)  # from t = 0, over more than two chunks
-    want = [apply_channel(build_kraus(model, float(t)), rho).matrix for t in times]
+    want = [apply_channel_matrix(build_kraus(model, float(t)), rho.matrix) for t in times]
     got = evolve_state(model, rho, times)
     assert len(got) == len(times)
     for g, w in zip(got, want):
@@ -583,12 +584,12 @@ def test_a_grid_rotates_rho0_into_the_mode_basis_once(monkeypatch):
     d = bosons.dimension
     monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * 2)
     times = np.linspace(0.0, 2.0, 7)  # four stacks of at most two points
-    want = [apply_channel(build_kraus(model, float(t)), rho).matrix for t in times]
+    want = [apply_channel_matrix(build_kraus(model, float(t)), rho.matrix) for t in times]
     rotate, rotated = channel._to_mode_basis, []
     monkeypatch.setattr(channel, "_to_mode_basis", lambda m, x: rotated.append(x) or rotate(m, x))
     stacks = []
     evolve_state(model, rho, times, read=stacks.extend)
-    # one W^dag rho0 W for the whole grid, and the states of the per-point channel bit for bit
+    # one W^dag rho0 W for the whole grid, and the states of the raw per-point action bit for bit
     assert len(stacks) == 4 and len(rotated) == 1 and rotated[0] is rho.matrix
     assert np.array_equal(np.concatenate(stacks), np.array(want))
 

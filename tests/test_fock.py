@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fockdecay import (
     FockSpace,
     InvariantViolation,
     ModeSpec,
+    MixingParams,
     Statistics,
     TruncationError,
     build_annihilator,
@@ -23,11 +25,13 @@ from fockdecay import (
     vacuum_state,
 )
 from fockdecay.channel import occupation_distribution
+from fockdecay.flavour import mixing_matrix
 from fockdecay.fock import (
     block_minima,
     check_densities,
     connected_blocks,
     hermitian_scale,
+    linear_form,
     one_body_correlations,
     quadratic_form,
 )
@@ -216,6 +220,39 @@ def _column_loop_annihilator(space, mode):
         else:
             out[row, col] = math.sqrt(n)
     return out
+
+
+def _scattered_annihilator(space, mode):
+    """a_j as build_annihilator built it before the linear forms: its ladder map assigned at once."""
+    lower, amp = space.ladders[mode - 1][1]
+    out = np.zeros((space.dimension, space.dimension), dtype=complex)
+    out[lower, np.arange(space.dimension)] = amp
+    return out
+
+
+def _linear_form_cases():
+    pair = MixingParams(theta=0.7, phi=0.3, psi=1.1, chi=0.2)
+    rng = np.random.default_rng(5)
+    v3, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return [
+        ("mixed boson pair", FockSpace([boson(3), boson(3, mass=5.0)], total=3), mixing_matrix(pair)),
+        ("mixed fermion pair", FockSpace([fermion(), fermion(mass=2.0)]), mixing_matrix(pair)),
+        ("three modes", FockSpace([boson(2), fermion(), boson(2)], total=3), v3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _linear_form_cases()])
+def test_linear_form_is_the_old_scatter_and_sum_of_annihilators(case):
+    _, space, v = _linear_form_cases()[case]
+    a = [_scattered_annihilator(space, l) for l in range(1, space.n_modes + 1)]
+    for l, a_l in enumerate(a):
+        assert linear_form(space, np.eye(space.n_modes)[l]).tobytes() == a_l.tobytes()
+        assert build_annihilator(space, l + 1).entries.tobytes() == a_l.tobytes()
+    for row in v:  # c_j as the model summed it, left to right; equal up to the sign of a zero
+        want = reduce(np.add, (v_jl.conjugate() * a_l for v_jl, a_l in zip(row, a)))
+        assert np.array_equal(linear_form(space, row.conj()), want)
+    # a zero coefficient adds no term, so no 0 * inf
+    assert np.array_equal(linear_form(space, np.array([0.0, 2.0] + [0.0] * (space.n_modes - 2))), 2.0 * a[1])
 
 
 def _reference_plans(space, j):

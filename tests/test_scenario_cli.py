@@ -784,6 +784,11 @@ def test_cli_refuses_undecodable_documents_and_strings(tmp_path, capsys, documen
                      "CONFIG_TIME_GRID_STEP at $.time_grid", id="default-step-misses-start"),
         pytest.param(("validate", "run"), {"ode_step": 0.3, "routes": ["kraus", "ode"]},
                      "CONFIG_TIME_GRID_STEP at $.ode_step", id="ode-step-misses-grid"),
+        # each step divides t = 1, but 1e9 or 1e300 RK4 steps round by more than STEP_MATCH_TOL
+        *[pytest.param(("validate", "run"), {"ode_step": step, "routes": ["ode", "heisenberg"],
+                                             "time_grid": dict(MINIMAL["time_grid"], stop=1.0, count=11)},
+                       "CONFIG_TIME_GRID_STEP at $.ode_step", id=f"ode-step-{step:g}-rounds-past-the-grid")
+          for step in (1e-9, 1e-300)],
         # |alpha| itself is past the float range
         pytest.param(("validate", "run"), {"initial_state": {"type": "coherent", "mode": 1,
                                                              "alpha": [1.7e308, 1.7e308]}},

@@ -14,11 +14,17 @@ The file holds:
 - ``perfbench``: for each workload in ``WORKLOADS`` and each seed in
   ``SEEDS``, the last line of ``perfbench/run.py --workload W --seed K
   --seconds SECONDS --trace 0``, run as a subprocess of CHECKOUT (its
-  end-to-end metrics, ``attempted`` and ``failed``);
+  end-to-end metrics, ``attempted`` and ``failed``).  Every such run is
+  from source: ``PYTHONDONTWRITEBYTECODE=1`` and a new empty
+  ``PYTHONPYCACHEPREFIX``, so no ``__pycache__`` is read or written;
 - ``perfbench_parent``, with ``--parent``: the same runs of PARENT's
   perfbench, each (workload, seed) run on both sides back to back, the
   side that runs first alternating from one pair to the next, so that the
-  two lists can be compared pair by pair on the same machine state;
+  two lists can be compared pair by pair on the same machine state.
+  ``peak_rss_mb`` moves with the length of the checkout's path, so a
+  revision PARENT is extracted to a path as long as CHECKOUT's, and a
+  warning goes to standard error when PARENT's path has another length (a
+  directory PARENT, or a temporary directory too long to match);
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
   median, in a fresh interpreter with BLAS pinned to one thread;
@@ -78,14 +84,20 @@ print(json.dumps(walls))
 """
 
 
-def _child(args: list[str], cwd: Path) -> list[str]:
-    """Standard output lines of a Python subprocess with BLAS on one thread; it must exit 0."""
+def _child(args: list[str], cwd: Path, **env: str) -> list[str]:
+    """Standard output lines of a Python subprocess with BLAS on one thread and ``env`` set; it must exit 0."""
     done = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env=dict(os.environ, **PIN_ONE_THREAD), timeout=CAP_SECONDS)
+                          env=dict(os.environ, **PIN_ONE_THREAD, **env), timeout=CAP_SECONDS)
     if done.returncode != 0:
         tail = (done.stderr.strip().splitlines() or ["(no output)"])[-1]
         raise RuntimeError(f"{' '.join(args[:2])} exited {done.returncode}: {tail}")
     return done.stdout.splitlines()
+
+
+def _from_source(args: list[str], cwd: Path) -> list[str]:
+    """:func:`_child`, with no bytecode written, and none read: the cache prefix is a new empty directory."""
+    with tempfile.TemporaryDirectory() as prefix:
+        return _child(args, cwd, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
 
 
 def _source_committed(root: Path) -> bool | None:
@@ -104,11 +116,16 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
     with tempfile.TemporaryDirectory() as tmp:
         sides = [(root, runs)]
         if parent is not None:
-            sides.append((_parent_checkout(root, parent, Path(tmp))[0], parent_runs))
+            checkout = _parent_checkout(root, parent, Path(tmp))[0]
+            if len(str(checkout)) != len(str(root)):
+                print(f"warning: PARENT runs at {checkout} ({len(str(checkout))} characters) and CHECKOUT "
+                      f"at {root} ({len(str(root))}); peak_rss_mb moves with the path's length",
+                      file=sys.stderr)
+            sides.append((checkout, parent_runs))
         for k, (workload, seed) in enumerate(itertools.product(workloads, seeds)):
             for checkout, into in sides[::-1] if k % 2 else sides:
-                lines = _child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                                "--seconds", str(seconds), "--trace", "0"], checkout)
+                lines = _from_source(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                      "--seconds", str(seconds), "--trace", "0"], checkout)
                 if environment is None and into is runs:
                     env_line = next(ln for ln in lines if ln.startswith("# environment "))
                     environment = json.loads(env_line.split(" ", 2)[2])
@@ -136,11 +153,15 @@ def src_lines(root: Path) -> int:
                if line.strip() and not line.lstrip().startswith("#"))
 
 
-def _parent_checkout(root: Path, parent: str, dest: Path) -> tuple[Path, str | None]:
+def _parent_checkout(root: Path, parent: str, tmp: Path) -> tuple[Path, str | None]:
     """PARENT itself when it is a directory, else git revision PARENT of ``root``
-    extracted into ``dest``; with its commit (None when git cannot name it)."""
+    extracted into a new directory of ``tmp`` whose path is as long as
+    ``root``'s, or tmp/p where ``tmp`` is too long for that; with its commit
+    (None when git cannot name it)."""
     if Path(parent).is_dir():
         return Path(parent).resolve(), _rev_parse(Path(parent), "HEAD")
+    dest = tmp / ("p" * min(255, max(1, len(str(root)) - len(str(tmp)) - 1)))
+    dest.mkdir()
     tar = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", parent],
                          capture_output=True, check=True, timeout=CAP_SECONDS).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True, timeout=CAP_SECONDS)
@@ -174,8 +195,7 @@ def output_diff(root: Path, parent: str) -> dict:
     its :func:`src_lines`."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "parent").mkdir()
-        checkout, commit = _parent_checkout(root, parent, tmp / "parent")
+        checkout, commit = _parent_checkout(root, parent, tmp)
         for name, source in (("parent", checkout), ("change", root)):
             _child([str(COMPARE), "run", str(tmp / f"out-{name}"), "--root", str(source)], root)
         return {"parent_commit": commit, "parent_src_lines": src_lines(checkout),
