@@ -435,8 +435,7 @@ def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
 def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
-    d = kraus.model.space.dimension
-    full = Support(kraus.model.space, *np.divmod(np.arange(d * d), d))
+    full = Support(kraus.model.space, *np.indices((kraus.model.space.dimension,) * 2).reshape(2, -1))
     return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]),
                            full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)[0]
 
@@ -480,10 +479,9 @@ def evolve_state(
     """The complete Kraus channel of each point of a time grid applied to rho0.
 
     The grid is evaluated as checked (n, d, d) stacks of n = _stack_points(d)
-    states, each bit-identical to the raw full-space action
-    ``apply_channel_matrix(build_kraus(model, t), rho0.matrix)``, with the
-    trace kept to 1e-12 and validated as a density operator.  A chunk that fails is evaluated again one point at a time, so
-    the error is the earliest point's.  With ``read``, the result is
+    states, each bit-identical to ``apply_channel_matrix(build_kraus(model,
+    t), rho0.matrix)``.  A chunk that fails is evaluated again one point at a
+    time, so the error is the earliest point's.  With ``read``, the result is
     ``read(stacks)``, the stacks made one at a time as ``read`` iterates (see
     :func:`read_series`); without, the list of one state per grid point.
     """

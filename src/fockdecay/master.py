@@ -86,15 +86,15 @@ def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     model, space = gen.model, gen.model.space
     dim, (down, up) = space.dimension, space.steps
-    q, low = np.arange(dim), down[:, :dim]  # (l, q): q - e_l
-    hops = up[:, low][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
+    q, below = np.arange(dim), down[:, :dim]  # (l, q): q - e_l
+    hops = up[:, below][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
     # W = -iM is nonzero where M is
     hops = np.where((hops >= 0) & (model.m_operator.entries[hops, q] != 0), hops, -1)
     hops = hops[(hops >= 0).any(axis=-1)]
     same = np.broadcast_to(q, hops.shape)
     f, g = [hops, same], [same, hops]
     for g_j, c in zip(model.widths, model.decay_ops):
-        lows = np.where((low >= 0) & (math.sqrt(g_j) * c.entries[low, q] != 0), low, -1)
+        lows = np.where((below >= 0) & (math.sqrt(g_j) * c.entries[below, q] != 0), below, -1)
         lows = lows[(lows >= 0).any(axis=-1)]
         f.append(np.repeat(lows, len(lows), axis=0))
         g.append(np.tile(lows, (len(lows), 1)))

@@ -520,8 +520,7 @@ def test_gathered_loss_maps_equal_the_dense_horner_sums(model, t, tol, rng):
     times = [0.0, t, 2 * t]  # every weight is 0 at t = 0
     weights = np.array([[channel._decay_weight(g, s) for g in model.widths] for s in times])
     x = _random_matrix(rng, model.space)
-    d = model.space.dimension
-    full = channel.Support(model.space, *np.divmod(np.arange(d * d), d))  # every entry
+    full = channel.Support(model.space, *np.indices((model.space.dimension,) * 2).reshape(2, -1))  # every entry
     for adjoint in (False, True):
         gathered = channel._loss_maps(full.values(channel._to_mode_basis(model, x)), full, weights, adjoint)
         got = channel._from_mode_basis(model, full.scatter(gathered))

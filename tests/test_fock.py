@@ -251,7 +251,7 @@ def test_linear_form_is_the_old_scatter_and_sum_of_annihilators(case):
     for row in v:  # c_j as the model summed it, left to right; equal up to the sign of a zero
         want = reduce(np.add, (v_jl.conjugate() * a_l for v_jl, a_l in zip(row, a)))
         assert np.array_equal(linear_form(space, row.conj()), want)
-    # a zero coefficient adds no term, so no 0 * inf
+    # a zero coefficient adds no term
     assert np.array_equal(linear_form(space, np.array([0.0, 2.0] + [0.0] * (space.n_modes - 2))), 2.0 * a[1])
 
 
