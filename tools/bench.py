@@ -16,7 +16,9 @@ The file holds:
   --seconds SECONDS --trace 0``, run as a subprocess of CHECKOUT (its
   end-to-end metrics, ``attempted`` and ``failed``).  Every such run is
   from source: ``PYTHONDONTWRITEBYTECODE=1`` and a new empty
-  ``PYTHONPYCACHEPREFIX``, so no ``__pycache__`` is read or written;
+  ``PYTHONPYCACHEPREFIX``, so no ``__pycache__`` is read or written.  The
+  stdlib and numpy are compiled too, so ``setup_s`` and ``peak_rss_mb``
+  read above a plain run's: compare them pair by pair;
 - ``perfbench_parent``, with ``--parent``: the same runs of PARENT's
   perfbench, each (workload, seed) run on both sides back to back, the
   side that runs first alternating from one pair to the next, so that the
