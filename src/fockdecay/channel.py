@@ -27,6 +27,7 @@ from .fock import (
     InvariantViolation,
     OperatorMatrix,
     Support,
+    _ladder_pairs,
     check_densities,
     closed_support,
     connected_blocks,
@@ -75,8 +76,8 @@ class DecayModel:
     diag(-Gamma / 2) conj(V) (both diagonal unmixed), read from the space's
     ladder maps with no matrix product.  It refuses the model unless M is
     finite with a Hermitian mass part and the relative defect of [M, c_j] =
-    -mu_j c_j, ``certificate_defect``, gathered one [M, a_l] at a time, is
-    within ``CERTIFICATE_TOL``: this refuses a V under which the space is not
+    -mu_j c_j, ``certificate_defect``, formed with no M, is within
+    ``CERTIFICATE_TOL``: this refuses a V under which the space is not
     closed, such as a mixed boson pair past its common cutoff.  The
     ``mode_basis`` its Kraus channels use is built on its first use.
     """
@@ -102,16 +103,18 @@ class DecayModel:
             v.setflags(write=False)
             object.__setattr__(self, "mixing_unitary", v)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            ham = quadratic_form(space, self._on_ladders(np.diag(self.masses)))
+            m_matrix = quadratic_form(space, omega_m := self._on_ladders(np.diag(self.masses)))
             kay = quadratic_form(space, self._on_ladders(-0.5 * np.diag(self.widths)))
-        if not (np.isfinite(ham).all() and np.isfinite(kay).all()):
+        if not (np.isfinite(m_matrix).all() and np.isfinite(kay).all()):
             raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
                                      "overflow at this cutoff")
-        herm = float(np.max(np.abs(ham - ham.conj().T)))
-        if herm > 1e-12 * max(1.0, float(np.max(np.abs(ham)))):
+        herm = float(np.max(np.abs(omega_m - omega_m.conj().T)))
+        if herm > 1e-12 * max(1.0, float(np.max(np.abs(omega_m)))):
             raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
-        m_matrix = ham + 1j * kay
-        defect = _certificate_defect(self, m_matrix)
+        m_matrix.real -= kay.imag  # ham + 1j * kay, bit for bit, in the array kept
+        m_matrix.imag += kay.real
+        del kay
+        defect = _certificate_defect(self)
         if defect > CERTIFICATE_TOL:
             raise CertificateError(
                 f"commutation certificate defect {defect:.3e} (relative) exceeds "
@@ -392,22 +395,24 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
     return complex(math.cos(-phase), math.sin(-phase)) * math.exp(-x)
 
 
-def _certificate_defect(model: DecayModel, m_matrix: np.ndarray) -> float:
-    """Max deviation of [M, c_j] from -mu_j c_j over the whole space, formed on
-    M / s and mu_j / s (s = :func:`_mass_scale`), so a finite M never overflows it.
-    Each [M, a_l] of [M, c_j] = sum_l conj(V[j, l]) [M, a_l] is gathered in turn:
-    M a_l = M[:, lower] * amp and a_l M = vals[:, None] * M[cols]; c_j is a
-    :func:`linear_form`, one at a time."""
-    space = model.space
-    scale = _mass_scale(model.masses, model.widths)
-    m_scaled = m_matrix / scale
-    worst = 0.0
-    for row, m_j, g_j in zip(model._couplings, model.masses, model.widths):
-        defect = linear_form(space, row.conj())
-        defect *= complex(m_j / scale, -0.5 * g_j / scale)
+def _certificate_defect(model: DecayModel) -> float:
+    """max_j |[M, c_j] + mu_j c_j| / s (s = :func:`_mass_scale`) with no M: sum_l conj(V[j, l]) (sum_pm Omega_pm
+    [a_p^dag a_m, a_l] + mu_j / s a_l), Omega = V^T diag(mu / s) conj(V), scattered from the ladder maps."""
+    space, d = model.space, model.space.dimension
+    mus = (np.array(model.masses) - 0.5j * np.array(model.widths)) / _mass_scale(model.masses, model.widths)
+    omega = model._on_ladders(np.diag(mus))
+    rows, values = _ladder_pairs(space)
+    number = (values.diagonal() * omega.diagonal()).sum(axis=1)  # sum_p Omega_pp n_p, per column
+    off = list(zip(*np.nonzero(omega - np.diag(omega.diagonal()))))
+    worst, cols, defect = 0.0, np.arange(d), np.empty((d, d), dtype=complex)
+    for row, mu in zip(model._couplings.conj(), mus):
+        defect.fill(0)
         for l in np.flatnonzero(row):
-            (cols, vals), (lower, amp) = space.ladders[l]
-            defect += row[l].conjugate() * (m_scaled[:, lower] * amp - vals[:, None] * m_scaled[cols])
+            lower, amp = space.ladders[l][1]
+            defect[lower, cols] += row[l] * amp * (number[lower] - number + mu)  # a_l, and the p = m terms
+            for p, m in off:  # column q of a_p^dag a_m a_l and of a_l a_p^dag a_m holds one entry each
+                defect[rows[p, m, lower], cols] += row[l] * omega[p, m] * values[p, m, lower] * amp
+                defect[lower[rows[p, m]], cols] -= row[l] * omega[p, m] * amp[rows[p, m]] * values[p, m]
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 

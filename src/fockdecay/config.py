@@ -26,10 +26,11 @@ WEIGHT_SUM_TOL = 1e-12
 SCHEMA_VERSION = 1
 # Longest file name, in bytes, that common file systems accept
 FILE_NAME_BYTES = 255
-# Budgets checked when parsing (CONFIG_BUDGET_EXCEEDED): the largest mode cutoff, and the
-# most occupations CSV columns, one per tuple of the product space
+# Budgets checked when parsing (CONFIG_BUDGET_EXCEEDED): the largest mode cutoff, the most
+# occupations CSV columns, one per tuple of the product space, and the most grid times
 CUTOFF_LIMIT = 1024
 OCCUPATION_COLUMNS_LIMIT = 2**20
+TIME_POINTS_LIMIT = 2**20
 TAIL_TOL = 1e-10
 STEP_MATCH_TOL = 1e-9
 # Most RK4 steps to a grid time: each step rounds by about 2^-53, so up to this count their sum
@@ -459,6 +460,9 @@ def parse_config(text: str, default_name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("CONFIG_TIME_GRID_INVALID",
                           f"need 0 <= start <= stop and count >= 1, got ({start}, {stop}, {count})",
                           "invariant", "$.time_grid")
+    if count > TIME_POINTS_LIMIT:  # not printed, as the occupations' count below
+        raise ConfigError("CONFIG_BUDGET_EXCEEDED", f"more than {TIME_POINTS_LIMIT} grid times", "invariant",
+                          "$.time_grid.count")
     if mixing is not None and not math.isfinite(_mean_width(modes) * stop):
         raise ConfigError("CONFIG_TIME_GRID_INVALID",
                           f"the scaled time mean_width * stop = {_mean_width(modes)!r} * {stop!r} "

@@ -432,7 +432,7 @@ def one_body_correlations(rho: DensityOperator) -> np.ndarray:
 
 
 def number_state(space: FockSpace, occupations) -> DensityOperator:
-    """Pure basis-state projector |n1,...,nr><n1,...,nr|."""
+    """Pure basis-state projector |n1,...,nr><n1,...,nr|, a density matrix by construction, so unchecked."""
     occ = tuple(int(n) for n in occupations)
     if len(occ) != space.n_modes:
         raise ValueError(f"expected {space.n_modes} occupations, got {len(occ)}")
@@ -441,7 +441,7 @@ def number_state(space: FockSpace, occupations) -> DensityOperator:
     idx = space.index_of(occ)
     mat = np.zeros((space.dimension, space.dimension), dtype=complex)
     mat[idx, idx] = 1.0
-    return DensityOperator(space, mat)
+    return DensityOperator(space, mat, validate=False)
 
 
 def vacuum_state(space: FockSpace) -> DensityOperator:
@@ -483,11 +483,5 @@ def poisson_mixture(space: FockSpace, mode: int, nbar: float) -> DensityOperator
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     weights, kept, tail = truncated_terms("poisson", nbar, space.modes[j].cutoff)
-    weights = np.array(weights) / kept
-    mat = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for n, p in enumerate(weights):
-        occ = [0] * space.n_modes
-        occ[j] = n
-        i = space.index_of(occ)
-        mat[i, i] = p
+    mat = np.diag(_single_mode_embedding(space, j, np.array(weights) / kept))
     return DensityOperator(space, mat, tail_weight=tail)

@@ -22,6 +22,7 @@ from .fock import (
     DensityOperator,
     InvariantViolation,
     OperatorMatrix,
+    _check_mode,
     hermitian_scale,
     linear_form,
     one_body_correlations,
@@ -63,11 +64,10 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     propagation mode contributes its decay amplitude d_j: the lowering one is
     the :func:`linear_form` sum_l (sum_j V[j, m] d_j conj(V[j, l])) a_l.
     """
-    if not 1 <= mode <= model.space.n_modes:
-        raise ValueError(f"mode {mode} out of range 1..{model.space.n_modes}")
+    j = _check_mode(model.space, mode)
     d = _grid_amplitudes(model, [t])[0]
     v = model._couplings
-    low = OperatorMatrix(model.space, linear_form(model.space, (v[:, mode - 1] * d) @ v.conj()))
+    low = OperatorMatrix(model.space, linear_form(model.space, (v[:, j] * d) @ v.conj()))
     return low, low.dagger()
 
 

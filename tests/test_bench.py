@@ -89,28 +89,38 @@ def test_parent_perfbench_runs_pair_by_pair_alternating_which_side_runs_first(tm
     def child(args, cwd, **env):
         if args[0] != "perfbench/run.py":  # the shipped configs' warm times
             return [json.dumps({"single": [0.5]})]
-        # every perfbench run is from source: no bytecode written, and an empty cache prefix to read
-        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and os.listdir(env["PYTHONPYCACHEPREFIX"]) == []
+        # every perfbench run reads and writes its bytecode in the one prefix of the bench
+        assert env["PYTHONDONTWRITEBYTECODE"] is None and "PYTHONPYCACHEPREFIX" in env
         prefixes.add(env["PYTHONPYCACHEPREFIX"])
-        calls.append((args[2], int(args[4]), Path(cwd)))
+        calls.append((args[2], int(args[4]), float(args[6]), Path(cwd)))
         env = {"commit": "c", "src_sha256": "s", "side": str(cwd)}
-        return ["# environment " + json.dumps(env), json.dumps({"side": str(cwd), "failed": 0})]
+        return ["# environment " + json.dumps(env), json.dumps({"side": str(cwd), "seconds": args[6]})]
 
     monkeypatch.setattr(bench, "_child", child)
-    doc = bench.bench(ROOT, ["oracle", "sweep"], [1, 2], 0, 1, str(parent))
+    doc = bench.bench(ROOT, ["oracle", "sweep"], [1, 2], 5, 1, str(parent))
     pairs = [("oracle", 1), ("oracle", 2), ("sweep", 1), ("sweep", 2)]
     sides = [ROOT, parent.resolve()]
-    assert calls == [(w, k, side) for i, (w, k) in enumerate(pairs) for side in sides[::(-1) ** i]]
+    # one untimed run per side first, then the pairs; only the pairs are recorded
+    assert calls == [("oracle", 1, 0, side) for side in sides] + [
+        (w, k, 5, side) for i, (w, k) in enumerate(pairs) for side in sides[::(-1) ** i]]
     for key, side in (("perfbench", ROOT), ("perfbench_parent", parent.resolve())):
         assert [(r["workload"], r["seed"]) for r in doc[key]] == pairs
-        assert all(r["result"]["side"] == str(side) for r in doc[key])
+        assert all(r["result"] == {"side": str(side), "seconds": "5"} for r in doc[key])
     assert doc["environment"]["side"] == str(ROOT)  # the environment is CHECKOUT's, not PARENT's
-    assert len(prefixes) == len(calls) and not any(map(os.path.exists, prefixes))
+    assert len(prefixes) == 1 and not any(map(os.path.exists, prefixes))
     if len(str(parent.resolve())) != len(str(ROOT)):  # a directory PARENT runs where it is
         assert "warning: PARENT runs at" in capsys.readouterr().err
     calls.clear()
     assert "perfbench_parent" not in bench.bench(ROOT, ["oracle"], [1], 0, 1)
-    assert calls == [("oracle", 1, ROOT)]
+    assert calls == [("oracle", 1, 0, ROOT)] * 2
+    assert len(prefixes) == 2  # a prefix per bench
+
+
+def test_a_child_runs_without_the_variables_given_as_none(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    show = "import os, sys; print(os.environ.get('PYTHONDONTWRITEBYTECODE'), sys.dont_write_bytecode)"
+    assert bench._child(["-c", show], ROOT) == ["1 True"]
+    assert bench._child(["-c", show], ROOT, PYTHONDONTWRITEBYTECODE=None) == ["None False"]
 
 
 def test_a_revision_parent_is_extracted_to_a_path_as_long_as_the_checkout(tmp_path, monkeypatch, capsys):

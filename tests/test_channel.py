@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -43,6 +44,7 @@ from fockdecay import (
 )
 import fockdecay.channel as channel
 from fockdecay.channel import LARGE_EXPONENT
+from fockdecay.fock import quadratic_form
 
 LN2 = math.log(2.0)
 
@@ -133,6 +135,9 @@ def _certificate_cases():
         "mixed fermions": (FockSpace(fermions), pair),
         "three mixed": (FockSpace([ModeSpec(mass=0.3 * j, width=0.5 + j, cutoff=3) for j in range(3)],
                                   total=3), v3),
+        "22 fermions, one excitation": (FockSpace([ModeSpec(Statistics.FERMION, mass=0.5 * (j % 3),
+                                                            width=0.5 * (1 + j % 3)) for j in range(22)],
+                                                  total=1), None),
     }
 
 
@@ -156,6 +161,37 @@ def test_gathered_certificate_refuses_with_the_dense_defect(modes, want):
     assert round(dense, 3) == want
     with pytest.raises(CertificateError, match=re.escape(f"defect {dense:.3e} ")):
         DecayModel(space, v)
+
+
+@pytest.mark.parametrize("case", ["mixed bosons", "mixed fermions", "three mixed", "unmixed three"])
+def test_m_is_its_mass_form_plus_i_times_its_decay_form_bit_for_bit(case):
+    # the decay part is folded into the mass part's array: the sum as one expression, signs of zero too
+    space, v = _certificate_cases()[case]
+    model = DecayModel(space, v)
+    on_ladders = (lambda x: x) if v is None else (lambda x: v.T @ x @ v.conj())
+    want = (quadratic_form(space, on_ladders(np.diag(model.masses)))
+            + 1j * quadratic_form(space, on_ladders(-0.5 * np.diag(model.widths))))
+    assert np.array_equal(model.m_operator.entries, want)
+    assert np.array_equal(np.signbit(model.m_operator.entries.view(float)), np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["unmixed", "three mixed"])
+def test_building_a_model_holds_at_most_three_dense_matrices(mixed):
+    # M, the decay part until it is folded into M, and one temporary: the certificate reads no M, and a
+    # fully mixed V adds only its (d,) terms; every cutoff is the total, so any V keeps the space closed
+    space = FockSpace([ModeSpec(mass=m, width=g, cutoff=12) for m, g in ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5))],
+                      total=12)
+    v = _certificate_cases()["three mixed"][1] if mixed else None
+    space.ladders  # cached on the space, not the model's
+    tracemalloc.start()
+    try:
+        model = DecayModel(space, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dimension == 455 and peak <= 3 * 16 * space.dimension ** 2
+    # its only dense matrix is M: the c_j and W are built on first read
+    assert set(vars(model)) == {"space", "mixing_unitary", "m_operator", "certificate_defect"}
 
 
 def test_model_accepts_any_unitary_on_a_closed_space():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -360,6 +361,19 @@ def test_number_state_two_modes():
     rho = number_state(space, (2, 1))
     i = space.index_of((2, 1))
     assert rho.matrix[i, i] == 1.0
+    rho.check_invariants()
+
+
+def test_number_state_is_built_unchecked():
+    # a basis projector is a density matrix by construction: its matrix and the state's copy, no check's
+    space = FockSpace([boson(12)] * 3, total=12)
+    tracemalloc.start()
+    try:
+        rho = number_state(space, (4, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dimension == 455 and peak <= 2.25 * 16 * space.dimension ** 2
     rho.check_invariants()
 
 

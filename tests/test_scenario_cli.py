@@ -12,6 +12,7 @@ from conftest import support_total_bound
 from fockdecay import (ConfigError, InvariantViolation, build_decay_model, build_generator, config_to_json,
                        evolve_state, expectations, integrate, parse_config, run_scenario)
 from fockdecay.cli import main
+from fockdecay.config import TIME_POINTS_LIMIT
 import fockdecay.scenario as scenario
 from fockdecay.flavour import build_mixed_model, build_quadratic_observables, quadratic_omegas
 from fockdecay.heisenberg import mean_quadratic_trajectory
@@ -827,6 +828,11 @@ def _modes(count, statistics="boson", cutoff=1):
         pytest.param({"modes": _modes(1500, cutoff=1024), "observables": ["occupations"],
                       "initial_state": {"type": "number", "occupations": [1] + [0] * 1499}},
                      "$.observables[0]", id="occupations-width-past-str-digits"),
+        # a grid past the budget ended in a MemoryError traceback in run_scenario, and its ode
+        # route would have been stepped through in Python by validate
+        *[pytest.param({"time_grid": dict(MINIMAL["time_grid"], count=count), "routes": [route]},
+                       "$.time_grid.count", id=f"{route}-grid-of-{count}-times")
+          for count in (2**20 + 1, 10**14) for route in ("heisenberg", "ode")],
     ],
 )
 def test_cli_refuses_a_config_over_budget_before_building_anything(tmp_path, capsys, overrides, path):
@@ -853,6 +859,13 @@ def test_cli_validates_a_config_at_the_budget(tmp_path, capsys, overrides):
     good.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
     assert main(["validate", str(good)]) == 0
     assert scenario.OCCUPATION_COLUMNS_LIMIT == 2**20  # the 20 fermions' product space, exactly
+
+
+def test_a_grid_at_the_budget_parses():
+    # parsing only: validating its ode route would step through every time
+    cfg = parse_config(json.dumps(make_config(time_grid=dict(MINIMAL["time_grid"], count=2**20),
+                                              routes=["ode", "heisenberg"])))
+    assert cfg.time_grid.count == TIME_POINTS_LIMIT == 2**20
 
 
 def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):

@@ -14,11 +14,11 @@ The file holds:
 - ``perfbench``: for each workload in ``WORKLOADS`` and each seed in
   ``SEEDS``, the last line of ``perfbench/run.py --workload W --seed K
   --seconds SECONDS --trace 0``, run as a subprocess of CHECKOUT (its
-  end-to-end metrics, ``attempted`` and ``failed``).  Every such run is
-  from source: ``PYTHONDONTWRITEBYTECODE=1`` and a new empty
-  ``PYTHONPYCACHEPREFIX``, so no ``__pycache__`` is read or written.  The
-  stdlib and numpy are compiled too, so ``setup_s`` and ``peak_rss_mb``
-  read above a plain run's: compare them pair by pair;
+  end-to-end metrics, ``attempted`` and ``failed``).  Every such run reads
+  and writes its bytecode in one ``PYTHONPYCACHEPREFIX`` made for the call
+  (``PYTHONDONTWRITEBYTECODE`` unset), which one untimed run per checkout
+  fills first: each recorded run reads the stdlib, numpy and both
+  checkouts compiled, and none reads a checkout's own ``__pycache__``;
 - ``perfbench_parent``, with ``--parent``: the same runs of PARENT's
   perfbench, each (workload, seed) run on both sides back to back, the
   side that runs first alternating from one pair to the next, so that the
@@ -86,20 +86,16 @@ print(json.dumps(walls))
 """
 
 
-def _child(args: list[str], cwd: Path, **env: str) -> list[str]:
-    """Standard output lines of a Python subprocess with BLAS on one thread and ``env`` set; it must exit 0."""
+def _child(args: list[str], cwd: Path, **env: str | None) -> list[str]:
+    """Standard output lines of a Python subprocess with BLAS on one thread and ``env`` set, a
+    variable given as None unset; it must exit 0."""
+    env = {k: v for k, v in dict(os.environ, **PIN_ONE_THREAD, **env).items() if v is not None}
     done = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env=dict(os.environ, **PIN_ONE_THREAD, **env), timeout=CAP_SECONDS)
+                          env=env, timeout=CAP_SECONDS)
     if done.returncode != 0:
         tail = (done.stderr.strip().splitlines() or ["(no output)"])[-1]
         raise RuntimeError(f"{' '.join(args[:2])} exited {done.returncode}: {tail}")
     return done.stdout.splitlines()
-
-
-def _from_source(args: list[str], cwd: Path) -> list[str]:
-    """:func:`_child`, with no bytecode written, and none read: the cache prefix is a new empty directory."""
-    with tempfile.TemporaryDirectory() as prefix:
-        return _child(args, cwd, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
 
 
 def _source_committed(root: Path) -> bool | None:
@@ -124,10 +120,17 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
                       f"at {root} ({len(str(root))}); peak_rss_mb moves with the path's length",
                       file=sys.stderr)
             sides.append((checkout, parent_runs))
+        bytecode = {"PYTHONDONTWRITEBYTECODE": None, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}
+
+        def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> list[str]:
+            return _child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"], checkout, **bytecode)
+
+        for checkout, _ in sides:  # untimed: compiles what the recorded runs read
+            perfbench(checkout, workloads[0], seeds[0], 0)
         for k, (workload, seed) in enumerate(itertools.product(workloads, seeds)):
             for checkout, into in sides[::-1] if k % 2 else sides:
-                lines = _from_source(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                                      "--seconds", str(seconds), "--trace", "0"], checkout)
+                lines = perfbench(checkout, workload, seed, seconds)
                 if environment is None and into is runs:
                     env_line = next(ln for ln in lines if ln.startswith("# environment "))
                     environment = json.loads(env_line.split(" ", 2)[2])
