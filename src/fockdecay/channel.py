@@ -413,7 +413,7 @@ def _certificate_defect(model: DecayModel) -> float:
             for p, m in off:  # column q of a_p^dag a_m a_l and of a_l a_p^dag a_m holds one entry each
                 defect[rows[p, m, lower], cols] += row[l] * omega[p, m] * values[p, m, lower] * amp
                 defect[lower[rows[p, m]], cols] -= row[l] * omega[p, m] * amp[rows[p, m]] * values[p, m]
-        worst = max(worst, float(np.max(np.abs(defect))))
+        worst = max(worst, float(np.abs(defect, out=defect).real.max()))  # in place: cleared for the next c_j
     return worst
 
 
