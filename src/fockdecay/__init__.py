@@ -27,14 +27,11 @@ _MODULES = {
     "channel": (
         "DecayModel", "KrausSet", "build_decay_model", "build_kraus",
         "apply_channel", "apply_channel_matrix", "evolve_state", "enforce_superselection",
-        "expectation", "expectations", "occupation_distribution", "trace_distance",
+        "expectation", "occupation_distribution", "trace_distance",
     ),
     "master": ("GeneratorAction", "build_generator", "integrate"),
-    "heisenberg": (
-        "evolve_observable", "evolve_observable_matrix", "evolve_ladder",
-        "evolve_quadratic", "evolve_number", "evolve_strangeness", "evolve_projector",
-        "mean_number_trajectory", "mean_strangeness_trajectory",
-    ),
+    "heisenberg": ("evolve_observable", "evolve_observable_matrix", "evolve_ladder", "evolve_quadratic",
+                   "evolve_projector", "mean_quadratic_trajectories"),
     "flavour": ("mixing_matrix", "build_mixed_model", "build_flavour_observables"),
     "scenario": ("RunResult", "run_scenario"),
 }

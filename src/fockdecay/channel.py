@@ -20,11 +20,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .config import CertificateError
+from .config import CertificateError, InvariantViolation
 from .fock import (
     DensityOperator,
     FockSpace,
-    InvariantViolation,
     OperatorMatrix,
     Support,
     _ladder_pairs,
@@ -223,8 +222,9 @@ class KrausSet:
     diag(``amplitudes``) is U in that basis: exp(-i M_nn t) unmixed, and
     exp(-i (m_ref N_n + lambda_n) t) under mixing, with the sector phase and
     the splitting phase taken apart (see :attr:`DecayModel._spectrum`);
-    ``propagator`` = U and ``gram`` = sum E^dag E are formed from D and
-    ``weights``.  Construction refuses a negative or NaN time, a non-finite
+    ``propagator`` = U = W D W^dag is formed on its first read, and sum E^dag
+    E is ``evolve_observable_matrix(channel, eye)``.  Construction forms no
+    d x d matrix of its own, and refuses a negative or NaN time, a non-finite
     amplitude, under mixing a nonzero one whose splitting phase rounds by
     more than ``PHASE_TOL`` (2^-53 Re lambda_n t), and a
     ``completeness_defect`` above ``COMPLETENESS_TOL``: with g the largest
@@ -235,31 +235,33 @@ class KrausSet:
 
     model: DecayModel
     time: float
-    propagator: np.ndarray = field(init=False, repr=False)
     amplitudes: np.ndarray = field(init=False, repr=False)
     weights: tuple[float, ...] = field(init=False, repr=False)
-    gram: np.ndarray = field(init=False, repr=False)
     completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
         t = float(self.time)
-        amplitudes, weights, grams, defects = _channels(self.model, [t])
+        amplitudes, weights, defects = _channels(self.model, [t])
+        amplitudes[0].setflags(write=False)
         for name, value in (("time", t), ("amplitudes", amplitudes[0]),
-                            ("propagator", _from_mode_basis(self.model, np.diag(amplitudes[0]))),
                             ("weights", tuple(weights[0].tolist())),
-                            ("gram", _from_mode_basis(self.model, np.diag(grams[0]).astype(complex))),
                             ("completeness_defect", float(defects[0]))):
             object.__setattr__(self, name, value)
-        for array in (self.propagator, self.amplitudes, self.gram):
-            array.setflags(write=False)
+
+    @cached_property
+    def propagator(self) -> np.ndarray:
+        """U = exp(-i M t) = W D W^dag, read-only."""
+        u = _from_mode_basis(self.model, np.diag(self.amplitudes))
+        u.setflags(write=False)
+        return u
 
 
 def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The Kraus channels of ``model`` at each of ``times``, checked as
-    :class:`KrausSet` describes: their (n, d) amplitudes D, (n, r) weights,
-    (n, d) diagonals of the Grams Phi^dag(D^dag D) and (n,) completeness defects.
+    :class:`KrausSet` describes: their (n, d) amplitudes D, (n, r) weights and (n,)
+    completeness defects, read from the (n, d) diagonals of the Grams Phi^dag(D^dag D).
     """
     times = [float(t) for t in times]
     weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
@@ -287,7 +289,7 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
     bad = defects > COMPLETENESS_TOL
     if bad.any():
         raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
-    return amplitudes, weights, grams, defects
+    return amplitudes, weights, defects
 
 
 def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
@@ -422,14 +424,8 @@ def _mass_scale(masses: Sequence[float], widths: Sequence[float]) -> float:
     return max(1.0, *(max(abs(m_j), 0.5 * g_j) for m_j, g_j in zip(masses, widths)))
 
 
-def build_decay_model(space: FockSpace) -> DecayModel:
-    """Unmixed model: every mode decays independently at its own width."""
-    return DecayModel(space)
-
-
-def build_kraus(model: DecayModel, t: float) -> KrausSet:
-    """The complete Kraus channel of ``model`` at time t (see :class:`KrausSet`)."""
-    return KrausSet(model, t)
+build_decay_model = DecayModel
+build_kraus = KrausSet
 
 
 def apply_channel_matrix(kraus: KrausSet, matrix: np.ndarray) -> np.ndarray:
@@ -470,8 +466,6 @@ def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[De
 
 def apply_channel(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
     """Evolve a state on the channel's space: the one-point grid of :func:`evolve_state` at its time."""
-    if rho.space != kraus.model.space:
-        raise ValueError("state and Kraus channel live on different spaces")
     return evolve_state(kraus.model, rho, [kraus.time])[0]
 
 
@@ -530,7 +524,7 @@ def _grid_stack(model: DecayModel, rho0: DensityOperator,
     """The (n, d, d) stack of states the channels at ``times`` make of rho0, from
     ``start()`` (see :func:`_grid_start`), with the trace kept to 1e-12 and each
     validated as a density operator on the blocks of its support."""
-    amplitudes, weights, _, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
+    amplitudes, weights, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
     support, rotated, blocks, scratch = start()
     out = _channel_action(model, amplitudes, weights, rotated, support)
     drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho0.matrix))
@@ -574,20 +568,11 @@ def read_series(
     return values, np.concatenate(diagonals) if diagonals else np.empty((0, 0))
 
 
-def expectations(states: Sequence[DensityOperator], obs: OperatorMatrix) -> np.ndarray:
-    """tr(rho * obs) for each state, for a Hermitian observable: a thin wrapper
-    that reads the states in (n, d, d) stacks of n = _stack_points(d) with
-    :func:`read_series`."""
-    if any(rho.space != obs.space for rho in states):
-        raise ValueError("state and observable live on different spaces")
-    block = _stack_points(obs.space.dimension)
-    stacks = (np.array([rho.matrix for rho in states[i:i + block]]) for i in range(0, len(states), block))
-    return read_series(stacks, {"obs": obs})[0]["obs"]
-
-
 def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:
-    """tr(rho * obs) for a Hermitian observable: :func:`expectations` of one state."""
-    return float(expectations([rho], obs)[0])
+    """tr(rho * obs) for a Hermitian observable: :func:`read_series` of one state."""
+    if rho.space != obs.space:
+        raise ValueError("state and observable live on different spaces")
+    return float(read_series([rho.matrix[None]], {"obs": obs})[0]["obs"][0])
 
 
 def occupation_distribution(rho: DensityOperator) -> dict[tuple[int, ...], float]:
@@ -603,7 +588,9 @@ def occupation_distribution(rho: DensityOperator) -> dict[tuple[int, ...], float
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) ||a - b||_1 between two states or raw matrices."""
+    """(1/2) ||a - b||_1 between two states or raw matrices; two states must share a space."""
+    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator) and a.space != b.space:
+        raise ValueError("the two states live on different spaces")
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a, dtype=complex)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b, dtype=complex)
     delta = ma - mb

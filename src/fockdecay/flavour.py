@@ -41,8 +41,9 @@ def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:
     the rotation moves quanta between modes, so only then is the space
     closed under it and the model exact on all of it.  A boson pair with cutoff c is built on
     ``FockSpace(modes, total=c)``.  Fermionic pairs are accepted on their
-    whole space (the loss patterns are then restricted to {0, 1}) but the
-    worked closed forms target bosons.
+    whole space (the loss patterns are then restricted to {0, 1}): their
+    quadratic closed forms hold, and :func:`fockdecay.heisenberg.evolve_ladder`
+    refuses a flavour mode with weight on one decay mode while the other has a width.
     """
     if space.n_modes != 2:
         raise ValueError(f"mixing needs exactly 2 modes, space has {space.n_modes}")

@@ -17,10 +17,9 @@ from typing import Mapping
 import numpy as np
 
 from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight, _raw_action
-from .flavour import quadratic_omegas
+from .config import InvariantViolation
 from .fock import (
     DensityOperator,
-    InvariantViolation,
     OperatorMatrix,
     _check_mode,
     hermitian_scale,
@@ -62,11 +61,16 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
 
     With a_m = sum_j V[j, m] c_j (V the identity without mixing), each
     propagation mode contributes its decay amplitude d_j: the lowering one is
-    the :func:`linear_form` sum_l (sum_j V[j, m] d_j conj(V[j, l])) a_l.
+    the :func:`linear_form` sum_l (sum_j V[j, m] d_j conj(V[j, l])) a_l.  For
+    fermions c_j^dag c_i c_j = -n_j c_i (j != i) breaks it: a ValueError refuses
+    a_m with weight on a fermionic c_i while another fermionic mode has a width.
     """
     j = _check_mode(model.space, mode)
+    v, fermions = model._couplings, np.array([m.is_fermion for m in model.space.modes])
+    decaying = fermions & (np.array(model.widths) > 0)
+    if any(decaying.sum() > decaying[i] for i in np.flatnonzero(fermions & (v[:, j] != 0))):
+        raise ValueError("no ladder closed form: a_m is on a fermionic c_i, and another fermion mode decays")
     d = _grid_amplitudes(model, [t])[0]
-    v = model._couplings
     low = OperatorMatrix(model.space, linear_form(model.space, (v[:, j] * d) @ v.conj()))
     return low, low.dagger()
 
@@ -107,13 +111,6 @@ def evolve_quadratic(model: DecayModel, omega: np.ndarray, t: float) -> Operator
     return OperatorMatrix(model.space, quadratic_form(model.space, model._on_ladders(scaled)))
 
 
-def mean_quadratic_trajectory(model: DecayModel, rho0: DensityOperator, omega: np.ndarray,
-                              times) -> np.ndarray:
-    """tr(rho0 evolve_quadratic(model, omega, t)) for every t, without building an
-    operator: :func:`mean_quadratic_trajectories` of one omega."""
-    return mean_quadratic_trajectories(model, rho0, {"omega": omega}, times)["omega"]
-
-
 def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
                                 omegas: Mapping[str, np.ndarray], times) -> dict[str, np.ndarray]:
     """For each named omega, tr(rho0 evolve_quadratic(model, omega, t)) for every t.
@@ -144,17 +141,6 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
     return out
 
 
-def evolve_number(model: DecayModel, t: float) -> OperatorMatrix:
-    """Adjoint-evolved total number observable (closed form)."""
-    return evolve_quadratic(model, quadratic_omegas(model.space.n_modes)["N"], t)
-
-
-def evolve_strangeness(model: DecayModel, t: float) -> OperatorMatrix:
-    """Adjoint-evolved two-flavour charge n_1 - n_2 (closed form)."""
-    _require_two_boson_flavours(model)
-    return evolve_quadratic(model, quadratic_omegas(2)["S"], t)
-
-
 def evolve_projector(model: DecayModel, t: float, occupations) -> OperatorMatrix:
     """Adjoint-evolved basis projector for unmixed models.
 
@@ -169,33 +155,7 @@ def evolve_projector(model: DecayModel, t: float, occupations) -> OperatorMatrix
     space.index_of(occ)  # validates the tuple
     weights = [_decay_weight(g, t) for g in model.widths]
     damps = [abs(_decay_amplitude(0.0, g, t)) ** 2 for g in model.widths]
-    diag = np.zeros(space.dimension, dtype=complex)
-    for i, tau in enumerate(space.occupations):
-        coeff = 1.0
-        for n_j, tau_j, w_j, e_j in zip(occ, tau, weights, damps):
-            if tau_j < n_j:
-                coeff = 0.0
-                break
-            coeff *= math.comb(tau_j, n_j) * e_j**n_j * w_j ** (tau_j - n_j)
-        diag[i] = coeff
-    return OperatorMatrix(space, np.diag(diag))
-
-
-def _require_two_boson_flavours(model: DecayModel):
-    if model.space.n_modes != 2:
-        raise ValueError(
-            f"flavour charge needs exactly 2 modes, space has {model.space.n_modes}"
-        )
-    if any(m.is_fermion for m in model.space.modes):
-        raise ValueError("flavour charge closed forms are derived for bosonic modes")
-
-
-def mean_number_trajectory(model: DecayModel, rho0: DensityOperator, times) -> np.ndarray:
-    """<N(t)> over the grid, computed on the observable side."""
-    return mean_quadratic_trajectory(model, rho0, quadratic_omegas(model.space.n_modes)["N"], times)
-
-
-def mean_strangeness_trajectory(model: DecayModel, rho0: DensityOperator, times) -> np.ndarray:
-    """<S(t)> over the grid for a two-flavour bosonic model."""
-    _require_two_boson_flavours(model)
-    return mean_quadratic_trajectory(model, rho0, quadratic_omegas(2)["S"], times)
+    # math.comb is 0 where tau_j < n_j, which zeroes that basis state's product
+    diag = [math.prod(math.comb(tau_j, n_j) * e_j**n_j * w_j ** max(tau_j - n_j, 0)
+                      for n_j, tau_j, w_j, e_j in zip(occ, tau, weights, damps)) for tau in space.occupations]
+    return OperatorMatrix(space, np.diag(np.array(diag, dtype=complex)))

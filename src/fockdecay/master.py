@@ -25,8 +25,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import DecayModel, Result, _as_states, _stack_points
-from .config import STEP_MATCH_TOL, StepError, default_step, steps_for  # noqa: F401
-from .fock import DensityOperator, InvariantViolation, block_minima, closed_support, connected_blocks
+from .config import STEP_MATCH_TOL, InvariantViolation, StepError, default_step, steps_for  # noqa: F401
+from .fock import DensityOperator, block_minima, closed_support, connected_blocks
 
 EIG_EXCURSION_FLOOR = -1e-8
 
@@ -66,8 +66,7 @@ class GeneratorAction:
         return out
 
 
-def build_generator(model: DecayModel) -> GeneratorAction:
-    return GeneratorAction(model)
+build_generator = GeneratorAction
 
 
 def _scaled(matrix: np.ndarray, index: tuple[np.ndarray, ...], scale: complex) -> np.ndarray:

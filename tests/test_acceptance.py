@@ -22,14 +22,13 @@ from fockdecay import (
     build_mixed_model,
     build_total_number,
     coherent_state,
-    evolve_number,
     evolve_observable,
     evolve_observable_matrix,
+    evolve_quadratic,
     evolve_state,
-    evolve_strangeness,
     expectation,
     integrate,
-    mean_strangeness_trajectory,
+    mean_quadratic_trajectories,
     number_state,
     occupation_distribution,
     parse_config,
@@ -38,6 +37,7 @@ from fockdecay import (
     trace_distance,
     vacuum_state,
 )
+from fockdecay.flavour import quadratic_omegas
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -213,11 +213,12 @@ def test_criterion_09_heisenberg_closed_forms():
     for t in (0.0, 0.7, 2.1):
         want = math.exp(-t) * n_op.entries
         series = evolve_observable(build_kraus(model, t), n_op).entries
-        closed = evolve_number(model, t).entries
+        closed = evolve_quadratic(model, quadratic_omegas(1)["N"], t).entries
         worst_n = max(worst_n, float(np.max(np.abs(series - want))),
                       float(np.max(np.abs(closed - want))))
 
     # mixed model at a generic angle: full operator identities for N and S
+    omegas = quadratic_omegas(2)
     theta, phi = 1.0, 0.7
     mixed = mixed_two_flavour(theta=theta, phi=phi, psi=0.3, chi=0.2)
     obs = build_flavour_observables(mixed.space, phi)
@@ -237,8 +238,8 @@ def test_criterion_09_heisenberg_closed_forms():
                      + ebar * math.cos(dm * t) * math.sin(theta) ** 2) * obs["S"].entries
                   + (half_sum - ebar * math.cos(dm * t))
                   * math.sin(theta) * math.cos(theta) * obs["Qplus"].entries)
-        got_n = evolve_number(mixed, t).entries
-        got_s = evolve_strangeness(mixed, t).entries
+        got_n = evolve_quadratic(mixed, omegas["N"], t).entries
+        got_s = evolve_quadratic(mixed, omegas["S"], t).entries
         worst_mixed = max(worst_mixed,
                           float(np.max(np.abs((got_n - want_n)[np.ix_(ix, ix)]))),
                           float(np.max(np.abs((got_s - want_s)[np.ix_(ix, ix)]))))
@@ -255,8 +256,8 @@ def test_criterion_09_heisenberg_closed_forms():
         0.5 * e2 * (obs0["S"].entries - obs0["N"].entries)
     worst_extreme = max(
         worst_extreme,
-        float(np.max(np.abs((evolve_number(plain, t).entries - want_n)[np.ix_(ix, ix)]))),
-        float(np.max(np.abs((evolve_strangeness(plain, t).entries - want_s)[np.ix_(ix, ix)]))),
+        float(np.max(np.abs((evolve_quadratic(plain, omegas["N"], t).entries - want_n)[np.ix_(ix, ix)]))),
+        float(np.max(np.abs((evolve_quadratic(plain, omegas["S"], t).entries - want_s)[np.ix_(ix, ix)]))),
     )
     maximal = mixed_two_flavour(theta=math.pi / 2)
     obs9 = build_flavour_observables(maximal.space, 0.0)
@@ -265,8 +266,8 @@ def test_criterion_09_heisenberg_closed_forms():
                                     + math.sin(dm * t) * obs9["Qminus"].entries)
     worst_extreme = max(
         worst_extreme,
-        float(np.max(np.abs((evolve_number(maximal, t).entries - want_n)[np.ix_(ix, ix)]))),
-        float(np.max(np.abs((evolve_strangeness(maximal, t).entries - want_s)[np.ix_(ix, ix)]))),
+        float(np.max(np.abs((evolve_quadratic(maximal, omegas["N"], t).entries - want_n)[np.ix_(ix, ix)]))),
+        float(np.max(np.abs((evolve_quadratic(maximal, omegas["S"], t).entries - want_s)[np.ix_(ix, ix)]))),
     )
     ok = worst_n <= 1e-12 and worst_mixed <= 1e-10 and worst_extreme <= 1e-10
     _report(9, "heisenberg closed forms", ok,
@@ -288,14 +289,14 @@ def test_criterion_10_oscillation_reproduction():
     for state, t in zip(evolve_state(model, rho, times), times):
         want = math.exp(-gbar * t) * math.cos(dm * t) * (n1 - n2)
         worst_s = max(worst_s, abs(expectation(state, obs["S"]) - want))
-    heis = mean_strangeness_trajectory(model, rho, times)
+    heis = mean_quadratic_trajectories(model, rho, quadratic_omegas(2), times)["S"]
     worst_s = max(worst_s, float(np.max(np.abs(
         heis - np.exp(-gbar * times) * np.cos(dm * times) * (n1 - n2)))))
 
     cycles, n_samples = 8, 256
     period = 2 * math.pi * cycles / dm
     fft_times = np.arange(n_samples) * (period / n_samples)
-    signal = mean_strangeness_trajectory(model, rho, fft_times) * np.exp(gbar * fft_times)
+    signal = mean_quadratic_trajectories(model, rho, quadratic_omegas(2), fft_times)["S"] * np.exp(gbar * fft_times)
     peak = int(np.argmax(np.abs(np.fft.rfft(signal))[1:])) + 1
     peak_freq = 2 * math.pi * peak / period
     ok_fft = abs(peak_freq - dm) <= 2 * math.pi / period

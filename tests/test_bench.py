@@ -35,6 +35,26 @@ def test_tier1_counts_are_read_from_the_pytest_summary_line():
     assert bench.summary_counts("no tests ran") == {"seconds": None}
 
 
+def test_tier1_slowest_tests_are_read_from_the_durations_block():
+    stdout = "\n".join([
+        "........................................................................ [ 85%]",
+        "=========================== slowest 10 durations ============================",
+        "4.62s call     tests/test_config.py::test_steps_for_counts_and_refuses_as_numpy_did",
+        "0.31s setup    tests/test_cli_fuzz.py::test_mutated_configs_end_in_a_coded_exit[3]",
+        "",
+        "(8 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "423 passed in 20.43s",
+    ])
+    assert bench.slowest_tests(stdout) == [
+        {"test": "tests/test_config.py::test_steps_for_counts_and_refuses_as_numpy_did", "when": "call",
+         "seconds": 4.62},
+        {"test": "tests/test_cli_fuzz.py::test_mutated_configs_end_in_a_coded_exit[3]", "when": "setup",
+         "seconds": 0.31},
+    ]
+    assert bench.summary_counts(stdout.splitlines()[-1]) == {"passed": 423, "seconds": 20.43}
+    assert bench.slowest_tests("423 passed in 20.43s") == []
+
+
 def test_src_lines_counts_code_and_docstrings_but_not_blanks_or_comments(tmp_path):
     pkg = tmp_path / "src" / "fockdecay"
     pkg.mkdir(parents=True)

@@ -30,7 +30,6 @@ from fockdecay import (
     evolve_observable_matrix,
     evolve_state,
     expectation,
-    expectations,
     number_state,
     coherent_state,
     occupation_distribution,
@@ -221,11 +220,11 @@ def test_models_and_channels_are_constructed_only_from_what_they_check():
     assert [f.name for f in fields(KrausSet) if f.init] == ["model", "time"]
     model = build_decay_model(single_mode_space(cutoff=2))
     ks = KrausSet(model, 0.5)
-    for obj, name in ((model, "m_operator"), (model, "decay_ops"), (ks, "propagator"),
-                      (ks, "gram")):
+    assert "propagator" not in vars(ks)  # no d x d matrix until it is read
+    for obj, name in ((model, "m_operator"), (model, "decay_ops"), (ks, "propagator")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, None)
-    for array in (model.m_operator.entries, ks.propagator, ks.gram):
+    for array in (model.m_operator.entries, ks.propagator):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
     with pytest.raises(TypeError):
@@ -457,7 +456,7 @@ def test_nested_maps_match_the_family_reference(model, t, rng):
     gram = sum(E.conj().T @ E for E in ref)
     assert np.max(np.abs(apply_channel_matrix(ks, x) - forward)) <= 1e-13
     assert np.max(np.abs(evolve_observable_matrix(build_kraus(model, t), x) - adjoint)) <= 1e-13
-    assert np.max(np.abs(ks.gram - gram)) <= 1e-13
+    assert np.max(np.abs(evolve_observable_matrix(ks, np.eye(len(x))) - gram)) <= 1e-13
     # a state with coherences between every pair of totals
     rho = random_density_matrix(rng, model.space)
     want = sum(E @ rho.matrix @ E.conj().T for E in ref)
@@ -530,7 +529,7 @@ def test_a_grid_stack_is_the_dense_loss_maps_bit_for_bit(model, rho):
     # has them, then the phases and the rotation back
     times = [0.0, 0.4, 1.3]
     (stack,) = evolve_state(model, rho, times, read=list)
-    amplitudes, weights, _, _ = channel._channels(model, times)
+    amplitudes, weights, _ = channel._channels(model, times)
     y = dense_loss_maps(channel._to_mode_basis(model, rho.matrix), build_decay_model(model.space), weights,
                         adjoint=False)
     y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
@@ -808,24 +807,35 @@ def test_expectations_match_one_state_at_a_time(rng):
     space = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=3)])
     s_op = build_flavour_observables(space)["S"]
     states = [random_density_matrix(rng, space) for _ in range(4)]
-    got = expectations(states, s_op)
+    got = channel.read_series([np.array([rho.matrix for rho in states])], {"S": s_op})[0]["S"]
     assert got.shape == (4,)
     assert np.array_equal(got, [expectation(rho, s_op) for rho in states])
-    assert expectations([], s_op).shape == (0,)
+    assert channel.read_series([], {"S": s_op})[0]["S"].shape == (0,)
 
 
 def test_expectations_check_every_state():
     space = single_mode_space(cutoff=2)
     n_op = build_total_number(space)
-    with pytest.raises(ValueError):
-        expectations([vacuum_state(space), vacuum_state(single_mode_space(cutoff=3))], n_op)
+    with pytest.raises(ValueError, match="state and observable live on different spaces"):
+        expectation(vacuum_state(single_mode_space(cutoff=3)), n_op)
     # an unvalidated non-Hermitian matrix leaves an imaginary residue on one sample only
     skew = np.diag([0.0, 1.0, 0.0]).astype(complex)
     skew[1, 2] = 1j
     bad = DensityOperator(space, skew, validate=False)
     hop = OperatorMatrix(space, np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
     with pytest.raises(InvariantViolation):
-        expectations([vacuum_state(space), bad], hop)
+        channel.read_series([np.array([vacuum_state(space).matrix, bad.matrix])], {"hop": hop})
+
+
+def test_trace_distance_refuses_states_on_different_spaces():
+    # both spaces have dimension 4, so their vacua's matrices are equal
+    boson = vacuum_state(FockSpace(ModeSpec(cutoff=3)))
+    fermions = vacuum_state(FockSpace([ModeSpec(Statistics.FERMION), ModeSpec(Statistics.FERMION)]))
+    assert np.array_equal(boson.matrix, fermions.matrix)
+    with pytest.raises(ValueError, match="live on different spaces"):
+        trace_distance(boson, fermions)
+    assert trace_distance(boson.matrix, fermions.matrix) == 0.0  # raw matrices carry no space
+    assert trace_distance(boson, vacuum_state(boson.space)) == 0.0
 
 
 def test_a_nan_state_fails_the_expectation_residue_check():

@@ -23,8 +23,7 @@ from fockdecay import (
     evolve_state,
     expectation,
     integrate,
-    mean_number_trajectory,
-    mean_strangeness_trajectory,
+    mean_quadratic_trajectories,
     mixing_matrix,
     number_state,
     trace_distance,
@@ -203,8 +202,8 @@ def test_three_routes_agree_on_mean_values():
     rho0 = number_state(space, (2, 1))
     times = [0.5, 1.5]
     obs = build_flavour_observables(space, phi=0.0)
-    heis_n = mean_number_trajectory(model, rho0, times)
-    heis_s = mean_strangeness_trajectory(model, rho0, times)
+    means = mean_quadratic_trajectories(model, rho0, quadratic_omegas(2), times)
+    heis_n, heis_s = means["N"], means["S"]
     gen = build_generator(model)
     ode_states = integrate(gen, rho0, times, 1e-3)
     for i, t in enumerate(times):
@@ -226,7 +225,7 @@ def test_oscillation_frequency_lands_on_fft_bin():
     cycles, n_samples = 8, 256
     period = 2 * math.pi * cycles / dm
     times = np.arange(n_samples) * (period / n_samples)
-    signal = mean_strangeness_trajectory(model, rho0, times) * np.exp(gbar * times)
+    signal = mean_quadratic_trajectories(model, rho0, quadratic_omegas(2), times)["S"] * np.exp(gbar * times)
     spectrum = np.abs(np.fft.rfft(signal))
     peak = int(np.argmax(spectrum[1:])) + 1
     peak_freq = 2 * math.pi * peak / period

@@ -21,23 +21,18 @@ from fockdecay import (
     build_total_number,
     coherent_state,
     evolve_ladder,
-    evolve_number,
     evolve_observable,
     evolve_observable_matrix,
     evolve_projector,
     evolve_quadratic,
-    evolve_strangeness,
     expectation,
-    expectations,
-    mean_number_trajectory,
-    mean_strangeness_trajectory,
+    mean_quadratic_trajectories,
     number_state,
 )
 from fockdecay.flavour import quadratic_omegas
-from fockdecay.fock import one_body_correlations, quadratic_form
+from fockdecay.fock import linear_form, one_body_correlations, quadratic_form
 import fockdecay.heisenberg as heisenberg
 from fockdecay.channel import _decay_amplitude
-from fockdecay.heisenberg import mean_quadratic_trajectories, mean_quadratic_trajectory
 
 
 def single_model(cutoff=6, mass=0.5, width=1.0):
@@ -79,7 +74,7 @@ def test_number_decays_exponentially():
     for t in (0.0, math.log(2.0), 1.9):
         ks = build_kraus(model, t)
         series = evolve_observable(ks, n_op).entries
-        closed = evolve_number(model, t).entries
+        closed = evolve_quadratic(model, quadratic_omegas(1)["N"], t).entries
         want = math.exp(-t) * n_op.entries
         assert np.max(np.abs(series - want)) <= 1e-12
         assert np.max(np.abs(closed - want)) <= 1e-12
@@ -149,7 +144,7 @@ def test_ladder_factorization_single_type():
     model = single_model(mass=0.6)
     t = 1.1
     low, high = evolve_ladder(model, t, 1)
-    n_t = evolve_number(model, t).entries
+    n_t = evolve_quadratic(model, quadratic_omegas(1)["N"], t).entries
     assert np.max(np.abs(high.entries @ low.entries - n_t)) <= 1e-12
 
 
@@ -171,6 +166,57 @@ def test_ladder_mixed_matches_series(rng):
         closed = evolve_ladder(model, t, mode)[0].entries
         series = evolve_observable_matrix(ks, a)
         assert np.max(np.abs((closed - series))) <= 1e-12
+
+
+def _fermion(mass, width):
+    return ModeSpec(Statistics.FERMION, mass=mass, width=width)
+
+
+def _fermion_ladder_cases():
+    """(id, model, the modes whose ladder closed form is refused)."""
+    pair = [_fermion(0.3, 1.3), _fermion(1.1, 0.7)]
+    still = [_fermion(0.3, 0.0), _fermion(1.1, 0.0)]
+    boson = ModeSpec(mass=0.3, width=1.3, cutoff=2)
+    mix = MixingParams(theta=0.9, phi=0.4)
+    return [
+        ("two decaying fermions", build_decay_model(FockSpace(pair)), (1, 2)),
+        ("fermion pair, one width 0", build_decay_model(FockSpace([pair[0], still[1]])), (2,)),
+        ("mixed fermion pair", build_mixed_model(FockSpace(pair), mix), (1, 2)),
+        ("boson and fermion", build_decay_model(FockSpace([boson, pair[1]])), ()),
+        ("lone fermion", build_decay_model(FockSpace(pair[0])), ()),
+        ("mixed fermion pair, widths 0", build_mixed_model(FockSpace(still), mix), ()),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[c[0] for c in _fermion_ladder_cases()])
+def test_ladder_closed_form_on_fermions_holds_or_is_refused(case):
+    # c_j^dag c_i c_j = -n_j c_i for fermions j != i, so another decaying fermion breaks the form
+    _, model, refused = _fermion_ladder_cases()[case]
+    t = 0.8
+    ks = build_kraus(model, t)
+    d, v = heisenberg._grid_amplitudes(model, [t])[0], model._couplings
+    for mode in range(1, model.space.n_modes + 1):
+        series = evolve_observable_matrix(ks, build_annihilator(model.space, mode).entries)
+        if mode in refused:
+            unrestricted = linear_form(model.space, (v[:, mode - 1] * d) @ v.conj())
+            assert np.max(np.abs(unrestricted - series)) > 0.1
+            with pytest.raises(ValueError, match="another fermion mode decays"):
+                evolve_ladder(model, t, mode)
+        else:
+            assert np.max(np.abs(evolve_ladder(model, t, mode)[0].entries - series)) <= 1e-14
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["unmixed", "mixed"])
+def test_quadratic_closed_forms_hold_on_a_fermion_pair(mixed):
+    # quadratic forms are even operators, so no sign of c_j^dag c_i c_j reaches them
+    space = FockSpace([_fermion(0.3, 1.3), _fermion(1.1, 0.7)])
+    phi = 0.4 if mixed else 0.0
+    model = build_mixed_model(space, MixingParams(theta=0.9, phi=phi)) if mixed else build_decay_model(space)
+    t = 0.8
+    ks = build_kraus(model, t)
+    for name, omega in quadratic_omegas(2, phi).items():
+        series = evolve_observable_matrix(ks, quadratic_form(space, omega))
+        assert np.max(np.abs(evolve_quadratic(model, omega, t).entries - series)) <= 1e-14, name
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +262,10 @@ def test_number_and_strangeness_identities_generic_angle():
     for t in (0.0, 0.4, 1.7):
         want_n, want_s = eq42_eq47_matrices(model.space, theta, phi, masses, widths, t)
         ks = build_kraus(model, t)
-        for got in (evolve_number(model, t).entries,
+        for got in (evolve_quadratic(model, quadratic_omegas(2)["N"], t).entries,
                     evolve_observable(ks, obs["N"]).entries):
             assert np.max(np.abs((got - want_n))) <= 1e-10
-        for got in (evolve_strangeness(model, t).entries,
+        for got in (evolve_quadratic(model, quadratic_omegas(2)["S"], t).entries,
                     evolve_observable(ks, obs["S"]).entries):
             assert np.max(np.abs((got - want_s))) <= 1e-10
 
@@ -234,8 +280,9 @@ def test_extreme_angle_forms():
     plain = mixed_model(theta=0.0, phi=0.0, psi=0.0, chi=0.0, masses=masses, widths=widths)
     obs = build_flavour_observables(plain.space, 0.0)
     n_mat, s_mat = obs["N"].entries, obs["S"].entries
-    got_n = evolve_number(plain, t).entries
-    got_s = evolve_strangeness(plain, t).entries
+    omegas = quadratic_omegas(2)
+    got_n = evolve_quadratic(plain, omegas["N"], t).entries
+    got_s = evolve_quadratic(plain, omegas["S"], t).entries
     want_n = 0.5 * e1 * (n_mat + s_mat) + 0.5 * e2 * (n_mat - s_mat)
     want_s = 0.5 * e1 * (s_mat + n_mat) + 0.5 * e2 * (s_mat - n_mat)
     assert np.max(np.abs((got_n - want_n))) <= 1e-10
@@ -247,8 +294,8 @@ def test_extreme_angle_forms():
     obs = build_flavour_observables(maximal.space, phi)
     qp, qm, s_mat, n_mat = (obs["Qplus"].entries, obs["Qminus"].entries,
                             obs["S"].entries, obs["N"].entries)
-    got_n = evolve_number(maximal, t).entries
-    got_s = evolve_strangeness(maximal, t).entries
+    got_n = evolve_quadratic(maximal, omegas["N"], t).entries
+    got_s = evolve_quadratic(maximal, omegas["S"], t).entries
     want_n = 0.5 * (e1 + e2) * n_mat + 0.5 * (e1 - e2) * qp
     want_s = math.exp(-gbar * t) * (math.cos(dm * t) * s_mat + math.sin(dm * t) * qm)
     assert np.max(np.abs((got_n - want_n))) <= 1e-10
@@ -259,7 +306,7 @@ def test_global_phase_does_not_move_observables():
     mats = []
     for chi in (0.0, math.pi / 3, 3 * math.pi / 2):
         model = mixed_model(theta=1.1, phi=0.5, psi=0.8, chi=chi)
-        mats.append((evolve_number(model, 0.7).entries, evolve_strangeness(model, 0.7).entries))
+        mats.append(tuple(evolve_quadratic(model, quadratic_omegas(2)[name], 0.7).entries for name in "NS"))
     for n_t, s_t in mats[1:]:
         assert np.max(np.abs(n_t - mats[0][0])) <= 1e-12
         assert np.max(np.abs(s_t - mats[0][1])) <= 1e-12
@@ -274,8 +321,8 @@ def test_mean_trajectories_match_scalar_closed_forms():
         model = mixed_model(theta=theta, phi=0.0, psi=0.0, chi=0.0,
                             masses=masses, widths=widths)
         rho = number_state(model.space, (n1, n2))
-        got_n = mean_number_trajectory(model, rho, times)
-        got_s = mean_strangeness_trajectory(model, rho, times)
+        means = mean_quadratic_trajectories(model, rho, quadratic_omegas(2), times)
+        got_n, got_s = means["N"], means["S"]
         e1 = np.exp(-widths[0] * times)
         e2 = np.exp(-widths[1] * times)
         want_n = 0.5 * (e1 + e2) * (n1 + n2) + 0.5 * (e1 - e2) * (n1 - n2) * math.cos(theta)
@@ -291,11 +338,8 @@ def test_mean_trajectories_match_scalar_closed_forms():
 
 
 def test_strangeness_requires_two_flavours():
-    model = single_model()
-    with pytest.raises(ValueError):
-        evolve_strangeness(model, 0.5)
-    with pytest.raises(ValueError):
-        mean_strangeness_trajectory(model, number_state(model.space, (1,)), [0.0])
+    assert list(quadratic_omegas(1)) == ["N"]
+    assert "S" in quadratic_omegas(2) and "S" not in quadratic_omegas(3)
 
 
 def test_quadratic_evolver_handles_coherence_pair():
@@ -346,7 +390,7 @@ def test_grid_form_matches_operator_form(rng, case):
     omegas = dict(quadratic_omegas(r, phi), random=0.5 * (raw + raw.conj().T))
     times = np.linspace(0.0, 3.0, 13)
     for name, omega in omegas.items():
-        got = mean_quadratic_trajectory(model, rho0, omega, times)
+        got = mean_quadratic_trajectories(model, rho0, {name: omega}, times)[name]
         want = [expectation(rho0, evolve_quadratic(model, omega, float(t))) for t in times]
         assert got.shape == times.shape
         assert np.max(np.abs(got - want)) <= 1e-13, name
@@ -356,15 +400,15 @@ def test_grid_form_shares_the_operator_form_checks(rng):
     model = mixed_model(theta=0.8)
     rho0 = random_density_matrix(rng, model.space)
     with pytest.raises(ValueError, match="must be 2x2"):
-        mean_quadratic_trajectory(model, rho0, np.eye(3), [0.5])
+        mean_quadratic_trajectories(model, rho0, {"big": np.eye(3)}, [0.5])
     with pytest.raises(ValueError, match="not Hermitian"):
-        mean_quadratic_trajectory(model, rho0, np.array([[0.0, 1.0], [0.0, 0.0]]), [0.5])
+        mean_quadratic_trajectories(model, rho0, {"skew": np.array([[0.0, 1.0], [0.0, 0.0]])}, [0.5])
     # the tolerance is relative to the observable's scale on both paths
     large = 1e6 * np.array([[1.0, 0.3], [0.3, -2.0]], dtype=complex)
     large[0, 1] += 1e-7
     operator = OperatorMatrix(model.space, quadratic_form(model.space, large))
-    assert np.isfinite(mean_quadratic_trajectory(model, rho0, large, [0.5])).all()
-    assert np.isfinite(expectations([rho0], operator)).all()
+    assert np.isfinite(mean_quadratic_trajectories(model, rho0, {"large": large}, [0.5])["large"]).all()
+    assert np.isfinite(expectation(rho0, operator))
 
 
 def test_grid_form_rejects_an_imaginary_expectation():
@@ -372,7 +416,7 @@ def test_grid_form_rejects_an_imaginary_expectation():
     # not Hermitian, so <N> = rho[1, 1] + 2 rho[2, 2] is not real
     state = DensityOperator(model.space, np.diag([0.0, 1.0 + 0.5j, 0.0]), validate=False)
     with pytest.raises(InvariantViolation, match="imaginary residue"):
-        mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])
+        mean_quadratic_trajectories(model, state, quadratic_omegas(1), [0.0, 0.5])
 
 
 def test_grid_form_rejects_a_nan_state():
@@ -380,7 +424,7 @@ def test_grid_form_rejects_a_nan_state():
     model = single_model(cutoff=2)
     state = DensityOperator(model.space, np.full((3, 3), np.nan), validate=False)
     with pytest.raises(InvariantViolation, match="imaginary residue nan"):
-        mean_quadratic_trajectory(model, state, quadratic_omegas(1)["N"], [0.0, 0.5])
+        mean_quadratic_trajectories(model, state, quadratic_omegas(1), [0.0, 0.5])
 
 
 @pytest.mark.parametrize("case", ["mixed pair, coherent", "boson and fermion, mixture"])
@@ -409,7 +453,7 @@ def test_pair_amplitudes_refuse_a_non_finite_mass_difference():
     heisenberg._grid_amplitudes(model, [1e8])
     omega = quadratic_omegas(2)["N"]
     with pytest.raises(InvariantViolation, match="mass difference"):
-        mean_quadratic_trajectory(model, rho0, omega, [0.0, 1e8])
+        mean_quadratic_trajectories(model, rho0, {"N": omega}, [0.0, 1e8])
     with pytest.raises(InvariantViolation, match="mass difference"):
         evolve_quadratic(model, omega, 1e8)
 
@@ -423,12 +467,9 @@ def _closed_forms():
     return {
         "evolve_ladder": lambda t: evolve_ladder(model, t, 1),
         "evolve_quadratic": lambda t: evolve_quadratic(model, omega, t),
-        "evolve_number": lambda t: evolve_number(model, t),
-        "evolve_strangeness": lambda t: evolve_strangeness(model, t),
         "evolve_projector": lambda t: evolve_projector(model, t, (1, 0)),
-        "mean_quadratic_trajectory": lambda t: mean_quadratic_trajectory(model, rho0, omega, [t]),
-        "mean_number_trajectory": lambda t: mean_number_trajectory(model, rho0, [0.5, t]),
-        "mean_strangeness_trajectory": lambda t: mean_strangeness_trajectory(model, rho0, [t]),
+        "mean_quadratic_trajectories": lambda t: mean_quadratic_trajectories(
+            model, rho0, quadratic_omegas(2), [0.5, t]),
     }
 
 
@@ -474,4 +515,4 @@ def test_trajectories_share_one_pass_and_equal_each_omega_alone(rng):
     got = mean_quadratic_trajectories(model, rho0, omegas, times)
     assert list(got) == list(omegas)
     for name, omega in omegas.items():
-        assert np.array_equal(got[name], mean_quadratic_trajectory(model, rho0, omega, times))
+        assert np.array_equal(got[name], mean_quadratic_trajectories(model, rho0, {name: omega}, times)[name])

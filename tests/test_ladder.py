@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fockdecay.scenario import parse_config, validate_config
+from fockdecay.config import parse_config, validate_config
 
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 _spec = importlib.util.spec_from_file_location("ladder", LADDER)

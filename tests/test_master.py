@@ -22,12 +22,13 @@ from fockdecay import (
     build_mixed_model,
     build_total_number,
     evolve_state,
-    expectations,
+    expectation,
     integrate,
     number_state,
     trace_distance,
     vacuum_state,
 )
+from fockdecay.config import STEP_MATCH_TOL
 
 
 def single_model(cutoff=6, mass=0.0, width=1.0):
@@ -162,7 +163,7 @@ def steps_for_reference(times, step):
         if not math.isfinite(ratio):
             raise master.StepError(f"time {t!r} over step {step!r} is not a finite step count")
         n = int(round(ratio))
-        if abs(n * step - t) > master.STEP_MATCH_TOL * max(1.0, abs(t)):
+        if abs(n * step - t) > STEP_MATCH_TOL * max(1.0, abs(t)):
             raise master.StepError(f"time {t!r} is not a multiple of step {step!r}; "
                                    "interpolation is not supported")
         out.append(n)
@@ -385,7 +386,7 @@ def test_a_reader_gets_the_wrappers_states_stack_by_stack(monkeypatch):
         assert [len(s) for s in stacks] == [3, 3, 2]
         assert np.array_equal(np.concatenate(stacks), [s.matrix for s in states])
         values, diagonals = channel.read_series(iter(stacks), {"N": n_op}, diagonal=True)
-        assert np.array_equal(values["N"], expectations(states, n_op))
+        assert np.array_equal(values["N"], [expectation(s, n_op) for s in states])
         assert np.array_equal(diagonals, [s.diagonal() for s in states])
     # a reader that stops early leaves the rest of the grid unevaluated
     monkeypatch.setattr(master, "_check_states", lambda *args: seen.append(len(args[0])))

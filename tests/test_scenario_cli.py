@@ -10,12 +10,12 @@ import pytest
 from conftest import support_total_bound
 
 from fockdecay import (ConfigError, InvariantViolation, build_decay_model, build_generator, config_to_json,
-                       evolve_state, expectations, integrate, parse_config, run_scenario)
+                       evolve_state, expectation, integrate, parse_config, run_scenario)
 from fockdecay.cli import main
-from fockdecay.config import TIME_POINTS_LIMIT
+from fockdecay.config import CUTOFF_LIMIT, OCCUPATION_COLUMNS_LIMIT, TIME_POINTS_LIMIT
 import fockdecay.scenario as scenario
 from fockdecay.flavour import build_mixed_model, build_quadratic_observables, quadratic_omegas
-from fockdecay.heisenberg import mean_quadratic_trajectory
+from fockdecay.heisenberg import mean_quadratic_trajectories
 from fockdecay.scenario import build_initial_state, build_space
 
 REPO = Path(__file__).resolve().parent.parent
@@ -848,7 +848,7 @@ def test_cli_refuses_a_config_over_budget_before_building_anything(tmp_path, cap
 @pytest.mark.parametrize(
     "overrides",
     [
-        pytest.param({"modes": _modes(1, cutoff=scenario.CUTOFF_LIMIT)}, id="cutoff-at-limit"),
+        pytest.param({"modes": _modes(1, cutoff=CUTOFF_LIMIT)}, id="cutoff-at-limit"),
         pytest.param({"modes": _modes(20, "fermion"), "observables": ["occupations"],
                       "initial_state": {"type": "number", "occupations": [1] + [0] * 19}},
                      id="occupations-2^20-columns"),
@@ -858,7 +858,7 @@ def test_cli_validates_a_config_at_the_budget(tmp_path, capsys, overrides):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(make_config(output_path=str(tmp_path / "out"), **overrides)))
     assert main(["validate", str(good)]) == 0
-    assert scenario.OCCUPATION_COLUMNS_LIMIT == 2**20  # the 20 fermions' product space, exactly
+    assert OCCUPATION_COLUMNS_LIMIT == 2**20  # the 20 fermions' product space, exactly
 
 
 def test_a_grid_at_the_budget_parses():
@@ -884,21 +884,22 @@ def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):
 
 
 def _reference_series(cfg, mix, route, name):
-    """One route's series of one observable, from the list wrappers: T rows of columns."""
+    """One route's series of one observable, one observable and one state at a time: T rows of columns."""
     space = build_space(cfg)
     rho0 = build_initial_state(cfg, space)
     times = np.linspace(cfg.time_grid.start, cfg.time_grid.stop, cfg.time_grid.count)
     model = build_decay_model(space) if mix is None else build_mixed_model(space, mix)
     phi = mix.phi if mix is not None else 0.0
     if route == "heisenberg":
-        return [[v] for v in mean_quadratic_trajectory(model, rho0, quadratic_omegas(space.n_modes, phi)[name],
-                                                      times)]
+        omega = quadratic_omegas(space.n_modes, phi)[name]
+        return [[v] for v in mean_quadratic_trajectories(model, rho0, {name: omega}, times)[name]]
     if route == "kraus":
         states = evolve_state(model, rho0, times)
     else:
         states = integrate(build_generator(model), rho0, times, scenario._ode_step(cfg))
     if name != "occupations":
-        return [[v] for v in expectations(states, build_quadratic_observables(space, phi)[name])]
+        obs = build_quadratic_observables(space, phi)[name]
+        return [[expectation(state, obs)] for state in states]
     _, from_s = scenario._occupation_columns(space)
     return [np.append(s.diagonal(), 0.0)[from_s] for s in states]
 

@@ -38,8 +38,8 @@ The file holds:
   CHECKOUT that are not comment-only lines (docstrings count), and with
   ``--parent`` the same count of PARENT as ``outputs.parent_src_lines``;
 - ``tier1``: the Tier-1 suite, ``TIER1`` run in CHECKOUT with ``src`` on
-  ``PYTHONPATH``: its wall time, exit code, summary line, and the counts and
-  duration read from that line.
+  ``PYTHONPATH``: its wall time, exit code, summary line, the counts and
+  duration read from that line, and ``slowest``, its ten slowest tests.
 
 CHECKOUT defaults to the checkout holding this script; the file is written there.
 """
@@ -63,7 +63,7 @@ SECONDS = 6.0
 REPS = 3
 PIN_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CAP_SECONDS = 600
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 COMPARE = Path(__file__).resolve().parent / "compare_outputs.py"
 
 # argv: source checkout, warm repetitions; prints {config name: [seconds, ...]}
@@ -217,8 +217,16 @@ def summary_counts(line: str) -> dict:
     return counts
 
 
+def slowest_tests(stdout: str) -> list[dict]:
+    """The rows of pytest's ``slowest N durations`` block, such as ``4.62s call
+    tests/test_config.py::test_x``, as ``{test, when, seconds}``, slowest first."""
+    block = stdout.partition(" durations ==")[2]
+    return [{"test": test, "when": when, "seconds": float(seconds)}
+            for seconds, when, test in re.findall(r"^([0-9.]+)s (\w+) +(\S+)$", block, re.M)]
+
+
 def tier1(root: Path) -> dict:
-    """Wall time, exit code and summary of one Tier-1 run of ``root``."""
+    """Wall time, exit code, summary and slowest tests of one Tier-1 run of ``root``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
@@ -227,7 +235,7 @@ def tier1(root: Path) -> dict:
     wall = time.perf_counter() - start
     summary = (done.stdout.strip().splitlines() or [""])[-1]
     return {"command": ["python", *TIER1], "wall_s": wall, "exit_code": done.returncode,
-            "summary": summary, **summary_counts(summary)}
+            "summary": summary, **summary_counts(summary), "slowest": slowest_tests(done.stdout)}
 
 
 def main(argv=None) -> int:
