@@ -5,17 +5,18 @@ decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses; their sum factorises by
 mode, and is evaluated in the basis of the decay modes' number states, where
 M is diagonal and each loss map is the amplitude damping of one mode, a
-gather, run on the entries a state can reach from its own (its support).  A
-model and a :class:`KrausSet` check themselves when constructed (the
-commutation certificate, which guards that the space is closed under the
-decay operators, and completeness), over the whole space, so no object that
-fails them can be represented.
+gather, run on the entries a state can reach from its own (its support).  The
+states stay there, as values in that basis, while they are checked and read;
+only a returned state is rotated back.  A model and a :class:`KrausSet`
+check themselves when constructed (the commutation certificate, which guards
+that the space is closed under the decay operators, and completeness), over
+the whole space, so no object that fails them can be represented.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -29,8 +30,10 @@ from .fock import (
     _ladder_pairs,
     check_densities,
     closed_support,
-    connected_blocks,
+    hermitian_scale,
     linear_form,
+    one_body_correlations,
+    padded,
     quadratic_form,
 )
 
@@ -319,21 +322,6 @@ def _state_support(model: DecayModel, y0: np.ndarray) -> Support:
     return Support(space, rows, cols)
 
 
-def _state_blocks(model: DecayModel, support: Support) -> tuple[np.ndarray, ...]:
-    """The connected blocks of the states made on ``support``, in the model's basis:
-    under mixing W keeps each total-N sector, so each index joins its sector's block."""
-    space, rows, cols = model.space, support.rows, support.cols
-    if model.is_mixed:  # join the sectors that an entry joins, through an index of each
-        tot = space.total_occupation
-        hub = np.zeros(space.total + 1, dtype=np.int64)
-        hub[tot] = np.arange(space.dimension)
-        pairs = np.zeros((space.total + 1,) * 2, dtype=bool)
-        pairs[tot[rows], tot[cols]] = True
-        a, b = np.nonzero(pairs)
-        rows, cols = np.concatenate([hub[a], hub[tot]]), np.concatenate([hub[b], np.arange(space.dimension)])
-    return connected_blocks(space.dimension, rows, cols)
-
-
 def _loss_maps(x: np.ndarray, support: Support, weights: np.ndarray, adjoint: bool) -> np.ndarray:
     """Phi_1 o ... o Phi_r of the space's a_j (Phi_r first), or the adjoint maps
     (Phi_1^dag first), on the values ``x`` of a matrix on ``support``, for each
@@ -437,16 +425,16 @@ def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> n
     """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
     full = Support(kraus.model.space, *np.indices((kraus.model.space.dimension,) * 2).reshape(2, -1))
-    return _channel_action(kraus.model, kraus.amplitudes[None], np.array([kraus.weights]),
-                           full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)[0]
+    y = _channel_action(kraus.amplitudes[None], np.array([kraus.weights]),
+                        full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)
+    return _from_mode_basis(kraus.model, full.scatter(y))[0]
 
 
-def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarray,
-                    y: np.ndarray, support: Support, adjoint: bool = False) -> np.ndarray:
-    """For each channel of the stack, the (n, d, d) stack of sum_k E_k X E_k^dag = W
-    D [Phi_1 o ... o Phi_r](y) D^dag W^dag, or with ``adjoint`` sum_k E_k^dag X
-    E_k = W [Phi_r^dag o ... o Phi_1^dag](D^dag y D) W^dag, given y, the values
-    of W^dag X W on ``support``: a grid rotates its matrix once for all its stacks."""
+def _channel_action(amplitudes: np.ndarray, weights: np.ndarray, y: np.ndarray, support: Support,
+                    adjoint: bool = False) -> np.ndarray:
+    """For each channel of the stack, the (n, K) values of D [Phi_1 o ... o Phi_r](y)
+    D^dag = W^dag (sum_k E_k X E_k^dag) W, or with ``adjoint`` of [Phi_r^dag o ...
+    o Phi_1^dag](D^dag y D), given the values y of W^dag X W on ``support``."""
     # the (n, K) phases D_a conj(D_b) are formed where they are used, not held through the maps
     rows, cols = support.rows, support.cols
     if adjoint:
@@ -455,7 +443,7 @@ def _channel_action(model: DecayModel, amplitudes: np.ndarray, weights: np.ndarr
     else:
         y = _loss_maps(y, support, weights, adjoint=False)
         y *= amplitudes[:, rows] * amplitudes[:, cols].conj()
-    return _from_mode_basis(model, support.scatter(y))
+    return y
 
 
 def _as_states(matrices: Iterable[np.ndarray], like: DensityOperator) -> list[DensityOperator]:
@@ -473,106 +461,125 @@ def evolve_state(
     model: DecayModel,
     rho0: DensityOperator,
     times: Sequence[float],
-    read: Callable[[Iterator[np.ndarray]], Result] | None = None,
+    read: Callable[[Support, Iterator[np.ndarray], DecayModel | None], Result] | None = None,
 ) -> list[DensityOperator] | Result:
     """The complete Kraus channel of each point of a time grid applied to rho0.
 
-    The grid is evaluated as checked (n, d, d) stacks of n = _stack_points(d)
-    states, each bit-identical to ``apply_channel_matrix(build_kraus(model,
-    t), rho0.matrix)``.  A chunk that fails is evaluated again one point at a
-    time, so the error is the earliest point's.  With ``read``, the result is
-    ``read(stacks)``, the stacks made one at a time as ``read`` iterates (see
-    :func:`read_series`); without, the list of one state per grid point.
+    The grid is evaluated as checked (n, K) stacks of the values of n =
+    _stack_points(d) states y = W^dag rho W on rho0's :func:`_state_support`;
+    a chunk that fails is evaluated again one point at a time, so the error is
+    the earliest point's.  With ``read``, the result is ``read(support, stacks,
+    basis)`` (see :func:`read_series`), the stacks made as ``read`` iterates.
+    Without, it is the list of states W y W^dag, each bit-identical to
+    ``apply_channel_matrix(build_kraus(model, t), rho0.matrix)``.
     """
     times = [float(t) for t in times]
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    stacks = _state_stacks(model, rho0, times)
-    return _as_states((m for stack in stacks for m in stack), rho0) if read is None else read(stacks)
+    y0 = _to_mode_basis(model, rho0.matrix)
+    support = _state_support(model, y0)
+    stacks = _state_stacks(model, rho0, support, support.values(y0), times)
+    if read is not None:
+        return read(support, stacks, model if model.is_mixed else None)
+    return _as_states((m for y in stacks for m in _from_mode_basis(model, support.scatter(y))), rho0)
 
 
-def _state_stacks(model: DecayModel, rho0: DensityOperator, times: list[float]) -> Iterator[np.ndarray]:
+def _state_stacks(model: DecayModel, rho0: DensityOperator, support: Support, y0: np.ndarray,
+                  times: list[float]) -> Iterator[np.ndarray]:
     chunk = _stack_points(model.space.dimension)
-    start = cache(partial(_grid_start, model, rho0, min(chunk, len(times))))  # once per grid
     for first in range(0, len(times), chunk):
         part = times[first:first + chunk]
         try:
-            stack = _grid_stack(model, rho0, start, part)
+            stack = _grid_stack(model, rho0, support, y0, part)
         except (InvariantViolation, ValueError):
             for t in part:
-                _grid_stack(model, rho0, start, [t])
+                _grid_stack(model, rho0, support, y0, [t])
             raise
         yield stack
 
 
-def _grid_start(model: DecayModel, rho0: DensityOperator,
-                points: int) -> tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """rho0's support in the mode basis, its values there, the states' blocks and
-    one scratch for the checks of every stack of at most ``points`` states (see
-    :func:`fockdecay.fock.check_densities`)."""
-    y0 = _to_mode_basis(model, rho0.matrix)
-    support = _state_support(model, y0)
-    scratch = np.empty((points, model.space.dimension, model.space.dimension), dtype=complex)
-    return support, support.values(y0), _state_blocks(model, support), scratch
-
-
-def _grid_stack(model: DecayModel, rho0: DensityOperator,
-                start: Callable[[], tuple[Support, np.ndarray, tuple[np.ndarray, ...], np.ndarray]],
+def _grid_stack(model: DecayModel, rho0: DensityOperator, support: Support, y0: np.ndarray,
                 times: list[float]) -> np.ndarray:
-    """The (n, d, d) stack of states the channels at ``times`` make of rho0, from
-    ``start()`` (see :func:`_grid_start`), with the trace kept to 1e-12 and each
-    validated as a density operator on the blocks of its support."""
-    amplitudes, weights, _ = _channels(model, times)  # refuses t < 0, and builds W before it is used
-    support, rotated, blocks, scratch = start()
-    out = _channel_action(model, amplitudes, weights, rotated, support)
-    drift = np.abs(np.trace(out, axis1=-2, axis2=-1) - np.trace(rho0.matrix))
+    """The (n, K) values of the states y the channels at ``times`` make of y0, their
+    trace kept to 1e-12 and each checked as a density operator in the mode basis,
+    which differs from checking W y W^dag by about 2 ``MODE_BASIS_TOL``."""
+    amplitudes, weights, _ = _channels(model, times)  # refuses t < 0
+    out = _channel_action(amplitudes, weights, y0, support)
+    drift = np.abs(padded(out)[:, support.slots.diagonal()].sum(axis=1) - np.trace(rho0.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
-    check_densities(out, blocks, scratch[:len(times)])
+    check_densities(support, out)
     return out
 
 
+def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarray:
+    """Shape check, then omega rotated onto the c_j^dag c_k: conj(V) omega V^T."""
+    r = model.space.n_modes
+    omega = np.asarray(omega, dtype=complex)
+    if omega.shape != (r, r):
+        raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
+    if model.is_mixed:
+        return model.mixing_unitary.conj() @ omega @ model.mixing_unitary.T
+    return omega
+
+
+def _real(values: np.ndarray, scale: np.ndarray | float) -> np.ndarray:
+    """The real part of a series of means, once each imaginary residue is within
+    1e-12 of its scale (NaN fails it); an InvariantViolation names the largest that is not."""
+    residue = np.abs(values.imag)
+    bad = ~(residue <= 1e-12 * np.asarray(scale))
+    if bad.any():
+        raise InvariantViolation(f"expectation has imaginary residue {np.max(residue[bad]):.3e}")
+    return values.real
+
+
 def read_series(
+    support: Support,
     stacks: Iterable[np.ndarray],
-    observables: Mapping[str, OperatorMatrix],
+    basis: DecayModel | None = None,
+    *,
+    omegas: Mapping[str, np.ndarray],
     diagonal: bool = False,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """The series of a grid of states handed over as (n, d, d) stacks, each
-    dropped once read: tr(rho * obs) of each Hermitian observable, as a real
-    array under its name, and with ``diagonal`` the (T, d) real diagonals
-    (None without).
+    """The series of a grid of states handed over as (n, K) values on ``support``,
+    each stack dropped once read: the real mean of each Hermitian sum_lm omega_lm
+    a_l^dag a_m under its name, and with ``diagonal`` the (T, d) real diagonals.
 
-    Each observable is checked once, with one ``einsum`` per observable per
-    stack; the tiny imaginary residue left by floating point is checked over
-    the whole series and discarded.
+    With ``basis`` None the values are rho's, and a mean is sum_lm omega_lm T_lm,
+    T = :func:`one_body_correlations`.  With a model they are y = W^dag rho W,
+    and a mean is sum_jk coeff_jk G_jk, G_jk = tr(y a_j^dag a_k) = tr(rho c_j^dag
+    c_k), coeff = :func:`_propagation_coefficients`, and a diagonal the row sums
+    of (W Y) o conj(W).  Each residue is within 1e-12 of max(1, sum |coeff o G|).
     """
-    scales = {name: obs.check_hermitian() for name, obs in observables.items()}
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in observables}
+    for omega in omegas.values():
+        hermitian_scale(omega)
+    coeffs = {name: _propagation_coefficients(basis, omega) if basis is not None else np.asarray(omega, dtype=complex)
+              for name, omega in omegas.items()}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in omegas}
     diagonals = []
-    for stack in stacks:
-        for name, obs in observables.items():
-            parts[name].append(np.einsum("nij,ji->n", stack, obs.entries))
-        if diagonal:
-            diagonals.append(np.real(stack.diagonal(axis1=-2, axis2=-1)).copy())
-    values = {}
-    for name, scale in scales.items():
-        series = np.concatenate(parts[name]) if parts[name] else np.empty(0, dtype=complex)
-        residue = float(np.max(np.abs(series.imag), initial=0.0))
-        if not residue <= 1e-12 * scale:  # NaN fails it
-            raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
-        values[name] = series.real
+    for values in stacks:
+        gram = one_body_correlations(support, values) if coeffs else None
+        for name, coeff in coeffs.items():
+            terms = coeff * gram
+            parts[name].append(_real(terms.sum(axis=(1, 2)), np.maximum(1.0, np.abs(terms).sum(axis=(1, 2)))))
+        if diagonal and basis is not None:
+            w = basis.mode_basis
+            diagonals.append(np.sum((w @ support.scatter(values)) * w.conj(), axis=-1).real.copy())
+        elif diagonal:
+            diagonals.append(padded(values)[:, support.slots.diagonal()].real.copy())
+    series = {name: np.concatenate(part) if part else np.empty(0) for name, part in parts.items()}
     if not diagonal:
-        return values, None
-    return values, np.concatenate(diagonals) if diagonals else np.empty((0, 0))
+        return series, None
+    return series, np.concatenate(diagonals) if diagonals else np.empty((0, 0))
 
 
 def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:
-    """tr(rho * obs) for a Hermitian observable: :func:`read_series` of one state."""
+    """tr(rho * obs) for a Hermitian observable, its residue within 1e-12 of max(1, max |obs|)."""
     if rho.space != obs.space:
         raise ValueError("state and observable live on different spaces")
-    return float(read_series([rho.matrix[None]], {"obs": obs})[0]["obs"][0])
+    return float(_real(np.einsum("ij,ji->", rho.matrix, obs.entries)[None], hermitian_scale(obs.entries))[0])
 
 
 def occupation_distribution(rho: DensityOperator) -> dict[tuple[int, ...], float]:
@@ -593,6 +600,8 @@ def trace_distance(a, b) -> float:
         raise ValueError("the two states live on different spaces")
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a, dtype=complex)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b, dtype=complex)
+    if ma.ndim != 2 or ma.shape[0] != ma.shape[1] or ma.shape != mb.shape:
+        raise ValueError(f"trace distance needs two square matrices of one shape, got {ma.shape} and {mb.shape}")
     delta = ma - mb
     delta = 0.5 * (delta + delta.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))

@@ -79,16 +79,9 @@ def quadratic_omegas(n_modes: int, phi: float = 0.0) -> dict[str, np.ndarray]:
     return out
 
 
-def build_quadratic_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
-    """Fock operators of every observable in :func:`quadratic_omegas`."""
-    return {
-        name: OperatorMatrix(space, quadratic_form(space, omega))
-        for name, omega in quadratic_omegas(space.n_modes, phi).items()
-    }
-
-
 def build_flavour_observables(space: FockSpace, phi: float = 0.0) -> dict[str, OperatorMatrix]:
-    """Total number N, flavour charge S, and the coherence pair Qplus/Qminus."""
+    """Total number N, flavour charge S, and the coherence pair Qplus/Qminus, each the
+    :func:`quadratic_form` of its :func:`quadratic_omegas` entry."""
     if space.n_modes != 2:
         raise ValueError(f"flavour observables need exactly 2 modes, space has {space.n_modes}")
-    return build_quadratic_observables(space, phi)
+    return {name: OperatorMatrix(space, quadratic_form(space, omega)) for name, omega in quadratic_omegas(2, phi).items()}

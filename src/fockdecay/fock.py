@@ -1,14 +1,15 @@
 """Truncated occupation-number bases and the operators read from their ladder maps.
 
 Multi-mode boson/fermion spaces with a per-mode occupation cutoff, dense
-ladder and number matrices, the linear forms sum_l coeffs_l a_l, the quadratic
-forms sum_lm omega_lm a_l^dag a_m and their means, scattered and gathered
-with no matrix product, the standard initial states (number states, coherent
-states, Poisson mixtures), and the supports and connected blocks that the
-density checks run on.
+ladder and number matrices, the linear forms sum_l coeffs_l a_l and the
+quadratic forms sum_lm omega_lm a_l^dag a_m, scattered with no matrix
+product, the standard initial states, and the supports that states are
+evolved, checked and read on: a state is its values there, and its checks
+and its means tr(rho a_l^dag a_m) gather from them through one slot map.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -24,6 +25,14 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 # Entries of a support up to which its indices are intp, and int32 beyond
 SMALL_SUPPORT = 2**14
+
+
+def _integral(occupation) -> tuple[int, ...]:
+    """An occupation tuple as ints; a ValueError for a non-integral entry."""
+    occ = tuple(occupation)
+    if not all(float(n).is_integer() for n in occ):
+        raise ValueError(f"occupations must be integers, got {occ}")
+    return tuple(int(n) for n in occ)
 
 
 def sector_occupations(cutoffs: Sequence[int], total: int) -> np.ndarray:
@@ -83,7 +92,7 @@ class FockSpace:
         return self._occupations
 
     def index_of(self, occupation) -> int:
-        key = tuple(int(n) for n in occupation)
+        key = _integral(occupation)
         try:
             return self._flat_index[key]
         except KeyError:
@@ -179,16 +188,13 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.entries.conj().T)
 
-    def check_hermitian(self) -> float:
-        """:func:`hermitian_scale` of the entries."""
-        return hermitian_scale(self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class Support:
     """Entries (rows[i], cols[i]) of a d x d matrix on ``space``, in row-major
     order, such as those a route runs on; a matrix on them is the flat array of
-    its values there."""
+    its values there.  Every gather reads the one map :attr:`slots`, in which
+    slot K stands for "off the entries" and reads 0 (see :func:`padded`)."""
 
     space: FockSpace
     rows: np.ndarray
@@ -218,17 +224,35 @@ class Support:
     def full(self) -> bool:
         return self.rows.size == self.space.dimension ** 2
 
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The (d, d) map of each entry to its slot, K off the entries."""
+        slot = np.full((self.space.dimension,) * 2, self.rows.size, dtype=self.rows.dtype)
+        slot[self.rows, self.cols] = np.arange(self.rows.size)
+        return slot
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The slots of the square blocks of :func:`connected_blocks`, (blocks, size, size) per size."""
+        return tuple(self.slots[idx[:, :, None], idx[:, None, :]]
+                     for idx in connected_blocks(self.space.dimension, self.rows, self.cols))
+
     def plans(self, adjoint: bool) -> tuple[np.ndarray, ...]:
         """Per mode j, where each value of lower Y lower^dag is gathered from, lower
         the plan (cols, vals) of ``space.ladders[j][adjoint]``: the slot of entry
-        (cols[rows[i]], cols[cols[i]]), or slot K, a last one that is always 0."""
+        (cols[rows[i]], cols[cols[i]]), and slot K last."""
         if adjoint not in self._plans:
-            slot = np.full((self.space.dimension,) * 2, self.rows.size)  # each entry's slot, K off them
-            slot[self.rows, self.cols] = np.arange(self.rows.size)
             self._plans[adjoint] = tuple(
-                np.append(slot[cols[self.rows], cols[self.cols]], self.rows.size).astype(self.rows.dtype)
+                np.append(self.slots[cols[self.rows], cols[self.cols]], self.rows.size).astype(self.rows.dtype)
                 for cols in (ladder[adjoint][0] for ladder in self.space.ladders))
         return self._plans[adjoint]
+
+
+def padded(values: np.ndarray) -> np.ndarray:
+    """The (n, K) values with a last column of zeros, which slot K reads."""
+    out = np.zeros((len(values), values.shape[-1] + 1), dtype=values.dtype)
+    out[:, :-1] = values
+    return out
 
 
 def closed_support(dim: int, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
@@ -277,56 +301,54 @@ def connected_blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.n
     return tuple(np.array(members)[:s, sizes == s].T for s in sorted(set(sizes.tolist()) - {0}))
 
 
-def block_minima(matrices: np.ndarray, blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the (n, d, d) stack: the least eigenvalue of its Hermitian part
-    on ``blocks`` (inf with none), one ``eigvalsh`` per block size, a 1 x 1 block's
-    being its real entry, and the count of its nonzero entries off the blocks."""
-    lo = np.full(len(matrices), np.inf)
-    inside = np.zeros(len(matrices), dtype=np.int64)
-    for idx in blocks:
-        if idx.shape[1] == 1:
-            sub = matrices[:, idx[:, 0], idx[:, 0]]
-            inside += np.count_nonzero(sub, axis=1)
-            lo = np.minimum(lo, sub.real.min(axis=1))
+def block_minima(support: Support, values: np.ndarray) -> np.ndarray:
+    """Per state of the (n, K + 1) :func:`padded` values: the least eigenvalue of its
+    Hermitian part on the support's blocks (inf with none), which hold its spectrum,
+    one ``eigvalsh`` per block size, a 1 x 1 block's being its real entry."""
+    lo = np.full(len(values), np.inf)
+    for slots in support.blocks:
+        sub = values[:, slots]
+        if slots.shape[-1] == 1:
+            lo = np.minimum(lo, sub.real.min(axis=(1, 2, 3)))
             continue
-        if idx.shape[1] == matrices.shape[-1]:  # every index: the whole matrix, none off it
-            lo = np.linalg.eigvalsh(0.5 * (matrices + matrices.conj().swapaxes(-1, -2))).min(axis=-1)
-            return lo, np.zeros_like(inside)
-        sub = matrices[:, idx[:, :, None], idx[:, None, :]]
-        inside += np.count_nonzero(sub, axis=(1, 2, 3))
         lo = np.minimum(lo, np.linalg.eigvalsh(0.5 * (sub + sub.conj().swapaxes(-1, -2))).min(axis=(1, 2)))
-    return lo, np.count_nonzero(matrices, axis=(1, 2)) - inside
+    return lo
 
 
-def check_densities(matrices: np.ndarray, blocks: Sequence[np.ndarray] | None = None,
-                    scratch: np.ndarray | None = None) -> None:
-    """Raise InvariantViolation unless each matrix of the (n, d, d) stack is a
-    density matrix: finite, Hermitian within HERMITICITY_TOL, of unit trace
-    within TRACE_TOL, zero off ``blocks`` (by default those of the stack's
-    exact-nonzero pattern) and with no eigenvalue on them below
-    EIGENVALUE_FLOOR.  Each check reports the first matrix that fails it.
-    The Hermiticity defect is formed in ``scratch``, a complex array of the
-    stack's shape, when given, or in one new such array."""
-    if not np.isfinite(matrices).all():
-        raise InvariantViolation("density matrix has a non-finite entry")
-    diff = np.conjugate(matrices.swapaxes(-1, -2), out=scratch)
-    np.subtract(matrices, diff, out=diff)
-    herm = np.max(np.abs(diff), axis=(-2, -1))
-    if (herm > HERMITICITY_TOL).any():
-        raise InvariantViolation(
-            f"density matrix not Hermitian: defect {herm[herm > HERMITICITY_TOL][0]:.3e}")
-    tr = np.trace(matrices, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0) > TRACE_TOL
-    if off.any():
-        raise InvariantViolation(f"density matrix trace {complex(tr[off][0])} differs from 1")
-    if blocks is None:
-        blocks = connected_blocks(matrices.shape[-1], *np.nonzero((matrices != 0).any(axis=0)))
-    lo, stray = block_minima(matrices, blocks)
-    if stray.any():
-        raise InvariantViolation(f"density matrix has {stray[stray > 0][0]} nonzero entries outside its support")
-    if (lo < EIGENVALUE_FLOOR).any():
-        raise InvariantViolation(
-            f"density matrix has eigenvalue {lo[lo < EIGENVALUE_FLOOR][0]:.3e} < {EIGENVALUE_FLOOR}")
+def density_breach(support: Support, values: np.ndarray, herm_tol: float, trace_tol: float,
+                   floor: float) -> tuple[int, str, float | complex] | None:
+    """(index, check, value) of the first state of the (n, K) values that is not a
+    density matrix, or None: a non-finite state first ("finite", nan), then the
+    earliest state failing, in this order, Hermiticity within ``herm_tol`` (each
+    value against its transpose's slot), a trace within ``trace_tol`` of 1 (from
+    the diagonal slots), and no :func:`block_minima` eigenvalue below ``floor``."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        return int(np.argmax(bad)), "finite", math.nan
+    full = padded(values)
+    herm = np.max(np.abs(values - full[:, support.slots[support.cols, support.rows]].conj()), axis=1, initial=0.0)
+    trace = full[:, support.slots.diagonal()].sum(axis=1)
+    lo = block_minima(support, full)
+    checks = [("hermiticity", ~(herm <= herm_tol), herm), ("trace", ~(np.abs(trace - 1.0) <= trace_tol), trace),
+              ("eigenvalue", ~(lo >= floor), lo)]
+    first = min(((int(np.argmax(fails)), k) for k, (_, fails, _) in enumerate(checks) if fails.any()), default=None)
+    if first is None:
+        return None
+    i, k = first
+    return i, checks[k][0], checks[k][2][i]
+
+
+def check_densities(support: Support, values: np.ndarray) -> None:
+    """InvariantViolation for the first :func:`density_breach` at HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_FLOOR."""
+    breach = density_breach(support, values, HERMITICITY_TOL, TRACE_TOL, EIGENVALUE_FLOOR)
+    if breach is not None:
+        _, check, value = breach
+        raise InvariantViolation({
+            "finite": "density matrix has a non-finite entry",
+            "hermiticity": f"density matrix not Hermitian: defect {value:.3e}",
+            "trace": f"density matrix trace {complex(value)} differs from 1",
+            "eigenvalue": f"density matrix has eigenvalue {value:.3e} < {EIGENVALUE_FLOOR}",
+        }[check])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,11 +377,13 @@ class DensityOperator:
         if validate:
             self.check_invariants()
 
-    def check_invariants(self):
-        check_densities(self.matrix[None])
+    def support(self) -> Support:
+        """The state's exact nonzeros."""
+        return Support(self.space, *np.nonzero(self.matrix))
 
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
+    def check_invariants(self):
+        support = self.support()
+        check_densities(support, support.values(self.matrix)[None])
 
 
 def _check_mode(space: FockSpace, mode: int) -> int:
@@ -423,17 +447,18 @@ def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def one_body_correlations(rho: DensityOperator) -> np.ndarray:
-    """T[l, m] = tr(rho a_l^dag a_m), the gathered sum_q rho[q, rows[l, m, q]] values[l, m, q] of
-    :func:`_ladder_pairs`."""
-    rows, values = _ladder_pairs(rho.space)
-    terms = rho.matrix[np.arange(rho.space.dimension), rows] * values  # laid out q-major, as gathered
-    return np.sum(np.ascontiguousarray(terms), axis=-1)  # so each (l, m) is one pairwise sum over q
+def one_body_correlations(support: Support, values: np.ndarray) -> np.ndarray:
+    """T[n, l, m] = tr(rho_n a_l^dag a_m) of the (n, K) values, the gathered sum_q
+    rho[q, rows[l, m, q]] values[l, m, q] of :func:`_ladder_pairs`, laid out q-major:
+    one pairwise sum over q per (l, m), and a C-ordered T whatever n is."""
+    rows, pairs = _ladder_pairs(support.space)
+    terms = padded(values)[:, support.slots[np.arange(support.space.dimension), rows]] * pairs
+    return np.sum(np.ascontiguousarray(terms), axis=-1)
 
 
 def number_state(space: FockSpace, occupations) -> DensityOperator:
     """Pure basis-state projector |n1,...,nr><n1,...,nr|, a density matrix by construction, so unchecked."""
-    occ = tuple(int(n) for n in occupations)
+    occ = _integral(occupations)
     if len(occ) != space.n_modes:
         raise ValueError(f"expected {space.n_modes} occupations, got {len(occ)}")
     if any(n < 0 for n in occ):
@@ -468,6 +493,8 @@ def coherent_state(space: FockSpace, mode: int, alpha: complex) -> DensityOperat
     j = _check_mode(space, mode)
     if space.modes[j].is_fermion:
         raise ValueError(f"mode {mode} is fermionic; coherent states need a bosonic mode")
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     amps, kept, tail = truncated_terms("coherent", alpha, space.modes[j].cutoff)
     amps = np.array(amps) / math.sqrt(kept)
     vec = _single_mode_embedding(space, j, amps)
@@ -480,8 +507,8 @@ def poisson_mixture(space: FockSpace, mode: int, nbar: float) -> DensityOperator
     if space.modes[j].is_fermion:
         raise ValueError(f"mode {mode} is fermionic; Poisson mixtures need a bosonic mode")
     nbar = float(nbar)
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     weights, kept, tail = truncated_terms("poisson", nbar, space.modes[j].cutoff)
     mat = np.diag(_single_mode_embedding(space, j, np.array(weights) / kept))
     return DensityOperator(space, mat, tail_weight=tail)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight, _raw_action
+from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight, _propagation_coefficients, _raw_action, _real
 from .config import InvariantViolation
 from .fock import (
     DensityOperator,
@@ -40,7 +40,7 @@ def evolve_observable(kraus: KrausSet, obs: OperatorMatrix) -> OperatorMatrix:
     the channel's space, on which its model is exact."""
     if obs.space != kraus.model.space:
         raise ValueError("observable and channel live on different spaces")
-    obs.check_hermitian()
+    hermitian_scale(obs.entries)
     out = evolve_observable_matrix(kraus, obs.entries)
     defect = float(np.max(np.abs(out - out.conj().T)))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(out)))):
@@ -73,17 +73,6 @@ def evolve_ladder(model: DecayModel, t: float, mode: int) -> tuple[OperatorMatri
     d = _grid_amplitudes(model, [t])[0]
     low = OperatorMatrix(model.space, linear_form(model.space, (v[:, j] * d) @ v.conj()))
     return low, low.dagger()
-
-
-def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarray:
-    """Shape check, then omega rotated onto the c_j^dag c_k."""
-    r = model.space.n_modes
-    omega = np.asarray(omega, dtype=complex)
-    if omega.shape != (r, r):
-        raise ValueError(f"coefficient matrix must be {r}x{r}, got {omega.shape}")
-    if model.is_mixed:
-        return model.mixing_unitary.conj() @ omega @ model.mixing_unitary.T
-    return omega
 
 
 def _pair_amplitudes(model: DecayModel, times) -> np.ndarray:
@@ -126,18 +115,15 @@ def mean_quadratic_trajectories(model: DecayModel, rho0: DensityOperator,
         hermitian_scale(omega)
     if rho0.space != model.space:
         raise ValueError("state and model live on different spaces")
-    gram, v = one_body_correlations(rho0), model.mixing_unitary
+    support, v = rho0.support(), model.mixing_unitary
+    gram = one_body_correlations(support, support.values(rho0.matrix)[None])[0]
     if model.is_mixed:  # one sum per entry, not two matmuls, whose order rounds differently
         gram = np.einsum("jl,lm,km->jk", v, gram, v.conj())
     pairs = _pair_amplitudes(model, times)
     out = {}
     for name, coeff in coeffs.items():
         terms = coeff * gram
-        values = np.einsum("jk,tjk->t", terms, pairs)
-        residue = float(np.max(np.abs(values.imag), initial=0.0))
-        if not residue <= 1e-12 * max(1.0, float(np.sum(np.abs(terms)))):  # NaN fails it
-            raise InvariantViolation(f"expectation has imaginary residue {residue:.3e}")
-        out[name] = values.real
+        out[name] = _real(np.einsum("jk,tjk->t", terms, pairs), max(1.0, float(np.sum(np.abs(terms)))))
     return out
 
 

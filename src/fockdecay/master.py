@@ -10,7 +10,7 @@ Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
 column occupations together, which holds by construction of a DecayModel).
 That pattern is closed from the space's ladder maps, reading W and the L_j
 only where they can be nonzero, with no matrix product, and each state is
-checked per connected block of it.  Each block's generator matrix is
+checked and read as its values on it.  Each block's generator matrix is
 gathered from W and the L_j at the block's own indices by the Liouville form
 of the generator, and the block advances by the RK4 step polynomial of that
 matrix, formed once.  W and the L_j are read from the model's M and c_j,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import DecayModel, Result, _as_states, _stack_points
 from .config import STEP_MATCH_TOL, InvariantViolation, StepError, default_step, steps_for  # noqa: F401
-from .fock import DensityOperator, block_minima, closed_support, connected_blocks
+from .fock import DensityOperator, Support, closed_support, density_breach
 
 EIG_EXCURSION_FLOOR = -1e-8
 
@@ -165,7 +165,7 @@ def integrate(
     rho0: DensityOperator,
     times: Sequence[float],
     step: float,
-    read: Callable[[Iterator[np.ndarray]], Result] | None = None,
+    read: Callable[[Support, Iterator[np.ndarray], None], Result] | None = None,
 ) -> list[DensityOperator] | Result:
     """Classic fixed-step RK4 trajectory sampled at the requested times.
 
@@ -181,14 +181,13 @@ def integrate(
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
     matrix or a sampled state that is not finite (an unstable step).
 
-    The grid is assembled n = _stack_points(d) points at a time, as
-    (n, d, d) stacks of states checked as they are made (a point at step 0
-    is rho0 itself, unchecked), and an error names the earliest time of the
-    stack that fails.  With ``read``, the result is ``read(stacks)``, the
-    stacks handed over in grid order and made one at a time as ``read``
-    iterates (see :func:`fockdecay.channel.read_series`).  Without, it is a
-    thin wrapper: the list of one DensityOperator per grid point, rho0 itself
-    at step 0.
+    The grid is assembled n = _stack_points(d) points at a time, as (n, K)
+    stacks of the values on the reachable support, checked as they are made
+    (a point at step 0 is rho0 itself, unchecked), and an error names the
+    earliest time of the stack that fails.  With ``read``, the result is
+    ``read(support, stacks, None)`` (see :func:`fockdecay.channel.read_series`),
+    the stacks made as ``read`` iterates.  Without, it is the list of states,
+    rho0 itself at step 0.
     """
     step = float(step)
     if step <= 0:
@@ -202,41 +201,40 @@ def integrate(
         raise ValueError("state and generator live on different spaces")
 
     targets = steps_for(times, step)
-    stacks = _rk4_stacks(gen, rho0, times, targets, step)
+    support = Support(gen.model.space, *_reachable(gen, rho0.matrix))
+    stacks = _rk4_stacks(gen, rho0, support, times, targets, step)
     if read is not None:
-        return read(stacks)
-    states = _as_states((m for stack in stacks for m in stack), rho0)
+        return read(support, stacks, None)
+    states = _as_states((m for values in stacks for m in support.scatter(values)), rho0)
     return [rho0 if n == 0 else state for n, state in zip(targets, states)]
 
 
-def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, times: list[float],
+def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, support: Support, times: list[float],
                 targets: list[int], step: float) -> Iterator[np.ndarray]:
     tot = gen.model.space.total_occupation
-    dim = gen.model.space.dimension
-    size = _stack_points(dim)
-    rows, cols = _reachable(gen, rho0.matrix)
-    checked = connected_blocks(dim, rows, cols)  # the blocks of the states' eigenvalue checks
-    delta = tot[rows] - tot[cols]
+    size = _stack_points(gen.model.space.dimension)
+    delta = tot[support.rows] - tot[support.cols]
     blocks = []
     dns, sizes = np.unique(delta, return_counts=True)
     for dn in dns[np.argsort(-sizes, kind="stable")]:  # largest first: later blocks reuse its memory
-        r, c = rows[delta == dn], cols[delta == dn]
-        blocks.append((dn, r, c, _block_samples(gen, rho0, dn, r, c, targets, step, size)))
+        at = np.flatnonzero(delta == dn)
+        samples = _block_samples(gen, rho0, dn, support.rows[at], support.cols[at], targets, step, size)
+        blocks.append((dn, at, samples))
+    start_values = support.values(rho0.matrix)
     for start in range(0, len(times), size):
         part = np.array(targets[start:start + size])
-        rho = np.zeros((len(part), dim, dim), dtype=complex)
-        for dn, r, c, samples in blocks:
+        values = np.empty((len(part), support.rows.size), dtype=complex)  # every entry is in one block
+        for dn, at, samples in blocks:
             with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness below
-                values = next(samples)
-            if not np.isfinite(values).all():
+                values[:, at] = next(samples)
+            if not np.isfinite(values[:, at]).all():
                 raise InvariantViolation(
                     f"RK4 state of the Delta N = {dn} block is not finite on the grid; "
                     f"step {step!r} is unstable for this generator"
                 )
-            rho[:, r, c] = values
-        rho[part == 0] = rho0.matrix
-        _check_states(rho, part > 0, times[start:start + size], checked)
-        yield rho
+        values[part == 0] = start_values
+        _check_states(support, values, part > 0, times[start:start + size])
+        yield values
 
 
 def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.ndarray, c: np.ndarray,
@@ -259,24 +257,15 @@ def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.n
         return iter(list(samples)) if len(targets) <= r.size else samples
 
 
-def _check_states(rho: np.ndarray, sampled: np.ndarray, times: Sequence[float],
-                  blocks: Sequence[np.ndarray]) -> None:
-    """Hermiticity within 1e-10, no nonzero entry outside ``blocks`` and no
-    eigenvalue below EIG_EXCURSION_FLOOR, taken block by block (see
-    :func:`fockdecay.fock.block_minima`), for each ``sampled`` state of the (n,
-    d, d) stack; the error names the earliest state that fails, with the check
-    it fails first.  A non-finite entry fails Hermiticity."""
-    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    lo, stray = block_minima(rho, blocks)
-    lost = ~(herm <= 1e-10)
-    bad = sampled & (lost | (stray > 0) | ~(lo >= EIG_EXCURSION_FLOOR))
-    if not bad.any():
+def _check_states(support: Support, values: np.ndarray, sampled: np.ndarray, times: Sequence[float]) -> None:
+    """Hermiticity within 1e-10 (which a non-finite value fails) and no eigenvalue below
+    EIG_EXCURSION_FLOOR for each ``sampled`` state of the (n, K) values, the error
+    naming the first :func:`fockdecay.fock.density_breach`."""
+    breach = density_breach(support, values[sampled], 1e-10, math.inf, EIG_EXCURSION_FLOOR)
+    if breach is None:
         return
-    i = int(np.argmax(bad))
-    if lost[i]:
-        raise InvariantViolation(f"RK4 state lost Hermiticity: defect {herm[i]:.3e} at t={times[i]}")
-    if stray[i]:
-        raise InvariantViolation(f"RK4 state has {stray[i]} nonzero entries off its support at t={times[i]}")
-    raise InvariantViolation(
-        f"RK4 state eigenvalue {lo[i]:.3e} below {EIG_EXCURSION_FLOOR} at t={times[i]}"
-    )
+    i, check, value = breach
+    t = [time for time, checked in zip(times, sampled) if checked][i]
+    if check == "eigenvalue":
+        raise InvariantViolation(f"RK4 state eigenvalue {value:.3e} below {EIG_EXCURSION_FLOOR} at t={t}")
+    raise InvariantViolation(f"RK4 state lost Hermiticity: defect {value:.3e} at t={t}")

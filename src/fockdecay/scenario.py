@@ -36,7 +36,7 @@ from .config import (  # noqa: F401 -- the config side, also read as scenario at
     parse_config,
     validate_config,
 )
-from .flavour import build_mixed_model, build_quadratic_observables, quadratic_omegas
+from .flavour import build_mixed_model, quadratic_omegas
 from .flavour import build_flavour_observables  # noqa: F401 -- only for the benchmark's tracer
 from .fock import DensityOperator, FockSpace, coherent_state, number_state, poisson_mixture
 from .heisenberg import evolve_quadratic  # noqa: F401 -- only for the benchmark's tracer
@@ -122,10 +122,8 @@ def run_scenario(
     if "occupations" in names:  # parsing ensures a state-side route reads them
         columns["occupations"], from_s = _occupation_columns(space)
     omegas = quadratic_omegas(space.n_modes, phi)
-    if {"kraus", "ode"} & set(routes):  # the state routes' reader: every series of a route in one pass
-        obs_matrices = build_quadratic_observables(space, phi) if scalar_obs else {}
-        read = partial(read_series, observables={name: obs_matrices[name] for name in scalar_obs},
-                       diagonal="occupations" in names)
+    # the state routes' reader: every series of a route in one pass
+    read = partial(read_series, omegas={name: omegas[name] for name in scalar_obs}, diagonal="occupations" in names)
 
     sweep: list[MixingParams | None] = list(cfg.mixing) if mixed else [None]
     skipped: list[str] = []

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -174,3 +175,51 @@ def test_a_revision_parent_is_extracted_to_a_path_as_long_as_the_checkout(tmp_pa
         bench.bench(root, ["oracle"], [1], 0, 1, "HEAD")
         assert (lengths[0] != lengths[1]) == warned
         assert ("warning: PARENT runs at" in capsys.readouterr().err) == warned
+
+
+def _line(run_s, digits):
+    """A perfbench result line as the runs print it, with two of the metrics."""
+    return json.loads(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
+        "run_s": {"value": run_s, "unit": "s"}, "max_route_dev_digits": {"value": digits, "unit": "digits"}}}))
+
+
+def test_the_comparison_gives_each_metric_its_verdict():
+    bounds = [{"name": "run_s", "better": "lower", "bound": 0.24},
+              {"name": "max_route_dev_digits", "better": "higher", "bound": 0.1}]
+
+    def runs(workload, values):
+        return [{"workload": workload, "seed": k, "result": _line(*v)} for k, v in enumerate(values, 1)]
+
+    steady = [(0.020 + 0.0001 * k, 14.0 + 0.01 * k) for k in range(10)]
+    # a parent whose run_s spreads wider than the bound: a change inside that spread is unresolved,
+    # and a change whose every run beats every parent run is not
+    wide = [(0.015 + 0.002 * k, 14.0) for k in range(10)]
+    parent = runs("oracle", steady) + runs("sweep", wide) + runs("multimode", wide)
+    change = (runs("oracle", [(1.3 * t, d - 0.05) for t, d in steady]) + runs("sweep", wide)
+              + runs("multimode", [(0.010, 14.0)] * 10))
+    got = {(c["workload"], c["metric"]): c for c in bench.comparison(change, parent, bounds)}
+    assert len(got) == 6 and all(c["pairs"] == 10 for c in got.values())
+    assert got[("oracle", "run_s")]["verdict"] == "worse" and got[("oracle", "run_s")]["wins"] == 0
+    assert got[("oracle", "run_s")]["parent_median"] == statistics.median(t for t, _ in steady)
+    # 0.05 fewer digits, within 10% of 14
+    assert got[("oracle", "max_route_dev_digits")]["verdict"] == "within bound"
+    assert got[("oracle", "max_route_dev_digits")]["change_median"] == statistics.median(d - 0.05 for _, d in steady)
+    assert got[("sweep", "run_s")]["verdict"] == "unresolved" and got[("sweep", "run_s")]["wins"] == 0
+    assert got[("sweep", "run_s")]["parent_quartile_distance"] > 0.24 * got[("sweep", "run_s")]["parent_median"]
+    assert got[("multimode", "run_s")]["verdict"] == "within bound" and got[("multimode", "run_s")]["wins"] == 10
+    # ties win for neither side, and a steady metric is resolved
+    assert got[("sweep", "max_route_dev_digits")] == {
+        "workload": "sweep", "metric": "max_route_dev_digits", "change_median": 14.0, "parent_median": 14.0,
+        "parent_quartile_distance": 0.0, "wins": 0, "pairs": 10, "verdict": "within bound"}
+
+
+def test_the_comparison_of_captured_runs_finds_the_oracle_run_time_unresolved():
+    # BENCH_26.json's twenty oracle runs: the parent's run_s spreads 5.9 ms on a 21.4 ms median,
+    # wider than the 24% bound, and the change won 2 of 10 pairs
+    doc = json.loads((ROOT / "BENCH_26.json").read_text(encoding="utf-8"))
+    bounds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    got = {(c["workload"], c["metric"]): c for c in bench.comparison(doc["perfbench"], doc["perfbench_parent"], bounds)}
+    oracle = got[("oracle", "run_s")]
+    assert oracle["verdict"] == "unresolved" and oracle["wins"] == 2
+    assert round(oracle["parent_quartile_distance"], 4) == 0.0059 and round(oracle["parent_median"], 4) == 0.0214
+    assert got[("oracle", "setup_s")]["verdict"] == "within bound"  # 18 ms on 82 ms, inside its 25%

@@ -44,6 +44,7 @@ from fockdecay import (
 import fockdecay.channel as channel
 from fockdecay.channel import LARGE_EXPONENT
 from fockdecay.fock import quadratic_form
+from fockdecay.flavour import quadratic_omegas
 
 LN2 = math.log(2.0)
 
@@ -526,14 +527,15 @@ def test_the_kraus_support_is_the_closure_of_the_loss_maps_pattern(model, rho):
 @pytest.mark.parametrize("model, rho", list(_support_cases()))
 def test_a_grid_stack_is_the_dense_loss_maps_bit_for_bit(model, rho):
     # the maps of the a_j on the dense y0 = W^dag rho0 W, as the unmixed model on the same space
-    # has them, then the phases and the rotation back
+    # has them, then the phases; the stack stays in the mode basis, with the model as its basis
     times = [0.0, 0.4, 1.3]
-    (stack,) = evolve_state(model, rho, times, read=list)
+    support, (stack,), basis = evolve_state(model, rho, times, read=lambda *grid: (grid[0], list(grid[1]), grid[2]))
     amplitudes, weights, _ = channel._channels(model, times)
     y = dense_loss_maps(channel._to_mode_basis(model, rho.matrix), build_decay_model(model.space), weights,
                         adjoint=False)
     y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
-    assert np.array_equal(stack, channel._from_mode_basis(model, y))
+    assert np.array_equal(support.scatter(stack), y)
+    assert basis is (model if model.is_mixed else None)
 
 
 def _gather_cases():
@@ -622,10 +624,10 @@ def test_a_grid_rotates_rho0_into_the_mode_basis_once(monkeypatch):
     rotate, rotated = channel._to_mode_basis, []
     monkeypatch.setattr(channel, "_to_mode_basis", lambda m, x: rotated.append(x) or rotate(m, x))
     stacks = []
-    evolve_state(model, rho, times, read=stacks.extend)
+    support = evolve_state(model, rho, times, read=lambda support, grid, basis: stacks.extend(grid) or support)
     # one W^dag rho0 W for the whole grid, and the states of the raw per-point action bit for bit
     assert len(stacks) == 4 and len(rotated) == 1 and rotated[0] is rho.matrix
-    assert np.array_equal(np.concatenate(stacks), np.array(want))
+    assert np.array_equal(channel._from_mode_basis(model, support.scatter(np.concatenate(stacks))), np.array(want))
 
 
 def test_a_breach_at_one_point_of_a_chunk_raises_as_that_point_does(monkeypatch):
@@ -807,10 +809,12 @@ def test_expectations_match_one_state_at_a_time(rng):
     space = FockSpace([ModeSpec(cutoff=3), ModeSpec(cutoff=3)])
     s_op = build_flavour_observables(space)["S"]
     states = [random_density_matrix(rng, space) for _ in range(4)]
-    got = channel.read_series([np.array([rho.matrix for rho in states])], {"S": s_op})[0]["S"]
+    full = channel.Support(space, *np.indices((space.dimension,) * 2).reshape(2, -1))
+    omegas = {"S": quadratic_omegas(2)["S"]}
+    got = channel.read_series(full, [full.values(np.array([rho.matrix for rho in states]))], omegas=omegas)[0]["S"]
     assert got.shape == (4,)
-    assert np.array_equal(got, [expectation(rho, s_op) for rho in states])
-    assert channel.read_series([], {"S": s_op})[0]["S"].shape == (0,)
+    assert np.max(np.abs(got - [expectation(rho, s_op) for rho in states])) <= 1e-14
+    assert channel.read_series(full, [], omegas=omegas)[0]["S"].shape == (0,)
 
 
 def test_expectations_check_every_state():
@@ -819,12 +823,13 @@ def test_expectations_check_every_state():
     with pytest.raises(ValueError, match="state and observable live on different spaces"):
         expectation(vacuum_state(single_mode_space(cutoff=3)), n_op)
     # an unvalidated non-Hermitian matrix leaves an imaginary residue on one sample only
-    skew = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    skew[1, 2] = 1j
-    bad = DensityOperator(space, skew, validate=False)
-    hop = OperatorMatrix(space, np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
-    with pytest.raises(InvariantViolation):
-        channel.read_series([np.array([vacuum_state(space).matrix, bad.matrix])], {"hop": hop})
+    bad = np.diag([0.0, 1.0 + 1e-3j, 0.0])
+    full = channel.Support(space, *np.indices((3, 3)).reshape(2, -1))
+    with pytest.raises(InvariantViolation, match="imaginary residue 1.000e-03"):
+        channel.read_series(full, [full.values(np.array([vacuum_state(space).matrix, bad]))],
+                            omegas={"N": np.eye(1)})
+    with pytest.raises(ValueError, match="not Hermitian"):
+        channel.read_series(full, [], omegas={"hop": np.array([[1j]])})
 
 
 def test_trace_distance_refuses_states_on_different_spaces():
@@ -841,8 +846,9 @@ def test_trace_distance_refuses_states_on_different_spaces():
 def test_a_nan_state_fails_the_expectation_residue_check():
     # NaN compares False with any tolerance, so the check must be written to fail on it
     space = single_mode_space(cutoff=1)
+    full = channel.Support(space, *np.indices((2, 2)).reshape(2, -1))
     with pytest.raises(InvariantViolation, match="imaginary residue nan"):
-        channel.read_series([np.full((1, 2, 2), np.nan)], {"n": build_total_number(space)})
+        channel.read_series(full, [np.full((1, 4), np.nan)], omegas={"n": np.eye(1)})
     nan_state = DensityOperator(space, np.full((2, 2), np.nan), validate=False)
     with pytest.raises(InvariantViolation, match="imaginary residue nan"):
         expectation(nan_state, build_total_number(space))
@@ -923,3 +929,56 @@ def test_superselection_pinching():
     rho = DensityOperator(space, np.outer(vec, vec.conj()))
     pinched = enforce_superselection(rho)
     assert np.max(np.abs(pinched.matrix - np.diag([0.5, 0.3, 0.2]))) <= 1e-15
+
+
+def _pin_cases():
+    # the kraus route unmixed and mixed, on a boson and on a fermion pair (whose Jordan-Wigner
+    # signs enter T), and the ode route; each from a state with coherences between the modes
+    bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)], total=3)
+    fermions = FockSpace([ModeSpec(Statistics.FERMION, width=0.5), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)])
+    for space, seed in ((bosons, 11), (fermions, 12)):
+        rho = random_density_matrix(np.random.default_rng(seed), space)
+        mixed = build_mixed_model(space, MixingParams(theta=0.8, phi=0.4))
+        for model in (build_decay_model(space), mixed):
+            yield pytest.param("kraus", model, rho, 0.4 if model.is_mixed else 0.0,
+                               id=f"kraus-{space.modes[0].statistics.value}-{'mixed' if model.is_mixed else 'unmixed'}")
+        yield pytest.param("ode", mixed, rho, 0.4, id=f"ode-{space.modes[0].statistics.value}-mixed")
+
+
+@pytest.mark.parametrize("route, model, rho, phi", list(_pin_cases()))
+def test_the_support_reader_is_the_dense_einsum_on_every_route(route, model, rho, phi):
+    # the reader that every route shares, against the dense trace it replaced: a defect in it
+    # would cancel out of the cross-route comparison
+    from fockdecay.master import build_generator, integrate
+    times = np.linspace(0.0, 1.5, 7)
+    keep = lambda support, stacks, basis: (support, list(stacks), basis)  # noqa: E731
+    if route == "kraus":
+        support, stacks, basis = evolve_state(model, rho, times, keep)
+    else:
+        support, stacks, basis = integrate(build_generator(model), rho, times, 1.5 / 600, keep)
+    omegas = quadratic_omegas(2, phi)
+    values, diagonals = channel.read_series(support, iter(stacks), basis, omegas=omegas, diagonal=True)
+    states = support.scatter(np.concatenate(stacks))
+    states = states if basis is None else channel._from_mode_basis(basis, states)
+    for name, omega in omegas.items():
+        obs = quadratic_form(model.space, omega)
+        want = np.einsum("nij,ji->n", states, obs)
+        assert np.max(np.abs(values[name] - want)) <= 1e-14 * max(1.0, np.max(np.abs(obs))), name
+    assert np.max(np.abs(diagonals - states.diagonal(axis1=1, axis2=2))) <= 1e-14
+    # heisenberg's rho0, read on its own support
+    own = rho.support()
+    values, diagonals = channel.read_series(own, iter([own.values(rho.matrix)[None]]), omegas=omegas, diagonal=True)
+    for name, omega in omegas.items():
+        obs = quadratic_form(model.space, omega)
+        assert abs(values[name][0] - np.einsum("ij,ji->", rho.matrix, obs)) <= 1e-14 * max(1.0, np.max(np.abs(obs)))
+    assert np.max(np.abs(diagonals[0] - rho.matrix.diagonal())) <= 1e-14
+
+
+def test_trace_distance_refuses_a_matrix_of_another_shape():
+    v = vacuum_state(FockSpace(ModeSpec(cutoff=3)))
+    for other in (np.zeros(4), np.zeros((1, 1)), 0.25, np.zeros((4, 5))):
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            trace_distance(v, other)
+        with pytest.raises(ValueError, match="square matrices of one shape"):
+            trace_distance(other, v)
+    assert trace_distance(v, v.matrix) == 0.0

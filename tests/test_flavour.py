@@ -28,7 +28,7 @@ from fockdecay import (
     number_state,
     trace_distance,
 )
-from fockdecay.flavour import build_quadratic_observables, quadratic_omegas
+from fockdecay.flavour import quadratic_omegas
 
 MASSES = (0.0, 5.0)
 WIDTHS = (0.5, 1.5)
@@ -113,8 +113,8 @@ def test_sector_space_compresses_the_mixed_model(total):
         assert np.max(np.abs(c[on_s] - c_small.entries)) <= 1e-14
     assert np.max(np.abs(m_big[on_s] - small.m_operator.entries)) <= 1e-14
     assert small.certificate_defect <= 1e-14
-    obs_big = build_quadratic_observables(product, params.phi)
-    obs_small = build_quadratic_observables(sector, params.phi)
+    obs_big = build_flavour_observables(product, params.phi)
+    obs_small = build_flavour_observables(sector, params.phi)
     assert obs_small.keys() == quadratic_omegas(2).keys()
     for name, op in obs_small.items():
         assert np.max(np.abs(obs_big[name].entries[on_s] - op.entries)) <= 1e-14

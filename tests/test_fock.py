@@ -28,9 +28,11 @@ from fockdecay import (
 from fockdecay.channel import occupation_distribution
 from fockdecay.flavour import mixing_matrix
 from fockdecay.fock import (
+    Support,
     block_minima,
     check_densities,
     connected_blocks,
+    padded,
     hermitian_scale,
     linear_form,
     one_body_correlations,
@@ -334,7 +336,8 @@ def test_quadratic_forms_are_the_dense_ladder_products(modes, data):
     rho = raw @ raw.conj().T
     rho = DensityOperator(space, rho / np.trace(rho))
     dense = np.array([[np.trace(rho.matrix @ a[l].conj().T @ a[m]) for m in range(r)] for l in range(r)])
-    assert np.max(np.abs(one_body_correlations(rho) - dense)) <= 1e-14
+    full = Support(space, *np.indices((space.dimension,) * 2).reshape(2, -1))
+    assert np.max(np.abs(one_body_correlations(full, full.values(rho.matrix)[None])[0] - dense)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -468,37 +471,29 @@ def test_density_operator_is_read_only():
         rho.matrix[0, 0] = 0.0
 
 
+def _own(stack):
+    """The support of a stack's exact-nonzero pattern, and the stack's values there."""
+    support = Support(FockSpace(boson(stack.shape[-1] - 1)), *np.nonzero((stack != 0).any(axis=0)))
+    return support, support.values(stack)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_density_checks_refuse_a_non_finite_entry(bad):
     space = FockSpace(boson(1))
     with pytest.raises(InvariantViolation, match="non-finite"):
-        check_densities(np.full((1, 2, 2), np.nan, dtype=complex))
+        check_densities(*_own(np.full((1, 2, 2), np.nan, dtype=complex)))
     for at in ((0, 0), (0, 1)):
         mat = np.diag([0.5, 0.5]).astype(complex)
         mat[at] = bad
         with pytest.raises(InvariantViolation, match="non-finite"):
             DensityOperator(space, mat)
         with pytest.raises(InvariantViolation, match="non-finite"):
-            check_densities(mat[None])
+            check_densities(*_own(mat[None]))
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_scale(mat)
     # the occupation probabilities read the diagonal
     with pytest.raises(InvariantViolation, match="occupation probabilities"):
         occupation_distribution(DensityOperator(space, np.diag([bad, 0.5]), validate=False))
-
-
-def test_density_checks_form_the_hermiticity_defect_in_a_given_scratch():
-    # the same refusal with and without a scratch, the stack left as it was
-    good = np.diag([0.5, 0.5]).astype(complex)
-    bad = good + np.array([[0.0, 0.25], [0.0, 0.0]])
-    stack = np.array([good, bad])
-    kept = stack.copy()
-    scratch = np.empty_like(stack)
-    for given in (None, scratch):
-        with pytest.raises(InvariantViolation, match="not Hermitian: defect 2.500e-01"):
-            check_densities(stack, scratch=given)
-    assert np.array_equal(stack, kept)
-    assert np.array_equal(scratch, stack - stack.conj().swapaxes(-1, -2))  # the defect was formed there
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +534,14 @@ def test_block_eigenvalues_match_the_dense_spectrum(case):
     found = connected_blocks(dim, *np.nonzero(stack.any(axis=0)))
     assert sorted(tuple(sorted(b)) for group in found for b in group) == sorted(tuple(sorted(b)) for b in blocks)
     assert [group.shape[1] for group in found] == sorted({b.size for b in blocks})
-    lo, stray = block_minima(stack, found)
+    support, values = _own(stack)
+    lo = block_minima(support, padded(values))
     assert np.max(np.abs(lo - np.linalg.eigvalsh(stack).min(axis=-1))) <= 1e-12
-    assert not stray.any()
 
 
 @given(block_stacks())
 @settings(max_examples=60, deadline=None)
-def test_block_checks_refuse_a_negative_eigenvalue_and_an_entry_outside(case):
+def test_block_checks_refuse_a_negative_eigenvalue(case):
     stack, blocks, rng = case
     dim = stack.shape[-1]
     # density matrices: each block U diag(p) U^dag, with p >= 0 summing to 1 over the blocks
@@ -558,8 +553,7 @@ def test_block_checks_refuse_a_negative_eigenvalue_and_an_entry_outside(case):
         p = weights[:, start:start + idx.size]
         states[:, idx[:, None], idx] = (u * p[:, None, :]) @ u.conj().swapaxes(-1, -2)
         start += idx.size
-    found = connected_blocks(dim, *np.nonzero(states.any(axis=0)))
-    check_densities(states, found)
+    check_densities(*_own(states))
     # the least eigenvalue of one block of the last matrix moved to -1e-3, and the trace kept
     # by adding as much to its largest one, or to another block's first diagonal entry
     k = int(rng.integers(len(blocks)))
@@ -573,18 +567,8 @@ def test_block_checks_refuse_a_negative_eigenvalue_and_an_entry_outside(case):
     else:
         other = blocks[k - 1][0]
         bad[-1, other, other] -= shift
-    for with_blocks in (found, None):
-        with pytest.raises(InvariantViolation, match="eigenvalue"):
-            check_densities(bad, with_blocks)
-    # a Hermitian pair of entries that joins two blocks, too small to move an eigenvalue below the
-    # floor: refused on the old blocks, and passed on its own pattern's
-    if len(blocks) > 1:
-        i, j = blocks[0][0], blocks[1][0]
-        joined = states.copy()
-        joined[:, i, j], joined[:, j, i] = 1e-14j, -1e-14j
-        with pytest.raises(InvariantViolation, match="outside its support"):
-            check_densities(joined, found)
-        check_densities(joined)
+    with pytest.raises(InvariantViolation, match="eigenvalue"):
+        check_densities(*_own(bad))
 
 
 def test_number_state_checks_one_block():
@@ -594,3 +578,53 @@ def test_number_state_checks_one_block():
     (block,) = connected_blocks(space.dimension, *np.nonzero(rho.matrix))
     assert block.tolist() == [[space.index_of((6, 6, 6))]]
     assert connected_blocks(space.dimension, np.zeros(0, dtype=int), np.zeros(0, dtype=int)) == ()
+
+
+def test_the_support_check_refuses_each_breach_with_its_message():
+    space = FockSpace([boson(2), boson(1)])
+    d, a, b = space.dimension, space.index_of((1, 0)), space.index_of((0, 1))
+    good = np.zeros((d, d), dtype=complex)
+    good[a, a], good[b, b], good[a, b], good[b, a] = 0.5, 0.5, 0.25j, -0.25j
+    support = Support(space, *np.nonzero(good))
+    check_densities(support, support.values(good)[None])
+    # an entry whose transpose is off the support is paired with slot K, so it fails by its modulus
+    one_sided = Support(space, *np.nonzero(np.triu(good)))
+    with pytest.raises(InvariantViolation, match="not Hermitian: defect 2.500e-01"):
+        check_densities(one_sided, one_sided.values(good)[None])
+    off = good.copy()
+    off[a, a] += 2e-12
+    with pytest.raises(InvariantViolation, match=r"density matrix trace \(1.000000000002\+0j\) differs from 1"):
+        check_densities(support, support.values(off)[None])
+    # within the block {a, b}: eigenvalues 0.5 +- 0.75, with the trace kept
+    negative = good.copy()
+    negative[a, b], negative[b, a] = 0.75j, -0.75j
+    with pytest.raises(InvariantViolation, match="eigenvalue -2.500e-01 < -1e-10"):
+        check_densities(support, support.values(negative)[None])
+    for bad in (np.nan, np.inf):
+        values = support.values(good)[None].copy()
+        values[0, 1] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            check_densities(support, np.concatenate([support.values(good)[None], values]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda space: number_state(space, (1.7, 0)),
+    lambda space: space.index_of((1.5, 0.9)),
+    lambda space: number_state(space, (math.inf, 0)),
+], ids=["number-state", "index-of", "infinite"])
+def test_occupations_must_be_integers(build):
+    with pytest.raises(ValueError, match="occupations must be integers"):
+        build(FockSpace([boson(3), boson(2)]))
+    assert FockSpace([boson(3), boson(2)]).index_of((1.0, 0)) == FockSpace([boson(3), boson(2)]).index_of((1, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, match", [
+    (lambda space: poisson_mixture(space, 1, math.nan), "nbar must be finite"),
+    (lambda space: poisson_mixture(space, 1, math.inf), "nbar must be finite"),
+    (lambda space: coherent_state(space, 1, math.nan), "alpha must be finite"),
+    (lambda space: coherent_state(space, 1, complex(0.1, math.inf)), "alpha must be finite"),
+], ids=["poisson-nan", "poisson-inf", "coherent-nan", "coherent-inf"])
+def test_state_parameters_must_be_finite(build, match):
+    with pytest.raises(ValueError, match=match):
+        build(FockSpace(boson(4)))

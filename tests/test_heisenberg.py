@@ -441,7 +441,8 @@ def test_rotated_one_body_correlations_match_the_dense_trace(case):
     want = np.array([[np.trace(rho0.matrix @ cj.conj().T @ ck) for ck in ops] for cj in ops])
     # G = V T V^dag, as mean_quadratic_trajectories forms it
     v = model.mixing_unitary if model.is_mixed else np.eye(model.space.n_modes)
-    gram = np.einsum("jl,lm,km->jk", v, one_body_correlations(rho0), v.conj())
+    support = rho0.support()
+    gram = np.einsum("jl,lm,km->jk", v, one_body_correlations(support, support.values(rho0.matrix)[None])[0], v.conj())
     assert np.max(np.abs(gram - want)) <= 1e-14
 
 

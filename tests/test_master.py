@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,15 +21,14 @@ from fockdecay import (
     build_kraus,
     apply_channel,
     build_mixed_model,
-    build_total_number,
     evolve_state,
-    expectation,
     integrate,
     number_state,
     trace_distance,
     vacuum_state,
 )
 from fockdecay.config import STEP_MATCH_TOL
+from fockdecay.flavour import quadratic_omegas
 
 
 def single_model(cutoff=6, mass=0.0, width=1.0):
@@ -377,19 +377,26 @@ def test_a_reader_gets_the_wrappers_states_stack_by_stack(monkeypatch):
     rho0 = number_state(space, (2, 1))
     monkeypatch.setattr(channel, "STACK_BYTES", 16 * space.dimension ** 2 * 3)
     times, step = np.arange(8) * 0.25, 0.25 / 50
-    n_op = build_total_number(space)
-    for stacks, states in [
-        (evolve_state(model, rho0, times, list), evolve_state(model, rho0, times)),
-        (integrate(build_generator(model), rho0, times, step, list),
+    read = partial(channel.read_series, omegas={"N": np.eye(2), "Qplus": quadratic_omegas(2, 0.4)["Qplus"]},
+                   diagonal=True)
+    keep = lambda support, stacks, basis: (support, list(stacks), basis)  # noqa: E731
+    for (support, stacks, basis), states in [
+        (evolve_state(model, rho0, times, keep), evolve_state(model, rho0, times)),
+        (integrate(build_generator(model), rho0, times, step, keep),
          integrate(build_generator(model), rho0, times, step)),
     ]:
         assert [len(s) for s in stacks] == [3, 3, 2]
-        assert np.array_equal(np.concatenate(stacks), [s.matrix for s in states])
-        values, diagonals = channel.read_series(iter(stacks), {"N": n_op}, diagonal=True)
-        assert np.array_equal(values["N"], [expectation(s, n_op) for s in states])
-        assert np.array_equal(diagonals, [s.diagonal() for s in states])
+        dense = support.scatter(np.concatenate(stacks))
+        assert np.array_equal(dense if basis is None else channel._from_mode_basis(basis, dense),
+                              [s.matrix for s in states])
+        # the grid's series are those of the reader applied to each state alone, bit for bit
+        values, diagonals = read(support, iter(stacks), basis)
+        alone = [read(support, iter([state[None]]), basis) for stack in stacks for state in stack]
+        for name in values:
+            assert np.array_equal(values[name], [v[name][0] for v, _ in alone])
+        assert np.array_equal(diagonals, np.concatenate([d for _, d in alone]))
     # a reader that stops early leaves the rest of the grid unevaluated
-    monkeypatch.setattr(master, "_check_states", lambda *args: seen.append(len(args[0])))
+    monkeypatch.setattr(master, "_check_states", lambda *args: seen.append(len(args[1])))
     seen = []
-    first = integrate(build_generator(model), rho0, times, step, next)
+    first = integrate(build_generator(model), rho0, times, step, lambda support, stacks, basis: next(stacks))
     assert len(first) == 3 and seen == [3]

@@ -27,6 +27,10 @@ The file holds:
   revision PARENT is extracted to a path as long as CHECKOUT's, and a
   warning goes to standard error when PARENT's path has another length (a
   directory PARENT, or a temporary directory too long to match);
+- ``comparison``, with ``--parent``: for each workload and each
+  end-to-end metric of this script's checkout's ``BENCHMARK.json``, the two medians, the
+  parent's quartile distance, the change's wins out of the pairs and a
+  verdict (see :func:`comparison`);
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
   median, in a fresh interpreter with BLAS pinned to one thread;
@@ -65,6 +69,7 @@ PIN_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_
 CAP_SECONDS = 600
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 COMPARE = Path(__file__).resolve().parent / "compare_outputs.py"
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"  # the end-to-end metrics and their bounds
 
 # argv: source checkout, warm repetitions; prints {config name: [seconds, ...]}
 CONFIG_CHILD = """
@@ -149,6 +154,37 @@ def bench(root: Path, workloads: list[str], seeds: list[int], seconds: float, re
         "configs": [{"config": name, "warm_run_s": times, "median_s": statistics.median(times)}
                     for name, times in walls.items()],
     }
+
+
+def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]) -> list[dict]:
+    """Per workload and end-to-end metric (each a ``BENCHMARK.json`` entry with its
+    ``name``, ``better`` and relative ``bound``), the paired perfbench runs of the
+    change and of the parent compared: both medians, the parent's quartile
+    distance, the pairs the change wins (ties win for neither) and a verdict:
+    "unresolved" when that distance exceeds the bound times the parent's
+    median, unless every change run beats every parent run; otherwise "worse"
+    when the change's median is worse than the parent's by more than the
+    bound times the parent's median, else "within bound"."""
+    out = []
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs = [(c["result"]["metrics"], p["result"]["metrics"]) for c, p in zip(runs, parent_runs)
+                 if c["workload"] == workload]
+        for metric in end_to_end:
+            name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+            change = [sign * c[name]["value"] for c, _ in pairs]  # lower is better on this scale
+            parent = [sign * p[name]["value"] for _, p in pairs]
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            median_c, median_p = statistics.median(change), statistics.median(parent)
+            scale = metric["bound"] * abs(median_p)
+            if q3 - q1 > scale and not max(change) < min(parent):
+                verdict = "unresolved"
+            else:
+                verdict = "worse" if median_c - median_p > scale else "within bound"
+            out.append({"workload": workload, "metric": name, "change_median": sign * median_c,
+                        "parent_median": sign * median_p, "parent_quartile_distance": q3 - q1,
+                        "wins": sum(c < p for c, p in zip(change, parent)), "pairs": len(pairs),
+                        "verdict": verdict})
+    return out
 
 
 def src_lines(root: Path) -> int:
@@ -252,6 +288,8 @@ def main(argv=None) -> int:
            **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS, args.parent)}
     doc["src_lines"] = src_lines(root)
     if args.parent is not None:
+        bounds = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+        doc["comparison"] = comparison(doc["perfbench"], doc.get("perfbench_parent", []), bounds)
         doc["outputs"] = output_diff(root, args.parent)
     doc["tier1"] = tier1(root)
     path = root / f"BENCH_{args.pr}.json"
