@@ -5,12 +5,12 @@ decaying modes on the space the model is given.  Its Kraus operators are
 indexed by how many quanta each decay mode loses; their sum factorises by
 mode, and is evaluated in the basis of the decay modes' number states, where
 M is diagonal and each loss map is the amplitude damping of one mode, a
-gather, run on the entries a state can reach from its own (its support).  The
-states stay there, as values in that basis, while they are checked and read;
-only a returned state is rotated back.  A model and a :class:`KrausSet`
-check themselves when constructed (the commutation certificate, which guards
-that the space is closed under the decay operators, and completeness), over
-the whole space, so no object that fails them can be represented.
+gather, run on the entries a state can reach from its own (its support),
+where it is checked and read as its values; only a returned state is rotated
+back.  A model and a :class:`KrausSet` check themselves when constructed (the
+commutation certificate, which guards that the space is closed under the decay
+operators, and completeness), over the whole space, so no object that fails
+them can be represented.
 """
 from __future__ import annotations
 
@@ -246,7 +246,7 @@ class KrausSet:
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
         t = float(self.time)
-        amplitudes, weights, defects = _channels(self.model, [t])
+        amplitudes, weights, defects, _ = _channels(self.model, [t])
         amplitudes[0].setflags(write=False)
         for name, value in (("time", t), ("amplitudes", amplitudes[0]),
                             ("weights", tuple(weights[0].tolist())),
@@ -262,22 +262,23 @@ class KrausSet:
 
 
 def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """The Kraus channels of ``model`` at each of ``times``, checked as
-    :class:`KrausSet` describes: their (n, d) amplitudes D, (n, r) weights and (n,)
-    completeness defects, read from the (n, d) diagonals of the Grams Phi^dag(D^dag D).
-    """
+    """The Kraus channels of ``model`` at each of ``times``, checked as :class:`KrausSet`
+    describes: their (n, d) amplitudes D, (n, r) weights, (n,) completeness defects,
+    read from the diagonals of the Grams Phi^dag(D^dag D), and D's factors (rest,
+    sectors), D_n = sectors[N_n] rest_n with sectors[k] = exp(-i m_ref k t) (unmixed D, None)."""
     times = [float(t) for t in times]
     weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
     space, t = model.space, np.array(times)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         if model.is_mixed:
             m_ref, split, half_width = model._spectrum
-            amplitudes = np.exp(-1j * ((m_ref * space.total_occupation) * t)) \
-                * np.exp(-(half_width + 1j * split) * t)
+            sectors = np.exp(-1j * ((m_ref * np.arange(space.total + 1)) * t))
+            rest = np.exp(-(half_width + 1j * split) * t)
+            amplitudes = sectors[:, space.total_occupation] * rest
         else:  # M is diagonal, D_n = exp(-i M_nn t) rounds each phase once as the closed forms do,
             # and there is no W to turn a phase into interference: none is checked
-            split = np.zeros(space.dimension)
-            amplitudes = np.exp(-1j * model.m_operator.entries.diagonal() * t)
+            split, sectors = np.zeros(space.dimension), None
+            amplitudes = rest = np.exp(-1j * model.m_operator.entries.diagonal() * t)
         rounding = 2.0**-53 * split * t
     _check_finite(amplitudes, "propagator exp(-i M t)", times)
     coarse = np.argwhere((amplitudes != 0) & (rounding > PHASE_TOL))
@@ -292,7 +293,7 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
     bad = defects > COMPLETENESS_TOL
     if bad.any():
         raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
-    return amplitudes, weights, defects
+    return amplitudes, weights, defects, (rest, sectors)
 
 
 def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
@@ -425,24 +426,28 @@ def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> n
     """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
     full = Support(kraus.model.space, *np.indices((kraus.model.space.dimension,) * 2).reshape(2, -1))
-    y = _channel_action(kraus.amplitudes[None], np.array([kraus.weights]),
-                        full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)
+    _, weights, _, phases = _channels(kraus.model, [kraus.time])
+    y = _channel_action(phases, weights, full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)
     return _from_mode_basis(kraus.model, full.scatter(y))[0]
 
 
-def _channel_action(amplitudes: np.ndarray, weights: np.ndarray, y: np.ndarray, support: Support,
-                    adjoint: bool = False) -> np.ndarray:
-    """For each channel of the stack, the (n, K) values of D [Phi_1 o ... o Phi_r](y)
-    D^dag = W^dag (sum_k E_k X E_k^dag) W, or with ``adjoint`` of [Phi_r^dag o ...
-    o Phi_1^dag](D^dag y D), given the values y of W^dag X W on ``support``."""
-    # the (n, K) phases D_a conj(D_b) are formed where they are used, not held through the maps
-    rows, cols = support.rows, support.cols
-    if adjoint:
-        y = _loss_maps(y * (amplitudes[:, rows] * amplitudes[:, cols].conj()).conj(), support, weights,
-                       adjoint=True)
-    else:
+def _channel_action(phases: tuple[np.ndarray, np.ndarray | None], weights: np.ndarray, y: np.ndarray,
+                    support: Support, adjoint: bool = False) -> np.ndarray:
+    """Per channel, the (n, K) values of D Phi_1 o ... o Phi_r(y) D^dag = W^dag (sum_k E_k
+    X E_k^dag) W (adjoint: Phi_r^dag o ... o Phi_1^dag(D^dag y D)), y those of W^dag X W on
+    ``support``; D_a conj(D_b) takes the ``phases`` of :func:`_channels`' sectors only where
+    N_a != N_b, so a common mass leaves an entry within a sector as no mass does."""
+    (rest, sectors), rows, cols = phases, support.rows, support.cols
+    if not adjoint:
         y = _loss_maps(y, support, weights, adjoint=False)
-        y *= amplitudes[:, rows] * amplitudes[:, cols].conj()
+    pair = rest[:, rows] * rest[:, cols].conj()  # formed where it is used, not held through the maps
+    if sectors is not None:
+        tot = support.space.total_occupation
+        cross = np.flatnonzero(tot[rows] != tot[cols])
+        pair[:, cross] *= sectors[:, tot[rows[cross]]] * sectors[:, tot[cols[cross]]].conj()
+    if adjoint:
+        return _loss_maps(y * pair.conj(), support, weights, adjoint=True)
+    y *= pair
     return y
 
 
@@ -465,11 +470,10 @@ def evolve_state(
 ) -> list[DensityOperator] | Result:
     """The complete Kraus channel of each point of a time grid applied to rho0.
 
-    The grid is evaluated as checked (n, K) stacks of the values of n =
-    _stack_points(d) states y = W^dag rho W on rho0's :func:`_state_support`;
-    a chunk that fails is evaluated again one point at a time, so the error is
-    the earliest point's.  With ``read``, the result is ``read(support, stacks,
-    basis)`` (see :func:`read_series`), the stacks made as ``read`` iterates.
+    The grid is evaluated as checked (n, K) stacks of the values of n = _stack_points(d)
+    states y = W^dag rho W on rho0's :func:`_state_support`; a chunk that fails is
+    evaluated again one point at a time, so the error is the earliest point's.  With
+    ``read``, the result is ``read(support, stacks, basis)`` (see :func:`read_series`).
     Without, it is the list of states W y W^dag, each bit-identical to
     ``apply_channel_matrix(build_kraus(model, t), rho0.matrix)``.
     """
@@ -502,11 +506,10 @@ def _state_stacks(model: DecayModel, rho0: DensityOperator, support: Support, y0
 
 def _grid_stack(model: DecayModel, rho0: DensityOperator, support: Support, y0: np.ndarray,
                 times: list[float]) -> np.ndarray:
-    """The (n, K) values of the states y the channels at ``times`` make of y0, their
-    trace kept to 1e-12 and each checked as a density operator in the mode basis,
-    which differs from checking W y W^dag by about 2 ``MODE_BASIS_TOL``."""
-    amplitudes, weights, _ = _channels(model, times)  # refuses t < 0
-    out = _channel_action(amplitudes, weights, y0, support)
+    """The (n, K) values of the states y the channels at ``times`` make of y0, their trace kept to
+    1e-12, checked in the mode basis, which differs from checking W y W^dag by about 2 delta."""
+    _, weights, _, phases = _channels(model, times)  # refuses t < 0
+    out = _channel_action(phases, weights, y0, support)
     drift = np.abs(padded(out)[:, support.slots.diagonal()].sum(axis=1) - np.trace(rho0.matrix))
     if (drift > 1e-12).any():
         raise InvariantViolation(f"channel changed the trace by {drift[drift > 1e-12][0]:.3e}")
@@ -526,8 +529,7 @@ def _propagation_coefficients(model: DecayModel, omega: np.ndarray) -> np.ndarra
 
 
 def _real(values: np.ndarray, scale: np.ndarray | float) -> np.ndarray:
-    """The real part of a series of means, once each imaginary residue is within
-    1e-12 of its scale (NaN fails it); an InvariantViolation names the largest that is not."""
+    """The real part of a series of means whose imaginary residues are within 1e-12 of their scale."""
     residue = np.abs(values.imag)
     bad = ~(residue <= 1e-12 * np.asarray(scale))
     if bad.any():
@@ -543,9 +545,8 @@ def read_series(
     omegas: Mapping[str, np.ndarray],
     diagonal: bool = False,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """The series of a grid of states handed over as (n, K) values on ``support``,
-    each stack dropped once read: the real mean of each Hermitian sum_lm omega_lm
-    a_l^dag a_m under its name, and with ``diagonal`` the (T, d) real diagonals.
+    """The series of a grid of (n, K) value stacks on ``support``, each dropped once read: the
+    real mean of each Hermitian sum_lm omega_lm a_l^dag a_m, and with ``diagonal`` the diagonals.
 
     With ``basis`` None the values are rho's, and a mean is sum_lm omega_lm T_lm,
     T = :func:`one_body_correlations`.  With a model they are y = W^dag rho W,
@@ -555,7 +556,7 @@ def read_series(
     """
     for omega in omegas.values():
         hermitian_scale(omega)
-    coeffs = {name: _propagation_coefficients(basis, omega) if basis is not None else np.asarray(omega, dtype=complex)
+    coeffs = {name: _propagation_coefficients(basis, omega) if basis is not None else np.asarray(omega, complex)
               for name, omega in omegas.items()}
     parts: dict[str, list[np.ndarray]] = {name: [] for name in omegas}
     diagonals = []

@@ -84,4 +84,5 @@ def build_flavour_observables(space: FockSpace, phi: float = 0.0) -> dict[str, O
     :func:`quadratic_form` of its :func:`quadratic_omegas` entry."""
     if space.n_modes != 2:
         raise ValueError(f"flavour observables need exactly 2 modes, space has {space.n_modes}")
-    return {name: OperatorMatrix(space, quadratic_form(space, omega)) for name, omega in quadratic_omegas(2, phi).items()}
+    return {name: OperatorMatrix(space, quadratic_form(space, omega))
+            for name, omega in quadratic_omegas(2, phi).items()}

@@ -191,10 +191,9 @@ class OperatorMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Support:
-    """Entries (rows[i], cols[i]) of a d x d matrix on ``space``, in row-major
-    order, such as those a route runs on; a matrix on them is the flat array of
-    its values there.  Every gather reads the one map :attr:`slots`, in which
-    slot K stands for "off the entries" and reads 0 (see :func:`padded`)."""
+    """Entries (rows[i], cols[i]) of a d x d matrix on ``space``, in row-major order, such as
+    those a route runs on; a matrix on them is the flat array of its values there.  Every
+    gather reads the one map :attr:`slots`, whose slot K, "off the entries", reads 0."""
 
     space: FockSpace
     rows: np.ndarray
@@ -302,9 +301,8 @@ def connected_blocks(dim: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.n
 
 
 def block_minima(support: Support, values: np.ndarray) -> np.ndarray:
-    """Per state of the (n, K + 1) :func:`padded` values: the least eigenvalue of its
-    Hermitian part on the support's blocks (inf with none), which hold its spectrum,
-    one ``eigvalsh`` per block size, a 1 x 1 block's being its real entry."""
+    """Per state of the (n, K + 1) :func:`padded` values, the least eigenvalue of its Hermitian part
+    on the support's blocks (inf with none): one ``eigvalsh`` per size, a 1 x 1 block's real entry."""
     lo = np.full(len(values), np.inf)
     for slots in support.blocks:
         sub = values[:, slots]
@@ -317,11 +315,10 @@ def block_minima(support: Support, values: np.ndarray) -> np.ndarray:
 
 def density_breach(support: Support, values: np.ndarray, herm_tol: float, trace_tol: float,
                    floor: float) -> tuple[int, str, float | complex] | None:
-    """(index, check, value) of the first state of the (n, K) values that is not a
-    density matrix, or None: a non-finite state first ("finite", nan), then the
-    earliest state failing, in this order, Hermiticity within ``herm_tol`` (each
-    value against its transpose's slot), a trace within ``trace_tol`` of 1 (from
-    the diagonal slots), and no :func:`block_minima` eigenvalue below ``floor``."""
+    """(index, check, value) of the first state of the (n, K) values that is not a density matrix,
+    or None: a non-finite state first ("finite", nan), then the earliest state failing, in this
+    order, Hermiticity within ``herm_tol`` (each value against its transpose's slot), a trace
+    within ``trace_tol`` of 1 (the diagonal slots), no :func:`block_minima` below ``floor``."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         return int(np.argmax(bad)), "finite", math.nan

@@ -16,7 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import DecayModel, KrausSet, _decay_amplitude, _decay_weight, _propagation_coefficients, _raw_action, _real
+from .channel import (DecayModel, KrausSet, _decay_amplitude, _decay_weight, _propagation_coefficients,
+                      _raw_action, _real)
 from .config import InvariantViolation
 from .fock import (
     DensityOperator,

@@ -530,10 +530,15 @@ def test_a_grid_stack_is_the_dense_loss_maps_bit_for_bit(model, rho):
     # has them, then the phases; the stack stays in the mode basis, with the model as its basis
     times = [0.0, 0.4, 1.3]
     support, (stack,), basis = evolve_state(model, rho, times, read=lambda *grid: (grid[0], list(grid[1]), grid[2]))
-    amplitudes, weights, _ = channel._channels(model, times)
+    _, weights, _, (rest, sectors) = channel._channels(model, times)
     y = dense_loss_maps(channel._to_mode_basis(model, rho.matrix), build_decay_model(model.space), weights,
                         adjoint=False)
-    y *= amplitudes[:, :, None] * amplitudes[:, None, :].conj()
+    pairs = rest[:, :, None] * rest[:, None, :].conj()
+    if model.is_mixed:  # the sector phases on the entries across sectors, none within one
+        tot = model.space.total_occupation
+        a, b = np.nonzero(tot[:, None] != tot[None, :])
+        pairs[:, a, b] *= sectors[:, tot[a]] * sectors[:, tot[b]].conj()
+    y *= pairs
     assert np.array_equal(support.scatter(stack), y)
     assert basis is (model if model.is_mixed else None)
 

@@ -612,11 +612,8 @@ def test_cli_keeps_the_coherence_pair_at_a_large_common_mass(tmp_path, capsys):
             _, heis = read_csv(out / f"minimal__heisenberg__{obs}.csv")
             got, want = (np.array([float(row[1]) for row in rows]) for rows in (kraus, heis))
             devs[mass, obs] = np.max(np.abs(got - want))
-    # at m = 0 the sector phase is exactly 1, so kraus can agree to one ulp there; each deviation
-    # stays within twice that of m = 0, or within 4 ulps of 1 once that is below 2 ulps
-    floor = 2 * np.finfo(float).eps
     for (mass, obs), dev in devs.items():
-        assert dev <= 2 * max(devs[0.0, obs], floor), (mass, obs, dev)
+        assert dev <= 2 * devs[0.0, obs], (mass, obs, dev)
 
 
 @pytest.mark.parametrize("route", ["kraus", "ode", "heisenberg"])
