@@ -221,11 +221,12 @@ class KrausSet:
     U = exp(-i M t) and w_j = 1 - exp(-Gamma_j t), over every loss pattern the
     space allows, sum to W D [Phi_1 o ... o Phi_r](W^dag X W) D^dag W^dag, W
     the model's ``mode_basis`` (none unmixed) and Phi_j the amplitude damping
-    of a_j (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  D =
-    diag(``amplitudes``) is U in that basis: exp(-i M_nn t) unmixed, and
-    exp(-i (m_ref N_n + lambda_n) t) under mixing, with the sector phase and
-    the splitting phase taken apart (see :attr:`DecayModel._spectrum`);
-    ``propagator`` = U = W D W^dag is formed on its first read, and sum E^dag
+    of a_j (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  D is U in
+    that basis: exp(-i M_nn t) unmixed, and exp(-i (m_ref N_n + lambda_n) t)
+    under mixing, with the sector phase and the splitting phase taken apart
+    (see :attr:`DecayModel._spectrum`) and kept as the factors of
+    :func:`_channels`, which the action reads; ``propagator`` = U = W D
+    W^dag is formed from them on its first read, and sum E^dag
     E is ``evolve_observable_matrix(channel, eye)``.  Construction forms no
     d x d matrix of its own, and refuses a negative or NaN time, a non-finite
     amplitude, under mixing a nonzero one whose splitting phase rounds by
@@ -238,34 +239,34 @@ class KrausSet:
 
     model: DecayModel
     time: float
-    amplitudes: np.ndarray = field(init=False, repr=False)
     weights: tuple[float, ...] = field(init=False, repr=False)
     completeness_defect: float = field(init=False, repr=False)
+    _factors: tuple[np.ndarray, np.ndarray | None] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a Kraus channel needs a DecayModel, got {type(self.model).__name__}")
         t = float(self.time)
-        amplitudes, weights, defects, _ = _channels(self.model, [t])
-        amplitudes[0].setflags(write=False)
-        for name, value in (("time", t), ("amplitudes", amplitudes[0]),
-                            ("weights", tuple(weights[0].tolist())),
-                            ("completeness_defect", float(defects[0]))):
+        weights, defects, factors = _channels(self.model, [t])
+        for name, value in (("time", t), ("weights", tuple(weights[0].tolist())),
+                            ("completeness_defect", float(defects[0])), ("_factors", factors)):
             object.__setattr__(self, name, value)
 
     @cached_property
     def propagator(self) -> np.ndarray:
-        """U = exp(-i M t) = W D W^dag, read-only."""
-        u = _from_mode_basis(self.model, np.diag(self.amplitudes))
+        """U = exp(-i M t) = W D W^dag, read-only, D's diagonal formed as :func:`_channels` forms it."""
+        rest, sectors = self._factors
+        amplitudes = rest[0] if sectors is None else sectors[0, self.model.space.total_occupation] * rest[0]
+        u = _from_mode_basis(self.model, np.diag(amplitudes))
         u.setflags(write=False)
         return u
 
 
 def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The Kraus channels of ``model`` at each of ``times``, checked as :class:`KrausSet`
-    describes: their (n, d) amplitudes D, (n, r) weights, (n,) completeness defects,
-    read from the diagonals of the Grams Phi^dag(D^dag D), and D's factors (rest,
-    sectors), D_n = sectors[N_n] rest_n with sectors[k] = exp(-i m_ref k t) (unmixed D, None)."""
+    describes: their (n, r) weights, (n,) completeness defects, read from the diagonals of
+    the Grams Phi^dag(D^dag D), and the factors (rest, sectors) of their (n, d) amplitudes D,
+    D_n = sectors[N_n] rest_n with sectors[k] = exp(-i m_ref k t) (unmixed D, None)."""
     times = [float(t) for t in times]
     weights = np.array([[_decay_weight(g, t) for g in model.widths] for t in times])  # refuses t < 0
     space, t = model.space, np.array(times)[:, None]
@@ -293,7 +294,7 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
     bad = defects > COMPLETENESS_TOL
     if bad.any():
         raise InvariantViolation(f"Kraus completeness defect {defects[bad][0]:.3e}")
-    return amplitudes, weights, defects, (rest, sectors)
+    return weights, defects, (rest, sectors)
 
 
 def _to_mode_basis(model: DecayModel, x: np.ndarray) -> np.ndarray:
@@ -426,8 +427,8 @@ def _raw_action(kraus: KrausSet, matrix: np.ndarray, adjoint: bool = False) -> n
     """:func:`_channel_action` of one channel on a raw d x d matrix, on the full support."""
     matrix = OperatorMatrix(kraus.model.space, matrix).entries  # checks the shape
     full = Support(kraus.model.space, *np.indices((kraus.model.space.dimension,) * 2).reshape(2, -1))
-    _, weights, _, phases = _channels(kraus.model, [kraus.time])
-    y = _channel_action(phases, weights, full.values(_to_mode_basis(kraus.model, matrix)), full, adjoint)
+    y = _channel_action(kraus._factors, np.array([kraus.weights]), full.values(_to_mode_basis(kraus.model, matrix)),
+                        full, adjoint)
     return _from_mode_basis(kraus.model, full.scatter(y))[0]
 
 
@@ -508,7 +509,7 @@ def _grid_stack(model: DecayModel, rho0: DensityOperator, support: Support, y0: 
                 times: list[float]) -> np.ndarray:
     """The (n, K) values of the states y the channels at ``times`` make of y0, their trace kept to
     1e-12, checked in the mode basis, which differs from checking W y W^dag by about 2 delta."""
-    _, weights, _, phases = _channels(model, times)  # refuses t < 0
+    weights, _, phases = _channels(model, times)  # refuses t < 0
     out = _channel_action(phases, weights, y0, support)
     drift = np.abs(padded(out)[:, support.slots.diagonal()].sum(axis=1) - np.trace(rho0.matrix))
     if (drift > 1e-12).any():
@@ -565,15 +566,22 @@ def read_series(
         for name, coeff in coeffs.items():
             terms = coeff * gram
             parts[name].append(_real(terms.sum(axis=(1, 2)), np.maximum(1.0, np.abs(terms).sum(axis=(1, 2)))))
-        if diagonal and basis is not None:
-            w = basis.mode_basis
-            diagonals.append(np.sum((w @ support.scatter(values)) * w.conj(), axis=-1).real.copy())
-        elif diagonal:
-            diagonals.append(padded(values)[:, support.slots.diagonal()].real.copy())
-    series = {name: np.concatenate(part) if part else np.empty(0) for name, part in parts.items()}
-    if not diagonal:
-        return series, None
-    return series, np.concatenate(diagonals) if diagonals else np.empty((0, 0))
+        if diagonal:
+            w = None if basis is None else basis.mode_basis
+            diagonals.append((padded(values)[:, support.slots.diagonal()] if w is None
+                              else np.sum((w @ support.scatter(values)) * w.conj(), axis=-1)).real.copy())
+    series = {name: _joined(part, ()) for name, part in parts.items()}
+    return series, _joined(diagonals, (support.space.dimension,)) if diagonal else None
+
+
+def _joined(parts: list[np.ndarray], tail: tuple[int, ...]) -> np.ndarray:
+    """The (n_i, *tail) parts stacked on their first axis, each dropped once copied, so never all held twice."""
+    out, start = np.empty((sum(map(len, parts)), *tail)), 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()
+        out[start:start + len(part)], start = part, start + len(part)
+    return out
 
 
 def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:

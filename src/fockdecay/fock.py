@@ -328,11 +328,8 @@ def density_breach(support: Support, values: np.ndarray, herm_tol: float, trace_
     lo = block_minima(support, full)
     checks = [("hermiticity", ~(herm <= herm_tol), herm), ("trace", ~(np.abs(trace - 1.0) <= trace_tol), trace),
               ("eigenvalue", ~(lo >= floor), lo)]
-    first = min(((int(np.argmax(fails)), k) for k, (_, fails, _) in enumerate(checks) if fails.any()), default=None)
-    if first is None:
-        return None
-    i, k = first
-    return i, checks[k][0], checks[k][2][i]
+    i, k = min(((int(np.argmax(fails)), k) for k, (_, fails, _) in enumerate(checks) if fails.any()), default=(0, None))
+    return None if k is None else (i, checks[k][0], checks[k][2][i])
 
 
 def check_densities(support: Support, values: np.ndarray) -> None:

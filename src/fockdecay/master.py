@@ -262,10 +262,8 @@ def _check_states(support: Support, values: np.ndarray, sampled: np.ndarray, tim
     EIG_EXCURSION_FLOOR for each ``sampled`` state of the (n, K) values, the error
     naming the first :func:`fockdecay.fock.density_breach`."""
     breach = density_breach(support, values[sampled], 1e-10, math.inf, EIG_EXCURSION_FLOOR)
-    if breach is None:
-        return
-    i, check, value = breach
-    t = [time for time, checked in zip(times, sampled) if checked][i]
-    if check == "eigenvalue":
-        raise InvariantViolation(f"RK4 state eigenvalue {value:.3e} below {EIG_EXCURSION_FLOOR} at t={t}")
-    raise InvariantViolation(f"RK4 state lost Hermiticity: defect {value:.3e} at t={t}")
+    if breach is not None:
+        i, check, value = breach
+        t = [time for time, checked in zip(times, sampled) if checked][i]
+        raise InvariantViolation(f"RK4 state eigenvalue {value:.3e} below {EIG_EXCURSION_FLOOR} at t={t}" if
+                                 check == "eigenvalue" else f"RK4 state lost Hermiticity: defect {value:.3e} at t={t}")

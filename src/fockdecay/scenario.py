@@ -174,7 +174,6 @@ def run_scenario(
         results.append((f"__theta{ti}" if mixed and len(sweep) > 1 else "", series))
 
     out.mkdir(parents=True, exist_ok=True)  # made only once there is output to write
-    stamps = list(zip(map(_fmt, t_scaled.tolist()), map(_fmt, times.tolist())))
     csv_paths: list[Path] = []
     for tag, series in results:
         for name in names:
@@ -187,9 +186,10 @@ def run_scenario(
                 if (route, name) not in series:
                     continue
                 path = out / f"{cfg.name}{tag}__{route}__{name}.csv"
+                # row by row, so a file's Python floats and time stamps are never all held
                 _write_csv(path, ["t", *columns[name], "t_raw", "route"], _line_format(cells, route),
-                           ((t_s, *row, t_r) for (t_s, t_r), row
-                            in zip(stamps, series[(route, name)][:, pick].tolist())))
+                           ((_fmt(t_s), *row[pick].tolist(), _fmt(t_r)) for t_s, t_r, row
+                            in zip(t_scaled, times, series[(route, name)])))
                 csv_paths.append(path)
 
     manifest_path = out / f"{cfg.name}__manifest.txt"

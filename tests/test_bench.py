@@ -192,13 +192,17 @@ def test_the_comparison_gives_each_metric_its_verdict():
 
     steady = [(0.020 + 0.0001 * k, 14.0 + 0.01 * k) for k in range(10)]
     # a parent whose run_s spreads wider than the bound: a change inside that spread is unresolved,
-    # and a change whose every run beats every parent run is not
+    # a change whose every run beats every parent run is not, and nor is one whose median is worse
+    # by more than the bound
     wide = [(0.015 + 0.002 * k, 14.0) for k in range(10)]
-    parent = runs("oracle", steady) + runs("sweep", wide) + runs("multimode", wide)
+    parent = runs("oracle", steady) + runs("sweep", wide) + runs("multimode", wide) + runs("slow", wide)
     change = (runs("oracle", [(1.3 * t, d - 0.05) for t, d in steady]) + runs("sweep", wide)
-              + runs("multimode", [(0.010, 14.0)] * 10))
+              + runs("multimode", [(0.010, 14.0)] * 10) + runs("slow", [(t + 0.01, d) for t, d in wide]))
     got = {(c["workload"], c["metric"]): c for c in bench.comparison(change, parent, bounds)}
-    assert len(got) == 6 and all(c["pairs"] == 10 for c in got.values())
+    assert len(got) == 8 and all(c["pairs"] == 10 for c in got.values())
+    slow = got[("slow", "run_s")]
+    assert slow["parent_quartile_distance"] > 0.24 * slow["parent_median"]
+    assert slow["verdict"] == "worse" and slow["wins"] == 0
     assert got[("oracle", "run_s")]["verdict"] == "worse" and got[("oracle", "run_s")]["wins"] == 0
     assert got[("oracle", "run_s")]["parent_median"] == statistics.median(t for t, _ in steady)
     # 0.05 fewer digits, within 10% of 14

@@ -381,7 +381,7 @@ def test_a_splitting_too_large_to_resolve_ends_in_an_invariant_violation():
         space = FockSpace([ModeSpec(mass=m, width=0.5, cutoff=3) for m in masses], total=3)
         model = build_decay_model(space)
         ks = build_kraus(model, 1.0)
-        assert np.array_equal(ks.amplitudes, np.exp(-1j * model.m_operator.entries.diagonal() * 1.0))
+        assert np.array_equal(np.diag(ks.propagator), np.exp(-1j * model.m_operator.entries.diagonal() * 1.0))
         assert ks.completeness_defect <= 1e-12
 
 
@@ -530,7 +530,7 @@ def test_a_grid_stack_is_the_dense_loss_maps_bit_for_bit(model, rho):
     # has them, then the phases; the stack stays in the mode basis, with the model as its basis
     times = [0.0, 0.4, 1.3]
     support, (stack,), basis = evolve_state(model, rho, times, read=lambda *grid: (grid[0], list(grid[1]), grid[2]))
-    _, weights, _, (rest, sectors) = channel._channels(model, times)
+    weights, _, (rest, sectors) = channel._channels(model, times)
     y = dense_loss_maps(channel._to_mode_basis(model, rho.matrix), build_decay_model(model.space), weights,
                         adjoint=False)
     pairs = rest[:, :, None] * rest[:, None, :].conj()
@@ -583,7 +583,8 @@ def test_loss_maps_return_a_new_array_when_no_mode_decays(model, t, rng):
     # the loss maps are the identity: each action is D X D^dag (adjoint D^dag X D), a new array
     ks = build_kraus(model, t)
     x = _random_matrix(rng, model.space)
-    phases = ks.amplitudes[:, None] * ks.amplitudes.conj()
+    amplitudes = np.diag(ks.propagator)  # unmixed: U = D
+    phases = amplitudes[:, None] * amplitudes.conj()
     for y, want in ((apply_channel_matrix(ks, x), x * phases),
                     (evolve_observable_matrix(ks, x), x * phases.conj())):
         assert np.array_equal(y, want) and not np.shares_memory(y, x)
@@ -818,6 +819,8 @@ def test_expectations_match_one_state_at_a_time(rng):
     omegas = {"S": quadratic_omegas(2)["S"]}
     got = channel.read_series(full, [full.values(np.array([rho.matrix for rho in states]))], omegas=omegas)[0]["S"]
     assert got.shape == (4,)
+    alone = [channel.read_series(full, [full.values(rho.matrix[None])], omegas=omegas)[0]["S"][0] for rho in states]
+    assert np.array_equal(got, alone)
     assert np.max(np.abs(got - [expectation(rho, s_op) for rho in states])) <= 1e-14
     assert channel.read_series(full, [], omegas=omegas)[0]["S"].shape == (0,)
 

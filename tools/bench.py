@@ -161,10 +161,10 @@ def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]
     ``name``, ``better`` and relative ``bound``), the paired perfbench runs of the
     change and of the parent compared: both medians, the parent's quartile
     distance, the pairs the change wins (ties win for neither) and a verdict:
-    "unresolved" when that distance exceeds the bound times the parent's
-    median, unless every change run beats every parent run; otherwise "worse"
-    when the change's median is worse than the parent's by more than the
-    bound times the parent's median, else "within bound"."""
+    "worse" when the change's median is worse than the parent's by more than
+    the bound times the parent's median; otherwise "unresolved" when that
+    distance exceeds the bound times the parent's median, unless every change
+    run beats every parent run; else "within bound"."""
     out = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = [(c["result"]["metrics"], p["result"]["metrics"]) for c, p in zip(runs, parent_runs)
@@ -176,10 +176,12 @@ def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]
             q1, _, q3 = statistics.quantiles(parent, n=4)
             median_c, median_p = statistics.median(change), statistics.median(parent)
             scale = metric["bound"] * abs(median_p)
-            if q3 - q1 > scale and not max(change) < min(parent):
+            if median_c - median_p > scale:
+                verdict = "worse"
+            elif q3 - q1 > scale and not max(change) < min(parent):
                 verdict = "unresolved"
             else:
-                verdict = "worse" if median_c - median_p > scale else "within bound"
+                verdict = "within bound"
             out.append({"workload": workload, "metric": name, "change_median": sign * median_c,
                         "parent_median": sign * median_p, "parent_quartile_distance": q3 - q1,
                         "wins": sum(c < p for c, p in zip(change, parent)), "pairs": len(pairs),
