@@ -577,10 +577,9 @@ def read_series(
 def _joined(parts: list[np.ndarray], tail: tuple[int, ...]) -> np.ndarray:
     """The (n_i, *tail) parts stacked on their first axis, each dropped once copied, so never all held twice."""
     out, start = np.empty((sum(map(len, parts)), *tail)), 0
-    parts.reverse()
-    while parts:
-        part = parts.pop()
-        out[start:start + len(part)], start = part, start + len(part)
+    for i, part in enumerate(parts):
+        out[start:start + len(part)], parts[i] = part, None
+        start += len(part)
     return out
 
 
