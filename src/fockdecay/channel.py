@@ -27,14 +27,14 @@ from .fock import (
     FockSpace,
     OperatorMatrix,
     Support,
-    _ladder_pairs,
     check_densities,
     closed_support,
     hermitian_scale,
     linear_form,
     one_body_correlations,
     padded,
-    quadratic_form,
+    quadratic_terms,
+    scatter_terms,
 )
 
 CERTIFICATE_TOL = 1e-10
@@ -66,27 +66,26 @@ class DecayModel:
     whole space and certified when constructed.
 
     Mode j of the space carries the mass m_j and width Gamma_j of decay mode
-    c_j = ``decay_ops[j]``.  Without ``mixing_unitary`` c_j = a_j, the
-    annihilator of mode j.  With it, V must be an n x n matrix (n the number
-    of modes) with max |V V^dag - 1| within ``MIXING_TOL`` (a ValueError
-    otherwise), and c_j = sum_l conj(V[j, l]) a_l, a :func:`linear_form`.
-    Each c_j thus lowers the total occupation by exactly one.  The c_j are
-    built on the first read of ``decay_ops``, which no closed form makes.
-    Construction builds ``m_operator`` = M = sum_j mu_j c_j^dag c_j, mu_j =
-    m_j - i Gamma_j / 2, as the quadratic forms sum_lm Omega_lm a_l^dag a_m
-    of its mass part, Omega = V^T diag(m) conj(V), and of its decay part, V^T
-    diag(-Gamma / 2) conj(V) (both diagonal unmixed), read from the space's
-    ladder maps with no matrix product.  It refuses the model unless M is
-    finite with a Hermitian mass part and the relative defect of [M, c_j] =
-    -mu_j c_j, ``certificate_defect``, formed with no M, is within
-    ``CERTIFICATE_TOL``: this refuses a V under which the space is not
-    closed, such as a mixed boson pair past its common cutoff.  The
+    c_j.  Without ``mixing_unitary`` c_j = a_j, the annihilator of mode j.
+    With it, V must be an n x n matrix (n the number of modes) with max |V
+    V^dag - 1| within ``MIXING_TOL`` (a ValueError otherwise), and c_j =
+    sum_l conj(V[j, l]) a_l, the scatter of its :func:`linear_terms`.
+    Each c_j thus lowers the total occupation by exactly one.  M = sum_j mu_j
+    c_j^dag c_j, mu_j = m_j - i Gamma_j / 2, is kept as ``m_terms``: the
+    :func:`quadratic_terms` of its mass part, V^T diag(m) conj(V), plus i
+    times those of its decay part, V^T diag(-Gamma / 2) conj(V), term by
+    term.  ``m_operator`` and ``decay_ops``, the dense M and c_j, are
+    scattered on first read, which no run makes.  The model is refused
+    unless every term is finite, the mass part Hermitian and the relative
+    defect of [M, c_j] = -mu_j c_j, ``certificate_defect``, formed with no M,
+    is within ``CERTIFICATE_TOL``: this refuses a V under which the space is
+    not closed, such as a mixed boson pair past its common cutoff.  The
     ``mode_basis`` its Kraus channels use is built on its first use.
     """
 
     space: FockSpace
     mixing_unitary: np.ndarray | None = None
-    m_operator: OperatorMatrix = field(init=False, repr=False)
+    m_terms: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
     certificate_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -104,25 +103,26 @@ class DecayModel:
                                  f"exceeds {MIXING_TOL}")
             v.setflags(write=False)
             object.__setattr__(self, "mixing_unitary", v)
+        omega_m = self._on_ladders(np.diag(self.masses))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            m_matrix = quadratic_form(space, omega_m := self._on_ladders(np.diag(self.masses)))
-            kay = quadratic_form(space, self._on_ladders(-0.5 * np.diag(self.widths)))
-        if not (np.isfinite(m_matrix).all() and np.isfinite(kay).all()):
+            terms = quadratic_terms(space, np.array([omega_m, self._on_ladders(-0.5 * np.diag(self.widths))]))
+        if not all(np.isfinite(vals).all() for _, vals in terms):
             raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
                                      "overflow at this cutoff")
         herm = float(np.max(np.abs(omega_m - omega_m.conj().T)))
         if herm > 1e-12 * max(1.0, float(np.max(np.abs(omega_m)))):
             raise InvariantViolation(f"Hamiltonian not Hermitian: defect {herm:.3e}")
-        m_matrix.real -= kay.imag  # ham + 1j * kay, bit for bit, in the array kept
-        m_matrix.imag += kay.real
-        del kay
+        for _, vals in terms:  # mass + 1j * decay, bit for bit, in the mass term kept
+            vals[0].real -= vals[1].imag
+            vals[0].imag += vals[1].real
+            vals.setflags(write=False)
         defect = _certificate_defect(self)
         if defect > CERTIFICATE_TOL:
             raise CertificateError(
                 f"commutation certificate defect {defect:.3e} (relative) exceeds "
                 f"{CERTIFICATE_TOL}; the space is not closed under the decay operators"
             )
-        object.__setattr__(self, "m_operator", OperatorMatrix(space, m_matrix))
+        object.__setattr__(self, "m_terms", tuple((rows, vals[0]) for rows, vals in terms))
         object.__setattr__(self, "certificate_defect", defect)
 
     @property
@@ -143,10 +143,14 @@ class DecayModel:
         return self.mixing_unitary if self.is_mixed else np.eye(self.space.n_modes)
 
     @cached_property
+    def m_operator(self) -> OperatorMatrix:
+        """The dense M, scattered from ``m_terms`` on first read."""
+        return OperatorMatrix(self.space, scatter_terms(self.space, self.m_terms))
+
+    @cached_property
     def decay_ops(self) -> tuple[OperatorMatrix, ...]:
-        """The c_j, each the :func:`linear_form` of its row of conj(V), built on first read."""
-        return tuple(OperatorMatrix(self.space, linear_form(self.space, row.conj()))
-                     for row in self._couplings)
+        """The dense c_j, each the :func:`linear_form` of its row of conj(V), built on first read."""
+        return tuple(OperatorMatrix(self.space, linear_form(self.space, row.conj())) for row in self._couplings)
 
     def _on_ladders(self, coeff: np.ndarray) -> np.ndarray:
         """V^T coeff conj(V) (coeff unmixed): the omega of sum_jk coeff[j, k] c_j^dag c_k."""
@@ -166,7 +170,7 @@ class DecayModel:
         occupied mode of n (no Jordan-Wigner sign), then one Newton-Schulz step
         W <- W (3 - W^dag W) / 2.  Refused: ||W^dag W - 1||_2 above
         ``MODE_BASIS_TOL``, and W^dag M W off diag(m_ref N + lambda) by more than
-        ``CERTIFICATE_TOL``, relative as the certificate."""
+        ``CERTIFICATE_TOL``, relative as the certificate (M scattered for it alone)."""
         if not self.is_mixed:
             return None, 0.0
         space, eye = self.space, np.eye(self.space.dimension)
@@ -188,7 +192,7 @@ class DecayModel:
             raise InvariantViolation(f"mode basis W is not unitary: ||W^dag W - 1|| = {defect:.3e}")
         m_ref, split, half_width = self._spectrum
         scale = _mass_scale(self.masses, self.widths)
-        off = w.conj().T @ (self.m_operator.entries / scale) @ w - np.diag(
+        off = w.conj().T @ (scatter_terms(space, self.m_terms) / scale) @ w - np.diag(
             (m_ref / scale) * totals + split / scale - 1j * (half_width / scale))
         if not float(np.max(np.abs(off))) <= CERTIFICATE_TOL:
             raise CertificateError(f"mode-basis certificate defect {np.max(np.abs(off)):.3e} (relative) "
@@ -276,10 +280,10 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
             sectors = np.exp(-1j * ((m_ref * np.arange(space.total + 1)) * t))
             rest = np.exp(-(half_width + 1j * split) * t)
             amplitudes = sectors[:, space.total_occupation] * rest
-        else:  # M is diagonal, D_n = exp(-i M_nn t) rounds each phase once as the closed forms do,
-            # and there is no W to turn a phase into interference: none is checked
+        else:  # M is its diagonal term, D_n = exp(-i M_nn t) rounds each phase once as the closed forms
+            # do, and there is no W to turn a phase into interference: none is checked
             split, sectors = np.zeros(space.dimension), None
-            amplitudes = rest = np.exp(-1j * model.m_operator.entries.diagonal() * t)
+            amplitudes = rest = np.exp(-1j * model.m_terms[0][1] * t)
         rounding = 2.0**-53 * split * t
     _check_finite(amplitudes, "propagator exp(-i M t)", times)
     coarse = np.argwhere((amplitudes != 0) & (rounding > PHASE_TOL))
@@ -319,9 +323,8 @@ def _state_support(model: DecayModel, y0: np.ndarray) -> Support:
     """The exact nonzeros of y0 = W^dag rho0 W closed under (n, m) -> (n - e_j, m -
     e_j) for each mode j: the loss maps move an entry only so and D is diagonal,
     so each state of the grid is zero off them in the decay-mode basis."""
-    space, (down, _) = model.space, model.space.steps
-    rows, cols = closed_support(space.dimension, *np.nonzero(y0), down, down)
-    return Support(space, rows, cols)
+    down = np.array([np.where(amp != 0, lower, -1) for _, (lower, amp) in model.space.ladders])
+    return Support(model.space, *closed_support(model.space.dimension, *np.nonzero(y0), down, down))
 
 
 def _loss_maps(x: np.ndarray, support: Support, weights: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -393,7 +396,7 @@ def _certificate_defect(model: DecayModel) -> float:
     space, d = model.space, model.space.dimension
     mus = (np.array(model.masses) - 0.5j * np.array(model.widths)) / _mass_scale(model.masses, model.widths)
     omega = model._on_ladders(np.diag(mus))
-    rows, values = _ladder_pairs(space)
+    rows, values = space.ladder_pairs
     number = (values.diagonal() * omega.diagonal()).sum(axis=1)  # sum_p Omega_pp n_p, per column
     off = list(zip(*np.nonzero(omega - np.diag(omega.diagonal()))))
     worst, cols, defect = 0.0, np.arange(d), np.empty((d, d), dtype=complex)

@@ -1,11 +1,11 @@
 """Truncated occupation-number bases and the operators read from their ladder maps.
 
-Multi-mode boson/fermion spaces with a per-mode occupation cutoff, dense
-ladder and number matrices, the linear forms sum_l coeffs_l a_l and the
-quadratic forms sum_lm omega_lm a_l^dag a_m, scattered with no matrix
-product, the standard initial states, and the supports that states are
-evolved, checked and read on: a state is its values there, and its checks
-and its means tr(rho a_l^dag a_m) gather from them through one slot map.
+Multi-mode boson/fermion spaces with a per-mode occupation cutoff, dense ladder
+and number matrices, the linear forms sum_l coeffs_l a_l and quadratic forms
+sum_lm omega_lm a_l^dag a_m as terms of one value per column, and their scatter,
+the standard initial states, and the supports that states are evolved, checked
+and read on: a state is its values there, and its checks and its means
+tr(rho a_l^dag a_m) gather from them through one slot map.
 """
 from __future__ import annotations
 
@@ -131,14 +131,15 @@ class FockSpace:
         return tuple(plans)
 
     @cached_property
-    def steps(self) -> np.ndarray:
-        """(down, up): row j maps the index of n to that of n - e_j (n + e_j), or to
-        -1 outside the space; a last column maps -1 to -1, so maps compose."""
-        maps = np.full((2, self.n_modes, self.dimension + 1), -1)
-        for j, ((cols, vals), (lower, amp)) in enumerate(self.ladders):
-            maps[:, j, :-1] = np.where(amp != 0, lower, -1), np.where(vals != 0, cols, -1)
-        maps.setflags(write=False)
-        return maps
+    def ladder_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values), each (r, r, d) and read-only: column q of a_l^dag a_m (0-based modes) holds
+        values[l, m, q] in row rows[l, m, q] alone, as a_m |n_q> = amp_m[q] |n_k>, k = lower_m[q], and
+        a_l^dag |n_k> = vals_l[k] |n_{cols_l[k]}>."""
+        up, down = zip(*self.ladders)
+        (cols, vals), (lower, amp) = (map(np.array, zip(*plans)) for plans in (up, down))
+        rows, values = cols[:, lower], vals[:, lower] * amp
+        rows.flags.writeable = values.flags.writeable = False
+        return rows, values
 
     def __eq__(self, other):
         return (isinstance(other, FockSpace) and self.modes == other.modes
@@ -258,8 +259,8 @@ def closed_support(dim: int, rows: np.ndarray, cols: np.ndarray, f: np.ndarray,
                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries (rows, cols), row-major, of the least d x d pattern holding the
     entries (rows[i], cols[i]) and closed under each move (n, m) -> (f[k, n], g[k,
-    m]) where both are >= 0, such as the maps of :attr:`FockSpace.steps`: every
-    move of a frontier of new entries at once, then the entries it found."""
+    m]) where both are >= 0, such as the rows of terms (-1 where a value is 0):
+    every move of a frontier of new entries at once, then the entries it found."""
     live = np.zeros((dim, dim), dtype=bool)
     live[rows, cols] = True
     n, m = rows, cols
@@ -414,38 +415,48 @@ def build_total_number(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(space.total_occupation.astype(complex)))
 
 
-def _ladder_pairs(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, values), each (r, r, d): column q of a_l^dag a_m (0-based modes) holds values[l, m, q] in
-    row rows[l, m, q] alone, as a_m |n_q> = amp_m[q] |n_k>, k = lower_m[q], and a_l^dag |n_k> =
-    vals_l[k] |n_{cols_l[k]}>."""
-    up, down = zip(*space.ladders)
-    (cols, vals), (lower, amp) = (map(np.array, zip(*plans)) for plans in (up, down))
-    return cols[:, lower], vals[:, lower] * amp
+def linear_terms(space: FockSpace, coeffs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The terms (rows, vals) of sum_l coeffs[l] a_l, column q of each holding vals[q] in row rows[q]
+    alone: per nonzero coeffs[l], in mode order, a_l's ladder map (lower, coeffs[l] * amp)."""
+    return [(space.ladders[l][1][0], coeffs[l] * space.ladders[l][1][1]) for l in np.flatnonzero(coeffs)]
+
+
+def quadratic_terms(space: FockSpace, omega: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The terms of sum_lm omega[..., l, m] a_l^dag a_m (vals (..., d) for a stack of omegas), from the
+    ladder pairs: first the diagonal sum_l omega_ll n_l on rows 0 .. d - 1, summed from 0 in mode order,
+    then one per (l, m), l != m, nonzero in some omega, row-major; so each entry takes one term's value."""
+    (rows, values), omega, d = space.ladder_pairs, np.asarray(omega), space.dimension
+    live = omega.reshape(-1, *omega.shape[-2:]).any(axis=0)
+    diag = np.zeros((*omega.shape[:-2], d), dtype=complex)
+    for l in np.flatnonzero(live.diagonal()):
+        diag += omega[..., l, l, None] * values[l, l]
+    off = np.argwhere(live & ~np.eye(len(live), dtype=bool))
+    return [(np.arange(d), diag), *((rows[l, m], omega[..., l, m, None] * values[l, m]) for l, m in off)]
+
+
+def scatter_terms(space: FockSpace, terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The d x d matrix of ``terms``, each scattered onto zeros in turn."""
+    out = np.zeros((space.dimension,) * 2, dtype=complex)
+    for rows, vals in terms:
+        out[rows, np.arange(space.dimension)] += vals
+    return out
 
 
 def linear_form(space: FockSpace, coeffs: np.ndarray) -> np.ndarray:
-    """sum_l coeffs[l] a_l, one mode's ladder map scattered at a time in mode order; zero terms are skipped."""
-    out = np.zeros((space.dimension,) * 2, dtype=complex)
-    for l in np.flatnonzero(coeffs):
-        lower, amp = space.ladders[l][1]
-        out[lower, np.arange(space.dimension)] += coeffs[l] * amp
-    return out
+    """sum_l coeffs[l] a_l, the scatter of its :func:`linear_terms`."""
+    return scatter_terms(space, linear_terms(space, coeffs))
 
 
 def quadratic_form(space: FockSpace, omega: np.ndarray) -> np.ndarray:
-    """sum_{lm} omega[l, m] a_l^dag a_m, one of :func:`_ladder_pairs` scattered at a time; zero terms are skipped."""
-    rows, values = _ladder_pairs(space)
-    out = np.zeros((space.dimension,) * 2, dtype=complex)
-    for l, m in zip(*np.nonzero(omega)):
-        out[rows[l, m], np.arange(space.dimension)] += omega[l, m] * values[l, m]
-    return out
+    """sum_{lm} omega[l, m] a_l^dag a_m, the scatter of its :func:`quadratic_terms`."""
+    return scatter_terms(space, quadratic_terms(space, omega))
 
 
 def one_body_correlations(support: Support, values: np.ndarray) -> np.ndarray:
     """T[n, l, m] = tr(rho_n a_l^dag a_m) of the (n, K) values, the gathered sum_q
-    rho[q, rows[l, m, q]] values[l, m, q] of :func:`_ladder_pairs`, laid out q-major:
+    rho[q, rows[l, m, q]] values[l, m, q] of :attr:`FockSpace.ladder_pairs`, laid out q-major:
     one pairwise sum over q per (l, m), and a C-ordered T whatever n is."""
-    rows, pairs = _ladder_pairs(support.space)
+    rows, pairs = support.space.ladder_pairs
     terms = padded(values)[:, support.slots[np.arange(support.space.dimension), rows]] * pairs
     return np.sum(np.ascontiguousarray(terms), axis=-1)
 

@@ -8,16 +8,15 @@ sparsity pattern reaches from the initial state, every other entry being
 exactly zero for all time.  Those entries split into blocks of equal
 Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
 column occupations together, which holds by construction of a DecayModel).
-That pattern is closed from the space's ladder maps, reading W and the L_j
-only where they can be nonzero, with no matrix product, and each state is
-checked and read as its values on it.  Each block's generator matrix is
-gathered from W and the L_j at the block's own indices by the Liouville form
-of the generator, and the block advances by the RK4 step polynomial of that
-matrix, formed once.  W and the L_j are read from the model's M and c_j,
-gathered where they are read and scaled there, so no copy of them is held.
+W = -iM and the L_j = sqrt(Gamma_j) c_j are read as the model's terms, one
+value per column each, so no d x d operator is formed: the pattern is closed
+under their moves, and each block's generator matrix is scattered from them
+by the Liouville form.  The block advances by the RK4 step polynomial of that
+matrix, formed once.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 
 from .channel import DecayModel, Result, _as_states, _stack_points
 from .config import STEP_MATCH_TOL, InvariantViolation, StepError, default_step, steps_for  # noqa: F401
-from .fock import DensityOperator, Support, closed_support, density_breach
+from .fock import DensityOperator, Support, closed_support, density_breach, linear_terms
 
 EIG_EXCURSION_FLOOR = -1e-8
 
@@ -36,10 +35,10 @@ class GeneratorAction:
     """Right-hand side of the evolution: rho -> W rho + rho W^dag + sum L rho L^dag,
 
     where W = -iM combines the commutator and anticommutator parts and
-    L_j = sqrt(Gamma_j) c_j.  Both are read from ``model`` and formed on each
-    read, so the generator holds nothing but its model and inherits its
+    L_j = sqrt(Gamma_j) c_j.  It holds nothing but its model and inherits its
     guarantees: W conserves the total occupation and each L_j lowers it by
-    exactly one.
+    exactly one.  :func:`integrate` reads the model's terms; ``w_matrix``,
+    ``jump_ops`` and the call, the tests' dense reference, read its M and c_j.
     """
 
     model: DecayModel
@@ -69,58 +68,47 @@ class GeneratorAction:
 build_generator = GeneratorAction
 
 
-def _scaled(matrix: np.ndarray, index: tuple[np.ndarray, ...], scale: complex) -> np.ndarray:
-    """matrix[index] * scale, scaled in place of the gather: one new array."""
-    out = matrix[index]
-    out *= scale
-    return out
+def _jump_terms(model: DecayModel) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per j, the terms of L_j = sqrt(Gamma_j) c_j: the :func:`linear_terms` of c_j, scaled."""
+    return [[(rows, vals * math.sqrt(g)) for rows, vals in linear_terms(model.space, v_j.conj())]
+            for g, v_j in zip(model.widths, model._couplings)]
 
 
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries (rows, cols) of rho that can ever be nonzero, in row-major order: the
     exact-nonzero pattern of ``rho`` closed under the generator's, (W!=0) X + X
-    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T.  Off its diagonal W can be nonzero
-    only at (q - e_m + e_l, q) and L_j only at (q - e_l, q); those entries are
-    read and moved along, W's on a row or a column, L_j's on both (any two l).
+    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T.  Each of W's off-diagonal terms moves an
+    entry along its row or its column, each pair of an L_j's terms along both, where
+    their values are nonzero.
     """
-    model, space = gen.model, gen.model.space
-    dim, (down, up) = space.dimension, space.steps
-    q, below = np.arange(dim), down[:, :dim]  # (l, q): q - e_l
-    hops = up[:, below][~np.eye(space.n_modes, dtype=bool)]  # (l, m), l != m: q - e_m + e_l
-    # W = -iM is nonzero where M is
-    hops = np.where((hops >= 0) & (model.m_operator.entries[hops, q] != 0), hops, -1)
-    hops = hops[(hops >= 0).any(axis=-1)]
-    same = np.broadcast_to(q, hops.shape)
-    f, g = [hops, same], [same, hops]
-    for g_j, c in zip(model.widths, model.decay_ops):
-        lows = np.where((below >= 0) & (math.sqrt(g_j) * c.entries[below, q] != 0), below, -1)
-        lows = lows[(lows >= 0).any(axis=-1)]
-        f.append(np.repeat(lows, len(lows), axis=0))
-        g.append(np.tile(lows, (len(lows), 1)))
-    return closed_support(dim, *np.nonzero(rho), np.concatenate(f), np.concatenate(g))
+    model, q = gen.model, np.arange(gen.model.space.dimension)
+    hops = [np.where(vals != 0, rows, -1) for rows, vals in model.m_terms[1:]]  # W = -iM is nonzero where M is
+    moves = [(hop, q) for hop in hops] + [(q, hop) for hop in hops]
+    for terms in _jump_terms(model):
+        moves += itertools.product([np.where(vals != 0, rows, -1) for rows, vals in terms], repeat=2)
+    f, g = np.reshape(moves, (-1, 2, q.size)).transpose(1, 0, 2)
+    return closed_support(q.size, *np.nonzero(rho), f, g)
 
 
-def _block_generator(gen: GeneratorAction, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Matrix of ``gen`` on the block of entries (r[i], c[i]) of rho.
-
-    Gathered at the block's indices from the Liouville form
-    L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc),
-    each gather of M or c_j scaled to W or L_j in place: at most three
-    block-sized arrays are alive at once.
-    """
-    model = gen.model
-    rr, cc = np.ix_(r, r), np.ix_(c, c)
-    out = _scaled(model.m_operator.entries, rr, -1j)
-    out *= c[:, None] == c
-    tmp = _scaled(model.m_operator.entries, cc, -1j)
-    np.conj(tmp, out=tmp)
-    tmp *= r[:, None] == r
-    out += tmp
-    for g_j, op in zip(model.widths, model.decay_ops):
-        np.conj(_scaled(op.entries, cc, math.sqrt(g_j)), out=tmp)
-        tmp *= _scaled(op.entries, rr, math.sqrt(g_j))
-        out += tmp
-    return out
+def _block_generator(gen: GeneratorAction, support: Support, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Matrix of ``gen`` on the block of entries (r[i], c[i]) of rho, all on ``support``: the Liouville
+    form L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc), whose column k takes
+    each term's value in the row of the entry the term moves (r[k], c[k]) to, by the support's slots.
+    W is added first, then conj(W), then each j, each giving an entry one value at most, so every
+    nonzero is the dense gather's sum, in its order."""
+    n, k = r.size, np.arange(r.size)
+    at = np.full(support.rows.size + 1, n)  # each slot's place in the block, n off it
+    at[support.slots[r, c]] = k
+    out = np.zeros((n + 1, n), dtype=complex)  # row n takes the moves off the block of zero values
+    w = [(rows, vals * -1j) for rows, vals in gen.model.m_terms]
+    for rows, vals in w:
+        out[at[support.slots[rows[r], c]], k] += vals[r]
+    for rows, vals in w:
+        out[at[support.slots[r, rows[c]]], k] += vals[c].conj()
+    for terms in _jump_terms(gen.model):
+        for (rows_a, vals_a), (rows_b, vals_b) in itertools.product(terms, repeat=2):
+            out[at[support.slots[rows_a[r], rows_b[c]]], k] += np.conj(vals_b[c]) * vals_a[r]
+    return out[:n]
 
 
 def _rk4_step_matrix(a: np.ndarray) -> np.ndarray:
@@ -173,7 +161,7 @@ def integrate(
     entries reachable from ``rho0`` are evolved, the others being exactly
     zero for all time.  They are split into blocks of equal Delta N, which
     the generator conserves because its model does, and each block's generator
-    is gathered from W and the L_j at the block's own indices; an interval
+    is scattered from the terms of W and the L_j into the block; an interval
     of m steps applies the m-th power of the block's RK4 step matrix, so
     scheme and step are those of the k1..k4 loop and only the rounding differs.
     The trajectory is returned as-is: no renormalization and no positivity
@@ -218,7 +206,7 @@ def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, support: Support, t
     dns, sizes = np.unique(delta, return_counts=True)
     for dn in dns[np.argsort(-sizes, kind="stable")]:  # largest first: later blocks reuse its memory
         at = np.flatnonzero(delta == dn)
-        samples = _block_samples(gen, rho0, dn, support.rows[at], support.cols[at], targets, step, size)
+        samples = _block_samples(gen, rho0, support, dn, support.rows[at], support.cols[at], targets, step, size)
         blocks.append((dn, at, samples))
     start_values = support.values(rho0.matrix)
     for start in range(0, len(times), size):
@@ -237,8 +225,8 @@ def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, support: Support, t
         yield values
 
 
-def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.ndarray, c: np.ndarray,
-                   targets: list[int], step: float, size: int) -> Iterator[np.ndarray]:
+def _block_samples(gen: GeneratorAction, rho0: DensityOperator, support: Support, dn: int, r: np.ndarray,
+                   c: np.ndarray, targets: list[int], step: float, size: int) -> Iterator[np.ndarray]:
     """The values of the block's entries (r[i], c[i]) on the grid, ``size``
     points at a time (see :func:`_sample`).
 
@@ -248,7 +236,7 @@ def _block_samples(gen: GeneratorAction, rho0: DensityOperator, dn: int, r: np.n
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness here and by the caller
         # no name holds the block's L, so it is freed before the powers are taken
-        p = _rk4_step_matrix(step * _block_generator(gen, r, c))
+        p = _rk4_step_matrix(step * _block_generator(gen, support, r, c))
         if not np.isfinite(p).all():
             raise InvariantViolation(
                 f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"

@@ -32,7 +32,10 @@ CASES = pytest.mark.parametrize("route, modes, initial_state", [
     # 169 reachable entries in Delta N blocks of at most 13: each block advances chunk by
     # chunk, and its 161 x 169 values (~430 KB) are never all held
     ("ode", TWO_BOSONS, {"type": "coherent", "mode": 1, "alpha": 0.05}),
-], ids=["kraus-number", "ode-number", "ode-coherent"])
+    # the kraus support of the same state holds the same 169 entries, enough to show kept
+    # states; from |2,1,1> it holds 12, whose 161 states weigh less than the bound allows
+    ("kraus", TWO_BOSONS, {"type": "coherent", "mode": 1, "alpha": 0.05}),
+], ids=["kraus-number", "ode-number", "ode-coherent", "kraus-coherent"])
 
 
 def _config(route, modes, initial_state, count, observables, output_path="unused"):

@@ -374,11 +374,12 @@ def _grid_cases():
 
 @pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _grid_cases()])
 def test_grid_form_builds_no_decay_operator(rng, case):
-    # the closed forms read V, the masses and the widths: a run on them forms no c_j
+    # the closed forms read V, the masses and the widths: a run on them forms no c_j and no M
     _, model, phi = _grid_cases()[case]
     mean_quadratic_trajectories(model, random_density_matrix(rng, model.space),
                                 quadratic_omegas(model.space.n_modes, phi), np.linspace(0.0, 1.0, 5))
     assert "decay_ops" not in vars(model)
+    assert "m_operator" not in vars(model)
 
 
 @pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _grid_cases()])

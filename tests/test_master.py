@@ -28,6 +28,7 @@ from fockdecay import (
     vacuum_state,
 )
 from fockdecay.config import STEP_MATCH_TOL
+from fockdecay.fock import Support
 from fockdecay.flavour import quadratic_omegas
 
 
@@ -293,7 +294,7 @@ def test_integrate_matches_full_space_loop(rng, case):
     delta = tot[rows] - tot[cols]
     for dn in np.unique(delta):
         r, c = rows[delta == dn], cols[delta == dn]
-        block = master._block_generator(gen, r, c)
+        block = master._block_generator(gen, Support(model.space, rows, cols), r, c)
         for i in range(r.size):
             unit = np.zeros_like(rho0.matrix)
             unit[r[i], c[i]] = 1.0
@@ -331,7 +332,18 @@ def test_block_generator_is_the_dense_gather_of_w_and_the_jumps(case):
         want = w[rr] * (c[:, None] == c) + np.conj(w[cc]) * (r[:, None] == r)
         for L in jumps:
             want += np.conj(L[cc]) * L[rr]
-        assert np.array_equal(master._block_generator(gen, r, c), want)
+        assert np.array_equal(master._block_generator(gen, Support(model.space, rows, cols), r, c), want)
+
+
+@pytest.mark.parametrize("case", [_mixed_pair_model, _multimode_model], ids=["mixed pair", "multimode"])
+def test_the_state_routes_form_no_dense_m_or_c_j(case):
+    # both read the model's terms; only the tests' dense reference forms M and the c_j
+    model, rho0 = case()
+    state = DensityOperator(model.space, rho0)
+    integrate(build_generator(model), state, [0.0, 0.05, 0.1], 0.001)
+    evolve_state(model, state, [0.0, 0.05, 0.1])
+    assert "m_operator" not in vars(model)
+    assert "decay_ops" not in vars(model)
 
 
 def test_generator_holds_nothing_but_its_model():
