@@ -103,8 +103,8 @@ class DecayModel:
                                  f"exceeds {MIXING_TOL}")
             v.setflags(write=False)
             object.__setattr__(self, "mixing_unitary", v)
-        omega_m = self._on_ladders(np.diag(self.masses))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            omega_m = self._on_ladders(np.diag(self.masses))
             terms = quadratic_terms(space, np.array([omega_m, self._on_ladders(-0.5 * np.diag(self.widths))]))
         if not all(np.isfinite(vals).all() for _, vals in terms):
             raise InvariantViolation("Hamiltonian or decay term is not finite; masses or widths "
