@@ -9,7 +9,7 @@ exactly zero for all time.  Those entries split into blocks of equal
 Delta N = N_row - N_col (M conserves the total and each L_j lowers row and
 column occupations together, which holds by construction of a DecayModel).
 W = -iM and the L_j = sqrt(Gamma_j) c_j are read as the model's terms, one
-value per column each, so no d x d operator is formed: the pattern is closed
+value per column each, so no dense M or c_j is formed: the pattern is closed
 under their moves, and each block's generator matrix is scattered from them
 by the Liouville form.  The block advances by the RK4 step polynomial of that
 matrix, formed once.
