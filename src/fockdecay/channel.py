@@ -77,9 +77,10 @@ class DecayModel:
     term.  ``m_operator`` and ``decay_ops``, the dense M and c_j, are
     scattered on first read, which no run makes.  The model is refused
     unless every term is finite, the mass part Hermitian and the relative
-    defect of [M, c_j] = -mu_j c_j, ``certificate_defect``, formed with no M,
+    defect of [M, c_j] = -mu_j c_j, ``certificate_defect``, read exactly on
+    the space's boundary with no d x d array (:func:`_certificate_defect`),
     is within ``CERTIFICATE_TOL``: this refuses a V under which the space is
-    not closed, such as a mixed boson pair past its common cutoff.  The
+    not closed, such as a mixed boson pair past its common cutoff, at any mass.  The
     ``mode_basis`` its Kraus channels use is built on its first use.
     """
 
@@ -117,7 +118,7 @@ class DecayModel:
             vals[0].imag += vals[1].real
             vals.setflags(write=False)
         defect = _certificate_defect(self)
-        if defect > CERTIFICATE_TOL:
+        if not defect <= CERTIFICATE_TOL:
             raise CertificateError(
                 f"commutation certificate defect {defect:.3e} (relative) exceeds "
                 f"{CERTIFICATE_TOL}; the space is not closed under the decay operators"
@@ -391,25 +392,27 @@ def _decay_amplitude(mass: float, gamma: float, t: float) -> complex:
 
 
 def _certificate_defect(model: DecayModel) -> float:
-    """max_j |[M, c_j] + mu_j c_j| / s (s = :func:`_mass_scale`) with no M: sum_l conj(V[j, l]) (sum_pm Omega_pm
-    [a_p^dag a_m, a_l] + mu_j / s a_l), Omega = V^T diag(mu / s) conj(V), scattered from the ladder maps."""
-    space, d = model.space, model.space.dimension
-    mus = (np.array(model.masses) - 0.5j * np.array(model.widths)) / _mass_scale(model.masses, model.widths)
-    omega = model._on_ladders(np.diag(mus))
-    rows, values = space.ladder_pairs
-    number = (values.diagonal() * omega.diagonal()).sum(axis=1)  # sum_p Omega_pp n_p, per column
-    off = list(zip(*np.nonzero(omega - np.diag(omega.diagonal()))))
-    worst, cols, defect = 0.0, np.arange(d), np.empty((d, d), dtype=complex)
-    for row, mu in zip(model._couplings.conj(), mus):
-        defect.fill(0)
-        for l in np.flatnonzero(row):
-            lower, amp = space.ladders[l][1]
-            defect[lower, cols] += row[l] * amp * (number[lower] - number + mu)  # a_l, and the p = m terms
-            for p, m in off:  # column q of a_p^dag a_m a_l and of a_l a_p^dag a_m holds one entry each
-                defect[rows[p, m, lower], cols] += row[l] * omega[p, m] * values[p, m, lower] * amp
-                defect[lower[rows[p, m]], cols] -= row[l] * omega[p, m] * amp[rows[p, m]] * values[p, m]
-        worst = max(worst, float(np.abs(defect, out=defect).real.max()))  # in place: cleared for the next c_j
-    return worst
+    """max_j |[M, c_j] + mu_j c_j| / s, exact for a unitary V.  Every a_l keeps S, so on S this is P c_j Q M P
+    (P onto S, Q = 1 - P): a hop Omega_pm a_p^dag a_m (p != m, not two fermions) takes mode p past its cutoff,
+    and a_p alone brings it back, so column q holds sum_p conj(V[j, p]) Omega_pm (cutoff_p + 1) amp_m[q] in
+    row n_q - e_m.  Omega = V^T diag((mu - m_ref) / s) conj(V), m_ref = min_j m_j and s = max(1, max_j
+    max(m_j - m_ref, Gamma_j / 2)), is formed from halves, which cannot overflow.  A V coupling a boson with
+    a fermion is refused on two fermionic modes and a total of 2 or more: there the relation fails inside S."""
+    space, occ, v = model.space, model.space.occupation_array, model._couplings
+    fermion = np.array([mode.is_fermion for mode in space.modes])
+    if fermion.sum() > 1 and space.total > 1 and (v[:, fermion].any(axis=1) & v[:, ~fermion].any(axis=1)).any():
+        raise CertificateError("commutation certificate defect is not on the space's boundary: the mixing "
+                               "couples a boson with a fermion among two fermionic modes or more")
+    half, quarter = np.array(model.masses) / 2 - min(model.masses) / 2, np.array(model.widths) / 4
+    scale = max(0.5, *half, *quarter)  # s / 2
+    omega = model._on_ladders(np.diag(half / scale - 1j * (quarter / scale)))
+    hops = omega * ~(np.eye(space.n_modes, dtype=bool) | np.outer(fermion, fermion))  # a fermion pair's keeps S
+    defect = np.zeros((space.n_modes, space.n_modes, space.dimension), dtype=complex)  # [m, j, q]
+    for p, m in np.argwhere(hops):
+        amp, cutoff = space.ladders[m][1][1], space.modes[p].cutoff
+        cols = np.flatnonzero((occ[:, p] == cutoff) & (amp != 0))  # the boundary: Omega is read there alone
+        defect[m][:, cols] += np.outer(v[:, p].conj() * (hops[p, m] * (cutoff + 1)), amp[cols])
+    return float(np.abs(defect).max())
 
 
 def _mass_scale(masses: Sequence[float], widths: Sequence[float]) -> float:

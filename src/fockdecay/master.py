@@ -68,46 +68,41 @@ class GeneratorAction:
 build_generator = GeneratorAction
 
 
-def _jump_terms(model: DecayModel) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per j, the terms of L_j = sqrt(Gamma_j) c_j: the :func:`linear_terms` of c_j, scaled."""
-    return [[(rows, vals * math.sqrt(g)) for rows, vals in linear_terms(model.space, v_j.conj())]
-            for g, v_j in zip(model.widths, model._couplings)]
+def _generator_terms(model: DecayModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The moves (f, g, a, b) of the generator: entry (r, c) of rho moves to (f[r], g[c]) with the factor
+    a[r] b[c].  W = -iM's terms on the row, conj(W)'s on the column, then per j each pair of the terms of
+    L_j = sqrt(Gamma_j) c_j (the :func:`linear_terms` of c_j, scaled) on both."""
+    q, one = np.arange(model.space.dimension), np.ones(model.space.dimension)
+    w = [(rows, vals * -1j) for rows, vals in model.m_terms]
+    moves = [(rows, q, vals, one) for rows, vals in w] + [(q, rows, one, vals.conj()) for rows, vals in w]
+    for g, v_j in zip(model.widths, model._couplings):
+        terms = [(rows, vals * math.sqrt(g)) for rows, vals in linear_terms(model.space, v_j.conj())]
+        moves += [(f, h, a, b.conj()) for (f, a), (h, b) in itertools.product(terms, repeat=2)]
+    return moves
 
 
 def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries (rows, cols) of rho that can ever be nonzero, in row-major order: the
     exact-nonzero pattern of ``rho`` closed under the generator's, (W!=0) X + X
-    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T.  Each of W's off-diagonal terms moves an
-    entry along its row or its column, each pair of an L_j's terms along both, where
-    their values are nonzero.
+    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T, each of its moves taken where its factors are nonzero.
     """
-    model, q = gen.model, np.arange(gen.model.space.dimension)
-    hops = [np.where(vals != 0, rows, -1) for rows, vals in model.m_terms[1:]]  # W = -iM is nonzero where M is
-    moves = [(hop, q) for hop in hops] + [(q, hop) for hop in hops]
-    for terms in _jump_terms(model):
-        moves += itertools.product([np.where(vals != 0, rows, -1) for rows, vals in terms], repeat=2)
-    f, g = np.reshape(moves, (-1, 2, q.size)).transpose(1, 0, 2)
-    return closed_support(q.size, *np.nonzero(rho), f, g)
+    moves = [(np.where(a != 0, f, -1), np.where(b != 0, g, -1)) for f, g, a, b in _generator_terms(gen.model)]
+    f, g = np.array(moves).transpose(1, 0, 2)
+    return closed_support(gen.model.space.dimension, *np.nonzero(rho), f, g)
 
 
 def _block_generator(gen: GeneratorAction, support: Support, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Matrix of ``gen`` on the block of entries (r[i], c[i]) of rho, all on ``support``: the Liouville
     form L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc), whose column k takes
-    each term's value in the row of the entry the term moves (r[k], c[k]) to, by the support's slots.
-    W is added first, then conj(W), then each j, each giving an entry one value at most, so every
+    each move's factor in the row of the entry it moves (r[k], c[k]) to, by the support's slots.  The
+    moves of :func:`_generator_terms` each give an entry one value at most, in their order, so every
     nonzero is the dense gather's sum, in its order."""
     n, k = r.size, np.arange(r.size)
     at = np.full(support.rows.size + 1, n)  # each slot's place in the block, n off it
     at[support.slots[r, c]] = k
     out = np.zeros((n + 1, n), dtype=complex)  # row n takes the moves off the block of zero values
-    w = [(rows, vals * -1j) for rows, vals in gen.model.m_terms]
-    for rows, vals in w:
-        out[at[support.slots[rows[r], c]], k] += vals[r]
-    for rows, vals in w:
-        out[at[support.slots[r, rows[c]]], k] += vals[c].conj()
-    for terms in _jump_terms(gen.model):
-        for (rows_a, vals_a), (rows_b, vals_b) in itertools.product(terms, repeat=2):
-            out[at[support.slots[rows_a[r], rows_b[c]]], k] += np.conj(vals_b[c]) * vals_a[r]
+    for f, g, a, b in _generator_terms(gen.model):
+        out[at[support.slots[f[r], g[c]]], k] += b[c] * a[r]
     return out[:n]
 
 

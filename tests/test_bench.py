@@ -1,9 +1,12 @@
 import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
@@ -157,10 +160,13 @@ def test_a_revision_parent_is_extracted_to_a_path_as_long_as_the_checkout(tmp_pa
     dest, commit = bench._parent_checkout(root, "HEAD", short)
     assert len(str(dest)) == len(str(root)) and dest.parent == short
     assert (dest / "src" / "m.py").read_text() == "x = 1\n" and commit == bench._rev_parse(root, "HEAD")
-    # a temporary directory too long to match takes the shortest name, and the runs warn
+    # a temporary directory too long to match is an error naming both lengths, and no run is made
     long = tmp_path / ("t" * 60)
     long.mkdir()
-    assert bench._parent_checkout(root, "HEAD", long)[0] == long / "p"
+    with pytest.raises(SystemExit, match=rf"{re.escape(str(root))} has {len(str(root))} characters, "
+                                         rf"and a directory of {re.escape(str(long))} has {len(str(long)) + 2} "):
+        bench._parent_checkout(root, "HEAD", long)
+    assert list(long.iterdir()) == []
 
     def child(args, cwd, **env):
         if args[0] != "perfbench/run.py":
@@ -169,12 +175,15 @@ def test_a_revision_parent_is_extracted_to_a_path_as_long_as_the_checkout(tmp_pa
         return ["# environment " + json.dumps({"commit": "c", "src_sha256": "s"}), json.dumps({"failed": 0})]
 
     monkeypatch.setattr(bench, "_child", child)
-    for tmp, warned in ((short, False), (long, True)):
-        monkeypatch.setattr(bench.tempfile, "tempdir", str(tmp))
-        lengths = []
+    monkeypatch.setattr(bench.tempfile, "tempdir", str(short))
+    lengths = []
+    bench.bench(root, ["oracle"], [1], 0, 1, "HEAD")
+    assert lengths[0] == lengths[1] and "warning: PARENT runs at" not in capsys.readouterr().err
+    monkeypatch.setattr(bench.tempfile, "tempdir", str(long))
+    lengths = []
+    with pytest.raises(SystemExit, match="cannot be extracted to a path as long as CHECKOUT's"):
         bench.bench(root, ["oracle"], [1], 0, 1, "HEAD")
-        assert (lengths[0] != lengths[1]) == warned
-        assert ("warning: PARENT runs at" in capsys.readouterr().err) == warned
+    assert lengths == []
 
 
 def _line(run_s, digits):
@@ -214,7 +223,10 @@ def test_the_comparison_gives_each_metric_its_verdict():
     # ties win for neither side, and a steady metric is resolved
     assert got[("sweep", "max_route_dev_digits")] == {
         "workload": "sweep", "metric": "max_route_dev_digits", "change_median": 14.0, "parent_median": 14.0,
-        "parent_quartile_distance": 0.0, "wins": 0, "pairs": 10, "verdict": "within bound"}
+        "parent_quartile_distance": 0.0, "wins": 0, "pairs": 10, "allowance": 0.1 * 14.0,
+        "verdict": "within bound"}
+    # the allowance is the bound times the parent's median, in the metric's unit
+    assert got[("oracle", "run_s")]["allowance"] == 0.24 * statistics.median(t for t, _ in steady)
 
 
 def test_the_comparison_of_captured_runs_finds_the_oracle_run_time_unresolved():

@@ -143,11 +143,72 @@ def _certificate_cases():
 
 @pytest.mark.parametrize("case", list(_certificate_cases()))
 def test_gathered_certificate_matches_the_dense_commutators(case):
+    # on a closed space the defect has no boundary to live on: exactly 0, where the dense form rounds
     space, v = _certificate_cases()[case]
     model = DecayModel(space, v)
     want = _dense_certificate(space, np.eye(space.n_modes) if v is None else v)
     assert want <= 1e-12
-    assert abs(model.certificate_defect - want) <= 1e-15
+    assert model.certificate_defect == 0.0
+
+
+def _open_certificate_cases():
+    # min_j m_j = 0 in each, where the certificate's scale over the splittings is the dense helper's
+    rng = np.random.default_rng(11)
+    v3, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    pair = mixing_matrix(MixingParams(theta=0.7, phi=0.3, psi=1.1))
+    boson, fermion = ModeSpec(width=0.5, cutoff=3), ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)
+    return {
+        "pair at cutoffs 2 and 4, total 3": (FockSpace([ModeSpec(width=0.5, cutoff=2),
+                                                        ModeSpec(mass=3.0, width=1.5, cutoff=4)], total=3), pair),
+        "three under a random unitary": (FockSpace([ModeSpec(mass=0.6 * j, width=0.5 + j, cutoff=2)
+                                                    for j in range(3)]), v3),
+        "boson and fermion": (FockSpace([boson, fermion]), pair),
+        "fermion and boson": (FockSpace([fermion, boson]), pair),
+        "boson of cutoff 0": (FockSpace([ModeSpec(width=0.5, cutoff=0), ModeSpec(mass=2.0, width=1.5, cutoff=2)]),
+                              pair),
+    }
+
+
+@pytest.mark.parametrize("case", list(_open_certificate_cases()))
+def test_the_boundary_defect_of_an_open_space_is_the_dense_commutators(case, monkeypatch):
+    # with no tolerance the open space is built, and its exact defect is the dense one up to rounding
+    space, v = _open_certificate_cases()[case]
+    want = _dense_certificate(space, v)
+    with pytest.raises(CertificateError, match=re.escape(f"defect {want:.3e} ")):
+        DecayModel(space, v)
+    monkeypatch.setattr(channel, "CERTIFICATE_TOL", math.inf)
+    assert want > 0.1 and abs(DecayModel(space, v).certificate_defect - want) <= 1e-12 * want
+
+
+def test_a_boson_mixed_with_two_fermions_is_refused_outright():
+    # [a_b^dag a_f, a_f'] = 2 a_b^dag a_f a_f' in the interior: a defect the boundary form does not hold
+    rng = np.random.default_rng(3)
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    modes = [ModeSpec(width=0.5, cutoff=2), ModeSpec(Statistics.FERMION, mass=1.0, width=1.0),
+             ModeSpec(Statistics.FERMION, mass=2.0, width=1.5)]
+    assert _dense_certificate(FockSpace(modes, total=2), v) > 0.1
+    with pytest.raises(CertificateError, match="certificate defect is not on the space's boundary"):
+        DecayModel(FockSpace(modes, total=2), v)
+    # one quantum fills no two fermions, so at total 1 the space is closed and the relation holds
+    assert _dense_certificate(FockSpace(modes, total=1), v) <= 1e-12
+    assert DecayModel(FockSpace(modes, total=1), v).certificate_defect == 0.0
+
+
+@pytest.mark.parametrize("mass", [0.0, 1e4, 1e8, 1e12, 1e14])
+def test_the_open_pair_is_refused_at_any_common_mass(mass):
+    # the defect is formed on the splittings mu_j - min_j m_j: a common mass cancels before it is scaled
+    space = FockSpace([ModeSpec(mass=mass, width=0.5, cutoff=3), ModeSpec(mass=mass + 5.0, width=1.5, cutoff=3)])
+    with pytest.raises(CertificateError, match=re.escape("defect 2.107e+00 ")):
+        DecayModel(space, mixing_matrix(MixingParams(theta=0.7)))
+
+
+def test_the_certificate_of_masses_whose_splitting_overflows():
+    # m_2 - m_1 = 1.8e308 is not a float; formed from halves, the defect is finite either way
+    modes = [ModeSpec(mass=-0.9e308, width=0.5, cutoff=2), ModeSpec(mass=0.9e308, width=1.5, cutoff=2)]
+    v = mixing_matrix(MixingParams(theta=0.7))
+    assert DecayModel(FockSpace(modes, total=2), v).certificate_defect == 0.0
+    with pytest.raises(CertificateError, match="certificate defect [0-9]"):
+        DecayModel(FockSpace(modes), v)
 
 
 @pytest.mark.parametrize("modes, want", [
@@ -176,9 +237,9 @@ def test_m_is_its_mass_form_plus_i_times_its_decay_form_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["unmixed", "three mixed"])
-def test_building_a_model_holds_one_dense_matrix_at_most(mixed):
-    # M is kept as its (d,) terms, so the certificate's defect is the one d x d array built, and a fully
-    # mixed V adds only more terms; every cutoff is the total, so any V keeps the space closed
+def test_building_a_model_holds_no_dense_matrix(mixed):
+    # M is kept as its (d,) terms and the certificate's defect as its (r, r, d) boundary columns, so the peak
+    # is linear in d; every cutoff is the total, so any V keeps the space closed
     space = FockSpace([ModeSpec(mass=m, width=g, cutoff=12) for m, g in ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5))],
                       total=12)
     v = _certificate_cases()["three mixed"][1] if mixed else None
@@ -189,7 +250,8 @@ def test_building_a_model_holds_one_dense_matrix_at_most(mixed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert space.dimension == 455 and peak <= 1.25 * 16 * space.dimension ** 2
+    r, d = space.n_modes, space.dimension
+    assert d == 455 and peak <= 8 * 16 * r * r * d and model.certificate_defect == 0.0
     # it holds no dense matrix: M, the c_j and W are built on first read
     assert set(vars(model)) == {"space", "mixing_unitary", "m_terms", "certificate_defect"}
 

@@ -24,13 +24,14 @@ The file holds:
   side that runs first alternating from one pair to the next, so that the
   two lists can be compared pair by pair on the same machine state.
   ``peak_rss_mb`` moves with the length of the checkout's path, so a
-  revision PARENT is extracted to a path as long as CHECKOUT's, and a
-  warning goes to standard error when PARENT's path has another length (a
-  directory PARENT, or a temporary directory too long to match);
+  revision PARENT is extracted to a path as long as CHECKOUT's, and the
+  script exits with an error where the temporary directory cannot give that
+  length (CHECKOUT's path must be at least 2 characters longer); a directory
+  PARENT runs where it is, with a warning when its path has another length;
 - ``comparison``, with ``--parent``: for each workload and each
   end-to-end metric of this script's checkout's ``BENCHMARK.json``, the two medians, the
-  parent's quartile distance, the change's wins out of the pairs and a
-  verdict (see :func:`comparison`);
+  parent's quartile distance, the change's wins out of the pairs, the
+  allowance the bound gives and a verdict (see :func:`comparison`);
 - ``configs``: for each ``configs/*.json`` of CHECKOUT, the wall time of
   ``REPS`` warm ``run_scenario`` calls (after one untimed call) and their
   median, in a fresh interpreter with BLAS pinned to one thread;
@@ -160,11 +161,12 @@ def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]
     """Per workload and end-to-end metric (each a ``BENCHMARK.json`` entry with its
     ``name``, ``better`` and relative ``bound``), the paired perfbench runs of the
     change and of the parent compared: both medians, the parent's quartile
-    distance, the pairs the change wins (ties win for neither) and a verdict:
-    "worse" when the change's median is worse than the parent's by more than
-    the bound times the parent's median; otherwise "unresolved" when that
-    distance exceeds the bound times the parent's median, unless every change
-    run beats every parent run; else "within bound"."""
+    distance, the pairs the change wins (ties win for neither), the
+    ``allowance`` = bound x |parent median| in the metric's unit, and a
+    verdict: "worse" when the change's median is worse than the parent's by
+    more than the allowance; otherwise "unresolved" when that distance exceeds
+    the allowance, unless every change run beats every parent run; else
+    "within bound"."""
     out = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs = [(c["result"]["metrics"], p["result"]["metrics"]) for c, p in zip(runs, parent_runs)
@@ -185,7 +187,7 @@ def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]
             out.append({"workload": workload, "metric": name, "change_median": sign * median_c,
                         "parent_median": sign * median_p, "parent_quartile_distance": q3 - q1,
                         "wins": sum(c < p for c, p in zip(change, parent)), "pairs": len(pairs),
-                        "verdict": verdict})
+                        "allowance": scale, "verdict": verdict})
     return out
 
 
@@ -199,11 +201,16 @@ def src_lines(root: Path) -> int:
 def _parent_checkout(root: Path, parent: str, tmp: Path) -> tuple[Path, str | None]:
     """PARENT itself when it is a directory, else git revision PARENT of ``root``
     extracted into a new directory of ``tmp`` whose path is as long as
-    ``root``'s, or tmp/p where ``tmp`` is too long for that; with its commit
-    (None when git cannot name it)."""
+    ``root``'s; with its commit (None when git cannot name it).  Where no
+    name in ``tmp`` gives that length, it exits with an error naming both."""
     if Path(parent).is_dir():
         return Path(parent).resolve(), _rev_parse(Path(parent), "HEAD")
-    dest = tmp / ("p" * min(255, max(1, len(str(root)) - len(str(tmp)) - 1)))
+    name = len(str(root)) - len(str(tmp)) - 1
+    if not 1 <= name <= 255:
+        raise SystemExit(f"tools/bench.py: PARENT cannot be extracted to a path as long as CHECKOUT's: {root} has "
+                         f"{len(str(root))} characters, and a directory of {tmp} has {len(str(tmp)) + 2} to "
+                         f"{len(str(tmp)) + 256}; peak_rss_mb moves with the path's length")
+    dest = tmp / ("p" * name)
     dest.mkdir()
     tar = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", parent],
                          capture_output=True, check=True, timeout=CAP_SECONDS).stdout
