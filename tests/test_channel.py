@@ -272,7 +272,7 @@ def test_model_accepts_any_unitary_on_a_closed_space():
 
 def test_certificate_is_formed_on_the_scaled_generator():
     # M = m N is finite at m = 8e307 and n <= 2 (5e307 and n <= 3), but m^2 is not:
-    # [M, c] is formed on M / s, so the huge mass passes the certificate
+    # the certificate is formed on the scaled splittings, never on M, so the huge mass passes it
     for mass, cutoff in ((8e307, 2), (5e307, 3), (8e307, 1)):
         model = build_decay_model(FockSpace(ModeSpec(mass=mass, width=0.5, cutoff=cutoff)))
         assert model.certificate_defect <= 1e-12
