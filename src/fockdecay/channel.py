@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -47,16 +47,22 @@ PHASE_TOL = 1e-10
 # exp(-x) underflows well before this; treat the decayed weight as exact
 LARGE_EXPONENT = 700.0
 
-# Bytes of one (n, d, d) complex stack: time grids and lists of states are
-# evaluated _stack_points(d) points at a time.
+# Bytes of one (n, width) complex stack: a time grid is evaluated as (n, K) support
+# values, n = _stack_points(max(K, d)), and each stack is read in slices as large
 STACK_BYTES = 128 * 1024
 
 Result = TypeVar("Result")
 
 
-def _stack_points(dim: int) -> int:
-    """n = max(1, STACK_BYTES // (16 d^2)): the points of one (n, d, d) complex stack."""
-    return max(1, STACK_BYTES // (16 * dim * dim))
+def _stack_points(width: int) -> int:
+    """n = max(1, STACK_BYTES // (16 width)): the points of one (n, width) complex stack."""
+    return max(1, STACK_BYTES // (16 * width))
+
+
+def _by_rows(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray, width: int) -> np.ndarray:
+    """The row-wise ``f`` of the (n, K) values, taken :func:`_stack_points` (``width``) rows at a time."""
+    size = _stack_points(width)
+    return np.concatenate([f(values[i:i + size]) for i in range(0, max(len(values), 1), size)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +483,7 @@ def evolve_state(
 ) -> list[DensityOperator] | Result:
     """The complete Kraus channel of each point of a time grid applied to rho0.
 
-    The grid is evaluated as checked (n, K) stacks of the values of n = _stack_points(d)
+    The grid is evaluated as checked (n, K) stacks of the values of n = _stack_points(max(K, d))
     states y = W^dag rho W on rho0's :func:`_state_support`; a chunk that fails is
     evaluated again one point at a time, so the error is the earliest point's.  With
     ``read``, the result is ``read(support, stacks, basis)`` (see :func:`read_series`).
@@ -499,7 +505,7 @@ def evolve_state(
 
 def _state_stacks(model: DecayModel, rho0: DensityOperator, support: Support, y0: np.ndarray,
                   times: list[float]) -> Iterator[np.ndarray]:
-    chunk = _stack_points(model.space.dimension)
+    chunk = _stack_points(max(support.rows.size, model.space.dimension))
     for first in range(0, len(times), chunk):
         part = times[first:first + chunk]
         try:
@@ -560,33 +566,32 @@ def read_series(
     and a mean is sum_jk coeff_jk G_jk, G_jk = tr(y a_j^dag a_k) = tr(rho c_j^dag
     c_k), coeff = :func:`_propagation_coefficients`, and a diagonal the row sums
     of (W Y) o conj(W).  Each residue is within 1e-12 of max(1, sum |coeff o G|).
+    A stack is read in slices whose (n, r, r, d) ladder-pair gather, or (n, d, d)
+    scatter of a mixed diagonal, is one stack's width (see :func:`_by_rows`).
     """
+    r, d = support.space.n_modes, support.space.dimension
     for omega in omegas.values():
         hermitian_scale(omega)
     coeffs = {name: _propagation_coefficients(basis, omega) if basis is not None else np.asarray(omega, complex)
               for name, omega in omegas.items()}
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in omegas}
-    diagonals = []
+    series, diagonals = {name: np.empty(0) for name in omegas}, np.empty((0, d))
     for values in stacks:
-        gram = one_body_correlations(support, values) if coeffs else None
+        gram = _by_rows(partial(one_body_correlations, support), values, r * r * d) if coeffs else None
         for name, coeff in coeffs.items():
             terms = coeff * gram
-            parts[name].append(_real(terms.sum(axis=(1, 2)), np.maximum(1.0, np.abs(terms).sum(axis=(1, 2)))))
+            _extend(series[name], _real(terms.sum(axis=(1, 2)), np.maximum(1.0, np.abs(terms).sum(axis=(1, 2)))))
         if diagonal:
             w = None if basis is None else basis.mode_basis
-            diagonals.append((padded(values)[:, support.slots.diagonal()] if w is None
-                              else np.sum((w @ support.scatter(values)) * w.conj(), axis=-1)).real.copy())
-    series = {name: _joined(part, ()) for name, part in parts.items()}
-    return series, _joined(diagonals, (support.space.dimension,)) if diagonal else None
+            _extend(diagonals, (padded(values)[:, support.slots.diagonal()] if w is None else _by_rows(
+                lambda part: np.sum((w @ support.scatter(part)) * w.conj(), axis=-1), values, d * d)).real)
+    return series, diagonals if diagonal else None
 
 
-def _joined(parts: list[np.ndarray], tail: tuple[int, ...]) -> np.ndarray:
-    """The (n_i, *tail) parts stacked on their first axis, each dropped once copied, so never all held twice."""
-    out, start = np.empty((sum(map(len, parts)), *tail)), 0
-    for i, part in enumerate(parts):
-        out[start:start + len(part)], parts[i] = part, None
-        start += len(part)
-    return out
+def _extend(series: np.ndarray, rows: np.ndarray) -> None:
+    """Append ``rows`` to the series in place, by a realloc, so that it is never held twice."""
+    start = len(series)
+    series.resize((start + len(rows), *series.shape[1:]), refcheck=False)
+    series[start:] = rows
 
 
 def expectation(rho: DensityOperator, obs: OperatorMatrix) -> float:

@@ -232,6 +232,11 @@ class Support:
         return slot
 
     @cached_property
+    def pair_slots(self) -> np.ndarray:
+        """The (r, r, d) slots of the entries (q, rows[l, m, q]) of :attr:`FockSpace.ladder_pairs`."""
+        return self.slots[np.arange(self.space.dimension), self.space.ladder_pairs[0]]
+
+    @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The slots of the square blocks of :func:`connected_blocks`, (blocks, size, size) per size."""
         return tuple(self.slots[idx[:, :, None], idx[:, None, :]]
@@ -456,8 +461,7 @@ def one_body_correlations(support: Support, values: np.ndarray) -> np.ndarray:
     """T[n, l, m] = tr(rho_n a_l^dag a_m) of the (n, K) values, the gathered sum_q
     rho[q, rows[l, m, q]] values[l, m, q] of :attr:`FockSpace.ladder_pairs`, laid out q-major:
     one pairwise sum over q per (l, m), and a C-ordered T whatever n is."""
-    rows, pairs = support.space.ladder_pairs
-    terms = padded(values)[:, support.slots[np.arange(support.space.dimension), rows]] * pairs
+    terms = padded(values)[:, support.pair_slots] * support.space.ladder_pairs[1]
     return np.sum(np.ascontiguousarray(terms), axis=-1)
 
 

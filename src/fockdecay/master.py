@@ -68,7 +68,10 @@ class GeneratorAction:
 build_generator = GeneratorAction
 
 
-def _generator_terms(model: DecayModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+Moves = list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _generator_terms(model: DecayModel) -> Moves:
     """The moves (f, g, a, b) of the generator: entry (r, c) of rho moves to (f[r], g[c]) with the factor
     a[r] b[c].  W = -iM's terms on the row, conj(W)'s on the column, then per j each pair of the terms of
     L_j = sqrt(Gamma_j) c_j (the :func:`linear_terms` of c_j, scaled) on both."""
@@ -81,27 +84,27 @@ def _generator_terms(model: DecayModel) -> list[tuple[np.ndarray, np.ndarray, np
     return moves
 
 
-def _reachable(gen: GeneratorAction, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reachable(moves: Moves, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries (rows, cols) of rho that can ever be nonzero, in row-major order: the
-    exact-nonzero pattern of ``rho`` closed under the generator's, (W!=0) X + X
-    (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T, each of its moves taken where its factors are nonzero.
+    exact-nonzero pattern of ``rho`` closed under the generator's ``moves`` (see
+    :func:`_generator_terms`), (W!=0) X + X (W!=0)^T + sum_j (L_j!=0) X (L_j!=0)^T,
+    each move taken where its factors are nonzero.
     """
-    moves = [(np.where(a != 0, f, -1), np.where(b != 0, g, -1)) for f, g, a, b in _generator_terms(gen.model)]
-    f, g = np.array(moves).transpose(1, 0, 2)
-    return closed_support(gen.model.space.dimension, *np.nonzero(rho), f, g)
+    f, g = np.array([(np.where(a != 0, f, -1), np.where(b != 0, g, -1)) for f, g, a, b in moves]).transpose(1, 0, 2)
+    return closed_support(len(rho), *np.nonzero(rho), f, g)
 
 
-def _block_generator(gen: GeneratorAction, support: Support, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Matrix of ``gen`` on the block of entries (r[i], c[i]) of rho, all on ``support``: the Liouville
+def _block_generator(moves: Moves, support: Support, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Matrix of the generator on the block of entries (r[i], c[i]) of rho, all on ``support``: the Liouville
     form L[(a,b),(r,c)] = W_ar d_bc + d_ar conj(W_bc) + sum_j L_j,ar conj(L_j,bc), whose column k takes
     each move's factor in the row of the entry it moves (r[k], c[k]) to, by the support's slots.  The
-    moves of :func:`_generator_terms` each give an entry one value at most, in their order, so every
+    ``moves`` of :func:`_generator_terms` each give an entry one value at most, in their order, so every
     nonzero is the dense gather's sum, in its order."""
     n, k = r.size, np.arange(r.size)
     at = np.full(support.rows.size + 1, n)  # each slot's place in the block, n off it
     at[support.slots[r, c]] = k
     out = np.zeros((n + 1, n), dtype=complex)  # row n takes the moves off the block of zero values
-    for f, g, a, b in _generator_terms(gen.model):
+    for f, g, a, b in moves:
         out[at[support.slots[f[r], g[c]]], k] += b[c] * a[r]
     return out[:n]
 
@@ -164,8 +167,9 @@ def integrate(
     eigenvalue excursions beyond -1e-8 abort loudly, and so does a step
     matrix or a sampled state that is not finite (an unstable step).
 
-    The grid is assembled n = _stack_points(d) points at a time, as (n, K)
-    stacks of the values on the reachable support, checked as they are made
+    The generator's moves are listed once, for the support and every block.  The grid is
+    assembled n = _stack_points(max(K, d)) points at a time, as (n, K) stacks of the
+    values on the reachable support, checked as they are made
     (a point at step 0 is rho0 itself, unchecked), and an error names the
     earliest time of the stack that fails.  With ``read``, the result is
     ``read(support, stacks, None)`` (see :func:`fockdecay.channel.read_series`),
@@ -184,24 +188,25 @@ def integrate(
         raise ValueError("state and generator live on different spaces")
 
     targets = steps_for(times, step)
-    support = Support(gen.model.space, *_reachable(gen, rho0.matrix))
-    stacks = _rk4_stacks(gen, rho0, support, times, targets, step)
+    moves = _generator_terms(gen.model)
+    support = Support(gen.model.space, *_reachable(moves, rho0.matrix))
+    stacks = _rk4_stacks(moves, rho0, support, times, targets, step)
     if read is not None:
         return read(support, stacks, None)
     states = _as_states((m for values in stacks for m in support.scatter(values)), rho0)
     return [rho0 if n == 0 else state for n, state in zip(targets, states)]
 
 
-def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, support: Support, times: list[float],
+def _rk4_stacks(moves: Moves, rho0: DensityOperator, support: Support, times: list[float],
                 targets: list[int], step: float) -> Iterator[np.ndarray]:
-    tot = gen.model.space.total_occupation
-    size = _stack_points(gen.model.space.dimension)
+    tot = support.space.total_occupation
+    size = _stack_points(max(support.rows.size, support.space.dimension))
     delta = tot[support.rows] - tot[support.cols]
     blocks = []
     dns, sizes = np.unique(delta, return_counts=True)
     for dn in dns[np.argsort(-sizes, kind="stable")]:  # largest first: later blocks reuse its memory
         at = np.flatnonzero(delta == dn)
-        samples = _block_samples(gen, rho0, support, dn, support.rows[at], support.cols[at], targets, step, size)
+        samples = _block_samples(moves, rho0, support, dn, support.rows[at], support.cols[at], targets, step, size)
         blocks.append((dn, at, samples))
     start_values = support.values(rho0.matrix)
     for start in range(0, len(times), size):
@@ -220,7 +225,7 @@ def _rk4_stacks(gen: GeneratorAction, rho0: DensityOperator, support: Support, t
         yield values
 
 
-def _block_samples(gen: GeneratorAction, rho0: DensityOperator, support: Support, dn: int, r: np.ndarray,
+def _block_samples(moves: Moves, rho0: DensityOperator, support: Support, dn: int, r: np.ndarray,
                    c: np.ndarray, targets: list[int], step: float, size: int) -> Iterator[np.ndarray]:
     """The values of the block's entries (r[i], c[i]) on the grid, ``size``
     points at a time (see :func:`_sample`).
@@ -231,7 +236,7 @@ def _block_samples(gen: GeneratorAction, rho0: DensityOperator, support: Support
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked for finiteness here and by the caller
         # no name holds the block's L, so it is freed before the powers are taken
-        p = _rk4_step_matrix(step * _block_generator(gen, support, r, c))
+        p = _rk4_step_matrix(step * _block_generator(moves, support, r, c))
         if not np.isfinite(p).all():
             raise InvariantViolation(
                 f"RK4 step matrix of the Delta N = {dn} block is not finite at step {step!r}"

@@ -31,6 +31,12 @@ def support_total_bound(rho: DensityOperator, tol=1e-14) -> int:
     return int(rho.space.total_occupation[live].max()) if live.size else 0
 
 
+def stack_width(run) -> int:
+    """max(K, d), the width of the (n, width) stacks of the route ``run(read)``, K its support's values."""
+    support = run(lambda support, stacks, basis: support)
+    return max(support.rows.size, support.space.dimension)
+
+
 def loss_patterns(space: FockSpace) -> list[tuple[int, ...]]:
     """The loss patterns of a Kraus channel on ``space``: its occupation tuples, grouped by total."""
     return sorted(space.occupations, key=sum)

@@ -2,13 +2,14 @@ import math
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import kraus_reference, loss_patterns, random_density_matrix, support_total_bound
+from conftest import kraus_reference, loss_patterns, random_density_matrix, stack_width, support_total_bound
 
 from fockdecay import (
     CertificateError,
@@ -669,10 +670,11 @@ def _grid_cases():
 @pytest.mark.parametrize("stack_points", [None, 3], ids=["default-chunk", "three-point-chunks"])
 @pytest.mark.parametrize("model, rho", list(_grid_cases()))
 def test_evolve_state_is_the_per_point_channel(model, rho, stack_points, monkeypatch):
-    d = model.space.dimension
+    width = stack_width(partial(evolve_state, model, rho, [0.0]))
     if stack_points is not None:
-        monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * stack_points)
-    chunk = channel._stack_points(d)
+        monkeypatch.setattr(channel, "STACK_BYTES", 16 * width * stack_points)
+    chunk = channel._stack_points(width)
+    assert chunk == stack_points or stack_points is None
     times = np.linspace(0.0, 4.0, 2 * chunk + 3)  # from t = 0, over more than two chunks
     want = [apply_channel_matrix(build_kraus(model, float(t)), rho.matrix) for t in times]
     got = evolve_state(model, rho, times)
@@ -685,8 +687,7 @@ def test_a_grid_rotates_rho0_into_the_mode_basis_once(monkeypatch):
     bosons = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=3.0, width=1.5, cutoff=3)], total=3)
     model = build_mixed_model(bosons, MixingParams(theta=0.9, phi=0.3))
     rho = random_density_matrix(np.random.default_rng(7), bosons)
-    d = bosons.dimension
-    monkeypatch.setattr(channel, "STACK_BYTES", 16 * d * d * 2)
+    monkeypatch.setattr(channel, "STACK_BYTES", 16 * stack_width(partial(evolve_state, model, rho, [0.0])) * 2)
     times = np.linspace(0.0, 2.0, 7)  # four stacks of at most two points
     want = [apply_channel_matrix(build_kraus(model, float(t)), rho.matrix) for t in times]
     rotate, rotated = channel._to_mode_basis, []
@@ -700,16 +701,17 @@ def test_a_grid_rotates_rho0_into_the_mode_basis_once(monkeypatch):
 
 def test_a_breach_at_one_point_of_a_chunk_raises_as_that_point_does(monkeypatch):
     model = build_decay_model(single_mode_space(cutoff=3))
+    rho = number_state(model.space, (3,))
     weight = channel._decay_weight
     # a wrong weight at t = 0.5 alone breaks the completeness of that channel
     monkeypatch.setattr(channel, "_decay_weight",
                         lambda g, t: weight(g, t) + (1e-3 if t == 0.5 else 0.0))
     times = (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert channel._stack_points(model.space.dimension) >= len(times)  # one chunk
+    assert channel._stack_points(stack_width(partial(evolve_state, model, rho, [0.0]))) >= len(times)  # one chunk
     with pytest.raises(InvariantViolation, match="completeness defect") as one:
         build_kraus(model, 0.5)
     with pytest.raises(InvariantViolation) as grid:
-        evolve_state(model, number_state(model.space, (3,)), times)
+        evolve_state(model, rho, times)
     assert str(grid.value) == str(one.value)
 
 
@@ -722,7 +724,7 @@ def test_of_two_breaches_in_one_chunk_the_earlier_point_raises(monkeypatch):
     monkeypatch.setattr(channel, "_decay_weight",
                         lambda g, t: weight(g, t) + {0.25: 1e-11, 0.75: 1e-3}.get(t, 0.0))
     times = (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert channel._stack_points(model.space.dimension) >= len(times)  # one chunk
+    assert channel._stack_points(stack_width(partial(evolve_state, model, rho, [0.0]))) >= len(times)  # one chunk
     with pytest.raises(InvariantViolation, match="changed the trace") as first:
         apply_channel(build_kraus(model, 0.25), rho)
     with pytest.raises(InvariantViolation, match="completeness defect"):

@@ -340,6 +340,13 @@ def test_quadratic_forms_are_the_dense_ladder_products(modes, data):
     assert np.max(np.abs(one_body_correlations(full, full.values(rho.matrix)[None])[0] - dense)) <= 1e-14
 
 
+def test_a_support_gathers_its_ladder_pairs_from_one_cached_slot_index():
+    space = FockSpace([ModeSpec(cutoff=3), ModeSpec(Statistics.FERMION)])
+    support = number_state(space, (2, 1)).support()
+    want = support.slots[np.arange(space.dimension), space.ladder_pairs[0]]
+    assert support.pair_slots is support.pair_slots and np.array_equal(support.pair_slots, want)
+
+
 # ---------------------------------------------------------------------------
 # states
 

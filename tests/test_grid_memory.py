@@ -2,7 +2,11 @@
 
 The state routes hand each chunk of states to the reader and drop it, so
 the peak of a run is set by the model and one chunk, not by the number of
-grid points.  What a run does hold for every grid point is its output: the
+grid points.  A chunk is one (n, K) stack of a route's support values, n =
+_stack_points(max(K, d)).  Each case's short grid is two whole stacks of its
+route, as from the second stack on the stack a route handed over, and what
+its reader made of it, are held while the next is made; its long grid is
+seven.  What a run does hold for every grid point is its output: the
 (T, columns) float64 series, kept until all of them are computed so that a
 run that fails writes nothing, and written to CSV row by row.  tracemalloc
 sees numpy's buffers, so the peak it reports covers the state stacks, the
@@ -15,13 +19,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fockdecay.channel import evolve_state, read_series
+from conftest import stack_width
+
+from fockdecay.channel import _stack_points, evolve_state, read_series
 from fockdecay.master import build_generator, integrate
 from fockdecay.scenario import (_ode_step, build_decay_model, build_initial_state, build_space, parse_config,
                                 run_scenario)
 
-# |S| = 35 (three bosons, total 4) and |S| = 36 (two bosons, total 12), and a
-# 21-point grid fills a whole stack of _stack_points(|S|) = 6 points
+# |S| = 35 (three bosons, total 4) and |S| = 36 (two bosons, total 12)
 THREE_BOSONS = [{"statistics": "boson", "mass": m, "width": g, "cutoff": 4}
                 for m, g in ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5))]
 TWO_BOSONS = [{"statistics": "boson", "mass": m, "width": g, "cutoff": c}
@@ -30,10 +35,10 @@ CASES = pytest.mark.parametrize("route, modes, initial_state", [
     ("kraus", THREE_BOSONS, {"type": "number", "occupations": [2, 1, 1]}),
     ("ode", THREE_BOSONS, {"type": "number", "occupations": [2, 1, 1]}),
     # 169 reachable entries in Delta N blocks of at most 13: each block advances chunk by
-    # chunk, and its 161 x 169 values (~430 KB) are never all held
+    # chunk, and its 7 x 48 x 169 values (~900 KB) are never all held
     ("ode", TWO_BOSONS, {"type": "coherent", "mode": 1, "alpha": 0.05}),
     # the kraus support of the same state holds the same 169 entries, enough to show kept
-    # states; from |2,1,1> it holds 12, whose 161 states weigh less than the bound allows
+    # states; from |2,1,1> it holds 12, in stacks as wide as d = 35
     ("kraus", TWO_BOSONS, {"type": "coherent", "mode": 1, "alpha": 0.05}),
 ], ids=["kraus-number", "ode-number", "ode-coherent", "kraus-coherent"])
 
@@ -63,26 +68,36 @@ def _run_peak_beyond_output(tmp_path, route, modes, initial_state, count):
     return peak - count * (1 + build_space(cfg).dimension) * 8
 
 
-def _route_peak(route, modes, initial_state, count):
-    """The peak of a route and a reader of N alone."""
+def _route(route, modes, initial_state, count):
+    """The route on the case's grid of ``count`` points, called with its reader."""
     cfg = _config(route, modes, initial_state, count, ["N"])
     space = build_space(cfg)
     rho0, model, times = build_initial_state(cfg, space), build_decay_model(space), np.linspace(0.0, 2.0, count)
-    read = partial(read_series, omegas={"N": np.eye(space.n_modes)})
     if route == "kraus":
-        return _traced_peak(partial(evolve_state, model, rho0, times, read))
-    return _traced_peak(partial(integrate, build_generator(model), rho0, times, _ode_step(cfg), read))
+        return partial(evolve_state, model, rho0, times)
+    return partial(integrate, build_generator(model), rho0, times, _ode_step(cfg))
+
+
+def _grids(route, modes, initial_state):
+    """The counts of a grid of two whole stacks of the route's and of a grid of seven."""
+    points = _stack_points(stack_width(_route(route, modes, initial_state, 2)))
+    return 2 * points, 7 * points
+
+
+def _route_peak(route, modes, initial_state, count):
+    """The peak of a route and a reader of N alone."""
+    read = partial(read_series, omegas={"N": np.eye(len(modes))})
+    return _traced_peak(partial(_route(route, modes, initial_state, count), read))
 
 
 @CASES
 def test_peak_memory_does_not_grow_with_the_grid(tmp_path, route, modes, initial_state):
-    short = _run_peak_beyond_output(tmp_path, route, modes, initial_state, 21)
-    long = _run_peak_beyond_output(tmp_path, route, modes, initial_state, 161)
+    short, long = (_run_peak_beyond_output(tmp_path, route, modes, initial_state, count)
+                   for count in _grids(route, modes, initial_state))
     assert long <= 1.2 * short, (short, long)
 
 
 @CASES
 def test_a_routes_peak_memory_does_not_grow_with_the_grid(route, modes, initial_state):
-    short = _route_peak(route, modes, initial_state, 21)
-    long = _route_peak(route, modes, initial_state, 161)
+    short, long = (_route_peak(route, modes, initial_state, count) for count in _grids(route, modes, initial_state))
     assert long <= 1.2 * short, (short, long)

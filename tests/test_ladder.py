@@ -36,7 +36,7 @@ def test_cells_alternate_the_roots_and_summarise_each():
     rows = [({"name": "one"}, ("heisenberg", "kraus"))]
     lines = list(ladder.cells(["a", "b"], rows=rows, run=run))
     assert [root for _, _, root in calls] == ["a", "b", "b", "a", "a", "b",  # heisenberg
-                                              "b", "a", "a", "b", "b", "a"]  # kraus
+                                              "b", "a", "a", "b", "a"]  # kraus: b stops after its timeout
     assert [(line["row"], line["routes"], line["root"]) for line in lines] == [
         ("one", "heisenberg", "a"), ("one", "heisenberg", "b"), ("one", "kraus", "a"), ("one", "kraus", "b")]
     # heisenberg on a ran 1st, 4th and 5th
@@ -44,9 +44,9 @@ def test_cells_alternate_the_roots_and_summarise_each():
     assert lines[0]["seconds"] == {"median": 4.0, "min": 1.0, "max": 5.0}
     assert lines[0]["peak_rss_mb"] == {"median": 40.0, "min": 10.0, "max": 50.0}
     assert lines[1]["seconds"] == {"median": 3.0, "min": 2.0, "max": 6.0}
-    assert lines[2]["seconds"] == {"median": 9.0, "min": 8.0, "max": 12.0}
-    # kraus on b: one of its three runs timed out, so the cell has no measures
-    assert lines[3]["status"] == "timeout"
+    assert lines[2]["seconds"] == {"median": 9.0, "min": 8.0, "max": 11.0} and lines[2]["runs"] == 3
+    # kraus on b: its second run timed out, so it made no third and the cell has no measures
+    assert lines[3]["status"] == "timeout" and lines[3]["runs"] == 2
     assert lines[3]["seconds"] is None and lines[3]["peak_rss_mb"] is None
 
 

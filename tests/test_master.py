@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_hermitian, stack_width
 
 import fockdecay.channel as channel
 import fockdecay.master as master
@@ -28,7 +28,7 @@ from fockdecay import (
     vacuum_state,
 )
 from fockdecay.config import STEP_MATCH_TOL
-from fockdecay.fock import Support
+from fockdecay.fock import Support, coherent_state
 from fockdecay.flavour import quadratic_omegas
 
 
@@ -208,9 +208,11 @@ def test_integrate_counts_the_steps_of_its_grid_once(monkeypatch):
 ], ids=["hermiticity", "eigenvalue"])
 def test_integrate_names_the_earliest_state_that_fails_a_check(spoil, message, block_points, monkeypatch):
     model = single_model(cutoff=3)
+    rho0, times = number_state(model.space, (3,)), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     if block_points is not None:
-        monkeypatch.setattr(channel, "STACK_BYTES", 16 * model.space.dimension ** 2 * block_points)
-        assert channel._stack_points(model.space.dimension) == block_points
+        width = stack_width(partial(integrate, build_generator(model), rho0, times, 0.01))
+        monkeypatch.setattr(channel, "STACK_BYTES", 16 * width * block_points)
+        assert channel._stack_points(width) == block_points
     sample = master._sample
 
     def spoiled(p, vec, targets, size):
@@ -223,10 +225,26 @@ def test_integrate_names_the_earliest_state_that_fails_a_check(spoil, message, b
             yield out
 
     monkeypatch.setattr(master, "_sample", spoiled)
-    times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     with pytest.raises(InvariantViolation) as err:
-        integrate(build_generator(model), number_state(model.space, (3,)), times, 0.01)
+        integrate(build_generator(model), rho0, times, 0.01)
     assert str(err.value) == message
+
+
+def test_integrate_lists_the_generators_moves_once(monkeypatch):
+    # a coherent mixed pair at cutoff 6: its support and each of its 13 Delta N blocks read one listing
+    space = FockSpace([ModeSpec(width=0.5, cutoff=6), ModeSpec(mass=1.0, width=1.5, cutoff=6)], total=6)
+    model, step = build_mixed_model(space, MixingParams(theta=0.7)), 1e-3
+    terms, block, step_matrix = master._generator_terms, master._block_generator, master._rk4_step_matrix
+    listed, blocks, matrices = [], [], []
+    monkeypatch.setattr(master, "_generator_terms", lambda m: listed.append(m) or terms(m))
+    monkeypatch.setattr(master, "_block_generator",
+                        lambda moves, support, r, c: blocks.append((support, r, c)) or block(moves, support, r, c))
+    monkeypatch.setattr(master, "_rk4_step_matrix", lambda a: matrices.append(step_matrix(a)) or matrices[-1])
+    integrate(build_generator(model), coherent_state(space, 1, 0.1), [0.0, 0.5], step)
+    assert listed == [model] and len(blocks) == len(matrices) == 13
+    # each step matrix is the one a listing of its own gives, bit for bit
+    for (support, r, c), p in zip(blocks, matrices):
+        assert np.array_equal(p, step_matrix(step * block(terms(model), support, r, c)))
 
 
 def test_trace_drift_budget():
@@ -285,8 +303,8 @@ def test_integrate_matches_full_space_loop(rng, case):
         assert np.max(np.abs(state.matrix - ref)) <= 1e-12
 
     # each gathered block matrix is the generator's image of the basis matrices E_rc
-    tot = model.space.total_occupation
-    rows, cols = master._reachable(gen, rho0.matrix)
+    tot, moves = model.space.total_occupation, master._generator_terms(model)
+    rows, cols = master._reachable(moves, rho0.matrix)
     live = np.zeros_like(rho0.matrix, dtype=bool)
     live[rows, cols] = True
     assert np.array_equal(live, reachable_reference(gen, rho0.matrix))
@@ -294,7 +312,7 @@ def test_integrate_matches_full_space_loop(rng, case):
     delta = tot[rows] - tot[cols]
     for dn in np.unique(delta):
         r, c = rows[delta == dn], cols[delta == dn]
-        block = master._block_generator(gen, Support(model.space, rows, cols), r, c)
+        block = master._block_generator(moves, Support(model.space, rows, cols), r, c)
         for i in range(r.size):
             unit = np.zeros_like(rho0.matrix)
             unit[r[i], c[i]] = 1.0
@@ -320,11 +338,10 @@ def _mixed_pair_model():
 def test_block_generator_is_the_dense_gather_of_w_and_the_jumps(case):
     # the old gather from the held -iM and sqrt(Gamma_j) c_j, which the generator no longer keeps
     model, rho0 = case()
-    gen = build_generator(model)
     w = -1j * model.m_operator.entries
     jumps = [math.sqrt(g) * c.entries for g, c in zip(model.widths, model.decay_ops)]
-    tot = model.space.total_occupation
-    rows, cols = master._reachable(gen, rho0)
+    tot, moves = model.space.total_occupation, master._generator_terms(model)
+    rows, cols = master._reachable(moves, rho0)
     delta = tot[rows] - tot[cols]
     for dn in set(delta.tolist()):
         r, c = rows[delta == dn], cols[delta == dn]
@@ -332,7 +349,29 @@ def test_block_generator_is_the_dense_gather_of_w_and_the_jumps(case):
         want = w[rr] * (c[:, None] == c) + np.conj(w[cc]) * (r[:, None] == r)
         for L in jumps:
             want += np.conj(L[cc]) * L[rr]
-        assert np.array_equal(master._block_generator(gen, Support(model.space, rows, cols), r, c), want)
+        assert np.array_equal(master._block_generator(moves, Support(model.space, rows, cols), r, c), want)
+
+
+@pytest.mark.parametrize("case", [_mixed_pair_model, _multimode_model], ids=["mixed pair", "multimode"])
+def test_default_stacks_read_as_one_point_stacks(case, monkeypatch):
+    # every per-point operation is row-wise, so neither a stack's size nor a reader's slices change a series
+    model, rho0 = case()
+    rho0, (r, d) = DensityOperator(model.space, rho0), (model.space.n_modes, model.space.dimension)
+    times, step = np.arange(41) * 0.05, 0.05 / 50
+    h = np.random.default_rng(3).standard_normal((r, r, 2)) @ [1, 1j]
+    read = partial(channel.read_series, omegas={"N": np.eye(r), "hop": h + h.conj().T}, diagonal=True)
+    runs = [partial(evolve_state, model, rho0, times), partial(integrate, build_generator(model), rho0, times, step)]
+    # the default stacks hold the whole grid, and the mixed diagonal (kraus, mixed pair) or the ladder-pair
+    # gather (multimode) reads each in more than one slice
+    assert all(channel._stack_points(stack_width(run)) >= len(times) for run in runs)
+    assert channel._stack_points(d * d if model.is_mixed else r * r * d) < len(times)
+    default = [run(read) for run in runs]
+    monkeypatch.setattr(channel, "STACK_BYTES", 1)
+    assert all(channel._stack_points(stack_width(run)) == 1 for run in runs)
+    for (values, diagonals), (alone, alone_diagonals) in zip(default, [run(read) for run in runs]):
+        assert values.keys() == alone.keys() == {"N", "hop"}
+        assert all(np.array_equal(values[name], alone[name]) for name in values)
+        assert np.array_equal(diagonals, alone_diagonals)
 
 
 @pytest.mark.parametrize("case", [_mixed_pair_model, _multimode_model], ids=["mixed pair", "multimode"])
@@ -387,8 +426,11 @@ def test_a_reader_gets_the_wrappers_states_stack_by_stack(monkeypatch):
     space = FockSpace([ModeSpec(width=0.5, cutoff=3), ModeSpec(mass=2.0, width=1.5, cutoff=3)], total=3)
     model = build_mixed_model(space, MixingParams(theta=0.9, phi=0.4))
     rho0 = number_state(space, (2, 1))
-    monkeypatch.setattr(channel, "STACK_BYTES", 16 * space.dimension ** 2 * 3)
     times, step = np.arange(8) * 0.25, 0.25 / 50
+    # both routes hold the 30 entries of the Delta N = 0 blocks, so one width makes stacks of 3 points
+    width = stack_width(partial(evolve_state, model, rho0, times))
+    assert width == stack_width(partial(integrate, build_generator(model), rho0, times, step)) == 30
+    monkeypatch.setattr(channel, "STACK_BYTES", 16 * width * 3)
     read = partial(channel.read_series, omegas={"N": np.eye(2), "Qplus": quadratic_omegas(2, 0.4)["Qplus"]},
                    diagonal=True)
     keep = lambda support, stacks, basis: (support, list(stacks), basis)  # noqa: E731

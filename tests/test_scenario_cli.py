@@ -885,6 +885,28 @@ def test_csv_rows_are_written_as_fmt_writes_each_value(tmp_path):
     assert want.splitlines()[2].split(",")[1:5] == ["-0", "0", "0", "-0"]  # a live -0.0 keeps its sign
 
 
+def test_a_31_point_run_on_the_multimode_space_reads_one_stack_per_route(tmp_path, monkeypatch):
+    # the multimode workload's space: 39 states of total <= 4, and K = 20 values on either state route
+    boson, fermion = ({"statistics": s, "mass": m, "width": 0.5, "cutoff": c} for s, m, c in
+                      (("boson", 0.3, 3), ("fermion", 2.5, 1)))
+    doc = make_config(modes=[boson, dict(boson, mass=1.5), fermion, dict(fermion, mass=3.5, width=1.0)],
+                      initial_state={"type": "mixture", "components": [
+                          {"weight": 0.625, "occupations": [2, 1, 1, 0]},
+                          {"weight": 0.375, "occupations": [1, 2, 0, 1]}]},
+                      time_grid={"start": 0.0, "stop": 1.5, "count": 31}, routes=["kraus", "ode", "heisenberg"],
+                      observables=["N", "occupations"])
+    stacks = []
+
+    def counted(support, grid, basis, **kwargs):
+        grid = list(grid)
+        stacks.append((support.space.dimension, [len(stack) for stack in grid]))
+        return read_series(support, iter(grid), basis, **kwargs)
+
+    monkeypatch.setattr(scenario, "read_series", counted)
+    run_scenario(parse_config(json.dumps(doc)), out_dir=tmp_path)
+    assert stacks == [(39, [31]), (39, [31])]
+
+
 def _reference_series(cfg, mix, route, name):
     """One route's series of one observable, one observable and one state at a time: T rows of columns."""
     space = build_space(cfg)

@@ -27,11 +27,12 @@ wall-clock cap of ``CAP_SECONDS``.  ``--root`` may be given more than once,
 to compare checkouts on the same machine state: each cell runs ``REPS``
 times per checkout, one run of every checkout per pass, and the checkout
 that goes first rotates from one pass to the next, over the whole ladder.
+A checkout makes no more runs of a cell once one of them has timed out.
 It prints one JSON line per cell and checkout: the row, the routes, the
-checkout, ``status`` ("ok" when every run was, else the first other
-"timeout" or "error", with that error's last line), and the median, min
-and max of the ``run_scenario`` wall times in seconds and of the child's
-peak RSS in MB (all null unless ok).
+checkout, ``runs`` (the runs made), ``status`` ("ok" when every run was,
+else the first other "timeout" or "error", with that error's last line),
+and the median, min and max of the ``run_scenario`` wall times in seconds
+and of the child's peak RSS in MB (all null unless ok).
 """
 from __future__ import annotations
 
@@ -151,7 +152,8 @@ def cells(roots: Sequence[Path], rows=ROWS,
           run: Callable[[dict, str, Path], dict] = _run) -> Iterator[dict]:
     """The :func:`_summary` of every (row, routes) cell for each of ``roots``, in
     ladder order, each cell made of ``REPS`` passes over the roots, every pass
-    starting one root later than the one before it."""
+    starting one root later than the one before it.  A root whose run of the
+    cell timed out makes no more runs of it."""
     passes = 0
     for doc, route_sets in rows:
         for routes in route_sets:
@@ -159,7 +161,8 @@ def cells(roots: Sequence[Path], rows=ROWS,
             for _ in range(REPS):
                 for k in range(len(roots)):
                     root = roots[(passes + k) % len(roots)]
-                    runs[root].append(run(doc, routes, root))
+                    if all(made["status"] != "timeout" for made in runs[root]):
+                        runs[root].append(run(doc, routes, root))
                 passes += 1
             yield from (_summary(runs[root], root) for root in roots)
 
