@@ -80,8 +80,8 @@ class DecayModel:
     c_j^dag c_j, mu_j = m_j - i Gamma_j / 2, is kept as ``m_terms``: the
     :func:`quadratic_terms` of its mass part, V^T diag(m) conj(V), plus i
     times those of its decay part, V^T diag(-Gamma / 2) conj(V), term by
-    term.  ``m_operator`` and ``decay_ops``, the dense M and c_j, are
-    scattered on first read, which no run makes.  The model is refused
+    term.  The model holds no dense M or c_j: the tests scatter them from
+    these terms as their reference.  The model is refused
     unless every term is finite, the mass part Hermitian and the relative
     defect of [M, c_j] = -mu_j c_j, ``certificate_defect``, read exactly on
     the space's boundary with no d x d array (:func:`_certificate_defect`),
@@ -148,16 +148,6 @@ class DecayModel:
     def _couplings(self) -> np.ndarray:
         """V, or the identity unmixed: c_j = sum_l conj(V[j, l]) a_l."""
         return self.mixing_unitary if self.is_mixed else np.eye(self.space.n_modes)
-
-    @cached_property
-    def m_operator(self) -> OperatorMatrix:
-        """The dense M, scattered from ``m_terms`` on first read."""
-        return OperatorMatrix(self.space, scatter_terms(self.space, self.m_terms))
-
-    @cached_property
-    def decay_ops(self) -> tuple[OperatorMatrix, ...]:
-        """The dense c_j, each the :func:`linear_form` of its row of conj(V), built on first read."""
-        return tuple(OperatorMatrix(self.space, linear_form(self.space, row.conj())) for row in self._couplings)
 
     def _on_ladders(self, coeff: np.ndarray) -> np.ndarray:
         """V^T coeff conj(V) (coeff unmixed): the omega of sum_jk coeff[j, k] c_j^dag c_k."""
@@ -287,17 +277,18 @@ def _channels(model: DecayModel, times: Sequence[float]) -> tuple[np.ndarray, ..
             sectors = np.exp(-1j * ((m_ref * np.arange(space.total + 1)) * t))
             rest = np.exp(-(half_width + 1j * split) * t)
             amplitudes = sectors[:, space.total_occupation] * rest
+            rounding = 2.0**-53 * split * t
         else:  # M is its diagonal term, D_n = exp(-i M_nn t) rounds each phase once as the closed forms
             # do, and there is no W to turn a phase into interference: none is checked
-            split, sectors = np.zeros(space.dimension), None
+            sectors = None
             amplitudes = rest = np.exp(-1j * model.m_terms[0][1] * t)
-        rounding = 2.0**-53 * split * t
     _check_finite(amplitudes, "propagator exp(-i M t)", times)
-    coarse = np.argwhere((amplitudes != 0) & (rounding > PHASE_TOL))
-    if coarse.size:
-        i, n = coarse[0]
-        raise InvariantViolation(f"the phase {split[n] * times[i]:.3e} of amplitude {space.occupation_of(n)} at "
-                                 f"t = {times[i]!r} rounds by {rounding[i, n]:.3e}, more than {PHASE_TOL}")
+    if model.is_mixed:
+        coarse = np.argwhere((amplitudes != 0) & (rounding > PHASE_TOL))
+        if coarse.size:
+            i, n = coarse[0]
+            raise InvariantViolation(f"the phase {split[n] * times[i]:.3e} of amplitude {space.occupation_of(n)} "
+                                     f"at t = {times[i]!r} rounds by {rounding[i, n]:.3e}, more than {PHASE_TOL}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
         grams = _loss_maps(np.abs(amplitudes) ** 2, model._diagonal, weights, adjoint=True)
     _check_finite(grams, "Kraus Gram", times)

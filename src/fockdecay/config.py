@@ -119,6 +119,17 @@ class MixingParams:
             object.__setattr__(self, name, value % TWO_PI)
 
 
+def mixing_refusal(modes: Sequence[ModeSpec]) -> str | None:
+    """Why ``modes`` cannot be mixed, or None: a mixing rotates two modes of one statistics and cutoff."""
+    if len(modes) != 2:
+        return f"mixing needs exactly 2 modes, got {len(modes)}"
+    if modes[0].statistics is not modes[1].statistics:
+        return "mixing needs both modes to share one statistics"
+    if modes[0].cutoff != modes[1].cutoff:
+        return f"mixing needs equal cutoffs, got {modes[0].cutoff} and {modes[1].cutoff}"
+    return None
+
+
 def mixing_total_bound(modes: Sequence[ModeSpec]) -> int | None:
     """Largest total occupation on which a mixed pair of ``modes`` is exact.
 
@@ -398,16 +409,8 @@ def _parse_initial_state(entry, modes, path: str) -> InitialStateSpec:
 
 def _parse_mixing(entry, modes, path: str) -> tuple[MixingParams, ...]:
     entry = _as_dict(entry, path)
-    if len(modes) != 2:
-        raise ConfigError("CONFIG_MIXING_MODES", f"mixing needs exactly 2 modes, got {len(modes)}",
-                          "invariant", path)
-    if modes[0].statistics is not modes[1].statistics:
-        raise ConfigError("CONFIG_MIXING_MODES", "mixing needs both modes to share one statistics",
-                          "invariant", path)
-    if modes[0].cutoff != modes[1].cutoff:
-        raise ConfigError("CONFIG_MIXING_MODES",
-                          f"mixing needs equal cutoffs, got {modes[0].cutoff} and {modes[1].cutoff}",
-                          "invariant", path)
+    if (refusal := mixing_refusal(modes)) is not None:
+        raise ConfigError("CONFIG_MIXING_MODES", refusal, "invariant", path)
     raw_theta = _require(entry, "theta", path)
     if isinstance(raw_theta, list):
         if not raw_theta:

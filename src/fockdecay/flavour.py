@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .channel import DecayModel
-from .config import MixingParams, mixing_total_bound
+from .config import MixingParams, mixing_refusal, mixing_total_bound
 from .fock import FockSpace, OperatorMatrix, quadratic_form
 
 
@@ -34,26 +34,18 @@ def mixing_matrix(params: MixingParams) -> np.ndarray:
 def build_mixed_model(space: FockSpace, params: MixingParams) -> DecayModel:
     """Two-flavour model whose decay modes are the rotated operators c_1, c_2.
 
-    Mode j of the space is the flavour a_j of the occupations and the
-    observables, while its ``ModeSpec`` carries the mass and width of the
-    propagation mode c_j.  Both modes must share one statistics and one
-    cutoff, and the space's total must not exceed :func:`mixing_total_bound`:
-    the rotation moves quanta between modes, so only then is the space
-    closed under it and the model exact on all of it.  A boson pair with cutoff c is built on
-    ``FockSpace(modes, total=c)``.  Fermionic pairs are accepted on their
-    whole space (the loss patterns are then restricted to {0, 1}): their
-    quadratic closed forms hold, and :func:`fockdecay.heisenberg.evolve_ladder`
-    refuses a flavour mode with weight on one decay mode while the other has a width.
+    Mode j of the space is the flavour a_j of the occupations and the observables, while its
+    ``ModeSpec`` carries the mass and width of the propagation mode c_j.  Both modes must share one
+    statistics and one cutoff (else the ValueError of :func:`fockdecay.config.mixing_refusal`, the
+    config's text), and the space's total must not exceed :func:`mixing_total_bound`: the rotation
+    moves quanta between modes, so only then is the space closed under it and the model exact on all
+    of it.  A boson pair with cutoff c is built on ``FockSpace(modes, total=c)``.  Fermionic pairs are
+    accepted on their whole space (the loss patterns are then restricted to {0, 1}): their quadratic
+    closed forms hold, and :func:`fockdecay.heisenberg.evolve_ladder` refuses a flavour mode with
+    weight on one decay mode while the other has a width.
     """
-    if space.n_modes != 2:
-        raise ValueError(f"mixing needs exactly 2 modes, space has {space.n_modes}")
-    m1, m2 = space.modes
-    if m1.statistics is not m2.statistics:
-        raise ValueError("mixing needs both modes to share one statistics")
-    if m1.cutoff != m2.cutoff:
-        raise ValueError(
-            f"mixing needs equal cutoffs, got {m1.cutoff} and {m2.cutoff}"
-        )
+    if (refusal := mixing_refusal(space.modes)) is not None:
+        raise ValueError(refusal)
     bound = mixing_total_bound(space.modes)
     if bound is not None and space.total > bound:
         raise ValueError(

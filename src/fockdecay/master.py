@@ -12,7 +12,7 @@ W = -iM and the L_j = sqrt(Gamma_j) c_j are read as the model's terms, one
 value per column each, so no dense M or c_j is formed: the pattern is closed
 under their moves, and each block's generator matrix is scattered from them
 by the Liouville form.  The block advances by the RK4 step polynomial of that
-matrix, formed once.
+matrix, formed once.  The dense map is the tests' reference, not the library's.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ class GeneratorAction:
     where W = -iM combines the commutator and anticommutator parts and
     L_j = sqrt(Gamma_j) c_j.  It holds nothing but its model and inherits its
     guarantees: W conserves the total occupation and each L_j lowers it by
-    exactly one.  :func:`integrate` reads the model's terms; ``w_matrix``,
-    ``jump_ops`` and the call, the tests' dense reference, read its M and c_j.
+    exactly one.  :func:`integrate` reads the model's terms, so no dense W or
+    L_j is formed; the tests keep the dense map as their reference.
     """
 
     model: DecayModel
@@ -46,23 +46,6 @@ class GeneratorAction:
     def __post_init__(self):
         if not isinstance(self.model, DecayModel):
             raise TypeError(f"a generator needs a DecayModel, got {type(self.model).__name__}")
-
-    @property
-    def w_matrix(self) -> np.ndarray:
-        return -1j * self.model.m_operator.entries
-
-    @property
-    def jump_ops(self) -> tuple[np.ndarray, ...]:
-        return tuple(math.sqrt(g_j) * c.entries for g_j, c in zip(self.model.widths, self.model.decay_ops))
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        w = self.w_matrix
-        if rho.shape != w.shape:
-            raise ValueError(f"matrix shape {rho.shape} does not match {w.shape}")
-        out = w @ rho + rho @ w.conj().T
-        for L in self.jump_ops:
-            out += L @ rho @ L.conj().T
-        return out
 
 
 build_generator = GeneratorAction

@@ -67,6 +67,11 @@ def test_src_lines_counts_code_and_docstrings_but_not_blanks_or_comments(tmp_pat
     (pkg / "notes.txt").write_text("not python\n")
     assert bench.src_lines(tmp_path) == 4
     assert bench.src_lines(ROOT) > 0
+    # the tests are counted by the same rule, each folder's own files alone
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("# comment\n\nassert True\n")
+    assert bench.code_lines(tmp_path / "tests") == 1 and bench.src_lines(tmp_path) == 4
+    assert bench.code_lines(ROOT / "tests") > 0
 
 
 def _run_dir(root: Path, value: str, timestamp: str) -> Path:
@@ -90,18 +95,26 @@ def test_diff_report_reads_the_max_diff_per_route_and_the_equal_counts(tmp_path)
 
 
 def test_parent_outputs_go_into_the_bench_file(tmp_path, monkeypatch):
-    seen = []
+    seen, output_diff = [], bench.output_diff
     monkeypatch.setattr(bench, "bench", lambda root, *args: {"perfbench": []})
     monkeypatch.setattr(bench, "tier1", lambda root: {"exit_code": 0})
     monkeypatch.setattr(bench, "output_diff", lambda root, parent: seen.append(parent) or {"csvs": 0})
     (tmp_path / "src" / "fockdecay").mkdir(parents=True)
     (tmp_path / "src" / "fockdecay" / "m.py").write_text("x = 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_m.py").write_text("def test_m():\n    assert True\n")
     for extra, outputs in (([], None), (["--parent", "HEAD~1"], {"csvs": 0})):
         assert bench.main(["--pr", "0", "--root", str(tmp_path), *extra]) == 0
         doc = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
         assert doc.get("outputs") == outputs and doc["tier1"] == {"exit_code": 0}
-        assert doc["src_lines"] == 1
+        assert (doc["src_lines"], doc["test_lines"]) == (1, 2)
     assert seen == ["HEAD~1"]
+    # the parent's counts go into its outputs block
+    monkeypatch.setattr(bench, "_parent_checkout", lambda root, parent, tmp: (tmp_path, "c"))
+    monkeypatch.setattr(bench, "_child", lambda args, cwd, **env: [])
+    monkeypatch.setattr(bench, "diff_report", lambda a, b: {"csvs": 0})
+    assert output_diff(ROOT, "HEAD~1") == {"parent_commit": "c", "parent_src_lines": 1, "parent_test_lines": 2,
+                                           "csvs": 0}
     assert bench._parent_checkout(ROOT, str(tmp_path), tmp_path / "unused")[0] == tmp_path.resolve()
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import kraus_reference, loss_patterns
+from conftest import dense_decay_ops, dense_m, kraus_reference, loss_patterns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,8 +75,8 @@ def test_maximal_mixing_angle_tuple():
         space,
         MixingParams(theta=math.pi / 2, phi=2 * math.pi, psi=math.pi, chi=3 * math.pi / 2),
     )
-    c1d = stated.decay_ops[0].entries.conj().T
-    c2d = stated.decay_ops[1].entries.conj().T
+    c1d = dense_decay_ops(stated)[0].conj().T
+    c2d = dense_decay_ops(stated)[1].conj().T
     assert np.max(np.abs(c1d - sym)) <= 1e-14
     assert np.max(np.abs(c2d - anti)) <= 1e-14
 
@@ -87,9 +87,9 @@ def test_mixed_operators_keep_ccr_on_safe_block():
     # c_k^dag leaves the space from its top total, so the CCR hold on totals <= c - 1
     safe = np.flatnonzero(space.total_occupation <= 3)
     eye = np.eye(space.dimension)
-    for j, cj in enumerate(model.decay_ops):
-        for k, ck in enumerate(model.decay_ops):
-            comm = cj.entries @ ck.entries.conj().T - ck.entries.conj().T @ cj.entries
+    for j, cj in enumerate(dense_decay_ops(model)):
+        for k, ck in enumerate(dense_decay_ops(model)):
+            comm = cj @ ck.conj().T - ck.conj().T @ cj
             want = eye if j == k else np.zeros_like(eye)
             assert np.max(np.abs((comm - want)[np.ix_(safe, safe)])) <= 1e-12
 
@@ -109,9 +109,9 @@ def test_sector_space_compresses_the_mixed_model(total):
     c_big = [V[j, 0].conj() * a_ops[0] + V[j, 1].conj() * a_ops[1] for j in (0, 1)]
     m_big = sum((m - 0.5j * g) * c.conj().T @ c for c, m, g in zip(c_big, MASSES, WIDTHS))
     small = build_mixed_model(sector, params)
-    for c, c_small in zip(c_big, small.decay_ops):
-        assert np.max(np.abs(c[on_s] - c_small.entries)) <= 1e-14
-    assert np.max(np.abs(m_big[on_s] - small.m_operator.entries)) <= 1e-14
+    for c, c_small in zip(c_big, dense_decay_ops(small)):
+        assert np.max(np.abs(c[on_s] - c_small)) <= 1e-14
+    assert np.max(np.abs(m_big[on_s] - dense_m(small))) <= 1e-14
     assert small.certificate_defect <= 1e-14
     obs_big = build_flavour_observables(product, params.phi)
     obs_small = build_flavour_observables(sector, params.phi)
@@ -240,10 +240,10 @@ def test_oscillation_frequency_lands_on_fft_bin():
 def test_mixed_model_is_exact_on_its_whole_space(space):
     # every column of the certificate and every entry of the Gram count
     model = build_mixed_model(space, MixingParams(theta=1.1, phi=0.7, psi=0.4, chi=0.3))
-    m_mat = model.m_operator.entries
+    m_mat = dense_m(model)
     mus = [m - 0.5j * g for m, g in zip(model.masses, model.widths)]
-    defect = max(float(np.max(np.abs(m_mat @ c.entries - c.entries @ m_mat + mu * c.entries)))
-                 for c, mu in zip(model.decay_ops, mus))
+    defect = max(float(np.max(np.abs(m_mat @ c - c @ m_mat + mu * c)))
+                 for c, mu in zip(dense_decay_ops(model), mus))
     assert defect / max(1.0, *map(abs, mus)) <= 1e-12
     assert model.certificate_defect <= 1e-12
     eye = np.eye(space.dimension)

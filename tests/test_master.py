@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import random_density_matrix, random_hermitian, stack_width
+from conftest import dense_generator, dense_jumps, dense_m, random_density_matrix, random_hermitian, stack_width
 
 import fockdecay.channel as channel
 import fockdecay.master as master
@@ -52,10 +52,10 @@ def rk4_reference(gen, rho0, times, step):
     return out
 
 
-def reachable_reference(gen, rho):
+def reachable_reference(model, rho):
     """The pattern closure of ``master._reachable`` as numpy boolean products of dense matrices."""
-    w = gen.w_matrix != 0
-    jumps = [L != 0 for L in gen.jump_ops]
+    w = -1j * dense_m(model) != 0
+    jumps = [L != 0 for L in dense_jumps(model)]
     live = rho != 0
     while True:
         grown = live | (w @ live) | (live @ w.T)
@@ -68,14 +68,14 @@ def reachable_reference(gen, rho):
 
 def test_generator_vacuum_is_stationary():
     model = single_model(cutoff=3)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     rho = vacuum_state(model.space).matrix
     assert np.max(np.abs(gen(rho))) == 0.0
 
 
 def test_generator_one_particle_rates():
     model = single_model(cutoff=3, mass=1.7)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     rho = number_state(model.space, (1,)).matrix
     dot = gen(rho)
     assert dot[1, 1] == pytest.approx(-1.0, abs=1e-14)
@@ -88,7 +88,7 @@ def test_generator_coherence_coefficient():
     # d/dt rho_{10} = -(i m + Gamma/2) rho_{10}
     m, gamma = 0.9, 1.0
     model = single_model(cutoff=3, mass=m, width=gamma)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 0] = 1.0
     dot = gen(rho)
@@ -99,7 +99,7 @@ def test_generator_matrix_element_system():
     # linear system for the matrix elements, checked coefficient by coefficient
     m, gamma, cutoff = 0.6, 1.3, 6
     model = single_model(cutoff=cutoff, mass=m, width=gamma)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     for k in range(6):
         for l in range(6):
             unit = np.zeros((cutoff + 1,) * 2, dtype=complex)
@@ -114,7 +114,7 @@ def test_generator_matrix_element_system():
 
 def test_generator_traceless_and_hermiticity_preserving(rng):
     model = single_model(cutoff=5, mass=0.8)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     for _ in range(5):
         omega = random_hermitian(rng, model.space).entries
         dot = gen(omega)
@@ -123,7 +123,7 @@ def test_generator_traceless_and_hermiticity_preserving(rng):
 
 
 def test_generator_dimension_mismatch():
-    gen = build_generator(single_model(cutoff=2))
+    gen = dense_generator(single_model(cutoff=2))
     with pytest.raises(ValueError):
         gen(np.eye(5, dtype=complex))
 
@@ -295,10 +295,10 @@ def _oscillation_theta90_case(rng):
 @pytest.mark.parametrize("case", [_mixed_dense_case, _boson_fermion_case, _oscillation_theta90_case])
 def test_integrate_matches_full_space_loop(rng, case):
     model, rho0 = case(rng)
-    gen = build_generator(model)
+    gen = dense_generator(model)
     step = 0.05 / 75
     times = [0.0, 0.05, 0.1, 0.3, 0.4]
-    got = integrate(gen, rho0, times, step)
+    got = integrate(build_generator(model), rho0, times, step)
     for state, ref in zip(got, rk4_reference(gen, rho0, times, step)):
         assert np.max(np.abs(state.matrix - ref)) <= 1e-12
 
@@ -307,7 +307,7 @@ def test_integrate_matches_full_space_loop(rng, case):
     rows, cols = master._reachable(moves, rho0.matrix)
     live = np.zeros_like(rho0.matrix, dtype=bool)
     live[rows, cols] = True
-    assert np.array_equal(live, reachable_reference(gen, rho0.matrix))
+    assert np.array_equal(live, reachable_reference(model, rho0.matrix))
     assert np.array_equal(np.nonzero(live), (rows, cols))  # in row-major order
     delta = tot[rows] - tot[cols]
     for dn in np.unique(delta):
@@ -338,8 +338,7 @@ def _mixed_pair_model():
 def test_block_generator_is_the_dense_gather_of_w_and_the_jumps(case):
     # the old gather from the held -iM and sqrt(Gamma_j) c_j, which the generator no longer keeps
     model, rho0 = case()
-    w = -1j * model.m_operator.entries
-    jumps = [math.sqrt(g) * c.entries for g, c in zip(model.widths, model.decay_ops)]
+    w, jumps = -1j * dense_m(model), dense_jumps(model)
     tot, moves = model.space.total_occupation, master._generator_terms(model)
     rows, cols = master._reachable(moves, rho0)
     delta = tot[rows] - tot[cols]
@@ -375,21 +374,24 @@ def test_default_stacks_read_as_one_point_stacks(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", [_mixed_pair_model, _multimode_model], ids=["mixed pair", "multimode"])
-def test_the_state_routes_form_no_dense_m_or_c_j(case):
-    # both read the model's terms; only the tests' dense reference forms M and the c_j
+def test_the_state_routes_form_no_dense_m_or_c_j(case, scatter_calls):
+    # both read the model's terms: the ode route scatters nothing, and the kraus route only what W's
+    # raising forms and its certificate scatter under mixing
     model, rho0 = case()
     state = DensityOperator(model.space, rho0)
     integrate(build_generator(model), state, [0.0, 0.05, 0.1], 0.001)
+    assert scatter_calls == []
     evolve_state(model, state, [0.0, 0.05, 0.1])
-    assert "m_operator" not in vars(model)
-    assert "decay_ops" not in vars(model)
+    kraus = scatter_calls[:]
+    scatter_calls.clear()
+    build_decay_model(model.space, model.mixing_unitary)._rotation
+    assert kraus == scatter_calls and bool(kraus) == model.is_mixed
 
 
 def test_generator_holds_nothing_but_its_model():
     model, rho0 = _mixed_pair_model()
     gen = build_generator(model)
     integrate(gen, DensityOperator(model.space, rho0), [0.0, 0.1, 0.2], 0.001)
-    gen(rho0)
     assert vars(gen) == {"model": model}
 
 
@@ -399,16 +401,12 @@ def test_generator_is_derived_from_its_model_alone():
     model = single_model(cutoff=2, mass=0.7, width=1.3)
     gen = build_generator(model)
     assert [f.name for f in fields(GeneratorAction) if f.init] == ["model"]
-    assert np.array_equal(gen.w_matrix, -1j * model.m_operator.entries)
-    (jump,) = gen.jump_ops
-    assert np.array_equal(jump, math.sqrt(1.3) * model.decay_ops[0].entries)
     with pytest.raises(TypeError):
-        GeneratorAction(model=model, w_matrix=gen.w_matrix)
+        GeneratorAction(model=model, w_matrix=-1j * dense_m(model))
     with pytest.raises(TypeError, match="DecayModel"):
         GeneratorAction(object())
-    for name in ("w_matrix", "jump_ops"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(gen, name, None)
+    with pytest.raises(FrozenInstanceError):
+        gen.model = model
 
 
 @pytest.mark.parametrize("mass, match", [(1e200, "step matrix"), (1e20, "not finite on the grid")])

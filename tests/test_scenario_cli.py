@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from conftest import support_total_bound
 
-from fockdecay import (ConfigError, InvariantViolation, build_decay_model, build_generator, config_to_json,
-                       evolve_state, integrate, parse_config, run_scenario)
+from fockdecay import (ConfigError, InvariantViolation, MixingParams, build_decay_model, build_generator,
+                       config_to_json, evolve_state, integrate, parse_config, run_scenario)
 from fockdecay.cli import main
 from fockdecay.config import CUTOFF_LIMIT, OCCUPATION_COLUMNS_LIMIT, TIME_POINTS_LIMIT
 import fockdecay.channel as channel
@@ -137,18 +137,26 @@ def test_mixing_support_bound():
 
 
 def test_unequal_cutoffs_under_mixing_rejected():
-    doc = make_config(
-        modes=[
-            {"statistics": "boson", "mass": 0.0, "width": 0.5, "cutoff": 2},
-            {"statistics": "boson", "mass": 1.0, "width": 1.5, "cutoff": 3},
-        ],
-        mixing={"theta": 0.3},
-        initial_state={"type": "number", "occupations": [1, 0]},
-        observables=["N"],
-    )
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
-    assert err.value.code == "CONFIG_MIXING_MODES"
+    # unequal cutoffs, a boson with a fermion and three modes: the config and the library refuse each
+    # with one text
+    boson = {"statistics": "boson", "mass": 0.0, "width": 0.5, "cutoff": 2}
+    for modes in ([boson, {"statistics": "boson", "mass": 1.0, "width": 1.5, "cutoff": 3}],
+                  [dict(boson, cutoff=1), {"statistics": "fermion", "mass": 1.0, "width": 1.5, "cutoff": 1}],
+                  [boson, boson, dict(boson, mass=2.0)]):
+        doc = make_config(
+            modes=modes,
+            mixing={"theta": 0.3},
+            initial_state={"type": "number", "occupations": [1] + [0] * (len(modes) - 1)},
+            observables=["N"],
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.code == "CONFIG_MIXING_MODES"
+        assert err.value.path == "$.mixing"
+        with pytest.raises(ValueError) as library:
+            build_mixed_model(build_space(parse_config(json.dumps(dict(doc, mixing=None)))), MixingParams(theta=0.3))
+        assert type(library.value) is ValueError
+        assert str(err.value) == f"CONFIG_MIXING_MODES at $.mixing: {library.value}"
 
 
 # ---------------------------------------------------------------------------

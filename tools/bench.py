@@ -42,6 +42,9 @@ The file holds:
 - ``src_lines``: the count of non-blank lines of ``src/fockdecay/*.py`` in
   CHECKOUT that are not comment-only lines (docstrings count), and with
   ``--parent`` the same count of PARENT as ``outputs.parent_src_lines``;
+- ``test_lines``: the same count over ``tests/*.py``, and with ``--parent``
+  PARENT's as ``outputs.parent_test_lines``, so that code moved between the
+  library and its tests shows on both sides;
 - ``tier1``: the Tier-1 suite, ``TIER1`` run in CHECKOUT with ``src`` on
   ``PYTHONPATH``: its wall time, exit code, summary line, the counts and
   duration read from that line, and ``slowest``, its ten slowest tests.
@@ -191,11 +194,16 @@ def comparison(runs: list[dict], parent_runs: list[dict], end_to_end: list[dict]
     return out
 
 
-def src_lines(root: Path) -> int:
-    """Non-blank lines of ``root``'s ``src/fockdecay/*.py`` that are not comment-only lines."""
-    return sum(1 for path in sorted((root / "src" / "fockdecay").glob("*.py"))
+def code_lines(folder: Path) -> int:
+    """Non-blank lines of ``folder``'s ``*.py`` that are not comment-only lines."""
+    return sum(1 for path in sorted(folder.glob("*.py"))
                for line in path.read_text(encoding="utf-8").splitlines()
                if line.strip() and not line.lstrip().startswith("#"))
+
+
+def src_lines(root: Path) -> int:
+    """:func:`code_lines` of ``root``'s ``src/fockdecay``."""
+    return code_lines(root / "src" / "fockdecay")
 
 
 def _parent_checkout(root: Path, parent: str, tmp: Path) -> tuple[Path, str | None]:
@@ -241,14 +249,15 @@ def diff_report(a: Path, b: Path) -> dict:
 
 def output_diff(root: Path, parent: str) -> dict:
     """The outputs of ``compare_outputs.py run`` on the parent and on ``root``, compared
-    by :func:`diff_report`, with the parent's commit (None when it has no git) and
-    its :func:`src_lines`."""
+    by :func:`diff_report`, with the parent's commit (None when it has no git), its
+    :func:`src_lines` and the :func:`code_lines` of its ``tests``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         checkout, commit = _parent_checkout(root, parent, tmp)
         for name, source in (("parent", checkout), ("change", root)):
             _child([str(COMPARE), "run", str(tmp / f"out-{name}"), "--root", str(source)], root)
         return {"parent_commit": commit, "parent_src_lines": src_lines(checkout),
+                "parent_test_lines": code_lines(checkout / "tests"),
                 **diff_report(tmp / "out-parent", tmp / "out-change")}
 
 
@@ -295,7 +304,7 @@ def main(argv=None) -> int:
     doc = {"pr": args.pr,
            "command": ["tools/bench.py", *(sys.argv[1:] if argv is None else argv)],
            **bench(root, list(WORKLOADS), list(SEEDS), SECONDS, REPS, args.parent)}
-    doc["src_lines"] = src_lines(root)
+    doc["src_lines"], doc["test_lines"] = src_lines(root), code_lines(root / "tests")
     if args.parent is not None:
         bounds = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
         doc["comparison"] = comparison(doc["perfbench"], doc.get("perfbench_parent", []), bounds)
